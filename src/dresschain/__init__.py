@@ -12,10 +12,8 @@ from .exact import (
     ZeroPolynomial,
     det_poly_matrix,
     det_poly_matrix_cofactor,
-    eval_at,
     log_derivative_ratio,
     poly_gcd,
-    ratfunc_is_constant,
 )
 from .orthopoly import (
     AlphaParam,
@@ -67,7 +65,6 @@ from .chain import (
     alpha_sampled_verify,
     build_even_chain,
     build_odd_chain,
-    chain_parameters,
     potential_of,
     verify_chain,
 )

@@ -23,17 +23,7 @@ from fractions import Fraction
 from math import lcm as _lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import (
-    Polynomial,
-    RationalFunction,
-    _iadd,
-    _ider,
-    _imul,
-    _iscale,
-    _isub,
-    frac_str,
-    log_derivative_ratio,
-)
+from .exact import Polynomial, RationalFunction, frac_str, log_derivative_ratio
 from .maya import (
     NEGATIVE,
     POSITIVE,
@@ -300,14 +290,9 @@ def build_even_chain(
     )
 
 
-def chain_parameters(sol: ChainSolution) -> Tuple[Fraction, Tuple[Fraction, ...]]:
-    """(shift, energy-difference list) the residuals are checked against."""
-    return sol.delta, sol.expected_eps
-
-
 # ---------------------------------------------------------------------------
-# Verification.  The happy path runs over integer coefficient lists with a
-# single cross-multiplied comparison per equation; no polynomial gcds.
+# Verification.  The happy path runs over integer-coefficient polynomials
+# with a single cross-multiplied comparison per equation; no polynomial gcds.
 
 
 def _closure_exponent(sol: ChainSolution) -> int:
@@ -329,40 +314,36 @@ def _closure_holds(sol: ChainSolution) -> bool:
     return last * shifted.leading == shifted * last.leading
 
 
-def _ipoly(p: Polynomial) -> list:
-    return p._int_cleared()[0]
-
-
-def _shift1(c: list) -> list:
-    return [0] + c if c else []
+def _ladder_products(B: Polynomial, P: Polynomial, C: Polynomial) -> tuple:
+    """The products both checks share: BC, (BC)', BPC, B'C - BC' and
+    2 P' BC - B' PC - C' PB."""
+    dB, dP, dC = B.derivative(), P.derivative(), C.derivative()
+    BC = B * C
+    cross = 2 * (dP * BC) - (dB * (P * C) + dC * (P * B))
+    return BC, BC.derivative(), BC * P, dB * C - dC * B, cross
 
 
 def _check_equation_x(
-    B: list, P: list, C: list, lin_a: int, lin_b: int, expected: Fraction
+    B: Polynomial,
+    P: Polynomial,
+    C: Polynomial,
+    lin_a: int,
+    lin_b: int,
+    expected: Fraction,
 ) -> bool:
     """Exact check of -(w_a + w_b)' + w_b**2 - w_a**2 == expected, z = x."""
-    dB, dP, dC = _ider(B), _ider(P), _ider(C)
-    BC = _imul(B, C)
-    dBC = _ider(BC)
-    Sn = _iadd(_imul([0, lin_a + lin_b], BC), _isub(_imul(dB, C), _imul(dC, B)))
-    BPC = _imul(BC, P)
-    cross = _isub(
-        _iscale(_imul(dP, BC), 2),
-        _iadd(_imul(dB, _imul(P, C)), _imul(dC, _imul(P, B))),
-    )
-    Dn = _iadd(_imul([0, lin_b - lin_a], BPC), cross)
-    num = _iadd(
-        _imul(P, _isub(_imul(Sn, dBC), _imul(_ider(Sn), BC))),
-        _imul(Dn, Sn),
-    )
-    den = _imul(_imul(BC, BC), P)
-    return _iscale(num, expected.denominator) == _iscale(den, expected.numerator)
+    BC, dBC, BPC, W, cross = _ladder_products(B, P, C)
+    Sn = BC.shifted(1) * (lin_a + lin_b) + W
+    Dn = BPC.shifted(1) * (lin_b - lin_a) + cross
+    num = P * (Sn * dBC - Sn.derivative() * BC) + Dn * Sn
+    den = BC * BC * P
+    return num * expected.denominator == den * expected.numerator
 
 
 def _check_equation_z(
-    B: list,
-    P: list,
-    C: list,
+    B: Polynomial,
+    P: Polynomial,
+    C: Polynomial,
     lin_a: Fraction,
     inv_a: Fraction,
     lin_b: Fraction,
@@ -372,53 +353,32 @@ def _check_equation_z(
     """Exact check of the chain equation for w = v(z)/x, z = x**2.
 
     Uses w' = 2 v'(z) - v(z)/z and w**2 = v(z)**2 / z, so the residual is
-    -2 S' + S (1 + D) / z with S = v_a + v_b and D = v_b - v_a.
+    -2 S' + S (1 + D) / z with S = v_a + v_b and D = v_b - v_a.  The
+    gauge coefficients are scaled by their common denominator d0 so every
+    operand keeps integer coefficients.
     """
     d0 = _lcm(
         lin_a.denominator, inv_a.denominator, lin_b.denominator, inv_b.denominator
     )
-    ls, is_ = int((lin_a + lin_b) * d0), int((inv_a + inv_b) * d0)
-    ld, id_ = int((lin_b - lin_a) * d0), int((inv_b - inv_a) * d0)
-    dB, dP, dC = _ider(B), _ider(P), _ider(C)
-    BC = _imul(B, C)
-    dBC = _ider(BC)
-    Sn = _iadd(
-        _imul([is_, ls], BC),
-        _iscale(_shift1(_isub(_imul(dB, C), _imul(dC, B))), 2 * d0),
-    )
-    BPC = _imul(BC, P)
-    cross = _isub(
-        _iscale(_imul(dP, BC), 2),
-        _iadd(_imul(dB, _imul(P, C)), _imul(dC, _imul(P, B))),
-    )
-    Dn = _iadd(_imul([id_, ld], BPC), _iscale(_shift1(cross), 2 * d0))
-    num = _iadd(
-        _iscale(
-            _shift1(_imul(P, _isub(_imul(_ider(Sn), BC), _imul(Sn, dBC)))),
-            -2 * d0,
-        ),
-        _imul(Sn, _iadd(_iscale(BPC, d0), Dn)),
-    )
-    den = _shift1(_imul(_imul(BC, BC), P))
-    return _iscale(num, expected.denominator) == _iscale(
-        den, expected.numerator * d0 * d0
-    )
-
-
-def _term_rf(term: WTerm) -> RationalFunction:
-    return term.rational_part()
+    S0 = Polynomial(((inv_a + inv_b) * d0, (lin_a + lin_b) * d0))
+    D0 = Polynomial(((inv_b - inv_a) * d0, (lin_b - lin_a) * d0))
+    BC, dBC, BPC, W, cross = _ladder_products(B, P, C)
+    Sn = S0 * BC + W.shifted(1) * (2 * d0)
+    Dn = D0 * BPC + cross.shifted(1) * (2 * d0)
+    inner = P * (Sn.derivative() * BC - Sn * dBC)
+    num = inner.shifted(1) * (-2 * d0) + Sn * (BPC * d0 + Dn)
+    den = (BC * BC * P).shifted(1)
+    return num * expected.denominator == den * (expected.numerator * d0 * d0)
 
 
 def _residual_rf(sol: ChainSolution, i: int) -> RationalFunction:
     """Slow exact residual of equation i (1-based), for diagnostics."""
     a = sol.terms[i - 1]
     b = sol.terms[i % sol.period]
-    if not sol.is_even:
-        wa, wb = _term_rf(a), _term_rf(b)
-        s = wa + wb
-        return -s.derivative() + (wb - wa) * s
-    va, vb = _term_rf(a), _term_rf(b)
+    va, vb = a.rational_part(), b.rational_part()
     s = va + vb
+    if not sol.is_even:
+        return -s.derivative() + (vb - va) * s
     z = RationalFunction(Polynomial.x())
     return -2 * s.derivative() + s * (1 + (vb - va)) / z
 
@@ -437,7 +397,9 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
     closed = _closure_holds(sol)
     e = _closure_exponent(sol)
 
-    ipolys = [_ipoly(pw.poly) for pw in sol.ladder]
+    # every check is homogeneous in each ladder entry: integer entries
+    # with coprime coefficients keep the arithmetic small and exact
+    prims = [pw.poly.primitive() for pw in sol.ladder]
     equations = []
     for i in range(1, p + 1):
         a = sol.terms[i - 1]
@@ -448,10 +410,10 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
             if wrap:
                 # last determinant replaced by z**e * first: same log
                 # derivative up to e/z, absorbed into the 1/x coefficient
-                B, P, C = ipolys[p - 1], ipolys[0], ipolys[1]
+                B, P, C = prims[p - 1], prims[0], prims[1]
                 inv_a = a.inv - 2 * e
             else:
-                B, P, C = ipolys[i - 1], ipolys[i], ipolys[i + 1]
+                B, P, C = prims[i - 1], prims[i], prims[i + 1]
                 inv_a = a.inv
             if sol.is_even:
                 ok = _check_equation_z(

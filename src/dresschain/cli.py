@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -27,7 +25,7 @@ from .maya import (
     enumerate_structures,
     static_flip_chain,
 )
-from .orthopoly import AlphaParam, IntegerAlpha
+from .orthopoly import AlphaParam
 from .painleve import (
     WrongPeriod,
     piv_families,
@@ -62,24 +60,6 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("DCHAIN_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError("DCHAIN_THREADS must be an integer, got %r" % raw)
-    return max(1, n)
-
-
-def _map_ordered(fn, items: Sequence):
-    """Apply fn over items, optionally on a thread pool, preserving order."""
-    n = _worker_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_int_list(text: str) -> List[int]:
@@ -180,6 +160,8 @@ def _build_solutions(args):
         cs = _structure_from(args.period, _odd_shift(args), _parse_int_list(args.params or ""))
         return [(None, build_odd_chain(cs, perm=perm, allow_degenerate=args.allow_degenerate))]
     alphas = _parse_alpha_list(args.alpha) or [AlphaParam(Fraction(1, 3))]
+    if len({a.value for a in alphas}) != len(alphas):
+        raise UsageError("alpha samples must be distinct")
     cs1, cs2 = _even_structures(args)
     return [(a, build_even_chain(cs1, cs2, a, perm=perm)) for a in alphas]
 
@@ -200,7 +182,7 @@ def cmd_enum(args) -> int:
             "flip_levels": list(chain.levels()),
         }
 
-    rows = _map_ordered(row, structures)
+    rows = [row(cs) for cs in structures]
     if args.format == "json":
         _emit(_dump({"command": "enum", "period": args.period, "shift": args.shift,
                      "bound": args.bound, "structures": rows}), args.out)
@@ -242,11 +224,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    solutions = _build_solutions(args)
-    reports = _map_ordered(lambda pair: verify_chain(pair[1]), solutions)
     entries = []
-    all_ok = True
-    for (a, sol), report in zip(solutions, reports):
+    oks = []
+    for a, sol in _build_solutions(args):
+        report = verify_chain(sol)
         entry = report.to_json()
         if a is not None:
             entry["alpha"] = frac_str(a.value)
@@ -260,12 +241,12 @@ def cmd_verify(args) -> int:
             entry["pv_residual_zero"] = residual_zero
             ok = ok and residual_zero
         entries.append(entry)
-        all_ok = all_ok and ok
+        oks.append(ok)
+    all_ok = all(oks)
     if args.format == "text":
         lines = []
-        for entry in entries:
+        for entry, ok in zip(entries, oks):
             tag = "alpha=%s " % entry.get("alpha", "") if "alpha" in entry else ""
-            ok = entry["sum_rule"] and all(eq["match"] for eq in entry["equations"])
             lines.append("%speriod=%d delta=%s %s" % (
                 tag, entry["period"], entry["delta"], "OK" if ok else "FAILED"))
         _emit("\n".join(lines) + "\n", args.out)
@@ -317,13 +298,13 @@ def cmd_painleve(args) -> int:
 def cmd_selftest(args) -> int:
     criteria = _parse_int_list(args.criteria) if args.criteria else None
     results = run_all(criteria)
-    for r in results:
-        sys.stdout.write(r.line() + "\n")
     ok = all(r.ok for r in results)
-    if args.format == "json" and args.out:
+    if args.format == "json":
         _emit(_dump({"command": "selftest", "ok": ok, "results": [
             {"criterion": r.criterion, "name": r.name, "ok": r.ok,
              "detail": r.detail} for r in results]}), args.out)
+    else:
+        _emit("".join(r.line() + "\n" for r in results), args.out)
     return 0 if ok else 1
 
 
@@ -389,7 +370,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         sys.stdout.write(_dump({"error": str(exc)}))
         return 2
-    except (IntegerAlpha, InvalidParity, DegenerateStructure, WrongPeriod) as exc:
+    except ValueError as exc:
+        # every library ValueError rejects the job description: a bad
+        # permutation or bound, a degenerate structure or alpha sample
         sys.stdout.write(_dump({"error": "%s: %s" % (type(exc).__name__, exc)}))
         return 2
 

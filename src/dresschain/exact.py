@@ -1,14 +1,19 @@
 """Exact arithmetic substrate: dense polynomials over Q, reduced rational
 functions, and fraction-free determinants of polynomial matrices.
 
-No floats appear anywhere in this package.  Polynomials are dense ascending
-coefficient tuples of ``fractions.Fraction``; rational functions keep a monic
-denominator and a gcd-reduced numerator, so structural equality coincides
-with mathematical equality.
+No floats appear anywhere in this package.  A polynomial is stored as a
+tuple of integer coefficients (ascending) over one positive integer
+denominator, in canonical form: no trailing zero coefficients, and the
+content of the integer coefficients is coprime to the denominator (the
+zero polynomial is the empty tuple over 1).  Two polynomials are equal
+exactly when their stored pairs are, and every operation runs in integer
+arithmetic; the Fraction coefficients of the public interface (`coeffs`,
+`leading`, `coeff`, serialisation) are produced on demand.
 
-Determinants and polynomial gcds internally clear denominators and run over
-plain integer coefficient lists, which is dramatically faster than Fraction
-arithmetic for the matrix sizes that show up in pseudo-Wronskian ladders.
+Rational functions keep a monic denominator and a gcd-reduced numerator,
+so structural equality coincides with mathematical equality.  Determinants
+are taken by Bareiss elimination over Z[x] and gcds by a primitive
+pseudo-remainder sequence; both share the integer kernel below.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ def parse_frac(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Integer coefficient lists: the private fast path shared by det and gcd.
+# Integer coefficient lists: the kernel every polynomial operation runs on.
 # Lists are ascending, with no trailing zeros; [] is the zero polynomial.
 
 
@@ -43,31 +48,23 @@ def _itrim(c: list) -> list:
     return c
 
 
-def _ineg(a: list) -> list:
-    return [-x for x in a]
-
-
-def _iadd(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
+def _iadd(a: Sequence[int], b: Sequence[int]) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
     for i, x in enumerate(b):
         out[i] += x
     return _itrim(out)
 
 
-def _isub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
+def _isub(a: Sequence[int], b: Sequence[int]) -> list:
+    out = list(a) + [0] * (len(b) - len(a))
     for i, x in enumerate(b):
         out[i] -= x
     return _itrim(out)
 
 
-def _imul(a: list, b: list) -> list:
+def _imul(a: Sequence[int], b: Sequence[int]) -> list:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -76,43 +73,51 @@ def _imul(a: list, b: list) -> list:
             for j, y in enumerate(b):
                 if y:
                     out[i + j] += x * y
-    return _itrim(out)
+    return out
 
 
-def _ider(a: list) -> list:
-    return _itrim([i * x for i, x in enumerate(a)][1:])
+def _idivmod(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """(q, r) with a == q*b + r over Z and deg r < deg b.
 
-
-def _iscale(a: list, s: int) -> list:
-    return [] if s == 0 else [s * x for x in a]
-
-
-def _iexact_quo(a: list, b: list) -> list:
-    """Quotient a / b when the division is known exact in Z[x]."""
+    Every quotient coefficient must come out integral (as it does for a
+    pseudo-division, or when b divides a); otherwise ArithmeticError.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return []
-    if len(a) < len(b):
-        raise ArithmeticError("inexact polynomial division")
-    q = [0] * (len(a) - len(b) + 1)
     r = list(a)
+    db = len(b) - 1
     lead = b[-1]
+    q = [0] * max(len(a) - db, 0)
     for t in range(len(q) - 1, -1, -1):
-        h = r[t + len(b) - 1]
-        if h % lead:
-            raise ArithmeticError("inexact polynomial division")
-        qt = h // lead
-        q[t] = qt
-        if qt:
+        h = r[t + db]
+        if h:
+            qt, rem = divmod(h, lead)
+            if rem:
+                raise ArithmeticError("inexact polynomial division")
+            q[t] = qt
             for s, bs in enumerate(b):
                 r[t + s] -= qt * bs
-    if any(r):
+    return _itrim(q), _itrim(r[:db])
+
+
+def _iexact_quo(a: Sequence[int], b: Sequence[int]) -> list:
+    """Quotient a / b when the division is known exact in Z[x]."""
+    q, r = _idivmod(a, b)
+    if r:
         raise ArithmeticError("inexact polynomial division")
-    return _itrim(q)
+    return q
 
 
-def _icontent(a: list) -> int:
+def _iprem(a: list, b: list) -> list:
+    """Pseudo-remainder of a by b over Z (content growth handled by caller)."""
+    e = len(a) - len(b) + 1
+    if e <= 0:
+        return a
+    s = b[-1] ** e
+    return _idivmod([s * x for x in a], b)[1]
+
+
+def _icontent(a: Sequence[int]) -> int:
     g = 0
     for x in a:
         g = _gcd(g, x)
@@ -124,21 +129,6 @@ def _icontent(a: list) -> int:
 def _iprim(a: list) -> list:
     g = _icontent(a)
     return a if g in (0, 1) else [x // g for x in a]
-
-
-def _iprem(a: list, b: list) -> list:
-    """Pseudo-remainder of a by b over Z (content growth handled by caller)."""
-    r = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    while r and len(r) - 1 >= db:
-        shift = len(r) - 1 - db
-        top = r[-1]
-        r = [lead * x for x in r]
-        for s, bs in enumerate(b):
-            r[shift + s] -= top * bs
-        _itrim(r)
-    return r
 
 
 def _idet_cofactor(rows: list) -> list:
@@ -157,24 +147,48 @@ def _idet_cofactor(rows: list) -> list:
     return acc
 
 
+def _poly(num: list, den: int = 1) -> "Polynomial":
+    """The Polynomial num / den, brought into canonical form."""
+    _itrim(num)
+    if not num:
+        den = 1
+    elif den != 1:
+        if den < 0:
+            num = [-x for x in num]
+            den = -den
+        g = den
+        for x in num:
+            g = _gcd(g, x)
+            if g == 1:
+                break
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    p = Polynomial.__new__(Polynomial)
+    p._n = tuple(num)
+    p._d = den
+    return p
+
+
 # ---------------------------------------------------------------------------
 
 
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
-    Coefficients are ascending; the zero polynomial is the empty tuple and
-    otherwise the leading coefficient is nonzero, so degree == len - 1.
+    Stored as integer coefficients over one positive denominator, in the
+    canonical form of the module docstring; degree == len(coeffs) - 1.
     Instances are immutable and hashable.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Iterable = ()):
-        c = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self._c = tuple(c)
+        c = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs]
+        den = _lcm(*(x.denominator for x in c))
+        p = _poly([x.numerator * (den // x.denominator) for x in c], den)
+        self._n = p._n
+        self._d = p._d
 
     # -- constructors -------------------------------------------------------
 
@@ -206,65 +220,72 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple:
-        return self._c
+        return tuple(Fraction(x, self._d) for x in self._n)
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self._c) - 1
+        return len(self._n) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     @property
     def leading(self) -> Fraction:
-        if not self._c:
+        if not self._n:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self._c[-1]
+        return Fraction(self._n[-1], self._d)
 
     def coeff(self, i: int) -> Fraction:
-        return self._c[i] if 0 <= i < len(self._c) else Fraction(0)
+        return Fraction(self._n[i], self._d) if 0 <= i < len(self._n) else Fraction(0)
+
+    def primitive(self) -> "Polynomial":
+        """The positive rational multiple of self, or of -self, with coprime
+        integer coefficients and a positive leading one; zero stays zero."""
+        n = self._n
+        g = _icontent(n)
+        if not n or (g == 1 and self._d == 1 and n[-1] > 0):
+            return self
+        if n[-1] < 0:
+            g = -g
+        return _poly([x // g for x in n])
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other) -> "Polynomial":
+    def _aligned(self, other) -> tuple:
+        """Both integer numerators over the common denominator, and it."""
         other = self._coerce(other)
-        n = max(len(self._c), len(other._c))
-        out = [Fraction(0)] * n
-        for i, x in enumerate(self._c):
-            out[i] = x
-        for i, x in enumerate(other._c):
-            out[i] += x
-        return Polynomial(out)
+        a, b = self._d, other._d
+        if a == b:
+            return self._n, other._n, a
+        den = _lcm(a, b)
+        return [den // a * x for x in self._n], [den // b * x for x in other._n], den
+
+    def __add__(self, other) -> "Polynomial":
+        a, b, den = self._aligned(other)
+        return _poly(_iadd(a, b), den)
 
     def __radd__(self, other) -> "Polynomial":
         return self.__add__(other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-x for x in self._c))
+        return _poly([-x for x in self._n], self._d)
 
     def __sub__(self, other) -> "Polynomial":
-        return self.__add__(self._coerce(other).__neg__())
+        a, b, den = self._aligned(other)
+        return _poly(_isub(a, b), den)
 
     def __rsub__(self, other) -> "Polynomial":
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            s = Fraction(other)
-            if s == 0:
-                return Polynomial()
-            return Polynomial(tuple(x * s for x in self._c))
-        if not self._c or not other._c:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self._c) + len(other._c) - 1)
-        for i, x in enumerate(self._c):
-            if x:
-                for j, y in enumerate(other._c):
-                    if y:
-                        out[i + j] += x * y
-        return Polynomial(out)
+        if isinstance(other, Polynomial):
+            return _poly(_imul(self._n, other._n), self._d * other._d)
+        if not isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+        s = other.numerator
+        return _poly([s * x for x in self._n] if s else [], self._d * other.denominator)
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
@@ -282,18 +303,19 @@ class Polynomial:
         return result
 
     def __divmod__(self, other: "Polynomial"):
+        """Division over Q, run as an integer pseudo-division: with s the
+        divisor's leading integer coefficient to the power deg - deg' + 1,
+        s * num(self) == q * num(other) + r over Z."""
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = Polynomial()
-        r = self
-        d = other.degree
-        inv_lead = 1 / other.leading
-        while not r.is_zero and r.degree >= d:
-            t = Polynomial.monomial(r.degree - d, r.leading * inv_lead)
-            q = q + t
-            r = r - t * other
-        return q, r
+        e = len(self._n) - len(other._n) + 1
+        if e <= 0:
+            return Polynomial(), self
+        s = other._n[-1] ** e
+        q, r = _idivmod([s * x for x in self._n], other._n)
+        den = s * self._d
+        return _poly([other._d * x for x in q], den), _poly(r, den)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -310,21 +332,23 @@ class Polynomial:
     # -- calculus & transforms ----------------------------------------------
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * x for i, x in enumerate(self._c))[1:])
+        return _poly([i * x for i, x in enumerate(self._n)][1:], self._d)
 
     def eval_at(self, x0) -> Fraction:
-        """Exact Horner evaluation."""
+        """Exact Horner evaluation, homogenised over the integers."""
         x0 = Fraction(x0)
-        acc = Fraction(0)
-        for c in reversed(self._c):
-            acc = acc * x0 + c
-        return acc
+        p, q = x0.numerator, x0.denominator
+        acc, scale = 0, 1
+        for c in reversed(self._n):
+            acc = acc * p + c * scale
+            scale *= q
+        return Fraction(acc * q, scale * self._d) if self._n else Fraction(0)
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         acc = Polynomial()
-        for c in reversed(self._c):
-            acc = acc * inner + Polynomial((c,))
-        return acc
+        for c in reversed(self._n):
+            acc = acc * inner + c
+        return acc * Fraction(1, self._d)
 
     def shifted(self, k: int) -> "Polynomial":
         """Multiply by x**k."""
@@ -332,38 +356,42 @@ class Polynomial:
             raise ValueError("negative shift")
         if self.is_zero or k == 0:
             return self
-        return Polynomial((Fraction(0),) * k + self._c)
+        return _poly([0] * k + list(self._n), self._d)
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
-        return self * (1 / self.leading)
+        return _poly(list(self._n), self._n[-1])
 
     def split_lowest(self) -> tuple:
         """Write self = x**v * q with q(0) != 0; returns (v, q)."""
         if self.is_zero:
             return 0, self
         v = 0
-        while self._c[v] == 0:
+        while self._n[v] == 0:
             v += 1
-        return v, Polynomial(self._c[v:])
+        return v, _poly(list(self._n[v:]), self._d)
 
     def decompress_even(self) -> "Polynomial":
         """Given p with only even-power terms, return q with p(x) = q(x**2)."""
-        if any(self._c[i] for i in range(1, len(self._c), 2)):
+        if any(self._n[1::2]):
             raise ValueError("polynomial has odd-degree terms")
-        return Polynomial(self._c[0::2])
+        return _poly(list(self._n[0::2]), self._d)
 
     # -- serialization & dunders ---------------------------------------------
 
     def to_strings(self) -> list:
-        return [frac_str(c) for c in self._c]
+        return [frac_str(c) for c in self.coeffs]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self._c == other._c
+        return (
+            isinstance(other, Polynomial)
+            and self._d == other._d
+            and self._n == other._n
+        )
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        return hash((self._n, self._d))
 
     def __repr__(self) -> str:
         return "Polynomial(%r)" % (self.to_strings(),)
@@ -372,8 +400,9 @@ class Polynomial:
         if self.is_zero:
             return "0"
         parts = []
-        for i in range(len(self._c) - 1, -1, -1):
-            c = self._c[i]
+        cs = self.coeffs
+        for i in range(len(cs) - 1, -1, -1):
+            c = cs[i]
             if c == 0:
                 continue
             mag = abs(c)
@@ -389,17 +418,6 @@ class Polynomial:
     def __str__(self) -> str:
         return self.format()
 
-    # -- integer bridge (module-private use) ---------------------------------
-
-    def _int_cleared(self) -> tuple:
-        """Return (int coeff list, denominator d) with self == intpoly / d."""
-        if self.is_zero:
-            return [], 1
-        d = 1
-        for c in self._c:
-            d = _lcm(d, c.denominator)
-        return [int(c * d) for c in self._c], d
-
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd over Q, via a primitive pseudo-remainder sequence over Z."""
@@ -407,20 +425,20 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    ia = _iprim(a._int_cleared()[0])
-    ib = _iprim(b._int_cleared()[0])
+    ia = _iprim(list(a._n))
+    ib = _iprim(list(b._n))
     while ib:
         ia, ib = ib, _iprim(_iprem(ia, ib))
-    return Polynomial(ia).monic()
+    return _poly(ia, ia[-1])
 
 
 def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Exact determinant of a square polynomial matrix.
 
-    Fraction-free (Bareiss) elimination over Z[x] after clearing each
-    column's coefficient denominators; every pivot division is exact.  When
-    a pivot column vanishes the trailing block falls back to cofactor
-    expansion, rescaled through Sylvester's identity.
+    Fraction-free (Bareiss) elimination over Z[x] after bringing each
+    column onto the common denominator of its entries; every pivot
+    division is exact.  When a pivot column vanishes the trailing block
+    falls back to cofactor expansion, rescaled through Sylvester's identity.
     """
     n = len(rows)
     if n == 0:
@@ -432,17 +450,13 @@ def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
         return rows[0][0]
 
     scale = 1
-    cols = []
+    mat = [[None] * n for _ in range(n)]
     for j in range(n):
-        d = 1
+        col = _lcm(*(rows[i][j]._d for i in range(n)))
+        scale *= col
         for i in range(n):
-            d = _lcm(d, rows[i][j]._int_cleared()[1])
-        scale *= d
-        cols.append(d)
-    mat = [
-        [[int(c * cols[j]) for c in rows[i][j].coeffs] for j in range(n)]
-        for i in range(n)
-    ]
+            e = rows[i][j]
+            mat[i][j] = e._n if e._d == col else [col // e._d * x for x in e._n]
 
     sign = 1
     prev = [1]
@@ -460,7 +474,7 @@ def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
                 t = _idet_cofactor(trailing)
                 for _ in range(n - k - 1):
                     t = _iexact_quo(t, prev) if t else []
-                return Polynomial(t) * Fraction(sign, scale)
+                return _poly([sign * x for x in t], scale)
         piv = mat[k][k]
         for i in range(k + 1, n):
             row_i = mat[i]
@@ -470,7 +484,7 @@ def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
                 row_i[j] = _iexact_quo(num, prev) if num else []
             row_i[k] = []
         prev = piv
-    return Polynomial(mat[n - 1][n - 1]) * Fraction(sign, scale)
+    return _poly([sign * x for x in mat[n - 1][n - 1]], scale)
 
 
 def det_poly_matrix_cofactor(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -517,13 +531,14 @@ class RationalFunction:
             return
         g = poly_gcd(num, den)
         if g.degree > 0:
-            num = num // g
-            den = den // g
+            # a monic gcd's integer numerator is primitive, so by Gauss's
+            # lemma it divides both integer numerators exactly
+            num = _poly(_iexact_quo(num._n, g._n), num._d)
+            den = _poly(_iexact_quo(den._n, g._n), den._d)
         lead = den.leading
         if lead != 1:
-            inv = 1 / lead
-            num = num * inv
-            den = den * inv
+            num = num * (1 / lead)
+            den = den.monic()
         self._n = num
         self._d = den
 
@@ -634,13 +649,3 @@ def log_derivative_ratio(p: Polynomial, q: Polynomial) -> RationalFunction:
     if p.is_zero or q.is_zero:
         raise ZeroPolynomial("log-derivative of a zero polynomial")
     return RationalFunction(p.derivative() * q - p * q.derivative(), p * q)
-
-
-def ratfunc_is_constant(r: RationalFunction) -> Optional[Fraction]:
-    """The constant value of r if it reduces to one, else None."""
-    return r.constant_value()
-
-
-def eval_at(p: Polynomial, x0) -> Fraction:
-    """Exact Horner evaluation of p at the rational point x0."""
-    return p.eval_at(x0)

@@ -184,11 +184,6 @@ class Block:
     def indices(self) -> Tuple[int, ...]:
         return tuple(self.r + i * self.k for i in range(self.s))
 
-    @property
-    def end(self) -> int:
-        """First index past the block on its own support."""
-        return self.r + self.s * self.k
-
 
 @dataclass(frozen=True)
 class Flip:

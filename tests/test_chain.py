@@ -1,16 +1,18 @@
+import dataclasses
 import itertools
 from fractions import Fraction as F
 
 import pytest
 
+import dresschain.chain
 from dresschain.chain import (
     DEFAULT_ALPHA_SAMPLES,
     OddPeriodRequired,
     UnsupportedOmega,
+    _terms_from_ladder,
     alpha_sampled_verify,
     build_even_chain,
     build_odd_chain,
-    chain_parameters,
     potential_of,
     verify_chain,
 )
@@ -55,8 +57,7 @@ def test_three_step_gh_chain_residuals():
     report = verify_chain(sol)
     assert report.ok
     assert sol.expected_eps == (F(-2), F(-4), F(4))
-    delta, eps = chain_parameters(sol)
-    assert delta == 2 and eps == sol.expected_eps
+    assert sol.delta == 2
     # states (1,2) -> (0,1,2) -> (0,2) -> (0,2,3) under the default order
     assert [pw.poly.degree for pw in sol.ladder] == [2, 0, 1, 2]
 
@@ -169,6 +170,59 @@ def test_broken_ladder_fails_sum_rule():
     )
     report = verify_chain(tampered)
     assert not report.sum_rule and not report.ok
+
+
+def _with_ladder_entry(sol, index, poly):
+    ladder = list(sol.ladder)
+    ladder[index] = dataclasses.replace(ladder[index], poly=poly)
+    terms = _terms_from_ladder(ladder, sol.omega, sol.terms[0].variable_map)
+    return dataclasses.replace(sol, ladder=tuple(ladder), terms=tuple(terms))
+
+
+SAMPLE_CHAINS = {
+    "odd": build_odd_chain(CyclicStructure(k=3, okamoto=(1, 2)), perm=(2, 0, 1)),
+    "even-31": build_even_chain(
+        CyclicStructure(k=1, second_type=((1, 1),)),
+        CyclicStructure(k=1),
+        ALPHA,
+        perm=(1, 2, 0, 3),
+    ),
+    "even-22": build_even_chain(
+        CyclicStructure(k=2, okamoto=(1,)),
+        CyclicStructure(k=2, okamoto=(2,)),
+        ALPHA,
+        perm=(1, 0, 3, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("sol", SAMPLE_CHAINS.values(), ids=SAMPLE_CHAINS.keys())
+def test_fast_checks_agree_with_residual_oracle(sol, monkeypatch):
+    # the slow residual is the oracle: it gives exactly the expected
+    # constants, and a correct chain never needs it
+    for i, expected in enumerate(sol.expected_eps, start=1):
+        assert dresschain.chain._residual_rf(sol, i) == expected
+
+    def no_fallback(sol, i):
+        raise AssertionError("equation %d left the fast path" % i)
+
+    monkeypatch.setattr(dresschain.chain, "_residual_rf", no_fallback)
+    assert verify_chain(sol).ok
+
+
+@pytest.mark.parametrize("sol", SAMPLE_CHAINS.values(), ids=SAMPLE_CHAINS.keys())
+def test_corrupted_ladder_entry_fails(sol):
+    # constant entries are exempt: constants cancel in log-derivatives
+    assert verify_chain(sol).ok
+    mutated = 0
+    for index, pw in enumerate(sol.ladder):
+        if pw.poly.degree < 1:
+            continue
+        for power in (0, pw.poly.degree):
+            bumped = pw.poly + Polynomial.monomial(power)
+            assert not verify_chain(_with_ladder_entry(sol, index, bumped)).ok
+            mutated += 1
+    assert mutated >= 4
 
 
 def test_report_json_schema():

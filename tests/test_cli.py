@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+import dresschain.cli
 from dresschain.cli import main
+from dresschain.exact import RationalFunction
 from dresschain.maya import CyclicStructure
 
 
@@ -137,13 +141,43 @@ def test_selftest_single_criterion(capsys):
     assert "PASS" in out and "criterion 1" in out
 
 
-def test_thread_env_sharding(capsys, monkeypatch):
-    monkeypatch.setenv("DCHAIN_THREADS", "4")
-    code, out = run_cli(capsys, "enum", "--period", "3", "--shift", "1", "--bound", "2")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--period", "3", "--shift", "1", "--params", "1,2",
+         "--perm", "0,0,1"],
+        ["verify", "--period", "3", "--shift", "1", "--params", "1,2",
+         "--perm", "0,1"],
+        ["enum", "--period", "3", "--shift", "1", "--bound", "0"],
+        ["verify", "--period", "4", "--case", "2,2", "--params", "0,0",
+         "--alpha", "1/3,1/3"],
+    ],
+    ids=["repeated-perm", "short-perm", "zero-bound", "duplicate-alpha"],
+)
+def test_invalid_input_exits_2(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]
+
+
+def test_verify_text_agrees_with_exit_code(capsys, monkeypatch):
+    args = ["verify", "--period", "3", "--shift", "1", "--params", "1,2",
+            "--format", "text"]
+    code, out = run_cli(capsys, *args)
+    assert (code, out) == (0, "period=3 delta=2/1 OK\n")
+    # the chain report still holds; only the PIV residual fails
+    monkeypatch.setattr(dresschain.cli, "piv_residual",
+                        lambda inst: RationalFunction.from_const(1))
+    code, out = run_cli(capsys, *args)
+    assert (code, out) == (1, "period=3 delta=2/1 FAILED\n")
+
+
+def test_selftest_json_to_stdout(capsys):
+    code, out = run_cli(capsys, "selftest", "--criteria", "1", "--format", "json")
     assert code == 0
-    monkeypatch.setenv("DCHAIN_THREADS", "1")
-    _, single = run_cli(capsys, "enum", "--period", "3", "--shift", "1", "--bound", "2")
-    assert out == single
+    data = json.loads(out)
+    assert data["ok"] is True
+    assert [r["criterion"] for r in data["results"]] == [1]
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,8 @@ from dresschain.exact import (
     ZeroPolynomial,
     det_poly_matrix,
     det_poly_matrix_cofactor,
-    eval_at,
     log_derivative_ratio,
     poly_gcd,
-    ratfunc_is_constant,
 )
 
 Z = Polynomial.x()
@@ -41,9 +40,9 @@ def test_arithmetic():
 
 
 def test_eval_examples():
-    assert eval_at(P(-2, 0, 4), 1) == 2  # 4z^2 - 2 at 1
-    assert eval_at(Polynomial.zero(), F(7, 3)) == 0
-    assert eval_at(P(0, 0, 0, 1), F(-2, 3)) == F(-8, 27)
+    assert P(-2, 0, 4).eval_at(1) == 2  # 4z^2 - 2 at 1
+    assert Polynomial.zero().eval_at(F(7, 3)) == 0
+    assert P(0, 0, 0, 1).eval_at(F(-2, 3)) == F(-8, 27)
 
 
 def test_compose_and_decompress():
@@ -64,6 +63,92 @@ def test_string_round_trip():
     p = P(F(-2), 0, F(4))
     assert p.to_strings() == ["-2/1", "0/1", "4/1"]
     assert Polynomial.from_strings(p.to_strings()) == p
+
+
+# -- the integer-backed core against a plain Fraction-list oracle --------------
+
+def o_trim(c):
+    c = [F(x) for x in c]
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def o_add(a, b):
+    n = max(len(a), len(b))
+    return o_trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                  for i in range(n))
+
+
+def o_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return o_trim(out)
+
+
+def o_divmod(a, b):
+    q, r = [F(0)] * max(len(a) - len(b) + 1, 0), list(a)
+    for t in range(len(q) - 1, -1, -1):
+        q[t] = r[t + len(b) - 1] / b[-1]
+        for s, y in enumerate(b):
+            r[t + s] -= q[t] * y
+    return o_trim(q), o_trim(r)
+
+
+def o_primitive(a):
+    if not a:
+        return []
+    den = lcm(*(x.denominator for x in a))
+    ints = [int(x * den) for x in a]
+    g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [F(x // g) for x in ints]
+
+
+def assert_canonical(p):
+    n, d = p._n, p._d
+    assert all(type(x) is int for x in n) and type(d) is int and d > 0
+    assert not n or n[-1] != 0
+    assert gcd(d, *n) == 1
+    assert n or d == 1
+
+
+rational_lists = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=6), max_size=6
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_lists, rational_lists, st.fractions(max_denominator=7))
+def test_polynomial_matches_fraction_oracle(a, b, s):
+    pa, pb = Polynomial(a), Polynomial(b)
+    a, b = o_trim(a), o_trim(b)
+    results = {
+        "+": (pa + pb, o_add(a, b)),
+        "-": (pa - pb, o_add(a, [-x for x in b])),
+        "*": (pa * pb, o_mul(a, b)),
+        "scale": (pa * s, o_mul(a, [s])),
+        "derivative": (pa.derivative(), o_trim(i * x for i, x in enumerate(a))[1:]),
+        "monic": (pa.monic(), [x / a[-1] for x in a] if a else []),
+        "primitive": (pa.primitive(), o_primitive(a)),
+    }
+    if b:
+        q, r = divmod(pa, pb)
+        oq, orr = o_divmod(a, b)
+        results["divmod q"] = (q, oq)
+        results["divmod r"] = (r, orr)
+    for name, (got, want) in results.items():
+        assert_canonical(got)
+        assert list(got.coeffs) == want, name
+        twin = Polynomial(want)
+        assert got == twin and hash(got) == hash(twin), name
+
+
+def test_primitive_examples():
+    assert P(F(2, 3), F(-4, 3)).primitive() == P(-1, 2)
+    assert P(3, 6).primitive() == P(1, 2)
+    assert Polynomial.zero().primitive().is_zero
 
 
 # -- determinants -------------------------------------------------------------
@@ -137,9 +222,9 @@ def test_log_derivative_examples():
 
 
 def test_ratfunc_is_constant():
-    assert ratfunc_is_constant(RationalFunction(P(3), P(2))) == F(3, 2)
-    assert ratfunc_is_constant(RationalFunction(Z)) is None
-    assert ratfunc_is_constant(RationalFunction(2 * Z + 2, Z + 1)) == 2
+    assert RationalFunction(P(3), P(2)).constant_value() == F(3, 2)
+    assert RationalFunction(Z).constant_value() is None
+    assert RationalFunction(2 * Z + 2, Z + 1).constant_value() == 2
 
 
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)

@@ -190,6 +190,20 @@ def test_pv_perturbation_detected():
     assert not pv_residual(bad).is_zero
 
 
+def test_perturbed_solutions_detected():
+    one = RationalFunction(Polynomial.one())
+    for inst in piv_families(gh(1, 2)) + piv_families(okamoto(1, 1)):
+        assert piv_residual(inst).is_zero
+        for u in (inst.u + one, inst.u * 2):
+            bad = PIVInstance(u=u, c_sq=inst.c_sq, a=inst.a, b=inst.b)
+            assert not piv_residual(bad).is_zero
+    for inst in (pv_31(1, 1, ALPHA), pv_31(2, 1, ALPHA)):
+        assert pv_residual(inst).is_zero
+        for y in (inst.y + one, inst.y * 2):
+            bad = PVInstance(y=y, a=inst.a, b=inst.b, c=inst.c, d=inst.d)
+            assert not pv_residual(bad).is_zero
+
+
 def test_pv_wrong_period():
     sol = build_even_chain(CyclicStructure(k=1), CyclicStructure(k=1), ALPHA)
     with pytest.raises(WrongPeriod):
