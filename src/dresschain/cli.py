@@ -362,9 +362,21 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_alpha_values(argv: Sequence[str]) -> List[str]:
+    """Join "--alpha -4/3" into "--alpha=-4/3": argparse takes a separate
+    value that starts with "-" and is not a plain number for an option."""
+    out: List[str] = []
+    for tok in argv:
+        if out and out[-1] == "--alpha" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = "--alpha=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_alpha_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from .exact import Polynomial, det_poly_matrix, frac_str
@@ -76,28 +77,60 @@ def _check_entries(entries: Tuple[int, ...]) -> None:
         raise NegativeIndex("seed tuple has a negative entry: %r" % (entries,))
 
 
-def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
-    """Determinant with (i, j) entry (n_j)_i H_{n_j - i}(z), i = 0..m-1.
+def _vandermonde(entries: Tuple[int, ...]) -> int:
+    """prod_{i<j} (n_j - n_i)."""
+    out = 1
+    for j, nj in enumerate(entries):
+        for ni in entries[:j]:
+            out *= nj - ni
+    return out
 
-    The empty diagram gives the constant 1.  Gauge: the full Wronskian of
-    the m seed eigenfunctions is proportional to exp(-m w / 2) times this
-    polynomial, w = omega x**2 / 2.
-    """
-    _check_entries(d.entries)
-    m = len(d.entries)
-    gauge = GaugeExponents(Fraction(0), Fraction(-m, 2))
+
+def _hermite_matrix_det(entries: Tuple[int, ...]) -> Polynomial:
+    """Determinant with (i, j) entry (n_j)_i H_{n_j - i}(z), built and
+    eliminated in full; the oracle of the canonical cache below."""
+    m = len(entries)
     if m == 0:
-        return PseudoWronskian(Polynomial.one(), gauge, 0, 0, None)
+        return Polynomial.one()
     rows = []
     for i in range(m):
         row = []
-        for n in d.entries:
+        for n in entries:
             if n - i < 0:
                 row.append(Polynomial.zero())
             else:
                 row.append(falling_factorial(n, i) * hermite(n - i))
         rows.append(row)
-    return PseudoWronskian(det_poly_matrix(rows), gauge, m, 0, None)
+    return det_poly_matrix(rows)
+
+
+# determinants of canonical diagrams, each eliminated once per process
+_canonical_hermite_det = lru_cache(maxsize=None)(_hermite_matrix_det)
+
+
+def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
+    """Determinant with (i, j) entry (n_j)_i H_{n_j - i}(z), i = 0..m-1.
+
+    The empty diagram gives the constant 1.  Gauge: the full Wronskian of
+    the m seed eigenfunctions is proportional to exp(-m w / 2) times this
+    polynomial, w = omega x**2 / 2.  A diagram (0, ..., k-1, c + k) is the
+    k-translate of the canonical c, so its determinant is a constant times
+    the cached determinant of c.
+    """
+    entries = d.entries
+    _check_entries(entries)
+    m = len(entries)
+    gauge = GaugeExponents(Fraction(0), Fraction(-m, 2))
+    k = 0
+    while k < m and entries[k] == k:
+        k += 1
+    canon = tuple(n - k for n in entries[k:])
+    poly = _canonical_hermite_det(canon)
+    if k:
+        # the leading coefficient is 2**deg * V(entries), deg = sum(n) - m(m-1)/2,
+        # and translation keeps deg: the constant is the ratio of the two V
+        poly = poly * Fraction(_vandermonde(entries), _vandermonde(canon))
+    return PseudoWronskian(poly, gauge, m, 0, None)
 
 
 def laguerre_gauge(m: int, r: int, alpha: Fraction) -> GaugeExponents:
@@ -105,10 +138,12 @@ def laguerre_gauge(m: int, r: int, alpha: Fraction) -> GaugeExponents:
     return GaugeExponents(z_power, Fraction(-(m + r), 2))
 
 
+@lru_cache(maxsize=None)
 def laguerre_pseudo_wronskian(
     uc: UniversalCharacter, alpha: AlphaParam
 ) -> PseudoWronskian:
-    """(m+r) x (m+r) determinant over both seed families.
+    """(m+r) x (m+r) determinant over both seed families, memoised on its
+    exact inputs.
 
     Spectrum columns carry (-1)**i L_{n-i}^{alpha+i}(z); shadow columns
     carry (l - alpha)_i z^{m+r-1-i} L_l^{-alpha-i}(z), row index i.  The
@@ -157,12 +192,16 @@ def proportionality_constant(p: Polynomial, q: Polynomial) -> Fraction:
 
 
 def check_translation_equivalence_hermite(d: MayaDiagram, k: int) -> Fraction:
-    """Exact constant ratio of the translated and original determinants."""
+    """Exact constant ratio of the translated and original determinants.
+
+    Both sides are eliminated from their own matrices: hermite_wronskian
+    assumes this very identity, so it cannot serve as evidence for it.
+    """
     if not d.is_canonical:
         raise ValueError("expects a canonical diagram")
-    lhs = hermite_wronskian(translate(d, k))
-    rhs = hermite_wronskian(d)
-    return proportionality_constant(lhs.poly, rhs.poly)
+    lhs = _hermite_matrix_det(translate(d, k).entries)
+    rhs = _hermite_matrix_det(d.entries)
+    return proportionality_constant(lhs, rhs)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 import dresschain.chain
 from dresschain.chain import (
     DEFAULT_ALPHA_SAMPLES,
+    VAR_X,
     OddPeriodRequired,
     UnsupportedOmega,
     _terms_from_ladder,
@@ -22,8 +23,12 @@ from dresschain.maya import (
     CyclicStructure,
     DegenerateStructure,
     MayaDiagram,
+    build_diagram,
+    enumerate_structures,
+    static_flip_chain,
 )
 from dresschain.orthopoly import AlphaParam
+from dresschain.wronskian import _hermite_matrix_det
 
 EMPTY = MayaDiagram(())
 X = Polynomial.x()
@@ -223,6 +228,28 @@ def test_corrupted_ladder_entry_fails(sol):
             assert not verify_chain(_with_ladder_entry(sol, index, bumped)).ok
             mutated += 1
     assert mutated >= 4
+
+
+def test_odd_ladders_match_raw_determinants():
+    # every state of every flip order in the p, k <= 3 box; Polynomial
+    # equality is on exact coefficients, so content and sign are covered
+    for p, k in ((1, 1), (3, 1), (3, 3)):
+        for cs in enumerate_structures(p, k, 3):
+            start, _ = build_diagram(cs)
+            for perm in itertools.permutations(range(p)):
+                sol = build_odd_chain(cs, perm=perm, allow_degenerate=True)
+                states = static_flip_chain(cs).permuted(perm).states(start)
+                raw = [
+                    dataclasses.replace(pw, poly=_hermite_matrix_det(s.entries))
+                    for pw, s in zip(sol.ladder, states)
+                ]
+                assert [pw.poly for pw in sol.ladder] == [pw.poly for pw in raw]
+                rebuilt = dataclasses.replace(
+                    sol,
+                    ladder=tuple(raw),
+                    terms=tuple(_terms_from_ladder(raw, sol.omega, VAR_X)),
+                )
+                assert verify_chain(rebuilt).to_json() == verify_chain(sol).to_json()
 
 
 def test_report_json_schema():

@@ -160,6 +160,14 @@ def test_invalid_input_exits_2(capsys, argv):
     assert list(json.loads(out)) == ["error"]
 
 
+def test_negative_alpha_as_separate_value(capsys):
+    args = ["verify", "--period", "4", "--case", "2,2", "--params", "0,0"]
+    code, joined = run_cli(capsys, *args, "--alpha=-4/3")
+    assert code == 0
+    assert run_cli(capsys, *args, "--alpha", "-4/3") == (0, joined)
+    assert run_cli(capsys, *args, "--alpha", "-4/3,1/3")[0] == 0
+
+
 def test_verify_text_agrees_with_exit_code(capsys, monkeypatch):
     args = ["verify", "--period", "3", "--shift", "1", "--params", "1,2",
             "--format", "text"]

@@ -3,12 +3,14 @@ from itertools import combinations
 
 import pytest
 
+import dresschain.wronskian
 from dresschain.exact import Polynomial, det_poly_matrix_cofactor
 from dresschain.maya import MayaDiagram, UniversalCharacter
 from dresschain.orthopoly import AlphaParam, hermite, laguerre
 from dresschain.wronskian import (
     NegativeIndex,
     NotProportional,
+    _hermite_matrix_det,
     check_translation_equivalence_hermite,
     check_translation_equivalence_laguerre,
     hermite_wronskian,
@@ -99,6 +101,37 @@ def test_translation_equivalence_hermite():
     assert check_translation_equivalence_hermite(MayaDiagram((1,)), 1) == 2
     check_translation_equivalence_hermite(EMPTY, 2)
     check_translation_equivalence_hermite(MayaDiagram((1, 3)), 1)
+
+
+def test_translated_determinant_rescales_canonical_one():
+    # (0, 1, 3) is the 2-translate of (1,); V(0, 1, 3) / V(1) = 6
+    assert hermite_wronskian(MayaDiagram((0, 1, 3))).poly == 6 * 2 * Z
+    for entries in combinations(range(7), 4):
+        assert hermite_wronskian(MayaDiagram(entries)).poly == _hermite_matrix_det(entries)
+
+
+def test_translation_equivalence_uses_raw_matrices(monkeypatch):
+    # the cached path assumes the identity, so the check must not use it
+    def served_from_cache(entries):
+        raise AssertionError("canonical cache consulted for %r" % (entries,))
+
+    monkeypatch.setattr(dresschain.wronskian, "_canonical_hermite_det", served_from_cache)
+    with pytest.raises(AssertionError):
+        hermite_wronskian(MayaDiagram((0, 2)))
+    assert check_translation_equivalence_hermite(MayaDiagram((1,)), 1) == 2
+    for d in (EMPTY, MayaDiagram((1, 3)), MayaDiagram((2, 3, 5))):
+        for k in (1, 2, 3):
+            check_translation_equivalence_hermite(d, k)
+
+
+def test_laguerre_memo_keys_on_values():
+    uc = UniversalCharacter(MayaDiagram((1, 2)), MayaDiagram((1,)))
+    first = laguerre_pseudo_wronskian(uc, AlphaParam(F(1, 3)))
+    again = laguerre_pseudo_wronskian(
+        UniversalCharacter(MayaDiagram((1, 2)), MayaDiagram((1,))), AlphaParam(F(2, 6))
+    )
+    assert again is first
+    assert first == laguerre_pseudo_wronskian.__wrapped__(uc, AlphaParam(F(1, 3)))
 
 
 def test_translation_equivalence_laguerre_power():
