@@ -25,26 +25,11 @@ Usage: python scripts/fit_pv_parameters.py
 from fractions import Fraction
 
 from dresschain.chain import build_even_chain
-from dresschain.exact import Polynomial, RationalFunction
 from dresschain.maya import CyclicStructure
 from dresschain.orthopoly import AlphaParam
-from dresschain.painleve import pv_from_chain, pv_residual
+from dresschain.painleve import pv_from_chain, pv_pieces, pv_residual
 
 ALPHAS = (Fraction(1, 3), Fraction(2, 5))
-
-
-def pv_pieces(y):
-    t = RationalFunction(Polynomial.x())
-    one = RationalFunction(Polynomial.one())
-    dy = y.derivative()
-    base = dy.derivative() - (one / (2 * y) + one / (y - 1)) * dy * dy + dy / t
-    return (
-        base,
-        (y - 1) * (y - 1) * y / (t * t),
-        (y - 1) * (y - 1) / (y * t * t),
-        y / t,
-        y * (y + 1) / (y - 1),
-    )
 
 
 def solve_parameters(y):

@@ -11,7 +11,6 @@ from .exact import (
     RationalFunction,
     ZeroPolynomial,
     det_poly_matrix,
-    det_poly_matrix_cofactor,
     log_derivative_ratio,
     poly_gcd,
 )

@@ -262,6 +262,8 @@ def cmd_painleve(args) -> int:
             fams = piv_families(cs)
         except (WrongPeriod, DegenerateStructure) as exc:
             raise UsageError(str(exc))
+        payload = [f.to_json() for f in fams]
+        ok = all(p["residual_zero"] for p in payload)
         if args.format == "latex":
             start, _ = build_diagram(cs)
             lines = []
@@ -270,27 +272,23 @@ def cmd_painleve(args) -> int:
                 lines.append("y_{%d}: %s" % (
                     i, latex_mod.piv_latex(f, states[0].entries, states[1].entries)))
             _emit("\n".join(lines) + "\n", args.out)
-            return 0
-        payload = [f.to_json() for f in fams]
-        ok = all(p["residual_zero"] for p in payload)
-        _emit(_dump({"command": "painleve", "equation": "PIV", "families": payload,
-                     "ok": ok}), args.out)
+        else:
+            _emit(_dump({"command": "painleve", "equation": "PIV", "families": payload,
+                         "ok": ok}), args.out)
         return 0 if ok else 1
     if args.period == 4:
-        solutions = _build_solutions(args)
+        instances = [(a, pv_from_chain(sol)) for a, sol in _build_solutions(args)]
         payload = []
-        for a, sol in solutions:
-            inst = pv_from_chain(sol)
+        for a, inst in instances:
             entry = inst.to_json()
             entry["alpha"] = frac_str(a.value)
             payload.append(entry)
-        if args.format == "latex":
-            _emit("\n".join(latex_mod.pv_latex(pv_from_chain(sol))
-                            for _, sol in solutions) + "\n", args.out)
-            return 0
         ok = all(p["residual_zero"] for p in payload)
-        _emit(_dump({"command": "painleve", "equation": "PV", "solutions": payload,
-                     "ok": ok}), args.out)
+        if args.format == "latex":
+            _emit("\n".join(latex_mod.pv_latex(inst) for _, inst in instances) + "\n", args.out)
+        else:
+            _emit(_dump({"command": "painleve", "equation": "PV", "solutions": payload,
+                         "ok": ok}), args.out)
         return 0 if ok else 1
     raise UsageError("painleve needs --period 3 (PIV) or 4 (PV)")
 

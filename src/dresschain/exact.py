@@ -487,26 +487,6 @@ def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return _poly([sign * x for x in mat[n - 1][n - 1]], scale)
 
 
-def det_poly_matrix_cofactor(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Naive cofactor-expansion determinant; the oracle for det_poly_matrix."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("determinant of an empty matrix is not defined")
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("matrix is not square")
-    if n == 1:
-        return rows[0][0]
-    acc = Polynomial()
-    sign = 1
-    for j in range(n):
-        if not rows[0][j].is_zero:
-            minor = [[rows[i][m] for m in range(n) if m != j] for i in range(1, n)]
-            acc = acc + rows[0][j] * det_poly_matrix_cofactor(minor) * sign
-        sign = -sign
-    return acc
-
-
 class RationalFunction:
     """Quotient of polynomials in normal form: monic denominator, gcd 1.
 

@@ -133,6 +133,14 @@ def piv_from_chain(sol: ChainSolution) -> PIVInstance:
     )
 
 
+def _quotient_derivatives(f: RationalFunction) -> tuple:
+    """N, D, M, K with f = N/D, f' = M/D**2 and f'' = K/D**3."""
+    n, d = f.num, f.den
+    dd = d.derivative()
+    m = n.derivative() * d - n * dd
+    return n, d, m, m.derivative() * d - 2 * m * dd
+
+
 def piv_residual(inst: PIVInstance) -> RationalFunction:
     """Exact rationalized PIV residual; identically zero iff PIV holds.
 
@@ -142,22 +150,20 @@ def piv_residual(inst: PIVInstance) -> RationalFunction:
         u'' = u'**2/(2u) + (3/2) u**3 + 2 D x u**2
               + (D**2 x**2 / 2 - a D) u + (b D**2 / 4) / u,
 
-    with D the shift.  The returned residual is lhs - rhs in Q(x).
+    with D the shift.  The returned residual is lhs - rhs in Q(x), built as
+    R / (2 N V**3) from u = N/V, u' = M/V**2, u'' = K/V**3; multiplying the
+    equation by 2 u V**4 gives R = 2NK - M**2 - 3N**4 - 4DxN**3 V
+    - (D**2 x**2 - 2aD) N**2 V**2 - (b D**2 / 2) V**4, so a solution takes
+    no gcd.
     """
-    u = inst.u
-    if u.is_zero:
+    if inst.u.is_zero:
         raise ZeroDenominator("candidate PIV solution is identically zero")
-    x = RationalFunction(Polynomial.x())
+    n, v, m, k = _quotient_derivatives(inst.u)
     delta = 2 / inst.c_sq
-    du = u.derivative()
-    rhs = (
-        du * du / (2 * u)
-        + Fraction(3, 2) * (u * u * u)
-        + 2 * delta * x * (u * u)
-        + (delta * delta * (x * x) / 2 - inst.a * delta) * u
-        + (inst.b * delta * delta / 4) / u
-    )
-    return du.derivative() - rhs
+    n2, v2, dx = n * n, v * v, Polynomial((0, delta))
+    inner = 3 * n2 + 4 * dx * n * v + (dx * dx - 2 * inst.a * delta) * v2
+    r = 2 * n * k - m * m - n2 * inner - inst.b * delta * delta / 2 * (v2 * v2)
+    return RationalFunction(r, 2 * n * v2 * v)
 
 
 def piv_families(cs: CyclicStructure) -> Tuple[PIVInstance, PIVInstance, PIVInstance]:
@@ -206,19 +212,31 @@ def pv_from_chain(sol: ChainSolution) -> PVInstance:
     )
 
 
-def pv_residual(inst: PVInstance) -> RationalFunction:
-    """Exact PV residual in Q(t); identically zero iff PV holds."""
-    y = inst.y
-    one = RationalFunction(Polynomial.one())
-    if y.is_zero or y == one:
-        raise ZeroDenominator("candidate PV solution is identically 0 or 1")
+def pv_pieces(y: RationalFunction) -> tuple:
+    """The RationalFunction form of PV, linear in its parameters:
+    (base, A, B, C, E) with PV <=> base == a A + b B + c C + d E."""
     t = RationalFunction(Polynomial.x())
     dy = y.derivative()
-    rhs = (
-        (one / (2 * y) + one / (y - 1)) * dy * dy
-        - dy / t
-        + (y - 1) * (y - 1) / (t * t) * (inst.a * y + inst.b / y)
-        + inst.c * y / t
-        + inst.d * y * (y + 1) / (y - 1)
-    )
-    return dy.derivative() - rhs
+    base = dy.derivative() - (1 / (2 * y) + 1 / (y - 1)) * dy * dy + dy / t
+    y1sq = (y - 1) * (y - 1)
+    return base, y1sq * y / (t * t), y1sq / (y * t * t), y / t, y * (y + 1) / (y - 1)
+
+
+def pv_residual(inst: PVInstance) -> RationalFunction:
+    """Exact PV residual in Q(t); identically zero iff PV holds.
+
+    The residual base - (a A + b B + c C + d E) of `pv_pieces`, built as
+    R / (2 t**2 N E V**3) from y = N/V, E = N - V, y' = M/V**2 and
+    y'' = K/V**3: R = 2t**2 NEK - t**2 (E + 2N) M**2 + 2tNEVM
+    - 2E**3 (aN**2 + bV**2) - 2ctN**2 E V**2 - 2d t**2 N**2 (N + V) V**2,
+    so a solution takes no gcd.
+    """
+    if inst.y.is_zero or inst.y == 1:
+        raise ZeroDenominator("candidate PV solution is identically 0 or 1")
+    n, v, m, k = _quotient_derivatives(inst.y)
+    e, nv, t = n - v, n * v, Polynomial.x()
+    ne = n * e
+    r = t * (t * (2 * ne * k - (e + 2 * n) * m * m - 2 * inst.d * nv * nv * (n + v))
+             + 2 * ne * v * (m - inst.c * nv))
+    r -= 2 * e * e * e * (inst.a * n * n + inst.b * v * v)
+    return RationalFunction(r, 2 * t * t * ne * v * v * v)

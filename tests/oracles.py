@@ -1,0 +1,59 @@
+"""Slow exact oracles that the tests run against the library's fast paths.
+
+Each one computes the same value as a function in dresschain the direct
+way: a determinant by cofactor expansion, and the PIV and PV residuals as
+chains of reduced RationalFunction operations (one gcd per operation).
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+from dresschain.exact import Polynomial, RationalFunction
+from dresschain.painleve import pv_pieces
+
+
+def det_poly_matrix_cofactor(rows):
+    """Naive cofactor-expansion determinant; the oracle for det_poly_matrix."""
+    n = len(rows)
+    if n == 0:
+        raise ValueError("determinant of an empty matrix is not defined")
+    for r in rows:
+        if len(r) != n:
+            raise ValueError("matrix is not square")
+    if n == 1:
+        return rows[0][0]
+    acc = Polynomial()
+    sign = 1
+    for j in range(n):
+        if not rows[0][j].is_zero:
+            minor = [[rows[i][m] for m in range(n) if m != j] for i in range(1, n)]
+            acc = acc + rows[0][j] * det_poly_matrix_cofactor(minor) * sign
+        sign = -sign
+    return acc
+
+
+def piv_residual_oracle(inst):
+    """lhs - rhs of the rationalized PIV equation of painleve.piv_residual."""
+    u = inst.u
+    x = RationalFunction(Polynomial.x())
+    delta = 2 / inst.c_sq
+    du = u.derivative()
+    rhs = (
+        du * du / (2 * u)
+        + Fraction(3, 2) * (u * u * u)
+        + 2 * delta * x * (u * u)
+        + (delta * delta * (x * x) / 2 - inst.a * delta) * u
+        + (inst.b * delta * delta / 4) / u
+    )
+    return du.derivative() - rhs
+
+
+# the pieces depend on y alone, so parameter perturbations of one solution
+# share them
+_pv_pieces = lru_cache(maxsize=64)(pv_pieces)
+
+
+def pv_residual_oracle(inst):
+    """base - (a A + b B + c C + d E) from painleve.pv_pieces."""
+    base, fa, fb, fc, fe = _pv_pieces(inst.y)
+    return base - (inst.a * fa + inst.b * fb + inst.c * fc + inst.d * fe)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import dresschain.cli
+import dresschain.painleve
 from dresschain.cli import main
 from dresschain.exact import RationalFunction
 from dresschain.maya import CyclicStructure
@@ -120,6 +121,23 @@ def test_painleve_latex(capsys):
     )
     assert code == 0
     assert "y_{0}" in out and "\\frac" in out
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("piv_residual", ["painleve", "--period", "3", "--shift", "3", "--params", "1,1"]),
+        ("pv_residual", ["painleve", "--period", "4", "--case", "2,2", "--params", "1,1",
+                         "--alpha", "1/3,2/5", "--perm", "1,0,3,2"]),
+    ],
+    ids=["PIV", "PV"],
+)
+def test_painleve_latex_exit_code_follows_residual(capsys, monkeypatch, name, argv):
+    code, out = run_cli(capsys, *argv, "--format", "latex")
+    assert code == 0 and out.startswith(("y_{0}: y(t) = ", "y(t) = "))
+    monkeypatch.setattr(dresschain.painleve, name,
+                        lambda inst: RationalFunction.from_const(1))
+    assert run_cli(capsys, *argv, "--format", "latex") == (1, out)
 
 
 def test_case_33_needs_shift(capsys):

@@ -10,10 +10,11 @@ from dresschain.exact import (
     RationalFunction,
     ZeroPolynomial,
     det_poly_matrix,
-    det_poly_matrix_cofactor,
     log_derivative_ratio,
     poly_gcd,
 )
+
+from oracles import det_poly_matrix_cofactor
 
 Z = Polynomial.x()
 ONE = Polynomial.one()

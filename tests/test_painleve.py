@@ -1,7 +1,10 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dresschain.chain import build_even_chain, build_odd_chain
 from dresschain.exact import Polynomial, RationalFunction, log_derivative_ratio
@@ -19,6 +22,8 @@ from dresschain.painleve import (
     pv_residual,
 )
 from dresschain.wronskian import hermite_wronskian
+
+from oracles import piv_residual_oracle, pv_residual_oracle
 
 ALPHA = AlphaParam(F(1, 3))
 
@@ -226,3 +231,68 @@ def test_pv_json():
     assert data["equation"] == "PV"
     assert data["residual_zero"] is True
     assert set(data["params"]) == {"a", "b", "c", "d"}
+
+
+# -- fast residuals against the RationalFunction oracles ----------------------
+
+PIV_BOX = [gh(lam, mu) for lam, mu in itertools.product((1, 2, 3), repeat=2)] + [
+    okamoto(a1, a2) for a1, a2 in itertools.product((0, 1, 2), repeat=2)
+]
+
+
+def perturbed(inst, field):
+    """The instance itself, then its solution plus 1 and times 2, then each
+    parameter plus 1."""
+    sol = getattr(inst, field)
+    params = [name for name in ("a", "b", "c", "d") if hasattr(inst, name)]
+    return [inst, replace(inst, **{field: sol + 1}), replace(inst, **{field: sol * 2})] + [
+        replace(inst, **{name: getattr(inst, name) + 1}) for name in params
+    ]
+
+
+def test_piv_residual_matches_oracle_on_criterion_5_box():
+    for cs in PIV_BOX:
+        for inst in piv_families(cs):
+            first, *bad = perturbed(inst, "u")
+            assert piv_residual(first).is_zero and piv_residual_oracle(first).is_zero
+            for other in bad:
+                fast = piv_residual(other)
+                assert not fast.is_zero
+                assert fast == piv_residual_oracle(other)
+
+
+@pytest.mark.parametrize("alpha_value", (F(1, 3), F(-2, 5), F(4, 7)), ids=str)
+def test_pv_residual_matches_oracle_on_pv_cells(alpha_value):
+    # the criterion-7 cells at one alpha per denominator 3, 5 and 7
+    alpha = AlphaParam(alpha_value)
+    cells = [pv_31(lam, mu, alpha) for lam, mu in itertools.product((1, 2), repeat=2)]
+    cells += [pv_22(a1, b1, alpha) for a1, b1 in itertools.product((0, 1, 2), repeat=2)]
+    for inst in cells:
+        first, *bad = perturbed(inst, "y")
+        assert pv_residual(first).is_zero and pv_residual_oracle(first).is_zero
+        for other in bad:
+            fast = pv_residual(other)
+            assert not fast.is_zero
+            assert fast == pv_residual_oracle(other)
+
+
+small_polys = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=4
+).map(Polynomial)
+small_params = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, small_polys, small_params, small_params, small_params)
+def test_piv_residual_matches_oracle_property(n, d, c_sq, a, b):
+    assume(not n.is_zero and not d.is_zero and c_sq != 0)
+    inst = PIVInstance(u=RationalFunction(n, d), c_sq=c_sq, a=a, b=b)
+    assert piv_residual(inst) == piv_residual_oracle(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, small_polys, small_params, small_params, small_params, small_params)
+def test_pv_residual_matches_oracle_property(n, d, a, b, c, e):
+    assume(not n.is_zero and not d.is_zero and n != d)
+    inst = PVInstance(y=RationalFunction(n, d), a=a, b=b, c=c, d=e)
+    assert pv_residual(inst) == pv_residual_oracle(inst)

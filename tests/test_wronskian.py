@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import dresschain.wronskian
-from dresschain.exact import Polynomial, det_poly_matrix_cofactor
+from dresschain.exact import Polynomial
 from dresschain.maya import MayaDiagram, UniversalCharacter
 from dresschain.orthopoly import AlphaParam, hermite, laguerre
 from dresschain.wronskian import (
@@ -17,6 +17,8 @@ from dresschain.wronskian import (
     laguerre_pseudo_wronskian,
     proportionality_constant,
 )
+
+from oracles import det_poly_matrix_cofactor
 
 EMPTY = MayaDiagram(())
 Z = Polynomial.x()
