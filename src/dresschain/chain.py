@@ -11,9 +11,10 @@ increment).  Verification substitutes these exact rational functions into
 the first-order cyclic system and checks every residual against the seed
 energy differences, entirely in integer polynomial arithmetic.
 
-Only omega = 2 is verified exactly: it makes z = x in the odd
-(harmonic-seed) case and z = x**2 in the even (isotonic-seed) case, so
-every identity lives in a single rational function field.
+Only omega = 2 is verified exactly: it makes z = x**(1+h) with parity
+h = 0 in the odd (harmonic-seed) case and h = 1 in the even
+(isotonic-seed) case, so every identity lives in a single rational
+function field, and one parity-generic check serves both.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from math import lcm as _lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import Polynomial, RationalFunction, frac_str, log_derivative_ratio
+from .exact import Polynomial, RationalFunction, ZeroPolynomial, frac_str
 from .maya import (
     NEGATIVE,
     POSITIVE,
@@ -72,19 +73,27 @@ class WTerm:
     log_next: Polynomial
     variable_map: str
 
-    def rational_part(self) -> RationalFunction:
-        """The component as an exact rational function.
+    @property
+    def h(self) -> int:
+        """Parity exponent: z = x**(1 + h), so 0 for odd and 1 for even chains."""
+        return int(self.variable_map == VAR_X2)
 
-        For z = x this is w itself (in x).  For z = x**2 it is
-        v(z) = x * w(x) rewritten in z, i.e. lin*z + inv + 2z (log ratio)'.
+    def rational_part(self) -> RationalFunction:
+        """The component v = x**h * w rewritten in z, as one reduced fraction:
+
+            v(z) = lin*z + inv + (1 + h) z**h (P'Q - PQ')/(PQ),
+
+        with P, Q the previous and next ladder entries.  Odd ladders carry
+        no z-power, so inv = 0 there and v = w.
         """
-        ratio = log_derivative_ratio(self.log_prev, self.log_next)
-        if self.variable_map == VAR_X:
-            return RationalFunction(Polynomial((0, self.lin))) + ratio
-        z = Polynomial.x()
-        return (
-            RationalFunction(Polynomial((self.inv, self.lin)))
-            + RationalFunction(2 * z) * ratio
+        P, Q = self.log_prev, self.log_next
+        if P.is_zero or Q.is_zero:
+            raise ZeroPolynomial("log-derivative of a zero polynomial")
+        h = self.h
+        PQ = P * Q
+        W = P.derivative() * Q - P * Q.derivative()
+        return RationalFunction(
+            Polynomial((self.inv, self.lin)) * PQ + W.shifted(h) * (1 + h), PQ
         )
 
 
@@ -142,10 +151,9 @@ class ChainSolution:
 
     @property
     def translation(self) -> int:
-        """The diagram translation k realized by the chain."""
-        if self.is_even:
-            return int(self.delta / (2 * self.omega))
-        return int(self.delta / self.omega)
+        """The diagram translation k realized by the chain: delta is
+        (1 + h) k omega."""
+        return int(self.delta / ((1 + self.terms[0].h) * self.omega))
 
 
 def _expected_eps(seeds: Sequence[Fraction], delta: Fraction) -> List[Fraction]:
@@ -314,73 +322,54 @@ def _closure_holds(sol: ChainSolution) -> bool:
     return last * shifted.leading == shifted * last.leading
 
 
-def _ladder_products(B: Polynomial, P: Polynomial, C: Polynomial) -> tuple:
-    """The products both checks share: BC, (BC)', BPC, B'C - BC' and
-    2 P' BC - B' PC - C' PB."""
-    dB, dP, dC = B.derivative(), P.derivative(), C.derivative()
-    BC = B * C
-    cross = 2 * (dP * BC) - (dB * (P * C) + dC * (P * B))
-    return BC, BC.derivative(), BC * P, dB * C - dC * B, cross
-
-
-def _check_equation_x(
+def _check_equation(
     B: Polynomial,
     P: Polynomial,
     C: Polynomial,
-    lin_a: int,
-    lin_b: int,
-    expected: Fraction,
-) -> bool:
-    """Exact check of -(w_a + w_b)' + w_b**2 - w_a**2 == expected, z = x."""
-    BC, dBC, BPC, W, cross = _ladder_products(B, P, C)
-    Sn = BC.shifted(1) * (lin_a + lin_b) + W
-    Dn = BPC.shifted(1) * (lin_b - lin_a) + cross
-    num = P * (Sn * dBC - Sn.derivative() * BC) + Dn * Sn
-    den = BC * BC * P
-    return num * expected.denominator == den * expected.numerator
-
-
-def _check_equation_z(
-    B: Polynomial,
-    P: Polynomial,
-    C: Polynomial,
+    h: int,
     lin_a: Fraction,
     inv_a: Fraction,
     lin_b: Fraction,
     inv_b: Fraction,
     expected: Fraction,
 ) -> bool:
-    """Exact check of the chain equation for w = v(z)/x, z = x**2.
+    """Exact check of -(w_a + w_b)' + w_b**2 - w_a**2 == expected.
 
-    Uses w' = 2 v'(z) - v(z)/z and w**2 = v(z)**2 / z, so the residual is
-    -2 S' + S (1 + D) / z with S = v_a + v_b and D = v_b - v_a.  The
-    gauge coefficients are scaled by their common denominator d0 so every
-    operand keeps integer coefficients.
+    With w = v(z) / x**h and z = x**(1+h), w' = (1+h) v'(z) - h v/z and
+    w**2 = v(z)**2 / z**h, so the residual is -(1+h) S' + S (h + D) / z**h
+    with S = v_a + v_b and D = v_b - v_a.  Over ladder entries B, P, C the
+    log-derivative parts are W/BC and cross/BPC, with W = B'C - BC' and
+    cross = 2 P' BC - B' PC - C' PB.  The gauge coefficients are scaled by
+    their common denominator d0 so every operand keeps integer coefficients.
     """
     d0 = _lcm(
         lin_a.denominator, inv_a.denominator, lin_b.denominator, inv_b.denominator
     )
     S0 = Polynomial(((inv_a + inv_b) * d0, (lin_a + lin_b) * d0))
     D0 = Polynomial(((inv_b - inv_a) * d0, (lin_b - lin_a) * d0))
-    BC, dBC, BPC, W, cross = _ladder_products(B, P, C)
-    Sn = S0 * BC + W.shifted(1) * (2 * d0)
-    Dn = D0 * BPC + cross.shifted(1) * (2 * d0)
-    inner = P * (Sn.derivative() * BC - Sn * dBC)
-    num = inner.shifted(1) * (-2 * d0) + Sn * (BPC * d0 + Dn)
-    den = (BC * BC * P).shifted(1)
+    dB, dP, dC = B.derivative(), P.derivative(), C.derivative()
+    BC = B * C
+    BPC = BC * P
+    W = dB * C - dC * B
+    cross = 2 * (dP * BC) - (dB * (P * C) + dC * (P * B))
+    c = (1 + h) * d0
+    Sn = S0 * BC + W.shifted(h) * c
+    Dn = D0 * BPC + cross.shifted(h) * c
+    inner = P * (Sn.derivative() * BC - Sn * BC.derivative())
+    num = inner.shifted(h) * -c + Sn * (BPC * (h * d0) + Dn)
+    den = (BC * BPC).shifted(h)
     return num * expected.denominator == den * (expected.numerator * d0 * d0)
 
 
 def _residual_rf(sol: ChainSolution, i: int) -> RationalFunction:
-    """Slow exact residual of equation i (1-based), for diagnostics."""
+    """Slow exact residual of equation i (1-based), for diagnostics:
+    -(1+h) s' + s (h + v_b - v_a) / z**h with s = v_a + v_b."""
     a = sol.terms[i - 1]
     b = sol.terms[i % sol.period]
+    h = a.h
     va, vb = a.rational_part(), b.rational_part()
     s = va + vb
-    if not sol.is_even:
-        return -s.derivative() + (vb - va) * s
-    z = RationalFunction(Polynomial.x())
-    return -2 * s.derivative() + s * (1 + (vb - va)) / z
+    return -(1 + h) * s.derivative() + s * ((h + vb - va) / Polynomial.monomial(h))
 
 
 def verify_chain(sol: ChainSolution) -> VerificationReport:
@@ -415,14 +404,9 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
             else:
                 B, P, C = prims[i - 1], prims[i], prims[i + 1]
                 inv_a = a.inv
-            if sol.is_even:
-                ok = _check_equation_z(
-                    B, P, C, a.lin, inv_a, b.lin, b.inv, expected
-                )
-            else:
-                ok = _check_equation_x(
-                    B, P, C, int(a.lin), int(b.lin), expected
-                )
+            ok = _check_equation(
+                B, P, C, a.h, a.lin, inv_a, b.lin, b.inv, expected
+            )
         else:
             ok = False
         if ok:

@@ -314,11 +314,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_bound=False):
+    def common(p, formats):
         p.add_argument("--period", type=int, required=True)
         p.add_argument("--shift", type=int, default=None)
-        if with_bound:
-            p.add_argument("--bound", type=int, default=1)
         p.add_argument("--case", type=str, default=None,
                        help="even-period split, e.g. 3,1")
         p.add_argument("--params", type=str, default=None,
@@ -328,7 +326,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--perm", type=str, default=None,
                        help="comma list: 0-based flip order")
         p.add_argument("--allow-degenerate", action="store_true")
-        p.add_argument("--format", choices=("json", "text", "latex"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", type=str, default=None)
 
     p_enum = sub.add_parser("enum", help="enumerate cyclic structures")
@@ -340,15 +338,15 @@ def make_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(fn=cmd_enum)
 
     p_build = sub.add_parser("build", help="construct a chain solution")
-    common(p_build)
+    common(p_build, ("json", "latex"))
     p_build.set_defaults(fn=cmd_build)
 
     p_verify = sub.add_parser("verify", help="construct and verify a chain")
-    common(p_verify)
+    common(p_verify, ("json", "text"))
     p_verify.set_defaults(fn=cmd_verify)
 
     p_pain = sub.add_parser("painleve", help="export PIV/PV solutions")
-    common(p_pain)
+    common(p_pain, ("json", "latex"))
     p_pain.set_defaults(fn=cmd_painleve)
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")

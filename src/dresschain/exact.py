@@ -131,22 +131,6 @@ def _iprim(a: list) -> list:
     return a if g in (0, 1) else [x // g for x in a]
 
 
-def _idet_cofactor(rows: list) -> list:
-    """Cofactor-expansion determinant over Z[x] (first column)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc: list = []
-    sign = 1
-    for i in range(n):
-        if rows[i][0]:
-            minor = [rows[r][1:] for r in range(n) if r != i]
-            term = _imul(rows[i][0], _idet_cofactor(minor))
-            acc = _iadd(acc, term) if sign > 0 else _isub(acc, term)
-        sign = -sign
-    return acc
-
-
 def _poly(num: list, den: int = 1) -> "Polynomial":
     """The Polynomial num / den, brought into canonical form."""
     _itrim(num)
@@ -437,8 +421,9 @@ def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
 
     Fraction-free (Bareiss) elimination over Z[x] after bringing each
     column onto the common denominator of its entries; every pivot
-    division is exact.  When a pivot column vanishes the trailing block
-    falls back to cofactor expansion, rescaled through Sylvester's identity.
+    division is exact.  When a pivot column vanishes from the pivot row
+    down, the trailing block has a zero first column, so by Sylvester's
+    identity the determinant is zero.
     """
     n = len(rows)
     if n == 0:
@@ -468,13 +453,7 @@ def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
                     sign = -sign
                     break
             else:
-                # pivot column vanished: cofactor-expand the trailing block,
-                # then undo the Bareiss scaling (Sylvester identity)
-                trailing = [[mat[i][j] for j in range(k, n)] for i in range(k, n)]
-                t = _idet_cofactor(trailing)
-                for _ in range(n - k - 1):
-                    t = _iexact_quo(t, prev) if t else []
-                return _poly([sign * x for x in t], scale)
+                return Polynomial()
         piv = mat[k][k]
         for i in range(k + 1, n):
             row_i = mat[i]
@@ -548,7 +527,20 @@ class RationalFunction:
             return self._n.coeff(0)
         return None
 
+    @staticmethod
+    def _reduced(num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Wrap a pair already in normal form, without a gcd."""
+        out = RationalFunction.__new__(RationalFunction)
+        out._n = num
+        out._d = den
+        return out
+
+    # A constant operand c keeps the normal form: gcd(num + c den, den) is
+    # gcd(num, den) = 1, and c num / den is reduced for c != 0.
+
     def __add__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)):
+            return self._reduced(self._n + self._d * other, self._d)
         other = self._coerce(other)
         return RationalFunction(
             self._n * other._d + other._n * self._d, self._d * other._d
@@ -558,18 +550,19 @@ class RationalFunction:
         return self.__add__(other)
 
     def __neg__(self) -> "RationalFunction":
-        out = RationalFunction.__new__(RationalFunction)
-        out._n = -self._n
-        out._d = self._d
-        return out
+        return self._reduced(-self._n, self._d)
 
     def __sub__(self, other) -> "RationalFunction":
-        return self.__add__(self._coerce(other).__neg__())
+        return self.__add__(-other)
 
     def __rsub__(self, other) -> "RationalFunction":
-        return self._coerce(other).__sub__(self)
+        return self.__neg__().__add__(other)
 
     def __mul__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return RationalFunction.zero()
+            return self._reduced(self._n * other, self._d)
         other = self._coerce(other)
         return RationalFunction(self._n * other._n, self._d * other._d)
 
@@ -577,6 +570,10 @@ class RationalFunction:
         return self.__mul__(other)
 
     def __truediv__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by the zero rational function")
+            return self.__mul__(1 / Fraction(other))
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")

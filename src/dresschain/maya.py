@@ -17,6 +17,7 @@ structures inside a parameter box.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -90,48 +91,24 @@ EMPTY_DIAGRAM = MayaDiagram(())
 def canonicalize(raw: Iterable[int]) -> Tuple[MayaDiagram, int]:
     """Canonical representative of a raw index tuple, plus the offset used.
 
-    Twice-repeated indices cancel pairwise first.  The diagram is then
-    translated so that the first empty level lands at 0; the returned
-    offset is that translation (filled levels move by +offset).
+    Indices that repeat cancel pairwise, leaving the set S of those that
+    appear an odd number of times: level j is filled iff (j < 0) != (j in S).
+    The diagram is translated so that its first empty level lands at 0; the
+    returned offset is that translation (filled levels move by +offset).
     """
-    counts = {}
-    for v in raw:
-        counts[v] = counts.get(v, 0) + 1
-    support = sorted(v for v, c in counts.items() if c % 2 == 1)
+    odd = {v for v, c in Counter(raw).items() if c % 2}
 
-    # first empty level: negative entries are empty; otherwise scan upward
-    first_empty = None
-    for v in support:
-        if v < 0:
-            first_empty = v
-            break
-    if first_empty is None:
-        level = 0
-        present = set(support)
-        while level in present:
-            level += 1
-        first_empty = level
+    def filled(j: int) -> bool:
+        return (j < 0) != (j in odd)
 
-    offset = -first_empty
-    if offset == 0:
-        return MayaDiagram(tuple(support)), 0
-
-    shifted_filled = set()
-    lo = min(support + [0]) + offset - 1
-    hi = max(support + [0]) + offset + 1
-    for j in range(lo, hi + 1):
-        back = j - offset
-        filled = (back not in counts or counts[back] % 2 == 0) if back < 0 \
-            else (back in counts and counts[back] % 2 == 1)
-        if filled:
-            shifted_filled.add(j)
-    out = []
-    for j in range(lo, hi + 1):
-        if j < 0 and j not in shifted_filled:
-            out.append(j)
-        elif j >= 0 and j in shifted_filled:
-            out.append(j)
-    return MayaDiagram(tuple(out)), offset
+    first_empty = min(odd | {0})
+    while filled(first_empty):
+        first_empty += 1
+    top = max(odd | {0})
+    entries = tuple(
+        j - first_empty for j in range(first_empty, top + 1) if filled(j)
+    )
+    return MayaDiagram(entries), -first_empty
 
 
 def translate(d: MayaDiagram, k: int) -> MayaDiagram:

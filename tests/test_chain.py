@@ -230,6 +230,66 @@ def test_corrupted_ladder_entry_fails(sol):
     assert mutated >= 4
 
 
+def _chains_for_fast_check_oracle():
+    """(chain, bump) pairs: the odd p, k <= 3 box under every flip order,
+    and the criterion-6 (3,1) and (2,2) cells at alpha 1/3.  A bumped
+    chain's residuals cost seconds of gcds each under some flip orders, so
+    odd chains are bumped in their default order only."""
+    for p, k in ((1, 1), (3, 1), (3, 3)):
+        for cs in enumerate_structures(p, k, 3):
+            for perm in itertools.permutations(range(p)):
+                sol = build_odd_chain(cs, perm=perm, allow_degenerate=True)
+                yield sol, perm == tuple(range(p))
+    for lam, mu in itertools.product((1, 2), repeat=2):
+        cs1 = CyclicStructure(k=1, second_type=((lam, mu),))
+        sol = build_even_chain(cs1, CyclicStructure(k=1), ALPHA, perm=(1, 2, 0, 3))
+        yield sol, True
+    for a1, b1 in itertools.product((0, 1, 2), repeat=2):
+        sol = build_even_chain(
+            CyclicStructure(k=2, okamoto=(a1,)),
+            CyclicStructure(k=2, okamoto=(b1,)),
+            ALPHA,
+            perm=(1, 0, 3, 2),
+        )
+        yield sol, True
+
+
+def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
+    # every verdict of the one fast check equals "the slow residual is the
+    # expected constant", on correct chains and on chains with their
+    # highest interior ladder entry bumped (the closure is unaffected)
+    verdicts = []
+    check = dresschain.chain._check_equation
+
+    def recorder(*args):
+        verdicts.append(check(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(dresschain.chain, "_check_equation", recorder)
+    parities, failures = set(), 0
+    for sol, bump in _chains_for_fast_check_oracle():
+        variants = [sol]
+        index = max(range(1, sol.period), key=lambda j: sol.ladder[j].poly.degree,
+                    default=None)
+        if bump and index is not None:
+            bumped = sol.ladder[index].poly + Polynomial.one()
+            variants.append(_with_ladder_entry(sol, index, bumped))
+        for chain in variants:
+            verdicts.clear()
+            report = verify_chain(chain)
+            assert len(verdicts) == chain.period
+            for i, (verdict, eq) in enumerate(zip(verdicts, report.equations), 1):
+                # a rejected equation's entry was already computed from
+                # _residual_rf, so only accepted ones need the oracle here
+                if verdict:
+                    assert dresschain.chain._residual_rf(chain, i) == eq.expected
+                else:
+                    assert not eq.match, (chain.chain_labels, i)
+            parities.add(chain.terms[0].h)
+            failures += verdicts.count(False)
+    assert parities == {0, 1} and failures > 0
+
+
 def test_odd_ladders_match_raw_determinants():
     # every state of every flip order in the p, k <= 3 box; Polynomial
     # equality is on exact coefficients, so content and sign are covered

@@ -214,3 +214,14 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(target.read_text())["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "command, fmt", [("build", "text"), ("verify", "latex"), ("painleve", "text")]
+)
+def test_format_refused_where_not_implemented(command, fmt):
+    # each command accepts only the formats it prints
+    argv = [command, "--period", "3", "--shift", "1", "--params", "1,2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", fmt])
+    assert exc.value.code == 2

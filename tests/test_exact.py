@@ -184,6 +184,15 @@ def test_det_zero_column_fallback():
     assert det_poly_matrix(m).is_zero
 
 
+def test_det_pivot_column_vanishes_after_elimination():
+    # column 1 is z/2 times column 0, so the first Bareiss step clears it
+    # from row 1 down: the pivot column vanishes at k = 1, not at k = 0
+    col0, col2 = [ONE, Z, Z ** 2 + 1], [P(1), P(2), Z]
+    m = [[a, a * (Z * F(1, 2)), c] for a, c in zip(col0, col2)]
+    assert det_poly_matrix(m).is_zero
+    assert det_poly_matrix(m) == det_poly_matrix_cofactor(m)
+
+
 def test_det_needs_row_swap():
     m = [[Polynomial.zero(), ONE], [Z, Polynomial.zero()]]
     assert det_poly_matrix(m) == -(Z)
@@ -258,6 +267,31 @@ def test_addition_associative_commutative(a, b, c, d):
     z = RationalFunction(c, d)
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
+
+
+scalars = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys, nonzero_polys, scalars)
+def test_scalar_operations_match_constant_operand(a, b, c):
+    # a constant operand skips the gcd; the result must be the same
+    # normal form as with the constant as a rational function
+    r = RationalFunction(a, b)
+    k = RationalFunction.from_const(c)
+    assert r + c == r + k and c + r == k + r
+    assert r - c == r - k and c - r == k - r
+    assert r * c == r * k and c * r == k * r
+    if c:
+        assert r / c == r / k
+    else:
+        with pytest.raises(ZeroDivisionError):
+            r / c
+        with pytest.raises(ZeroDivisionError):
+            r / k
 
 
 @settings(max_examples=40, deadline=None)

@@ -69,6 +69,18 @@ def test_canonicalize_idempotent(d):
     assert once == d and offset == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-6, 8), max_size=8))
+def test_canonicalize_matches_definition(raw):
+    # level j of the raw tuple is filled iff (j < 0) != (j occurs an odd
+    # number of times); canonicalize translates it by the returned offset
+    canon, offset = canonicalize(raw)
+    assert canon.is_canonical
+    for j in range(-16, 18):
+        filled = (j < 0) != (raw.count(j) % 2 == 1)
+        assert filled == canon.is_filled(j + offset), j
+
+
 # -- translations, flips, spins ------------------------------------------------
 
 def test_translate_examples():
