@@ -11,7 +11,6 @@ from .exact import (
     RationalFunction,
     ZeroPolynomial,
     det_poly_matrix,
-    log_derivative_ratio,
     poly_gcd,
 )
 from .orthopoly import (
@@ -20,7 +19,6 @@ from .orthopoly import (
     falling_factorial,
     hermite,
     laguerre,
-    rising_factorial,
 )
 from .maya import (
     AmplitudeMismatch,

@@ -380,7 +380,11 @@ class Polynomial:
     def __repr__(self) -> str:
         return "Polynomial(%r)" % (self.to_strings(),)
 
-    def format(self, var: str = "z") -> str:
+    def format(
+        self, var: str = "z", coeff=str, power: str = "%s^%d", times: str = "*"
+    ) -> str:
+        """Terms from the highest power down: "3/2*z^2 - z + 1" by default;
+        coeff renders |c|, power (var, n) for n > 1, times joins the two."""
         if self.is_zero:
             return "0"
         parts = []
@@ -391,10 +395,10 @@ class Polynomial:
                 continue
             mag = abs(c)
             if i == 0:
-                body = str(mag)
+                body = coeff(mag)
             else:
-                xs = var if i == 1 else "%s^%d" % (var, i)
-                body = xs if mag == 1 else "%s*%s" % (mag, xs)
+                xs = var if i == 1 else power % (var, i)
+                body = xs if mag == 1 else coeff(mag) + times + xs
             parts.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
@@ -620,9 +624,3 @@ class RationalFunction:
             return self._n.format(var)
         return "(%s)/(%s)" % (self._n.format(var), self._d.format(var))
 
-
-def log_derivative_ratio(p: Polynomial, q: Polynomial) -> RationalFunction:
-    """d/dx log(p/q) = (p'q - pq')/(pq), fully reduced."""
-    if p.is_zero or q.is_zero:
-        raise ZeroPolynomial("log-derivative of a zero polynomial")
-    return RationalFunction(p.derivative() * q - p * q.derivative(), p * q)

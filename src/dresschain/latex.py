@@ -26,22 +26,7 @@ def frac_latex(q: Fraction) -> str:
 
 
 def poly_latex(p: Polynomial, var: str = "z") -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeff(i)
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = frac_latex(mag)
-        else:
-            xs = var if i == 1 else "%s^{%d}" % (var, i)
-            body = xs if mag == 1 else frac_latex(mag) + xs
-        parts.append(("- " if c < 0 else "+ ") + body)
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+    return p.format(var, coeff=frac_latex, power="%s^{%d}", times="")
 
 
 def ratfunc_latex(r: RationalFunction, var: str = "x") -> str:

@@ -77,13 +77,3 @@ def falling_factorial(x, i: int) -> Fraction:
         acc *= x - j
     return acc
 
-
-def rising_factorial(x, i: int) -> Fraction:
-    """x (x+1) ... (x+i-1); the empty product is 1."""
-    if i < 0:
-        raise ValueError("factorial length must be non-negative")
-    x = Fraction(x)
-    acc = Fraction(1)
-    for j in range(i):
-        acc *= x + j
-    return acc

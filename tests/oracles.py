@@ -1,14 +1,15 @@
 """Slow exact oracles that the tests run against the library's fast paths.
 
 Each one computes the same value as a function in dresschain the direct
-way: a determinant by cofactor expansion, and the PIV and PV residuals as
-chains of reduced RationalFunction operations (one gcd per operation).
+way: a determinant by cofactor expansion, and the chain, PIV and PV
+residuals as chains of reduced RationalFunction operations (one gcd per
+operation).
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from dresschain.exact import Polynomial, RationalFunction
+from dresschain.exact import Polynomial, RationalFunction, ZeroPolynomial
 from dresschain.painleve import pv_pieces
 
 
@@ -30,6 +31,25 @@ def det_poly_matrix_cofactor(rows):
             acc = acc + rows[0][j] * det_poly_matrix_cofactor(minor) * sign
         sign = -sign
     return acc
+
+
+def log_derivative_ratio(p, q):
+    """d/dx log(p/q) = (p'q - pq')/(pq), fully reduced."""
+    if p.is_zero or q.is_zero:
+        raise ZeroPolynomial("log-derivative of a zero polynomial")
+    return RationalFunction(p.derivative() * q - p * q.derivative(), p * q)
+
+
+def _residual_rf(sol, i):
+    """Residual of chain equation i (1-based) of sol, the oracle for
+    chain._check_equation: -(1+h) s' + s (h + v_b - v_a) / z**h with
+    s = v_a + v_b."""
+    a = sol.terms[i - 1]
+    b = sol.terms[i % sol.period]
+    h = a.h
+    va, vb = a.rational_part(), b.rational_part()
+    s = va + vb
+    return -(1 + h) * s.derivative() + s * ((h + vb - va) / Polynomial.monomial(h))
 
 
 def piv_residual_oracle(inst):

@@ -30,6 +30,8 @@ from dresschain.maya import (
 from dresschain.orthopoly import AlphaParam
 from dresschain.wronskian import _hermite_matrix_det
 
+from oracles import _residual_rf
+
 EMPTY = MayaDiagram(())
 X = Polynomial.x()
 ALPHA = AlphaParam(F(1, 3))
@@ -202,17 +204,83 @@ SAMPLE_CHAINS = {
 
 
 @pytest.mark.parametrize("sol", SAMPLE_CHAINS.values(), ids=SAMPLE_CHAINS.keys())
-def test_fast_checks_agree_with_residual_oracle(sol, monkeypatch):
+def test_fast_checks_agree_with_residual_oracle(sol):
     # the slow residual is the oracle: it gives exactly the expected
-    # constants, and a correct chain never needs it
+    # constants, and so does the fast check
     for i, expected in enumerate(sol.expected_eps, start=1):
-        assert dresschain.chain._residual_rf(sol, i) == expected
-
-    def no_fallback(sol, i):
-        raise AssertionError("equation %d left the fast path" % i)
-
-    monkeypatch.setattr(dresschain.chain, "_residual_rf", no_fallback)
+        assert _residual_rf(sol, i) == expected
     assert verify_chain(sol).ok
+
+
+def _unclosed(sol):
+    """sol with its last ladder entry bumped: the closure and the sum rule
+    fail, and the wrap equation has two distinct middle entries."""
+    last = len(sol.ladder) - 1
+    return _with_ladder_entry(sol, last, sol.ladder[last].poly + Polynomial.one())
+
+
+def _bumped(sol):
+    """sol with its highest interior ladder entry bumped by 1 (the closure
+    is unaffected)."""
+    index = max(range(1, sol.period), key=lambda j: sol.ladder[j].poly.degree)
+    return _with_ladder_entry(sol, index, sol.ladder[index].poly + Polynomial.one())
+
+
+STRUCTURAL_CHAINS = {
+    "odd": SAMPLE_CHAINS["odd"],
+    "even": SAMPLE_CHAINS["even-22"],
+    "odd-bumped": _bumped(SAMPLE_CHAINS["odd"]),
+    "even-bumped": _bumped(SAMPLE_CHAINS["even-22"]),
+    "odd-unclosed": _unclosed(SAMPLE_CHAINS["odd"]),
+    "even-unclosed": _unclosed(SAMPLE_CHAINS["even-22"]),
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURAL_CHAINS)
+def test_verify_chain_builds_no_rational_function(name, monkeypatch):
+    # every equation, held or failed, closed or not, is read off from one
+    # polynomial identity: no rational-function fallback exists
+    sol = STRUCTURAL_CHAINS[name]
+    report = verify_chain(sol)
+    assert report.ok == (name in ("odd", "even"))
+    expected = report.to_json()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("verify_chain built a RationalFunction")
+
+    monkeypatch.setattr(dresschain.exact.RationalFunction, "__init__", refuse)
+    assert verify_chain(sol).to_json() == expected
+
+
+@pytest.mark.parametrize(
+    "sol", [SAMPLE_CHAINS["odd"], SAMPLE_CHAINS["even-22"]], ids=["odd", "even"]
+)
+def test_unclosed_ladder_wrap_equation(sol):
+    # equations away from the replaced last entry still hold; the two that
+    # touch it, the wrap equation with its distinct middle entries among
+    # them, report the oracle's value
+    broken = _unclosed(sol)
+    report = verify_chain(broken)
+    p = sol.period
+    assert not report.sum_rule and not report.ok
+    assert all(eq.match for eq in report.equations[: p - 2])
+    for i in (p - 1, p):
+        eq = report.equations[i - 1]
+        assert eq.value == _residual_rf(broken, i).constant_value()
+        assert eq.residual_constant == (eq.value is not None)
+    assert not report.equations[p - 1].match
+
+
+def test_wrap_form_with_distinct_middle_entries(monkeypatch):
+    # with the closure test forced off, the wrap equation of a ladder that
+    # does close, up to z**e with e = 10, goes through the form for two
+    # distinct middle entries P_0 and z**e P_0 and still reads off eps;
+    # only the sum rule fails
+    sol = SAMPLE_CHAINS["even-22"]
+    monkeypatch.setattr(dresschain.chain, "_closure_holds", lambda sol: False)
+    report = verify_chain(sol)
+    assert [eq.value for eq in report.equations] == list(sol.expected_eps)
+    assert all(eq.match for eq in report.equations) and not report.sum_rule
 
 
 @pytest.mark.parametrize("sol", SAMPLE_CHAINS.values(), ids=SAMPLE_CHAINS.keys())
@@ -255,39 +323,40 @@ def _chains_for_fast_check_oracle():
 
 
 def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
-    # every verdict of the one fast check equals "the slow residual is the
-    # expected constant", on correct chains and on chains with their
-    # highest interior ladder entry bumped (the closure is unaffected)
-    verdicts = []
+    # every constant the fast check reads off (None: not a constant) equals
+    # the slow residual's, on correct chains and on chains with their
+    # highest interior ladder entry bumped (the closure is unaffected);
+    # with one expected eps raised by 1, that equation fails and reports
+    # the true eps
+    values = []
     check = dresschain.chain._check_equation
 
     def recorder(*args):
-        verdicts.append(check(*args))
-        return verdicts[-1]
+        values.append(check(*args))
+        return values[-1]
 
     monkeypatch.setattr(dresschain.chain, "_check_equation", recorder)
-    parities, failures = set(), 0
+    parities, failures, unread = set(), 0, 0
     for sol, bump in _chains_for_fast_check_oracle():
-        variants = [sol]
-        index = max(range(1, sol.period), key=lambda j: sol.ladder[j].poly.degree,
-                    default=None)
-        if bump and index is not None:
-            bumped = sol.ladder[index].poly + Polynomial.one()
-            variants.append(_with_ladder_entry(sol, index, bumped))
+        variants = [sol, _bumped(sol)] if bump and sol.period > 1 else [sol]
         for chain in variants:
-            verdicts.clear()
+            values.clear()
             report = verify_chain(chain)
-            assert len(verdicts) == chain.period
-            for i, (verdict, eq) in enumerate(zip(verdicts, report.equations), 1):
-                # a rejected equation's entry was already computed from
-                # _residual_rf, so only accepted ones need the oracle here
-                if verdict:
-                    assert dresschain.chain._residual_rf(chain, i) == eq.expected
-                else:
-                    assert not eq.match, (chain.chain_labels, i)
+            assert len(values) == chain.period
+            for i, (value, eq) in enumerate(zip(values, report.equations), 1):
+                assert value == _residual_rf(chain, i).constant_value(), (
+                    chain.chain_labels, i)
+                assert eq.value == value and eq.match == (value == eq.expected)
+                failures += not eq.match
+                unread += value is None
             parities.add(chain.terms[0].h)
-            failures += verdicts.count(False)
-    assert parities == {0, 1} and failures > 0
+        for i, true_eps in enumerate(sol.expected_eps):
+            eps = sol.expected_eps[:i] + (true_eps + 1,) + sol.expected_eps[i + 1:]
+            values.clear()
+            eq = verify_chain(dataclasses.replace(sol, expected_eps=eps)).equations[i]
+            assert values[i] == true_eps
+            assert eq.residual_constant and eq.value == true_eps and not eq.match
+    assert parities == {0, 1} and failures > 0 and unread > 0
 
 
 def test_odd_ladders_match_raw_determinants():

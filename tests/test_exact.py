@@ -10,11 +10,12 @@ from dresschain.exact import (
     RationalFunction,
     ZeroPolynomial,
     det_poly_matrix,
-    log_derivative_ratio,
     poly_gcd,
 )
 
-from oracles import det_poly_matrix_cofactor
+from dresschain.latex import poly_latex
+
+from oracles import det_poly_matrix_cofactor, log_derivative_ratio
 
 Z = Polynomial.x()
 ONE = Polynomial.one()
@@ -64,6 +65,22 @@ def test_string_round_trip():
     p = P(F(-2), 0, F(4))
     assert p.to_strings() == ["-2/1", "0/1", "4/1"]
     assert Polynomial.from_strings(p.to_strings()) == p
+
+
+@pytest.mark.parametrize("p, var, text, latex", [
+    (P(F(1, 2), -1, 0, F(-3, 4)), "z", "-3/4*z^3 - z + 1/2",
+     r"-\frac{3}{4}z^{3} - z + \frac{1}{2}"),
+    (P(-2, 0, 1), "z", "z^2 - 2", "z^{2} - 2"),
+    (P(F(7, 2), 0, -1), "x", "-x^2 + 7/2", r"-x^{2} + \frac{7}{2}"),
+    (P(0, F(5, 3)), "t", "5/3*t", r"\frac{5}{3}t"),
+    (P(-1), "z", "-1", "-1"),
+    (Polynomial.zero(), "z", "0", "0"),
+    (Polynomial.monomial(12) - Z, "x", "x^12 - x", "x^{12} - x"),
+])
+def test_format_and_latex_pinned(p, var, text, latex):
+    # text and LaTeX share one term walker; both renderings are output
+    assert p.format(var) == text
+    assert poly_latex(p, var) == latex
 
 
 # -- the integer-backed core against a plain Fraction-list oracle --------------

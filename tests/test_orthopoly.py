@@ -9,7 +9,6 @@ from dresschain.orthopoly import (
     falling_factorial,
     hermite,
     laguerre,
-    rising_factorial,
 )
 
 Z = Polynomial.x()
@@ -78,9 +77,6 @@ def test_factorials():
     assert falling_factorial(3, 2) == 6
     assert falling_factorial(F(7, 2), 0) == 1
     assert falling_factorial(2, 3) == 0
-    assert rising_factorial(F(1, 2), 2) == F(3, 4)
-    assert rising_factorial(5, 0) == 1
-    assert rising_factorial(-1, 3) == 0
 
 
 def test_alpha_param_rejects_integers():

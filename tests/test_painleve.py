@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dresschain.chain import build_even_chain, build_odd_chain
-from dresschain.exact import Polynomial, RationalFunction, log_derivative_ratio
+from dresschain.exact import Polynomial, RationalFunction
 from dresschain.maya import CyclicStructure, MayaDiagram
 from dresschain.orthopoly import AlphaParam
 from dresschain.painleve import (
@@ -23,7 +23,7 @@ from dresschain.painleve import (
 )
 from dresschain.wronskian import hermite_wronskian
 
-from oracles import piv_residual_oracle, pv_residual_oracle
+from oracles import log_derivative_ratio, piv_residual_oracle, pv_residual_oracle
 
 ALPHA = AlphaParam(F(1, 3))
 
