@@ -421,22 +421,15 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant of a square polynomial matrix.
-
-    Fraction-free (Bareiss) elimination over Z[x] after bringing each
-    column onto the common denominator of its entries; every pivot
-    division is exact.  When a pivot column vanishes from the pivot row
-    down, the trailing block has a zero first column, so by Sylvester's
-    identity the determinant is zero.
-    """
+    """Exact determinant of a square polynomial matrix: each column is
+    brought onto the common denominator of its entries, and the integer
+    matrix goes to det_int_matrix over the product of those denominators."""
     n = len(rows)
     if n == 0:
         raise ValueError("determinant of an empty matrix is not defined")
     for r in rows:
         if len(r) != n:
             raise ValueError("matrix is not square")
-    if n == 1:
-        return rows[0][0]
 
     scale = 1
     mat = [[None] * n for _ in range(n)]
@@ -446,7 +439,19 @@ def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
         for i in range(n):
             e = rows[i][j]
             mat[i][j] = e._n if e._d == col else [col // e._d * x for x in e._n]
+    return det_int_matrix(mat, scale)
 
+
+def det_int_matrix(mat: list, scale: int = 1) -> Polynomial:
+    """det(mat) / scale, for a non-empty square matrix of ascending integer
+    coefficient lists (the zero entry is []); mat is consumed.
+
+    Fraction-free (Bareiss) elimination over Z[x]; every pivot division is
+    exact.  When a pivot column vanishes from the pivot row down, the
+    trailing block has a zero first column, so by Sylvester's identity the
+    determinant is zero.
+    """
+    n = len(mat)
     sign = 1
     prev = [1]
     for k in range(n - 1):

@@ -16,11 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from typing import Optional, Tuple
 
-from .exact import Polynomial, det_poly_matrix, frac_str
+from .exact import Polynomial, det_int_matrix, det_poly_matrix, frac_str
 from .maya import MayaDiagram, UniversalCharacter, translate
-from .orthopoly import AlphaParam, falling_factorial, hermite, laguerre
+from .orthopoly import AlphaParam, falling_factorial, hermite
+
+# kept in this namespace, where bench/tracer.py times the orthopoly layer
+from .orthopoly import laguerre  # noqa: F401
 
 
 class NegativeIndex(ValueError):
@@ -77,6 +81,14 @@ def _check_entries(entries: Tuple[int, ...]) -> None:
         raise NegativeIndex("seed tuple has a negative entry: %r" % (entries,))
 
 
+def _untranslate(entries: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
+    """(k, c) with entries == (0, ..., k-1) + (c + k) and c canonical."""
+    k = 0
+    while k < len(entries) and entries[k] == k:
+        k += 1
+    return k, tuple(n - k for n in entries[k:])
+
+
 def _vandermonde(entries: Tuple[int, ...]) -> int:
     """prod_{i<j} (n_j - n_i)."""
     out = 1
@@ -121,10 +133,7 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
     _check_entries(entries)
     m = len(entries)
     gauge = GaugeExponents(Fraction(0), Fraction(-m, 2))
-    k = 0
-    while k < m and entries[k] == k:
-        k += 1
-    canon = tuple(n - k for n in entries[k:])
+    k, canon = _untranslate(entries)
     poly = _canonical_hermite_det(canon)
     if k:
         # the leading coefficient is 2**deg * V(entries), deg = sum(n) - m(m-1)/2,
@@ -138,6 +147,80 @@ def laguerre_gauge(m: int, r: int, alpha: Fraction) -> GaugeExponents:
     return GaugeExponents(z_power, Fraction(-(m + r), 2))
 
 
+def _laguerre_ints(n: int, p: int, q: int) -> list:
+    """Ascending integer coefficients of q**n n! L_n^{p/q}(z), from the
+    closed form (-1)**k C(n, k) q**k prod_{j=k+1..n} (p + j q) of z**k.
+
+    The magnitudes t_k satisfy t_n = q**n and
+    t_{k-1} (n - k + 1) q = t_k k (p + k q), so every division is exact.
+    """
+    out = [0] * (n + 1)
+    t = q ** n
+    out[n] = -t if n % 2 else t
+    for k in range(n, 0, -1):
+        t = t * k * (p + k * q) // ((n - k + 1) * q)
+        out[k - 1] = t if k % 2 else -t
+    return out
+
+
+def _laguerre_columns(uc: UniversalCharacter, a: Fraction) -> Tuple[list, list]:
+    """The pseudo-Wronskian matrix as integer coefficient lists, row-major,
+    and the denominator of each column.
+
+    With a = p/q, a spectrum column of n lies over q**n n!: its row i is
+    (-1)**i q**i (n)_i times the integers of L_{n-i}^{a+i}.  A shadow
+    column of l lies over q**(l+size-1) l!: its row i is
+    q**(size-1-i) prod_{t<i} ((l - t) q - p), which is q**(size-1) (l - a)_i,
+    times the integers of L_l^{-a-i}, shifted by size - 1 - i.
+    """
+    p, q = a.numerator, a.denominator
+    size = len(uc.first.entries) + len(uc.second.entries)
+    columns = []
+    dens = []
+    for n in uc.first.entries:
+        col = []
+        f = 1  # q**i (n)_i
+        for i in range(min(n + 1, size)):
+            s = -f if i % 2 else f
+            col.append([s * x for x in _laguerre_ints(n - i, p + i * q, q)])
+            f *= (n - i) * q
+        columns.append(col + [[]] * (size - len(col)))
+        dens.append(q ** n * factorial(n))
+    for l in uc.second.entries:
+        col = []
+        f = 1  # prod_{t<i} ((l - t) q - p)
+        for i in range(size):
+            s = f * q ** (size - 1 - i)
+            col.append(
+                [0] * (size - 1 - i) + [s * x for x in _laguerre_ints(l, -p - i * q, q)]
+            )
+            f *= (l - i) * q - p
+        columns.append(col)
+        dens.append(q ** (l + size - 1) * factorial(l))
+    return [list(row) for row in zip(*columns)], dens
+
+
+def _laguerre_matrix_det(uc: UniversalCharacter, a: Fraction) -> Polynomial:
+    """The pseudo-Wronskian determinant built and eliminated in full; the
+    oracle of the translation sharing below."""
+    if not uc.first.entries and not uc.second.entries:
+        return Polynomial.one()
+    rows, dens = _laguerre_columns(uc, a)
+    return det_int_matrix(rows, prod(dens))
+
+
+def _top_coefficient(uc: UniversalCharacter, a: Fraction) -> Fraction:
+    """Coefficient of z**(sum c_j - sum i) in the pseudo-Wronskian.
+
+    Entry (i, j) has degree c_j - i (c_j = n for a spectrum column and
+    l + size - 1 for a shadow one), so that coefficient is the determinant
+    of the entries' leading coefficients, an integer matrix over the same
+    column denominators.
+    """
+    rows, dens = _laguerre_columns(uc, a)
+    return det_int_matrix([[e[-1:] for e in row] for row in rows], prod(dens)).coeff(0)
+
+
 @lru_cache(maxsize=None)
 def laguerre_pseudo_wronskian(
     uc: UniversalCharacter, alpha: AlphaParam
@@ -148,35 +231,30 @@ def laguerre_pseudo_wronskian(
     Spectrum columns carry (-1)**i L_{n-i}^{alpha+i}(z); shadow columns
     carry (l - alpha)_i z^{m+r-1-i} L_l^{-alpha-i}(z), row index i.  The
     gauge turns the result back into the full Wronskian of the mixed seed
-    functions, up to a constant.
+    functions, up to a constant.  A character whose components are the
+    k1- and k2-translates of canonical ones is c z**(2 r k2 + k2 (k2 - 1))
+    times the determinant of those at alpha + k1 - k2 (r the size of the
+    canonical second one); when its top coefficient is nonzero, c is that
+    coefficient over the leading one of the canonical determinant, which
+    comes from this memo.  Otherwise the matrix is eliminated directly.
     """
     _check_entries(uc.first.entries)
     _check_entries(uc.second.entries)
     a = alpha.value
     m = len(uc.first.entries)
     r = len(uc.second.entries)
-    size = m + r
     gauge = laguerre_gauge(m, r, a)
-    if size == 0:
-        return PseudoWronskian(Polynomial.one(), gauge, 0, 0, a)
-    columns = []
-    for n in uc.first.entries:
-        col = []
-        for i in range(size):
-            if n - i < 0:
-                col.append(Polynomial.zero())
-            else:
-                sign = -1 if i % 2 else 1
-                col.append(sign * laguerre(n - i, a + i))
-        columns.append(col)
-    for l in uc.second.entries:
-        col = []
-        for i in range(size):
-            factor = falling_factorial(l - a, i)
-            col.append((factor * laguerre(l, -a - i)).shifted(size - 1 - i))
-        columns.append(col)
-    rows = [[columns[j][i] for j in range(size)] for i in range(size)]
-    return PseudoWronskian(det_poly_matrix(rows), gauge, m, r, a)
+    k1, canon1 = _untranslate(uc.first.entries)
+    k2, canon2 = _untranslate(uc.second.entries)
+    if k1 or k2:
+        top = _top_coefficient(uc, a)
+        if top:
+            canon = UniversalCharacter(MayaDiagram(canon1), MayaDiagram(canon2))
+            base = laguerre_pseudo_wronskian(canon, alpha.shifted(k1 - k2)).poly
+            power = 2 * len(canon2) * k2 + k2 * (k2 - 1)
+            poly = base.shifted(power) * (top / base.leading)
+            return PseudoWronskian(poly, gauge, m, r, a)
+    return PseudoWronskian(_laguerre_matrix_det(uc, a), gauge, m, r, a)
 
 
 def proportionality_constant(p: Polynomial, q: Polynomial) -> Fraction:
@@ -219,15 +297,19 @@ def check_translation_equivalence_laguerre(
     uc: UniversalCharacter, k1: int, k2: int, alpha: AlphaParam
 ) -> LaguerreEquivalence:
     """Verify the pseudo-Wronskian translation identity with its explicit
-    z power 2 r k2 + k2 (k2 - 1) and parameter shift k1 - k2."""
+    z power 2 r k2 + k2 (k2 - 1) and parameter shift k1 - k2.
+
+    Both sides are eliminated from their own matrices:
+    laguerre_pseudo_wronskian assumes this very identity.
+    """
     if k1 < 0 or k2 < 0:
         raise ValueError("translation amplitudes must be non-negative")
     r = len(uc.second.entries)
     shifted = UniversalCharacter(
         translate(uc.first, k1), translate(uc.second, k2)
     )
-    lhs = laguerre_pseudo_wronskian(shifted, alpha)
-    rhs = laguerre_pseudo_wronskian(uc, alpha.shifted(k1 - k2))
+    lhs = _laguerre_matrix_det(shifted, alpha.value)
+    rhs = _laguerre_matrix_det(uc, alpha.value + k1 - k2)
     power = 2 * r * k2 + k2 * (k2 - 1)
-    c = proportionality_constant(lhs.poly, rhs.poly.shifted(power))
+    c = proportionality_constant(lhs, rhs.shifted(power))
     return LaguerreEquivalence(constant=c, z_power=power, alpha_shift=k1 - k2)

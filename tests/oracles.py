@@ -1,15 +1,17 @@
 """Slow exact oracles that the tests run against the library's fast paths.
 
 Each one computes the same value as a function in dresschain the direct
-way: a determinant by cofactor expansion, and the chain, PIV and PV
-residuals as chains of reduced RationalFunction operations (one gcd per
+way: a determinant by cofactor expansion, the Laguerre pseudo-Wronskian
+matrix from recurrence-built Fraction polynomials, and the chain, PIV and
+PV residuals as chains of reduced RationalFunction operations (one gcd per
 operation).
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from dresschain.exact import Polynomial, RationalFunction, ZeroPolynomial
+from dresschain.exact import Polynomial, RationalFunction, ZeroPolynomial, det_poly_matrix
+from dresschain.orthopoly import falling_factorial, laguerre
 from dresschain.painleve import pv_pieces
 
 
@@ -31,6 +33,32 @@ def det_poly_matrix_cofactor(rows):
             acc = acc + rows[0][j] * det_poly_matrix_cofactor(minor) * sign
         sign = -sign
     return acc
+
+
+def laguerre_matrix_oracle(uc, a):
+    """Rows of the pseudo-Wronskian matrix of wronskian._laguerre_columns,
+    built from orthopoly.laguerre (three-term recurrence) and
+    falling_factorial: (-1)**i L_{n-i}^{a+i} in a spectrum column of n and
+    (l - a)_i z**(size-1-i) L_l^{-a-i} in a shadow column of l."""
+    size = len(uc.first.entries) + len(uc.second.entries)
+    columns = []
+    for n in uc.first.entries:
+        columns.append([
+            (-1) ** i * laguerre(n - i, a + i) if i <= n else Polynomial.zero()
+            for i in range(size)
+        ])
+    for l in uc.second.entries:
+        columns.append([
+            (falling_factorial(l - a, i) * laguerre(l, -a - i)).shifted(size - 1 - i)
+            for i in range(size)
+        ])
+    return [[col[i] for col in columns] for i in range(size)]
+
+
+def laguerre_det_oracle(uc, a):
+    """The pseudo-Wronskian polynomial from the oracle matrix."""
+    rows = laguerre_matrix_oracle(uc, a)
+    return det_poly_matrix(rows) if rows else Polynomial.one()
 
 
 def log_derivative_ratio(p, q):

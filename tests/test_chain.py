@@ -5,9 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 import dresschain.chain
+import dresschain.wronskian
 from dresschain.chain import (
     DEFAULT_ALPHA_SAMPLES,
     VAR_X,
+    VAR_X2,
     OddPeriodRequired,
     UnsupportedOmega,
     _terms_from_ladder,
@@ -23,12 +25,20 @@ from dresschain.maya import (
     CyclicStructure,
     DegenerateStructure,
     MayaDiagram,
+    UniversalCharacter,
+    apply_uc_flip,
     build_diagram,
     enumerate_structures,
     static_flip_chain,
+    uc_flip_chain,
 )
 from dresschain.orthopoly import AlphaParam
-from dresschain.wronskian import _hermite_matrix_det
+from dresschain.wronskian import (
+    _hermite_matrix_det,
+    _laguerre_matrix_det,
+    _untranslate,
+    laguerre_pseudo_wronskian,
+)
 
 from oracles import _residual_rf
 
@@ -379,6 +389,73 @@ def test_odd_ladders_match_raw_determinants():
                     terms=tuple(_terms_from_ladder(raw, sol.omega, VAR_X)),
                 )
                 assert verify_chain(rebuilt).to_json() == verify_chain(sol).to_json()
+
+
+def _period4_even_cells():
+    # the criterion-6 cells of splits (3,1) and (2,2)
+    for lam, mu in itertools.product((1, 2), repeat=2):
+        yield CyclicStructure(k=1, second_type=((lam, mu),)), CyclicStructure(k=1)
+    for a1, b1 in itertools.product((0, 1, 2), repeat=2):
+        yield CyclicStructure(k=2, okamoto=(a1,)), CyclicStructure(k=2, okamoto=(b1,))
+
+
+def _check_even_ladders_against_raw(alphas):
+    """Build every period-4 cell in every flip order and compare each
+    ladder entry with its matrix eliminated in full; return how many
+    entries were translated characters."""
+    translated = 0
+    for alpha in alphas:
+        for cs1, cs2 in _period4_even_cells():
+            uc, _ = uc_flip_chain(cs1, cs2)
+            for perm in itertools.permutations(range(4)):
+                sol = build_even_chain(cs1, cs2, alpha, perm=perm)
+                state = (uc.first, uc.second)
+                states = [state]
+                for f in sol.chain_labels.flips:
+                    state = apply_uc_flip(state, f)
+                    states.append(state)
+                raw = [
+                    dataclasses.replace(
+                        pw, poly=_laguerre_matrix_det(UniversalCharacter(*s), alpha.value)
+                    )
+                    for pw, s in zip(sol.ladder, states)
+                ]
+                assert len(raw) == len(sol.ladder) == 5
+                assert [pw.poly for pw in sol.ladder] == [pw.poly for pw in raw]
+                translated += sum(
+                    bool(_untranslate(n.entries)[0] or _untranslate(l.entries)[0])
+                    for n, l in states
+                )
+                rebuilt = dataclasses.replace(
+                    sol,
+                    ladder=tuple(raw),
+                    terms=tuple(_terms_from_ladder(raw, sol.omega, VAR_X2)),
+                )
+                assert verify_chain(rebuilt).to_json() == verify_chain(sol).to_json()
+    return translated
+
+
+def test_even_ladders_match_raw_determinants():
+    alphas = (AlphaParam(F(1, 3)), AlphaParam(F(-2, 5)))
+    assert _check_even_ladders_against_raw(alphas) > 0
+
+
+def test_even_ladders_with_vanishing_top_coefficient(monkeypatch):
+    # the top coefficient never vanishes on these cells, so force it to:
+    # every translated entry must then be eliminated directly
+    calls = []
+
+    def vanishing(uc, a):
+        calls.append(uc)
+        return F(0)
+
+    monkeypatch.setattr(dresschain.wronskian, "_top_coefficient", vanishing)
+    laguerre_pseudo_wronskian.cache_clear()
+    try:
+        translated = _check_even_ladders_against_raw((AlphaParam(F(-2, 5)),))
+    finally:
+        laguerre_pseudo_wronskian.cache_clear()
+    assert translated > 0 and calls
 
 
 def test_report_json_schema():

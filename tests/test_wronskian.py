@@ -1,16 +1,23 @@
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
+from math import factorial
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dresschain.wronskian
 from dresschain.exact import Polynomial
-from dresschain.maya import MayaDiagram, UniversalCharacter
+from dresschain.maya import MayaDiagram, UniversalCharacter, translate
 from dresschain.orthopoly import AlphaParam, hermite, laguerre
 from dresschain.wronskian import (
     NegativeIndex,
     NotProportional,
     _hermite_matrix_det,
+    _laguerre_columns,
+    _laguerre_ints,
+    _laguerre_matrix_det,
     check_translation_equivalence_hermite,
     check_translation_equivalence_laguerre,
     hermite_wronskian,
@@ -18,7 +25,7 @@ from dresschain.wronskian import (
     proportionality_constant,
 )
 
-from oracles import det_poly_matrix_cofactor
+from oracles import det_poly_matrix_cofactor, laguerre_det_oracle, laguerre_matrix_oracle
 
 EMPTY = MayaDiagram(())
 Z = Polynomial.x()
@@ -170,3 +177,90 @@ def test_pseudo_wronskian_json():
     assert data["poly"] == pw.poly.to_strings()
     hw = hermite_wronskian(MayaDiagram((2,)))
     assert hw.to_json()["alpha"] is None
+
+
+def test_closed_form_laguerre_matches_recurrence():
+    for a in (F(1, 3), F(-2, 5), F(7, 3), F(-41, 50), F(1, 2)):
+        p, q = a.numerator, a.denominator
+        for n in range(21):
+            den = q ** n * factorial(n)
+            assert Polynomial(F(x, den) for x in _laguerre_ints(n, p, q)) == laguerre(n, a)
+
+
+def test_integer_columns_match_oracle_matrix():
+    for first, second in [((1,), ()), ((0, 2), (1,)), ((1, 3), (0, 2)), ((), (0, 1, 4))]:
+        uc = UniversalCharacter(MayaDiagram(first), MayaDiagram(second))
+        for a in (F(1, 3), F(-2, 5), F(7, 3)):
+            rows, dens = _laguerre_columns(uc, a)
+            oracle = laguerre_matrix_oracle(uc, a)
+            assert [[Polynomial(F(x, d) for x in e) for e, d in zip(row, dens)]
+                    for row in rows] == oracle
+
+
+TRANSLATED = [
+    (UniversalCharacter(MayaDiagram(c1), MayaDiagram(c2)), k1, k2)
+    for c1, c2 in [((), ()), ((1,), ()), ((), (2,)), ((1, 3), (2,)), ((2,), (1, 2))]
+    for k1, k2 in product((0, 1, 2), repeat=2)
+    if k1 or k2
+]
+
+
+def test_translated_laguerre_shares_canonical_determinant():
+    tops = []
+
+    def recorded(uc, a):
+        tops.append(top_coefficient(uc, a))
+        return tops[-1]
+
+    top_coefficient = dresschain.wronskian._top_coefficient
+    with mock.patch.object(dresschain.wronskian, "_top_coefficient", recorded):
+        for uc, k1, k2 in TRANSLATED:
+            shifted = UniversalCharacter(translate(uc.first, k1), translate(uc.second, k2))
+            for a in (F(1, 3), F(-2, 5)):
+                pw = laguerre_pseudo_wronskian.__wrapped__(shifted, AlphaParam(a))
+                assert pw.poly == _laguerre_matrix_det(shifted, a)
+    assert len(tops) == 2 * len(TRANSLATED) and all(tops)
+
+
+def test_translation_equivalence_laguerre_uses_raw_matrices(monkeypatch):
+    # the sharing path assumes the identity, so the check must not use it
+    def served_from_memo(uc, alpha):
+        raise AssertionError("pseudo-Wronskian memo consulted for %r" % (uc,))
+
+    monkeypatch.setattr(
+        dresschain.wronskian, "laguerre_pseudo_wronskian", served_from_memo
+    )
+    shifted = UniversalCharacter(MayaDiagram((0, 2)), EMPTY)
+    with pytest.raises(AssertionError):
+        laguerre_pseudo_wronskian.__wrapped__(shifted, AlphaParam(F(1, 3)))
+    for uc, k1, k2 in TRANSLATED:
+        for a in (F(1, 3), F(-2, 5)):
+            check_translation_equivalence_laguerre(uc, k1, k2, AlphaParam(a))
+
+
+# canonical diagrams with entries <= 5, each translated by 0..3
+translated_diagrams = st.builds(
+    lambda entries, k: translate(MayaDiagram(tuple(sorted(entries))), k),
+    st.lists(st.integers(1, 5), max_size=2, unique=True),
+    st.integers(0, 3),
+)
+characters = st.builds(UniversalCharacter, translated_diagrams, translated_diagrams)
+non_integer_alphas = st.fractions(min_value=-6, max_value=6, max_denominator=50).filter(
+    lambda a: a.denominator != 1
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(characters, non_integer_alphas, st.booleans())
+def test_laguerre_pseudo_wronskian_matches_oracle(uc, a, vanishing_top):
+    # with vanishing_top, every translated character takes the direct
+    # elimination that a zero top coefficient forces
+    compute = laguerre_pseudo_wronskian.__wrapped__
+    if vanishing_top:
+        with mock.patch.object(
+            dresschain.wronskian, "_top_coefficient", lambda uc, a: F(0)
+        ):
+            poly = compute(uc, AlphaParam(a)).poly
+    else:
+        poly = compute(uc, AlphaParam(a)).poly
+    assert poly == laguerre_det_oracle(uc, a)
