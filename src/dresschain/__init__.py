@@ -32,6 +32,7 @@ from .maya import (
     UniversalCharacter,
     build_diagram,
     canonicalize,
+    conjugate,
     enumerate_structures,
     flip_at,
     flip_chain_of,

@@ -362,6 +362,21 @@ class Polynomial:
             raise ValueError("polynomial has odd-degree terms")
         return _poly(list(self._n[0::2]), self._d)
 
+    def of_square(self, shift: int = 0, negate: bool = False) -> "Polynomial":
+        """x**shift * self(x**2), or x**shift * self(-x**2) when negate; the
+        inverse of decompress_even.  A negative shift may drop only zero
+        coefficients."""
+        n = list(self._n)
+        if negate:
+            n[1::2] = [-x for x in n[1::2]]
+        out = [0] * (2 * len(n) - 1) if n else []
+        out[0::2] = n
+        if shift < 0:
+            if any(out[:-shift]):
+                raise ValueError("x**%d does not divide the polynomial" % -shift)
+            out = out[-shift:]
+        return _poly([0] * shift + out, self._d)
+
     # -- serialization & dunders ---------------------------------------------
 
     def to_strings(self) -> list:

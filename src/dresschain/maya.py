@@ -125,6 +125,23 @@ def translate(d: MayaDiagram, k: int) -> MayaDiagram:
     return MayaDiagram(tuple(range(k)) + tuple(n + k for n in d.entries))
 
 
+def conjugate(d: MayaDiagram) -> MayaDiagram:
+    """Canonical diagram of the conjugate partition (an involution).
+
+    A canonical (c_1 < ... < c_m) carries the partition
+    lambda_i = c_{m+1-i} - (m - i); its conjugate is the diagram of
+    c_m - h over the holes h of d in [0, c_m), of size c_m - m + 1, and
+    has the same weight |lambda| = sum c - m (m - 1) / 2.
+    """
+    if not d.is_canonical:
+        raise ValueError("conjugate expects a canonical diagram")
+    if not d.entries:
+        return d
+    top = d.entries[-1]
+    filled = set(d.entries)
+    return MayaDiagram(tuple(sorted(top - h for h in range(top) if h not in filled)))
+
+
 def flip_at(d: MayaDiagram, level: int) -> MayaDiagram:
     """Toggle one level (>= 0): remove it if present, insert it if absent."""
     if level < 0:

@@ -20,10 +20,12 @@ from math import factorial, prod
 from typing import Optional, Tuple
 
 from .exact import Polynomial, det_int_matrix, det_poly_matrix, frac_str
-from .maya import MayaDiagram, UniversalCharacter, translate
+from .maya import MayaDiagram, UniversalCharacter, conjugate, translate
 from .orthopoly import AlphaParam, falling_factorial, hermite
 
-# kept in this namespace, where bench/tracer.py times the orthopoly layer
+# kept in this namespace, where bench/tracer.py times the orthopoly layer;
+# hermite, falling_factorial and det_poly_matrix are looked up here by the
+# tracer too, although only the raw oracle _hermite_matrix_det calls them
 from .orthopoly import laguerre  # noqa: F401
 
 
@@ -99,8 +101,9 @@ def _vandermonde(entries: Tuple[int, ...]) -> int:
 
 
 def _hermite_matrix_det(entries: Tuple[int, ...]) -> Polynomial:
-    """Determinant with (i, j) entry (n_j)_i H_{n_j - i}(z), built and
-    eliminated in full; the oracle of the canonical cache below."""
+    """Determinant with (i, j) entry (n_j)_i H_{n_j - i}(z), built from
+    the Hermite polynomials and eliminated in full; the oracle of the
+    canonical cache below."""
     m = len(entries)
     if m == 0:
         return Polynomial.one()
@@ -116,8 +119,63 @@ def _hermite_matrix_det(entries: Tuple[int, ...]) -> Polynomial:
     return det_poly_matrix(rows)
 
 
-# determinants of canonical diagrams, each eliminated once per process
-_canonical_hermite_det = lru_cache(maxsize=None)(_hermite_matrix_det)
+def _hermite_ys(n: int, i: int) -> list:
+    """(n)_i H_{n-i}(z) z**(i%2 - n%2), i <= n, as integers in y = z**2.
+
+    With t = n - i, the z**(t-2k) coefficient of (n)_i H_t(z) is the
+    integer (-1)**k n! 2**(t-2k) / (k! (t-2k)!), and the entry has the
+    parity of t; the factor of z makes it even (one leading zero in y when
+    n is even and i odd).
+    """
+    t = n - i
+    c = (factorial(n) // factorial(t)) << t
+    ys = [c]
+    for k in range(t // 2):
+        c = -c * (t - 2 * k) * (t - 2 * k - 1) // (4 * (k + 1))
+        ys.append(c)
+    ys.reverse()
+    return [0] + ys if i % 2 > n % 2 else ys
+
+
+def _packed_hermite_det(entries: Tuple[int, ...], negate: bool = False) -> Polynomial:
+    """The determinant of _hermite_matrix_det, eliminated in y = z**2; with
+    negate, the same at z -> i z (up to a constant).
+
+    Entry (i, j) times z**(b_i - a_j), a_j = n_j mod 2 and b_i = i mod 2,
+    is the integer polynomial in y of _hermite_ys, so the determinant is
+    z**(sum a_j - sum b_i) D(z**2), with D the integer determinant of
+    those y-lists: every list Bareiss multiplies is half as long.
+    """
+    m = len(entries)
+    if m == 0:
+        return Polynomial.one()
+    rows = [[_hermite_ys(n, i) if i <= n else [] for n in entries] for i in range(m)]
+    shift = sum(n % 2 for n in entries) - m // 2
+    return det_int_matrix(rows).of_square(shift, negate)
+
+
+def _conjugate_hermite_det(entries: Tuple[int, ...]) -> Polynomial:
+    """The determinant of a canonical diagram c, eliminated at the size of
+    its conjugate c' (the diagram of the conjugate partition).
+
+    H_c(z) is proportional to H_c'(i z) / i**deg (Felder, Hemery and
+    Veselov 2012), which is H_c' with the sign of each z**k coefficient
+    flipped when (deg - k) / 2 is odd.  In y that is D(-y) up to the sign
+    (-1)**deg(D), and rescaling to the leading coefficient 2**deg V(c) of
+    H_c fixes every constant, the power of i included.
+    """
+    poly = _packed_hermite_det(conjugate(MayaDiagram(entries)).entries, negate=True)
+    return poly * Fraction(2 ** poly.degree * _vandermonde(entries), poly.leading)
+
+
+@lru_cache(maxsize=None)
+def _canonical_hermite_det(entries: Tuple[int, ...]) -> Polynomial:
+    """The determinant of a canonical diagram, eliminated once per process
+    in y = z**2, at size min(m, c_m - m + 1): through the conjugate when
+    that is the smaller diagram.  _hermite_matrix_det is its oracle."""
+    if entries and entries[-1] - len(entries) + 1 < len(entries):
+        return _conjugate_hermite_det(entries)
+    return _packed_hermite_det(entries)
 
 
 def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
@@ -127,7 +185,10 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
     the m seed eigenfunctions is proportional to exp(-m w / 2) times this
     polynomial, w = omega x**2 / 2.  A diagram (0, ..., k-1, c + k) is the
     k-translate of the canonical c, so its determinant is a constant times
-    the cached determinant of c.
+    the cached determinant of c.  That one depends only on the partition
+    of c, has leading coefficient 2**deg V(c), deg = sum c - m (m - 1) / 2,
+    and is taken from c or from its conjugate, whichever is smaller, as an
+    integer matrix in z**2 (see _canonical_hermite_det).
     """
     entries = d.entries
     _check_entries(entries)

@@ -1,8 +1,11 @@
 import dataclasses
 import itertools
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dresschain.chain
 import dresschain.wronskian
@@ -389,6 +392,24 @@ def test_odd_ladders_match_raw_determinants():
                     terms=tuple(_terms_from_ladder(raw, sol.omega, VAR_X)),
                 )
                 assert verify_chain(rebuilt).to_json() == verify_chain(sol).to_json()
+
+
+ODD_BOXES = [
+    (p, k, bound) for p in (1, 3, 5) for k in range(1, p + 1, 2) for bound in (1, 2, 3)
+]
+structures_of = lru_cache(maxsize=None)(enumerate_structures)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_random_odd_chains_verify_against_raw_ladders(data):
+    p, k, bound = data.draw(st.sampled_from(ODD_BOXES))
+    cs = data.draw(st.sampled_from(structures_of(p, k, bound)))
+    perm = data.draw(st.permutations(range(p)))
+    sol = build_odd_chain(cs, perm=perm, allow_degenerate=True)
+    assert verify_chain(sol).ok
+    states = static_flip_chain(cs).permuted(perm).states(build_diagram(cs)[0])
+    assert [pw.poly for pw in sol.ladder] == [_hermite_matrix_det(s.entries) for s in states]
 
 
 def _period4_even_cells():

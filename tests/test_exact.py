@@ -55,6 +55,17 @@ def test_compose_and_decompress():
         P(0, 1).decompress_even()
 
 
+def test_of_square():
+    q = P(F(1, 2), -3, 5)
+    assert q.of_square() == P(F(1, 2), 0, -3, 0, 5)
+    assert q.of_square().decompress_even() == q
+    assert q.of_square(1, negate=True) == P(0, F(1, 2), 0, 3, 0, 5)
+    assert P(0, 7).of_square(-1) == P(0, 7)
+    assert Polynomial.zero().of_square(3) == Polynomial.zero()
+    with pytest.raises(ValueError):
+        q.of_square(-1)
+
+
 def test_split_lowest():
     v, q = P(0, 0, 3, 1).split_lowest()
     assert v == 2 and q == P(3, 1)

@@ -13,6 +13,7 @@ from dresschain.maya import (
     UniversalCharacter,
     build_diagram,
     canonicalize,
+    conjugate,
     enumerate_structures,
     flip_at,
     flip_chain_of,
@@ -79,6 +80,30 @@ def test_canonicalize_matches_definition(raw):
     for j in range(-16, 18):
         filled = (j < 0) != (raw.count(j) % 2 == 1)
         assert filled == canon.is_filled(j + offset), j
+
+
+def _weight(d):
+    return sum(d.entries) - len(d) * (len(d) - 1) // 2
+
+
+def test_conjugate_examples():
+    assert conjugate(MayaDiagram((1, 2))).entries == (2,)
+    assert conjugate(MayaDiagram((3,))).entries == (1, 2, 3)
+    assert conjugate(MayaDiagram((1, 3))).entries == (1, 3)
+    assert conjugate(EMPTY) == EMPTY
+    with pytest.raises(ValueError):
+        conjugate(MayaDiagram((0, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 20), max_size=10, unique=True))
+def test_conjugate_is_weight_keeping_involution(entries):
+    d = MayaDiagram(tuple(sorted(entries)))
+    c = conjugate(d)
+    assert c.is_canonical and conjugate(c) == d
+    assert _weight(c) == _weight(d)
+    if d.entries:
+        assert len(c) == d.entries[-1] - len(d) + 1
 
 
 # -- translations, flips, spins ------------------------------------------------

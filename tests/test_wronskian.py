@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 
 import dresschain.wronskian
 from dresschain.exact import Polynomial
-from dresschain.maya import MayaDiagram, UniversalCharacter, translate
-from dresschain.orthopoly import AlphaParam, hermite, laguerre
+from dresschain.maya import MayaDiagram, UniversalCharacter, conjugate, translate
+from dresschain.orthopoly import AlphaParam, falling_factorial, hermite, laguerre
 from dresschain.wronskian import (
     NegativeIndex,
     NotProportional,
+    _canonical_hermite_det,
+    _conjugate_hermite_det,
     _hermite_matrix_det,
+    _hermite_ys,
     _laguerre_columns,
     _laguerre_ints,
     _laguerre_matrix_det,
+    _packed_hermite_det,
     check_translation_equivalence_hermite,
     check_translation_equivalence_laguerre,
     hermite_wronskian,
@@ -121,16 +125,67 @@ def test_translated_determinant_rescales_canonical_one():
 
 def test_translation_equivalence_uses_raw_matrices(monkeypatch):
     # the cached path assumes the identity, so the check must not use it
-    def served_from_cache(entries):
-        raise AssertionError("canonical cache consulted for %r" % (entries,))
+    def served_from_cache(entries, negate=False):
+        raise AssertionError("canonical route consulted for %r" % (entries,))
 
-    monkeypatch.setattr(dresschain.wronskian, "_canonical_hermite_det", served_from_cache)
+    for name in ("_canonical_hermite_det", "_packed_hermite_det", "_conjugate_hermite_det"):
+        monkeypatch.setattr(dresschain.wronskian, name, served_from_cache)
     with pytest.raises(AssertionError):
         hermite_wronskian(MayaDiagram((0, 2)))
     assert check_translation_equivalence_hermite(MayaDiagram((1,)), 1) == 2
     for d in (EMPTY, MayaDiagram((1, 3)), MayaDiagram((2, 3, 5))):
         for k in (1, 2, 3):
             check_translation_equivalence_hermite(d, k)
+
+
+def partitions(n, largest):
+    """Partitions of n into parts <= largest, parts non-increasing."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+# the canonical diagram c_i = lambda_{m-i} + i (0-based) of every partition
+# of weight <= 12, the empty one included
+SMALL_DIAGRAMS = [
+    tuple(lam[len(lam) - 1 - i] + i for i in range(len(lam)))
+    for w in range(13)
+    for lam in partitions(w, w)
+]
+
+
+def test_packed_entries_match_hermite():
+    # z**(n%2 - i%2) times the y-list's polynomial in z**2 is the entry
+    for n in range(26):
+        for i in range(n + 1):
+            entry = Polynomial(_hermite_ys(n, i)).of_square(n % 2 - i % 2)
+            assert entry == falling_factorial(n, i) * hermite(n - i), (n, i)
+
+
+def test_hermite_routes_match_raw_elimination():
+    # both routes forced on every diagram of weight <= 12; equality is on
+    # exact coefficients, so content and sign are covered
+    assert len(SMALL_DIAGRAMS) == 272
+    conjugated = 0
+    for c in SMALL_DIAGRAMS:
+        raw = _hermite_matrix_det(c)
+        assert _packed_hermite_det(c) == raw, c
+        assert _conjugate_hermite_det(c) == raw, c
+        assert _canonical_hermite_det.__wrapped__(c) == raw, c
+        conjugated += len(conjugate(MayaDiagram(c))) < len(c)
+    assert conjugated > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=8, unique=True))
+def test_hermite_routes_match_raw_elimination_large(entries):
+    c = tuple(sorted(entries))
+    raw = _hermite_matrix_det(c)
+    assert _packed_hermite_det(c) == raw
+    assert _conjugate_hermite_det(c) == raw
 
 
 def test_laguerre_memo_keys_on_values():
