@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Optional, Tuple
 
-from .exact import Polynomial, det_int_matrix, det_poly_matrix, frac_str
+from .exact import Polynomial, det_int, det_int_matrix, det_poly_matrix, frac_str
 from .maya import MayaDiagram, UniversalCharacter, conjugate, translate
 from .orthopoly import AlphaParam, falling_factorial, hermite
 
@@ -275,11 +275,33 @@ def _top_coefficient(uc: UniversalCharacter, a: Fraction) -> Fraction:
 
     Entry (i, j) has degree c_j - i (c_j = n for a spectrum column and
     l + size - 1 for a shadow one), so that coefficient is the determinant
-    of the entries' leading coefficients, an integer matrix over the same
-    column denominators.
+    of the entries' leading coefficients over the column denominators of
+    _laguerre_columns.  With a = p/q those are closed-form integers:
+    (-1)**n q**n (n)_i in a spectrum column of n (over q**n n!, and 0 for
+    i > n), and (-1)**l q**(l+size-1-i) prod_{t<i} ((l - t) q - p) in a
+    shadow column of l (over q**(l+size-1) l!).
     """
-    rows, dens = _laguerre_columns(uc, a)
-    return det_int_matrix([[e[-1:] for e in row] for row in rows], prod(dens)).coeff(0)
+    p, q = a.numerator, a.denominator
+    size = len(uc.first.entries) + len(uc.second.entries)
+    columns = []
+    den = 1
+    for n in uc.first.entries:
+        col = []
+        c = -(q ** n) if n % 2 else q ** n
+        for i in range(size):
+            col.append(c)
+            c *= n - i
+        columns.append(col)
+        den *= q ** n * factorial(n)
+    for l in uc.second.entries:
+        col = []
+        f = -1 if l % 2 else 1  # (-1)**l prod_{t<i} ((l - t) q - p)
+        for i in range(size):
+            col.append(f * q ** (l + size - 1 - i))
+            f *= (l - i) * q - p
+        columns.append(col)
+        den *= q ** (l + size - 1) * factorial(l)
+    return Fraction(det_int([list(row) for row in zip(*columns)]), den)
 
 
 @lru_cache(maxsize=None)

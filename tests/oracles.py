@@ -2,17 +2,25 @@
 
 Each one computes the same value as a function in dresschain the direct
 way: a determinant by cofactor expansion, the Laguerre pseudo-Wronskian
-matrix from recurrence-built Fraction polynomials, and the chain, PIV and
-PV residuals as chains of reduced RationalFunction operations (one gcd per
-operation).
+matrix from recurrence-built Fraction polynomials, its top coefficient from
+the full integer columns, and the chain, PIV and PV residuals as chains of
+reduced RationalFunction operations (one gcd per operation).
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
-from dresschain.exact import Polynomial, RationalFunction, ZeroPolynomial, det_poly_matrix
+from dresschain.exact import (
+    Polynomial,
+    RationalFunction,
+    ZeroPolynomial,
+    det_int_matrix,
+    det_poly_matrix,
+)
 from dresschain.orthopoly import falling_factorial, laguerre
 from dresschain.painleve import pv_pieces
+from dresschain.wronskian import _laguerre_columns
 
 
 def det_poly_matrix_cofactor(rows):
@@ -59,6 +67,14 @@ def laguerre_det_oracle(uc, a):
     """The pseudo-Wronskian polynomial from the oracle matrix."""
     rows = laguerre_matrix_oracle(uc, a)
     return det_poly_matrix(rows) if rows else Polynomial.one()
+
+
+def top_coefficient_oracle(uc, a):
+    """The top coefficient of wronskian._top_coefficient, from the last
+    integer of every entry of the full wronskian._laguerre_columns matrix,
+    eliminated by the polynomial Bareiss core as constant lists."""
+    rows, dens = _laguerre_columns(uc, a)
+    return det_int_matrix([[e[-1:] for e in row] for row in rows], prod(dens)).coeff(0)
 
 
 def log_derivative_ratio(p, q):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import dresschain.chain
@@ -14,6 +14,7 @@ from dresschain.chain import (
     VAR_X,
     VAR_X2,
     OddPeriodRequired,
+    SampleDegenerate,
     UnsupportedOmega,
     _terms_from_ladder,
     alpha_sampled_verify,
@@ -420,6 +421,38 @@ def _period4_even_cells():
         yield CyclicStructure(k=2, okamoto=(a1,)), CyclicStructure(k=2, okamoto=(b1,))
 
 
+def _period6_even_cells():
+    # the criterion-6 cells of splits (5,1), (4,2) and (3,3)
+    for l1, m1, g, m2 in itertools.product((1, 2), repeat=4):
+        pairs = ((l1, m1), (l1 + m1 + g, m2))
+        yield CyclicStructure(k=1, second_type=pairs), CyclicStructure(k=1)
+    for a1, b1, m1 in itertools.product((0, 1, 2), (0, 1, 2), (1, 2)):
+        yield (
+            CyclicStructure(k=2, okamoto=(a1,), second_type=((2, m1),)),
+            CyclicStructure(k=2, okamoto=(b1,)),
+        )
+    for a1, a2, b1, b2 in itertools.product((0, 1, 2), repeat=4):
+        yield CyclicStructure(k=3, okamoto=(a1, a2)), CyclicStructure(k=3, okamoto=(b1, b2))
+    for l1, m1, r1, s1 in itertools.product((1, 2), repeat=4):
+        yield (
+            CyclicStructure(k=1, second_type=((l1, m1),)),
+            CyclicStructure(k=1, second_type=((r1, s1),)),
+        )
+
+
+EVEN_CELLS = list(_period4_even_cells()) + list(_period6_even_cells())
+
+
+def _ladder_states(cs1, cs2, sol):
+    uc, _ = uc_flip_chain(cs1, cs2)
+    state = (uc.first, uc.second)
+    states = [state]
+    for f in sol.chain_labels.flips:
+        state = apply_uc_flip(state, f)
+        states.append(state)
+    return states
+
+
 def _check_even_ladders_against_raw(alphas):
     """Build every period-4 cell in every flip order and compare each
     ladder entry with its matrix eliminated in full; return how many
@@ -427,14 +460,9 @@ def _check_even_ladders_against_raw(alphas):
     translated = 0
     for alpha in alphas:
         for cs1, cs2 in _period4_even_cells():
-            uc, _ = uc_flip_chain(cs1, cs2)
             for perm in itertools.permutations(range(4)):
                 sol = build_even_chain(cs1, cs2, alpha, perm=perm)
-                state = (uc.first, uc.second)
-                states = [state]
-                for f in sol.chain_labels.flips:
-                    state = apply_uc_flip(state, f)
-                    states.append(state)
+                states = _ladder_states(cs1, cs2, sol)
                 raw = [
                     dataclasses.replace(
                         pw, poly=_laguerre_matrix_det(UniversalCharacter(*s), alpha.value)
@@ -459,6 +487,33 @@ def _check_even_ladders_against_raw(alphas):
 def test_even_ladders_match_raw_determinants():
     alphas = (AlphaParam(F(1, 3)), AlphaParam(F(-2, 5)))
     assert _check_even_ladders_against_raw(alphas) > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(EVEN_CELLS).flatmap(
+        lambda cells: st.tuples(
+            st.just(cells), st.permutations(range(cells[0].p + cells[1].p))
+        )
+    ),
+    # n + r/q with 0 < r < q <= 12: never an integer
+    st.integers(2, 12).flatmap(
+        lambda q: st.builds(
+            lambda n, r: F(n * q + r, q), st.integers(-5, 4), st.integers(1, q - 1)
+        )
+    ),
+)
+def test_random_even_chains_verify_against_raw_ladders(cell, alpha):
+    (cs1, cs2), perm = cell
+    try:
+        sol = build_even_chain(cs1, cs2, AlphaParam(alpha), perm=perm)
+    except SampleDegenerate:
+        reject()
+    assert verify_chain(sol).ok
+    states = _ladder_states(cs1, cs2, sol)
+    assert [pw.poly for pw in sol.ladder] == [
+        _laguerre_matrix_det(UniversalCharacter(*s), alpha) for s in states
+    ]
 
 
 def test_even_ladders_with_vanishing_top_coefficient(monkeypatch):

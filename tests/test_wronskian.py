@@ -4,7 +4,7 @@ from math import factorial
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dresschain.wronskian
@@ -22,6 +22,7 @@ from dresschain.wronskian import (
     _laguerre_ints,
     _laguerre_matrix_det,
     _packed_hermite_det,
+    _top_coefficient,
     check_translation_equivalence_hermite,
     check_translation_equivalence_laguerre,
     hermite_wronskian,
@@ -29,7 +30,12 @@ from dresschain.wronskian import (
     proportionality_constant,
 )
 
-from oracles import det_poly_matrix_cofactor, laguerre_det_oracle, laguerre_matrix_oracle
+from oracles import (
+    det_poly_matrix_cofactor,
+    laguerre_det_oracle,
+    laguerre_matrix_oracle,
+    top_coefficient_oracle,
+)
 
 EMPTY = MayaDiagram(())
 Z = Polynomial.x()
@@ -293,13 +299,18 @@ def test_translation_equivalence_laguerre_uses_raw_matrices(monkeypatch):
             check_translation_equivalence_laguerre(uc, k1, k2, AlphaParam(a))
 
 
-# canonical diagrams with entries <= 5, each translated by 0..3
-translated_diagrams = st.builds(
-    lambda entries, k: translate(MayaDiagram(tuple(sorted(entries))), k),
-    st.lists(st.integers(1, 5), max_size=2, unique=True),
-    st.integers(0, 3),
-)
-characters = st.builds(UniversalCharacter, translated_diagrams, translated_diagrams)
+def translated_characters(max_entry, max_size):
+    """Characters of two canonical diagrams (entries <= max_entry, at most
+    max_size of them), each translated by 0..3."""
+    diagrams = st.builds(
+        lambda entries, k: translate(MayaDiagram(tuple(sorted(entries))), k),
+        st.lists(st.integers(1, max_entry), max_size=max_size, unique=True),
+        st.integers(0, 3),
+    )
+    return st.builds(UniversalCharacter, diagrams, diagrams)
+
+
+characters = translated_characters(5, 2)
 non_integer_alphas = st.fractions(min_value=-6, max_value=6, max_denominator=50).filter(
     lambda a: a.denominator != 1
 )
@@ -319,3 +330,39 @@ def test_laguerre_pseudo_wronskian_matches_oracle(uc, a, vanishing_top):
     else:
         poly = compute(uc, AlphaParam(a)).poly
     assert poly == laguerre_det_oracle(uc, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(translated_characters(8, 4), st.data())
+def test_top_coefficient_matches_column_oracle(uc, data):
+    size = len(uc.first.entries) + len(uc.second.entries)
+    assume(size)
+    alphas = [
+        st.fractions(min_value=-30, max_value=30, max_denominator=12),
+        st.integers(-30, 30).map(F),
+    ]
+    if uc.second.entries:
+        # alpha = l - t with t < size zeroes the shadow factor (l - alpha)_i
+        # from row t + 1 on
+        alphas.append(st.builds(
+            lambda l, t: F(l - t), st.sampled_from(uc.second.entries), st.integers(0, size - 1)
+        ))
+    a = data.draw(st.one_of(alphas))
+    assert _top_coefficient(uc, a) == top_coefficient_oracle(uc, a)
+
+
+def test_top_coefficient_builds_no_columns(monkeypatch):
+    cases = [
+        (UniversalCharacter(translate(MayaDiagram(c1), k1), translate(MayaDiagram(c2), k2)), a)
+        for c1, c2, k1, k2 in [((1, 3), (2,), 1, 2), ((2,), (1, 2), 3, 0), ((), (4,), 0, 3)]
+        for a in (F(1, 3), F(-2, 5), F(-7), F(2))
+    ]
+    expected = [top_coefficient_oracle(uc, a) for uc, a in cases]
+    assert any(expected) and not all(expected)
+
+    def forbidden(*args):
+        raise AssertionError("the top coefficient built a polynomial matrix")
+
+    monkeypatch.setattr(dresschain.wronskian, "_laguerre_columns", forbidden)
+    monkeypatch.setattr(dresschain.wronskian, "det_int_matrix", forbidden)
+    assert [_top_coefficient(uc, a) for uc, a in cases] == expected
