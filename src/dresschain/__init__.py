@@ -57,7 +57,6 @@ from .chain import (
     ChainSolution,
     OddPeriodRequired,
     SampleDegenerate,
-    UnsupportedOmega,
     VerificationReport,
     WTerm,
     alpha_sampled_verify,

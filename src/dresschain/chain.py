@@ -11,7 +11,7 @@ increment).  Verification substitutes these exact rational functions into
 the first-order cyclic system and checks every residual against the seed
 energy differences, entirely in integer polynomial arithmetic.
 
-Only omega = 2 is verified exactly: it makes z = x**(1+h) with parity
+The builders fix omega = OMEGA = 2: it makes z = x**(1+h) with parity
 h = 0 in the odd (harmonic-seed) case and h = 1 in the even
 (isotonic-seed) case, so every identity lives in a single rational
 function field, and one parity-generic check serves both.
@@ -19,10 +19,10 @@ function field, and one parity-generic check serves both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm as _lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .exact import Polynomial, RationalFunction, ZeroPolynomial, frac_str
 from .maya import (
@@ -51,16 +51,11 @@ class OddPeriodRequired(ValueError):
     """The harmonic-seed builder only produces odd-period chains."""
 
 
-class UnsupportedOmega(ValueError):
-    """Exact verification requires omega = 2."""
-
-
 class SampleDegenerate(ValueError):
     """A ladder determinant vanished identically at this alpha sample."""
 
 
-VAR_X = "x"  # z = x (odd chains)
-VAR_X2 = "x2"  # z = x**2 (even chains)
+OMEGA = Fraction(2)
 
 
 @dataclass(frozen=True)
@@ -71,12 +66,7 @@ class WTerm:
     inv: Fraction
     log_prev: Polynomial
     log_next: Polynomial
-    variable_map: str
-
-    @property
-    def h(self) -> int:
-        """Parity exponent: z = x**(1 + h), so 0 for odd and 1 for even chains."""
-        return int(self.variable_map == VAR_X2)
+    h: int  # parity: z = x**(1 + h), so 0 for odd and 1 for even chains
 
     def rational_part(self) -> RationalFunction:
         """The component v = x**h * w rewritten in z, as one reduced fraction:
@@ -135,59 +125,47 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class ChainSolution:
-    """Verified-form data of a period-p dressing chain solution."""
+    """Verified-form data of a period-p dressing chain solution.
 
-    period: int
+    The ladder of p + 1 pseudo-Wronskians is the solution: the components
+    `terms` are derived from it once, on construction, so
+    dataclasses.replace(sol, ladder=...) carries matching terms.  Laguerre
+    entries carry an alpha and Hermite entries None, which fixes h.
+    """
+
     delta: Fraction
-    omega: Fraction
-    terms: Tuple[WTerm, ...]
     expected_eps: Tuple[Fraction, ...]
     ladder: Tuple[PseudoWronskian, ...]
     chain_labels: FlipChain
+    terms: Tuple[WTerm, ...] = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        h = int(self.is_even)
+        terms = tuple(
+            WTerm(
+                lin=-OMEGA * (cur.exp_coeff - prev.exp_coeff),
+                inv=-2 * (cur.z_power - prev.z_power),
+                log_prev=prev.poly,
+                log_next=cur.poly,
+                h=h,
+            )
+            for prev, cur in zip(self.ladder, self.ladder[1:])
+        )
+        object.__setattr__(self, "terms", terms)
+
+    @property
+    def period(self) -> int:
+        return len(self.ladder) - 1
 
     @property
     def is_even(self) -> bool:
-        return self.terms[0].variable_map == VAR_X2
+        return self.ladder[0].alpha is not None
 
     @property
     def translation(self) -> int:
         """The diagram translation k realized by the chain: delta is
         (1 + h) k omega."""
-        return int(self.delta / ((1 + self.terms[0].h) * self.omega))
-
-
-def _expected_eps(seeds: Sequence[Fraction], delta: Fraction) -> List[Fraction]:
-    p = len(seeds)
-    out = [seeds[i] - seeds[i + 1] for i in range(p - 1)]
-    out.append(seeds[p - 1] - seeds[0] - delta)
-    return out
-
-
-def _guard_ladder(ladder: Sequence[PseudoWronskian]) -> None:
-    for pw in ladder:
-        if pw.poly.is_zero:
-            raise SampleDegenerate(
-                "a pseudo-Wronskian vanished identically; resample alpha"
-            )
-
-
-def _terms_from_ladder(
-    ladder: Sequence[PseudoWronskian], omega: Fraction, variable_map: str
-) -> List[WTerm]:
-    terms = []
-    for prev, cur in zip(ladder, ladder[1:]):
-        d_exp = cur.exp_coeff - prev.exp_coeff
-        d_pow = cur.z_power - prev.z_power
-        terms.append(
-            WTerm(
-                lin=-omega * d_exp,
-                inv=-2 * d_pow,
-                log_prev=prev.poly,
-                log_next=cur.poly,
-                variable_map=variable_map,
-            )
-        )
-    return terms
+        return int(self.delta / ((1 + self.is_even) * OMEGA))
 
 
 def _dynamic_signs(chain: FlipChain, start_states) -> FlipChain:
@@ -205,10 +183,30 @@ def _dynamic_signs(chain: FlipChain, start_states) -> FlipChain:
     return FlipChain(tuple(flips))
 
 
+def _assemble(
+    chain: FlipChain,
+    states: Sequence,
+    ladder: Sequence[PseudoWronskian],
+    seeds: Sequence[Fraction],
+    delta: Fraction,
+) -> ChainSolution:
+    """The solution of a replayed chain: its ladder, the energy differences
+    of consecutive seeds (the last one less the shift), and the flips
+    re-tagged with their dynamic signs."""
+    if any(pw.poly.is_zero for pw in ladder):
+        raise SampleDegenerate("a pseudo-Wronskian vanished identically; resample alpha")
+    eps = [a - b for a, b in zip(seeds, seeds[1:])] + [seeds[-1] - seeds[0] - delta]
+    return ChainSolution(
+        delta=delta,
+        expected_eps=tuple(eps),
+        ladder=tuple(ladder),
+        chain_labels=_dynamic_signs(chain, states[:-1]),
+    )
+
+
 def build_odd_chain(
     cs: CyclicStructure,
     perm: Optional[Sequence[int]] = None,
-    omega: Fraction = Fraction(2),
     allow_degenerate: bool = False,
 ) -> ChainSolution:
     """Chain solution from a harmonic-oscillator Wronskian ladder.
@@ -221,33 +219,17 @@ def build_odd_chain(
     replayed chain still closes for them, so the solution verifies, but
     the diagram also carries a shorter chain of lower period.
     """
-    omega = Fraction(omega)
-    if omega != 2:
-        raise UnsupportedOmega("exact verification requires omega = 2")
-    p = cs.p
-    if p % 2 == 0:
-        raise OddPeriodRequired("period %d is even" % p)
+    if cs.p % 2 == 0:
+        raise OddPeriodRequired("period %d is even" % cs.p)
     if cs.is_degenerate and not allow_degenerate:
         raise DegenerateStructure("degenerate block layout: %r" % (cs,))
     chain = static_flip_chain(cs)
     if perm is not None:
         chain = chain.permuted(perm)
-    start, _ = build_diagram(cs)
-    states = chain.states(start)
-    chain = _dynamic_signs(chain, states[:-1])
+    states = chain.states(build_diagram(cs)[0])
     ladder = [hermite_wronskian(s) for s in states]
-    _guard_ladder(ladder)
-    delta = cs.k * omega
-    seeds = [Fraction(f.level) * omega for f in chain.flips]
-    return ChainSolution(
-        period=p,
-        delta=delta,
-        omega=omega,
-        terms=tuple(_terms_from_ladder(ladder, omega, VAR_X)),
-        expected_eps=tuple(_expected_eps(seeds, delta)),
-        ladder=tuple(ladder),
-        chain_labels=chain,
-    )
+    seeds = [f.level * OMEGA for f in chain.flips]
+    return _assemble(chain, states, ladder, seeds, cs.k * OMEGA)
 
 
 def build_even_chain(
@@ -255,7 +237,6 @@ def build_even_chain(
     cs2: CyclicStructure,
     alpha: AlphaParam,
     perm: Optional[Sequence[int]] = None,
-    omega: Fraction = Fraction(2),
 ) -> ChainSolution:
     """Chain solution from an isotonic pseudo-Wronskian ladder.
 
@@ -263,9 +244,6 @@ def build_even_chain(
     (seed energy 2 nu omega), slot-2 flips on the shadow component (seed
     energy 2 (nu - alpha) omega).  The shift is 2 k omega.
     """
-    omega = Fraction(omega)
-    if omega != 2:
-        raise UnsupportedOmega("exact verification requires omega = 2")
     uc, chain = uc_flip_chain(cs1, cs2)
     if perm is not None:
         chain = chain.permuted(perm)
@@ -274,28 +252,15 @@ def build_even_chain(
     for f in chain.flips:
         state = apply_uc_flip(state, f)
         states.append(state)
-    chain = _dynamic_signs(chain, states[:-1])
     ladder = [
         laguerre_pseudo_wronskian(UniversalCharacter(n, l), alpha)
         for n, l in states
     ]
-    _guard_ladder(ladder)
-    delta = 2 * cs1.k * omega
     seeds = [
-        (2 * Fraction(f.level) * omega)
-        if f.slot == 1
-        else (2 * (Fraction(f.level) - alpha.value) * omega)
+        2 * (f.level - (alpha.value if f.slot == 2 else 0)) * OMEGA
         for f in chain.flips
     ]
-    return ChainSolution(
-        period=cs1.p + cs2.p,
-        delta=delta,
-        omega=omega,
-        terms=tuple(_terms_from_ladder(ladder, omega, VAR_X2)),
-        expected_eps=tuple(_expected_eps(seeds, delta)),
-        ladder=tuple(ladder),
-        chain_labels=chain,
-    )
+    return _assemble(chain, states, ladder, seeds, 2 * cs1.k * OMEGA)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +380,6 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
     polynomial identity (`_check_equation`) and compared with the expected
     energy difference.
     """
-    if sol.omega != 2:
-        raise UnsupportedOmega("exact verification requires omega = 2")
     p = sol.period
     closed = _closure_holds(sol)
     e = _closure_exponent(sol)
@@ -463,7 +426,7 @@ class PotentialParts:
     constant: Fraction
 
 
-def potential_of(d: MayaDiagram, omega: Fraction = Fraction(2)) -> PotentialParts:
+def potential_of(d: MayaDiagram, omega: Fraction = OMEGA) -> PotentialParts:
     """Exact rational part -2 (log W)'' of the extension labeled by d.
 
     The Wronskian's gauge contributes the constant m * omega and leaves the

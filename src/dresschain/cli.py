@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import latex as latex_mod
-from .chain import build_even_chain, build_odd_chain, verify_chain
+from .chain import OMEGA, build_even_chain, build_odd_chain, verify_chain
 from .exact import frac_str, parse_frac
 from .maya import (
     CyclicStructure,
@@ -138,7 +138,7 @@ def _solution_json(sol) -> dict:
     return {
         "period": sol.period,
         "delta": frac_str(sol.delta),
-        "omega": frac_str(sol.omega),
+        "omega": frac_str(OMEGA),
         "flips": [[f.level, f.sign, f.slot] for f in sol.chain_labels.flips],
         "expected_eps": [frac_str(e) for e in sol.expected_eps],
         "ladder": [pw.to_json() for pw in sol.ladder],
@@ -172,28 +172,27 @@ def cmd_enum(args) -> int:
     except InvalidParity as exc:
         raise UsageError(str(exc))
 
-    def row(cs):
+    diagrams, rows = [], []
+    for cs in structures:
         diagram, degenerate = build_diagram(cs)
-        chain = static_flip_chain(cs)
-        return {
+        diagrams.append(diagram)
+        rows.append({
             "structure": cs.to_json(),
             "diagram": diagram.to_json(),
             "degenerate": degenerate,
-            "flip_levels": list(chain.levels()),
-        }
-
-    rows = [row(cs) for cs in structures]
+            "flip_levels": list(static_flip_chain(cs).levels()),
+        })
     if args.format == "json":
         _emit(_dump({"command": "enum", "period": args.period, "shift": args.shift,
                      "bound": args.bound, "structures": rows}), args.out)
     elif args.format == "latex":
         lines = [
             "%s & %s & %s \\\\" % (
-                latex_mod.structure_latex(CyclicStructure.from_json(r["structure"])),
-                latex_mod.diagram_latex(build_diagram(CyclicStructure.from_json(r["structure"]))[0]),
+                latex_mod.structure_latex(cs),
+                latex_mod.diagram_latex(diagram),
                 "degenerate" if r["degenerate"] else ",".join(map(str, r["flip_levels"])),
             )
-            for r in rows
+            for cs, diagram, r in zip(structures, diagrams, rows)
         ]
         _emit("\n".join(lines) + "\n", args.out)
     else:

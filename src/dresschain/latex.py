@@ -70,35 +70,6 @@ def _diagram_label(d: Sequence[int]) -> str:
     return "(" + ",".join(str(n) for n in d) + ")" if d else r"\varnothing"
 
 
-def odd_term_latex(sol: ChainSolution, states: Sequence[MayaDiagram], i: int) -> str:
-    """w_i of an odd chain as +-x + d/dx log(H.../H...)."""
-    t = sol.terms[i - 1]
-    head = "x" if t.lin == 1 else "-x" if t.lin == -1 else frac_latex(t.lin) + "x"
-    top = _wronskian_symbol("H", _diagram_label(states[i - 1].entries), "x")
-    bot = _wronskian_symbol("H", _diagram_label(states[i].entries), "x")
-    return r"w_{%d}(x) = %s + \frac{d}{dx}\log\frac{%s}{%s}" % (i, head, top, bot)
-
-
-def even_term_latex(sol: ChainSolution, states, i: int) -> str:
-    """w_i of an even chain, with the 1/x coefficient and z = x^2."""
-    t = sol.terms[i - 1]
-    head = "x" if t.lin == 1 else "-x" if t.lin == -1 else frac_latex(t.lin) + "x"
-    n_state, l_state = states[i - 1]
-    n_next, l_next = states[i]
-    label0 = _diagram_label(n_state.entries) + r" \otimes " + _diagram_label(l_state.entries)
-    label1 = _diagram_label(n_next.entries) + r" \otimes " + _diagram_label(l_next.entries)
-    inv = t.inv
-    inv_part = "" if inv == 0 else (
-        (" + " if inv > 0 else " - ") + r"\frac{%s}{x}" % frac_latex(abs(inv))
-    )
-    top = _wronskian_symbol("L", label0, r"z;\alpha")
-    bot = _wronskian_symbol("L", label1, r"z;\alpha")
-    return (
-        r"w_{%d}(x) = %s%s + 2x\,\frac{d}{dz}\log\frac{%s}{%s},\quad z = x^2"
-        % (i, head, inv_part, top, bot)
-    )
-
-
 def piv_latex(
     inst: PIVInstance,
     prev_diagram: Optional[Sequence[int]] = None,

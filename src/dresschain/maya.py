@@ -85,9 +85,6 @@ class MayaDiagram:
         return cls(tuple(sorted(int(v) for v in data)))
 
 
-EMPTY_DIAGRAM = MayaDiagram(())
-
-
 def canonicalize(raw: Iterable[int]) -> Tuple[MayaDiagram, int]:
     """Canonical representative of a raw index tuple, plus the offset used.
 

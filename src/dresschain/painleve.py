@@ -60,21 +60,18 @@ class PIVInstance:
         u is odd (log-derivatives of fixed-parity polynomials), so
         y(t) = c u(c t) rescales with integer powers of c**2 only.
         """
-        n, d = self.u.num, self.u.den
-        sigma = d.degree % 2
-        num = []
-        for i, coeff in enumerate(n.coeffs):
-            e = 1 + sigma + i
-            if coeff and e % 2:
-                raise ValueError("solution is not odd in x")
-            num.append(coeff * self.c_sq ** (e // 2) if coeff else Fraction(0))
-        den = []
-        for j, coeff in enumerate(d.coeffs):
-            e = sigma + j
-            if coeff and e % 2:
-                raise ValueError("solution is not odd in x")
-            den.append(coeff * self.c_sq ** (e // 2) if coeff else Fraction(0))
-        return RationalFunction(Polynomial(num), Polynomial(den))
+        def rescale(p: Polynomial, shift: int) -> Polynomial:
+            # the coefficient of x**i moves with c**(shift + i), an even power
+            out = []
+            for i, coeff in enumerate(p.coeffs):
+                e = shift + i
+                if coeff and e % 2:
+                    raise ValueError("solution is not odd in x")
+                out.append(coeff * self.c_sq ** (e // 2) if coeff else Fraction(0))
+            return Polynomial(out)
+
+        sigma = self.u.den.degree % 2
+        return RationalFunction(rescale(self.u.num, 1 + sigma), rescale(self.u.den, sigma))
 
     def to_json(self) -> dict:
         y = self.y_of_t()

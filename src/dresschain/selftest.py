@@ -186,10 +186,6 @@ def check_wronskian_equivalences() -> CheckResult:
 # -- criterion 4 -------------------------------------------------------------
 
 
-def _eps_of(sol) -> Tuple[Fraction, ...]:
-    return sol.expected_eps
-
-
 def check_odd_chains() -> CheckResult:
     def run():
         chains = 0
@@ -216,7 +212,7 @@ def check_odd_chains() -> CheckResult:
                     (l2 + m2) * w,
                     -(l1 + 1) * w,
                 )
-                if _eps_of(sol) != want:
+                if sol.expected_eps != want:
                     return False, "p5 k1 table mismatch at %r" % (cs,)
                 tables += 1
         # period-5 translation-3 table, ordering (1+3a1, 2+3a2, l1, l1+3m1, 0).
@@ -237,7 +233,7 @@ def check_odd_chains() -> CheckResult:
                 (l1 + 3 * m1) * w,
                 (-4 - 3 * a1) * w,
             )
-            if _eps_of(sol) != want:
+            if sol.expected_eps != want:
                 return False, "p5 k3 table mismatch at %r" % (cs,)
             tables += 1
         return True, "%d chains verified, %d table rows matched" % (chains, tables)

@@ -11,12 +11,9 @@ import dresschain.chain
 import dresschain.wronskian
 from dresschain.chain import (
     DEFAULT_ALPHA_SAMPLES,
-    VAR_X,
-    VAR_X2,
+    OMEGA,
     OddPeriodRequired,
     SampleDegenerate,
-    UnsupportedOmega,
-    _terms_from_ladder,
     alpha_sampled_verify,
     build_even_chain,
     build_odd_chain,
@@ -104,7 +101,7 @@ def test_inverse_x_coefficients_follow_flip_signs():
     cs1 = CyclicStructure(k=1, second_type=((1, 2),))
     sol = build_even_chain(cs1, CyclicStructure(k=1), ALPHA)
     for term, flip in zip(sol.terms, sol.chain_labels.flips):
-        assert term.lin == -flip.sign * sol.omega / 2
+        assert term.lin == -flip.sign * OMEGA / 2
 
 
 def test_degenerate_structure_refused_then_allowed():
@@ -149,29 +146,14 @@ def test_even_chain_errors():
         build_even_chain(
             CyclicStructure(k=1), CyclicStructure(k=3, okamoto=(0, 0)), ALPHA
         )
-    with pytest.raises(UnsupportedOmega):
-        build_even_chain(
-            CyclicStructure(k=1), CyclicStructure(k=1), ALPHA, omega=F(3)
-        )
     with pytest.raises(OddPeriodRequired):
         build_odd_chain(CyclicStructure(k=2, okamoto=(1,)))
-    with pytest.raises(UnsupportedOmega):
-        build_odd_chain(CyclicStructure(k=1), omega=F(1))
 
 
 def test_broken_chain_reports_not_ok():
     sol = build_odd_chain(CyclicStructure(k=1, second_type=((1, 2),)))
     wrong = sol.expected_eps[:1] + (sol.expected_eps[1] + 1,) + sol.expected_eps[2:]
-    tampered = type(sol)(
-        period=sol.period,
-        delta=sol.delta,
-        omega=sol.omega,
-        terms=sol.terms,
-        expected_eps=wrong,
-        ladder=sol.ladder,
-        chain_labels=sol.chain_labels,
-    )
-    report = verify_chain(tampered)
+    report = verify_chain(dataclasses.replace(sol, expected_eps=wrong))
     assert not report.ok
     eq = report.equations[1]
     assert eq.residual_constant and eq.value == sol.expected_eps[1] and not eq.match
@@ -180,24 +162,14 @@ def test_broken_chain_reports_not_ok():
 def test_broken_ladder_fails_sum_rule():
     sol = build_odd_chain(CyclicStructure(k=1, second_type=((1, 2),)))
     bad_last = sol.ladder[:-1] + (sol.ladder[1],)  # closure degree mismatch
-    tampered = type(sol)(
-        period=sol.period,
-        delta=sol.delta,
-        omega=sol.omega,
-        terms=sol.terms,
-        expected_eps=sol.expected_eps,
-        ladder=bad_last,
-        chain_labels=sol.chain_labels,
-    )
-    report = verify_chain(tampered)
+    report = verify_chain(dataclasses.replace(sol, ladder=bad_last))
     assert not report.sum_rule and not report.ok
 
 
 def _with_ladder_entry(sol, index, poly):
     ladder = list(sol.ladder)
     ladder[index] = dataclasses.replace(ladder[index], poly=poly)
-    terms = _terms_from_ladder(ladder, sol.omega, sol.terms[0].variable_map)
-    return dataclasses.replace(sol, ladder=tuple(ladder), terms=tuple(terms))
+    return dataclasses.replace(sol, ladder=tuple(ladder))
 
 
 SAMPLE_CHAINS = {
@@ -387,11 +359,7 @@ def test_odd_ladders_match_raw_determinants():
                     for pw, s in zip(sol.ladder, states)
                 ]
                 assert [pw.poly for pw in sol.ladder] == [pw.poly for pw in raw]
-                rebuilt = dataclasses.replace(
-                    sol,
-                    ladder=tuple(raw),
-                    terms=tuple(_terms_from_ladder(raw, sol.omega, VAR_X)),
-                )
+                rebuilt = dataclasses.replace(sol, ladder=tuple(raw))
                 assert verify_chain(rebuilt).to_json() == verify_chain(sol).to_json()
 
 
@@ -475,11 +443,7 @@ def _check_even_ladders_against_raw(alphas):
                     bool(_untranslate(n.entries)[0] or _untranslate(l.entries)[0])
                     for n, l in states
                 )
-                rebuilt = dataclasses.replace(
-                    sol,
-                    ladder=tuple(raw),
-                    terms=tuple(_terms_from_ladder(raw, sol.omega, VAR_X2)),
-                )
+                rebuilt = dataclasses.replace(sol, ladder=tuple(raw))
                 assert verify_chain(rebuilt).to_json() == verify_chain(sol).to_json()
     return translated
 
@@ -582,7 +546,22 @@ def test_alpha_sampled_verify():
 def test_wterm_invariants():
     sol = build_odd_chain(CyclicStructure(k=1, second_type=((1, 2),)))
     for term in sol.terms:
-        assert term.inv == 0 and term.variable_map == "x"
+        assert term.inv == 0 and term.h == 0
         assert term.lin in (F(1), F(-1))
     sol = build_even_chain(CyclicStructure(k=1), CyclicStructure(k=1), ALPHA)
-    assert [t.variable_map for t in sol.terms] == ["x2", "x2"]
+    assert [t.h for t in sol.terms] == [1, 1]
+
+
+@pytest.mark.parametrize("sol", SAMPLE_CHAINS.values(), ids=SAMPLE_CHAINS.keys())
+def test_replaced_ladder_carries_its_own_terms(sol):
+    # the components are derived from the ladder, so replacing the ladder
+    # replaces the two terms that touch the bumped entry, and no gauge data
+    ladder = list(sol.ladder)
+    bumped = ladder[2].poly + Polynomial.one()
+    ladder[2] = dataclasses.replace(ladder[2], poly=bumped)
+    new = dataclasses.replace(sol, ladder=tuple(ladder))
+    assert new.terms[1].log_next == bumped and new.terms[2].log_prev == bumped
+    assert new.terms[1] != sol.terms[1] and new.terms[2] != sol.terms[2]
+    assert [(t.lin, t.inv, t.h) for t in new.terms] == [
+        (t.lin, t.inv, t.h) for t in sol.terms
+    ]

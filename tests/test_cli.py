@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -91,6 +92,30 @@ def test_build_emits_ladder(capsys):
     chain = json.loads(out)["chains"][0]
     assert chain["delta"] == "6/1"
     assert len(chain["ladder"]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "build --period 3 --shift 3 --params 1,1",
+            "1cdb398b16f29e8d7e73009a945936e2a280f4f9e383af8bd2f1e9448e49bd8f",
+        ),
+        (
+            "build --period 4 --case 2,2 --params 1,0 --alpha 1/3,-2/5 --perm 1,0,3,2",
+            "e397d87bdcd7eff94d5c7883032b15fca5e4921692853b215a8a617fcc87a0b7",
+        ),
+        (
+            "enum --period 5 --shift 1 --bound 3 --format latex",
+            "86b4de8892c47b84624b379d0fc261277ba7cf033330dd8971765ef490903b39",
+        ),
+    ],
+)
+def test_output_bytes_pinned(capsys, argv, digest):
+    # the full stdout, gauge data and flip signs included, byte for byte
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_painleve_piv_families(capsys):
