@@ -43,7 +43,6 @@ from .maya import (
     uc_flip_chain,
 )
 from .wronskian import (
-    GaugeExponents,
     LaguerreEquivalence,
     NegativeIndex,
     NotProportional,

@@ -56,8 +56,11 @@ def _dump(obj) -> str:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("cannot write --out %r: %s" % (out, exc.strerror))
     else:
         sys.stdout.write(text)
 

@@ -490,35 +490,6 @@ def det_int_matrix(mat: list, scale: int = 1) -> Polynomial:
     return _poly([sign * x for x in mat[n - 1][n - 1]], scale)
 
 
-def det_int(mat: list) -> int:
-    """det(mat) for a non-empty square matrix of ints; mat is consumed.
-
-    The elimination of det_int_matrix on scalars: a row swap on a zero
-    pivot, 0 when a pivot column vanishes, exact // by the previous pivot.
-    """
-    n = len(mat)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not mat[k][k]:
-            for i in range(k + 1, n):
-                if mat[i][k]:
-                    mat[k], mat[i] = mat[i], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        row_k = mat[k]
-        piv = row_k[k]
-        for i in range(k + 1, n):
-            row_i = mat[i]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (piv * row_i[j] - lead * row_k[j]) // prev
-        prev = piv
-    return sign * mat[n - 1][n - 1]
-
-
 class RationalFunction:
     """Quotient of polynomials in normal form: monic denominator, gcd 1.
 

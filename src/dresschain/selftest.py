@@ -556,6 +556,9 @@ ALL_CHECKS: Tuple[Callable[[], CheckResult], ...] = (
 
 
 def run_all(criteria: Optional[Sequence[int]] = None) -> List[CheckResult]:
+    unknown = sorted(set(criteria or ()) - set(range(1, len(ALL_CHECKS) + 1)))
+    if unknown:
+        raise ValueError("criteria lie in 1..%d, got %s" % (len(ALL_CHECKS), unknown))
     results = []
     for i, fn in enumerate(ALL_CHECKS, start=1):
         if criteria and i not in criteria:

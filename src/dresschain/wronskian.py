@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Optional, Tuple
 
-from .exact import Polynomial, det_int, det_int_matrix, det_poly_matrix, frac_str
+from .exact import Polynomial, det_int_matrix, det_poly_matrix, frac_str
 from .maya import MayaDiagram, UniversalCharacter, conjugate, translate
 from .orthopoly import AlphaParam, falling_factorial, hermite
 
@@ -38,34 +38,20 @@ class NotProportional(ValueError):
 
 
 @dataclass(frozen=True)
-class GaugeExponents:
-    """Prefactor data z**z_power * exp(exp_coeff * omega x**2 / 2)."""
-
-    z_power: Fraction
-    exp_coeff: Fraction
-
-
-@dataclass(frozen=True)
 class PseudoWronskian:
-    """Polynomial part of a seed-function Wronskian plus its gauge.
+    """Polynomial part of a seed-function Wronskian plus its gauge
+    z**z_power * exp(exp_coeff * omega x**2 / 2).
 
     m and r are the component sizes of the labeling index tuples (r = 0
     and alpha = None for the harmonic-oscillator case).
     """
 
     poly: Polynomial
-    gauge: GaugeExponents
+    z_power: Fraction
+    exp_coeff: Fraction
     m: int
     r: int
     alpha: Optional[Fraction]
-
-    @property
-    def z_power(self) -> Fraction:
-        return self.gauge.z_power
-
-    @property
-    def exp_coeff(self) -> Fraction:
-        return self.gauge.exp_coeff
 
     def to_json(self) -> dict:
         return {
@@ -193,19 +179,13 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
     entries = d.entries
     _check_entries(entries)
     m = len(entries)
-    gauge = GaugeExponents(Fraction(0), Fraction(-m, 2))
     k, canon = _untranslate(entries)
     poly = _canonical_hermite_det(canon)
     if k:
         # the leading coefficient is 2**deg * V(entries), deg = sum(n) - m(m-1)/2,
         # and translation keeps deg: the constant is the ratio of the two V
         poly = poly * Fraction(_vandermonde(entries), _vandermonde(canon))
-    return PseudoWronskian(poly, gauge, m, 0, None)
-
-
-def laguerre_gauge(m: int, r: int, alpha: Fraction) -> GaugeExponents:
-    z_power = Fraction((m - r) ** 2, 4) - r * (r - 1) + alpha * Fraction(m - r, 2)
-    return GaugeExponents(z_power, Fraction(-(m + r), 2))
+    return PseudoWronskian(poly, Fraction(0), Fraction(-m, 2), m, 0, None)
 
 
 def _laguerre_ints(n: int, p: int, q: int) -> list:
@@ -270,38 +250,27 @@ def _laguerre_matrix_det(uc: UniversalCharacter, a: Fraction) -> Polynomial:
     return det_int_matrix(rows, prod(dens))
 
 
-def _top_coefficient(uc: UniversalCharacter, a: Fraction) -> Fraction:
-    """Coefficient of z**(sum c_j - sum i) in the pseudo-Wronskian.
+def _laguerre_top(uc: UniversalCharacter, a: Fraction) -> Fraction:
+    """Coefficient of z**(sum c_j - sum i) in the pseudo-Wronskian, the
+    leading one (entry (i, j) has degree c_j - i: c_j = n in a spectrum
+    column, l + size - 1 in a shadow one).
 
-    Entry (i, j) has degree c_j - i (c_j = n for a spectrum column and
-    l + size - 1 for a shadow one), so that coefficient is the determinant
-    of the entries' leading coefficients over the column denominators of
-    _laguerre_columns.  With a = p/q those are closed-form integers:
-    (-1)**n q**n (n)_i in a spectrum column of n (over q**n n!, and 0 for
-    i > n), and (-1)**l q**(l+size-1-i) prod_{t<i} ((l - t) q - p) in a
-    shadow column of l (over q**(l+size-1) l!).
+    The pseudo-Wronskian is z**(r (size - 1 + a)) times the Wronskian of
+    the L_n^a and the z**-a L_l^-a, which lead with (-1)**n z**n / n! and
+    (-1)**l z**(l-a) / l!, and a Wronskian of monomials z**e_j leads with
+    V(e).  So the coefficient is (-1)**(sum n + sum l) V(n, l - a) over
+    prod n! prod l!, in integers V(n q, l q - p) / q**(size (size-1) / 2)
+    with a = p/q.  The n are distinct, so are the l, and n = l - a needs
+    an integer a, which AlphaParam rejects: it never vanishes.
     """
     p, q = a.numerator, a.denominator
-    size = len(uc.first.entries) + len(uc.second.entries)
-    columns = []
-    den = 1
-    for n in uc.first.entries:
-        col = []
-        c = -(q ** n) if n % 2 else q ** n
-        for i in range(size):
-            col.append(c)
-            c *= n - i
-        columns.append(col)
-        den *= q ** n * factorial(n)
-    for l in uc.second.entries:
-        col = []
-        f = -1 if l % 2 else 1  # (-1)**l prod_{t<i} ((l - t) q - p)
-        for i in range(size):
-            col.append(f * q ** (l + size - 1 - i))
-            f *= (l - i) * q - p
-        columns.append(col)
-        den *= q ** (l + size - 1) * factorial(l)
-    return Fraction(det_int([list(row) for row in zip(*columns)]), den)
+    entries = uc.first.entries + uc.second.entries
+    size = len(entries)
+    v = _vandermonde(
+        tuple(n * q for n in uc.first.entries) + tuple(l * q - p for l in uc.second.entries)
+    )
+    den = q ** (size * (size - 1) // 2) * prod(map(factorial, entries))
+    return Fraction(-v if sum(entries) % 2 else v, den)
 
 
 @lru_cache(maxsize=None)
@@ -317,27 +286,26 @@ def laguerre_pseudo_wronskian(
     functions, up to a constant.  A character whose components are the
     k1- and k2-translates of canonical ones is c z**(2 r k2 + k2 (k2 - 1))
     times the determinant of those at alpha + k1 - k2 (r the size of the
-    canonical second one); when its top coefficient is nonzero, c is that
-    coefficient over the leading one of the canonical determinant, which
-    comes from this memo.  Otherwise the matrix is eliminated directly.
+    canonical second one), and c is its top coefficient (_laguerre_top)
+    over the leading one of the canonical determinant, which comes from
+    this memo.
     """
     _check_entries(uc.first.entries)
     _check_entries(uc.second.entries)
     a = alpha.value
     m = len(uc.first.entries)
     r = len(uc.second.entries)
-    gauge = laguerre_gauge(m, r, a)
     k1, canon1 = _untranslate(uc.first.entries)
     k2, canon2 = _untranslate(uc.second.entries)
     if k1 or k2:
-        top = _top_coefficient(uc, a)
-        if top:
-            canon = UniversalCharacter(MayaDiagram(canon1), MayaDiagram(canon2))
-            base = laguerre_pseudo_wronskian(canon, alpha.shifted(k1 - k2)).poly
-            power = 2 * len(canon2) * k2 + k2 * (k2 - 1)
-            poly = base.shifted(power) * (top / base.leading)
-            return PseudoWronskian(poly, gauge, m, r, a)
-    return PseudoWronskian(_laguerre_matrix_det(uc, a), gauge, m, r, a)
+        canon = UniversalCharacter(MayaDiagram(canon1), MayaDiagram(canon2))
+        base = laguerre_pseudo_wronskian(canon, alpha.shifted(k1 - k2)).poly
+        power = 2 * len(canon2) * k2 + k2 * (k2 - 1)
+        poly = base.shifted(power) * (_laguerre_top(uc, a) / base.leading)
+    else:
+        poly = _laguerre_matrix_det(uc, a)
+    z_power = Fraction((m - r) ** 2, 4) - r * (r - 1) + a * Fraction(m - r, 2)
+    return PseudoWronskian(poly, z_power, Fraction(-(m + r), 2), m, r, a)
 
 
 def proportionality_constant(p: Polynomial, q: Polynomial) -> Fraction:

@@ -70,7 +70,7 @@ def laguerre_det_oracle(uc, a):
 
 
 def top_coefficient_oracle(uc, a):
-    """The top coefficient of wronskian._top_coefficient, from the last
+    """The top coefficient of wronskian._laguerre_top, from the last
     integer of every entry of the full wronskian._laguerre_columns matrix,
     eliminated by the polynomial Bareiss core as constant lists."""
     rows, dens = _laguerre_columns(uc, a)

@@ -8,7 +8,6 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import dresschain.chain
-import dresschain.wronskian
 from dresschain.chain import (
     DEFAULT_ALPHA_SAMPLES,
     OMEGA,
@@ -38,7 +37,6 @@ from dresschain.wronskian import (
     _hermite_matrix_det,
     _laguerre_matrix_det,
     _untranslate,
-    laguerre_pseudo_wronskian,
 )
 
 from oracles import _residual_rf
@@ -478,24 +476,6 @@ def test_random_even_chains_verify_against_raw_ladders(cell, alpha):
     assert [pw.poly for pw in sol.ladder] == [
         _laguerre_matrix_det(UniversalCharacter(*s), alpha) for s in states
     ]
-
-
-def test_even_ladders_with_vanishing_top_coefficient(monkeypatch):
-    # the top coefficient never vanishes on these cells, so force it to:
-    # every translated entry must then be eliminated directly
-    calls = []
-
-    def vanishing(uc, a):
-        calls.append(uc)
-        return F(0)
-
-    monkeypatch.setattr(dresschain.wronskian, "_top_coefficient", vanishing)
-    laguerre_pseudo_wronskian.cache_clear()
-    try:
-        translated = _check_even_ladders_against_raw((AlphaParam(F(-2, 5)),))
-    finally:
-        laguerre_pseudo_wronskian.cache_clear()
-    assert translated > 0 and calls
 
 
 def test_report_json_schema():

@@ -194,10 +194,18 @@ def test_selftest_single_criterion(capsys):
         ["enum", "--period", "3", "--shift", "1", "--bound", "0"],
         ["verify", "--period", "4", "--case", "2,2", "--params", "0,0",
          "--alpha", "1/3,1/3"],
+        ["enum", "--period", "3", "--shift", "1", "--out", "."],
+        ["verify", "--period", "3", "--shift", "1", "--params", "1,2",
+         "--out", "missing/report.json"],
+        ["selftest", "--criteria", "9"],
+        ["selftest", "--criteria", "0,-1"],
     ],
-    ids=["repeated-perm", "short-perm", "zero-bound", "duplicate-alpha"],
+    ids=["repeated-perm", "short-perm", "zero-bound", "duplicate-alpha",
+         "out-is-directory", "out-parent-missing", "criterion-9", "criterion-0"],
 )
-def test_invalid_input_exits_2(capsys, argv):
+def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path, argv):
+    # relative --out paths resolve in an empty directory
+    monkeypatch.chdir(tmp_path)
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert list(json.loads(out)) == ["error"]

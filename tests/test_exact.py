@@ -9,7 +9,6 @@ from dresschain.exact import (
     Polynomial,
     RationalFunction,
     ZeroPolynomial,
-    det_int,
     det_int_matrix,
     det_poly_matrix,
     poly_gcd,
@@ -245,24 +244,28 @@ def test_det_matches_cofactor_oracle(matrix):
     assert det_poly_matrix(matrix) == det_poly_matrix_cofactor(matrix)
 
 
+def int_det(mat):
+    """det_int_matrix of a matrix of ints, as constant lists."""
+    return det_int_matrix([[[x] if x else [] for x in row] for row in mat]).coeff(0)
+
+
 def int_det_routes(mat):
-    """det_int of mat, with det_int_matrix on the same constant entries and
-    (up to 6 x 6) the cofactor oracle, all three as Fractions."""
-    scalar = det_int([list(row) for row in mat])
-    routes = [F(scalar), det_int_matrix([[[x] if x else [] for x in row] for row in mat]).coeff(0)]
+    """det_int_matrix on the constant entries of mat and (up to 6 x 6) the
+    cofactor oracle, both as Fractions."""
+    routes = [int_det(mat)]
     if len(mat) <= 6:
         routes.append(det_poly_matrix_cofactor([[P(x) for x in row] for row in mat]).coeff(0))
     return routes
 
 
 def test_det_int_examples():
-    assert int_det_routes([[-7]]) == [-7] * 3
-    assert int_det_routes([[0, 2], [3, 5]]) == [-6] * 3  # zero first pivot: a row swap
-    assert int_det_routes([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == [0] * 3  # zero column
-    assert int_det_routes([[1, 2, 3], [4, 5, 6], [1, 2, 3]]) == [0] * 3  # equal rows
+    assert int_det_routes([[-7]]) == [-7] * 2
+    assert int_det_routes([[0, 2], [3, 5]]) == [-6] * 2  # zero first pivot: a row swap
+    assert int_det_routes([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == [0] * 2  # zero column
+    assert int_det_routes([[1, 2, 3], [4, 5, 6], [1, 2, 3]]) == [0] * 2  # equal rows
     # column 1 is twice column 0, so the first step clears it from row 1 down
-    assert int_det_routes([[1, 2, 5], [3, 6, 1], [2, 4, 7]]) == [0] * 3
-    assert int_det_routes([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == [-6] * 3
+    assert int_det_routes([[1, 2, 5], [3, 6, 1], [2, 4, 7]]) == [0] * 2
+    assert int_det_routes([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == [-6] * 2
 
 
 @settings(max_examples=80, deadline=None)
@@ -280,7 +283,7 @@ def test_det_int_matches_polynomial_core(matrix):
     assert all(r == routes[0] for r in routes)
     # repeating a row makes it singular
     if len(matrix) > 1:
-        assert det_int([list(row) for row in matrix[:-1] + matrix[:1]]) == 0
+        assert int_det(matrix[:-1] + matrix[:1]) == 0
 
 
 # -- rational functions -------------------------------------------------------

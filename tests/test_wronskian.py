@@ -21,8 +21,8 @@ from dresschain.wronskian import (
     _laguerre_columns,
     _laguerre_ints,
     _laguerre_matrix_det,
+    _laguerre_top,
     _packed_hermite_det,
-    _top_coefficient,
     check_translation_equivalence_hermite,
     check_translation_equivalence_laguerre,
     hermite_wronskian,
@@ -273,8 +273,8 @@ def test_translated_laguerre_shares_canonical_determinant():
         tops.append(top_coefficient(uc, a))
         return tops[-1]
 
-    top_coefficient = dresschain.wronskian._top_coefficient
-    with mock.patch.object(dresschain.wronskian, "_top_coefficient", recorded):
+    top_coefficient = dresschain.wronskian._laguerre_top
+    with mock.patch.object(dresschain.wronskian, "_laguerre_top", recorded):
         for uc, k1, k2 in TRANSLATED:
             shifted = UniversalCharacter(translate(uc.first, k1), translate(uc.second, k2))
             for a in (F(1, 3), F(-2, 5)):
@@ -317,19 +317,19 @@ non_integer_alphas = st.fractions(min_value=-6, max_value=6, max_denominator=50)
 
 
 @settings(max_examples=150, deadline=None)
-@given(characters, non_integer_alphas, st.booleans())
-def test_laguerre_pseudo_wronskian_matches_oracle(uc, a, vanishing_top):
-    # with vanishing_top, every translated character takes the direct
-    # elimination that a zero top coefficient forces
-    compute = laguerre_pseudo_wronskian.__wrapped__
-    if vanishing_top:
-        with mock.patch.object(
-            dresschain.wronskian, "_top_coefficient", lambda uc, a: F(0)
-        ):
-            poly = compute(uc, AlphaParam(a)).poly
-    else:
-        poly = compute(uc, AlphaParam(a)).poly
+@given(characters, non_integer_alphas)
+def test_laguerre_pseudo_wronskian_matches_oracle(uc, a):
+    poly = laguerre_pseudo_wronskian.__wrapped__(uc, AlphaParam(a)).poly
     assert poly == laguerre_det_oracle(uc, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(translated_characters(6, 3), non_integer_alphas)
+def test_top_coefficient_is_the_nonzero_leading_coefficient(uc, a):
+    # the closed form never vanishes at a non-integer alpha, so every
+    # translated character can be rescaled from its canonical one
+    top = _laguerre_top(uc, a)
+    assert top and top == _laguerre_matrix_det(uc, a).leading
 
 
 @settings(max_examples=200, deadline=None)
@@ -348,7 +348,7 @@ def test_top_coefficient_matches_column_oracle(uc, data):
             lambda l, t: F(l - t), st.sampled_from(uc.second.entries), st.integers(0, size - 1)
         ))
     a = data.draw(st.one_of(alphas))
-    assert _top_coefficient(uc, a) == top_coefficient_oracle(uc, a)
+    assert _laguerre_top(uc, a) == top_coefficient_oracle(uc, a)
 
 
 def test_top_coefficient_builds_no_columns(monkeypatch):
@@ -365,4 +365,4 @@ def test_top_coefficient_builds_no_columns(monkeypatch):
 
     monkeypatch.setattr(dresschain.wronskian, "_laguerre_columns", forbidden)
     monkeypatch.setattr(dresschain.wronskian, "det_int_matrix", forbidden)
-    assert [_top_coefficient(uc, a) for uc, a in cases] == expected
+    assert [_laguerre_top(uc, a) for uc, a in cases] == expected
