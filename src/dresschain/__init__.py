@@ -43,14 +43,11 @@ from .maya import (
     uc_flip_chain,
 )
 from .wronskian import (
-    LaguerreEquivalence,
     NegativeIndex,
-    NotProportional,
     PseudoWronskian,
-    check_translation_equivalence_hermite,
-    check_translation_equivalence_laguerre,
     hermite_wronskian,
     laguerre_pseudo_wronskian,
+    translation_power,
 )
 from .chain import (
     ChainSolution,

@@ -44,6 +44,7 @@ from .wronskian import (
     PseudoWronskian,
     hermite_wronskian,
     laguerre_pseudo_wronskian,
+    translation_power,
 )
 
 
@@ -271,9 +272,7 @@ def build_even_chain(
 def _closure_exponent(sol: ChainSolution) -> int:
     if not sol.is_even:
         return 0
-    k = sol.translation
-    r = sol.ladder[0].r
-    return 2 * r * k + k * (k - 1)
+    return translation_power(sol.ladder[0].r, sol.translation)
 
 
 def _closure_holds(sol: ChainSolution) -> bool:
@@ -426,28 +425,27 @@ class PotentialParts:
     constant: Fraction
 
 
-def potential_of(d: MayaDiagram, omega: Fraction = OMEGA) -> PotentialParts:
+def potential_of(d: MayaDiagram) -> PotentialParts:
     """Exact rational part -2 (log W)'' of the extension labeled by d.
 
-    The Wronskian's gauge contributes the constant m * omega and leaves the
+    The Wronskian's gauge contributes the constant m * OMEGA and leaves the
     harmonic term untouched; the polynomial part has definite parity, so
-    its log-derivative data is rational in x for every rational omega.
+    its log-derivative data is rational in x.
     """
     if not d.is_canonical:
         raise ValueError("potential_of expects a canonical diagram")
-    omega = Fraction(omega)
     h = hermite_wronskian(d).poly
     m = len(d.entries)
-    constant = m * omega - omega / 2
+    constant = m * OMEGA - OMEGA / 2
     num = h.derivative().derivative() * h - h.derivative() * h.derivative()
     den = h * h
-    inner = Polynomial((0, 0, omega / 2))  # z**2 = (omega/2) x**2
+    inner = Polynomial((0, 0, OMEGA / 2))  # z**2 = (omega/2) x**2
     rational = RationalFunction(
-        -omega * num.decompress_even().compose(inner),
+        -OMEGA * num.decompress_even().compose(inner),
         den.decompress_even().compose(inner),
     )
     return PotentialParts(
-        rational=rational, harmonic_coeff=omega * omega / 4, constant=constant
+        rational=rational, harmonic_coeff=OMEGA * OMEGA / 4, constant=constant
     )
 
 

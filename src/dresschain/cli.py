@@ -27,6 +27,7 @@ from .maya import (
 )
 from .orthopoly import AlphaParam
 from .painleve import (
+    PIV_ROTATIONS,
     WrongPeriod,
     piv_families,
     piv_from_chain,
@@ -133,6 +134,15 @@ def _even_structures(args) -> tuple:
     return cs1, cs2
 
 
+def _refuse_unread(args, *names: str) -> None:
+    """A job refuses the options it would ignore, e.g. --alpha on an odd
+    period, rather than running without them."""
+    given = ["--" + n.replace("_", "-")
+             for n in names if getattr(args, n) not in (None, False)]
+    if given:
+        raise UsageError("this job does not read %s" % ", ".join(given))
+
+
 def _perm(args) -> Optional[List[int]]:
     return _parse_int_list(args.perm) if args.perm else None
 
@@ -160,8 +170,10 @@ def _build_solutions(args):
     """Construct the chain(s) a job describes; even jobs sweep alphas."""
     perm = _perm(args)
     if args.period % 2:
+        _refuse_unread(args, "alpha", "case")
         cs = _structure_from(args.period, _odd_shift(args), _parse_int_list(args.params or ""))
         return [(None, build_odd_chain(cs, perm=perm, allow_degenerate=args.allow_degenerate))]
+    _refuse_unread(args, "allow_degenerate")
     alphas = _parse_alpha_list(args.alpha) or [AlphaParam(Fraction(1, 3))]
     if len({a.value for a in alphas}) != len(alphas):
         raise UsageError("alpha samples must be distinct")
@@ -259,6 +271,7 @@ def cmd_verify(args) -> int:
 
 def cmd_painleve(args) -> int:
     if args.period == 3:
+        _refuse_unread(args, "case", "alpha", "perm", "allow_degenerate")
         cs = _structure_from(3, _odd_shift(args), _parse_int_list(args.params or ""))
         try:
             fams = piv_families(cs)
@@ -269,7 +282,7 @@ def cmd_painleve(args) -> int:
         if args.format == "latex":
             start, _ = build_diagram(cs)
             lines = []
-            for i, (f, rot) in enumerate(zip(fams, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))):
+            for i, (f, rot) in enumerate(zip(fams, PIV_ROTATIONS)):
                 states = static_flip_chain(cs).permuted(rot).states(start)
                 lines.append("y_{%d}: %s" % (
                     i, latex_mod.piv_latex(f, states[0].entries, states[1].entries)))

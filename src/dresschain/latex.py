@@ -9,7 +9,7 @@ purely presentational; nothing here participates in verification.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .chain import ChainSolution
 from .exact import Polynomial, RationalFunction
@@ -71,19 +71,12 @@ def _diagram_label(d: Sequence[int]) -> str:
 
 
 def piv_latex(
-    inst: PIVInstance,
-    prev_diagram: Optional[Sequence[int]] = None,
-    next_diagram: Optional[Sequence[int]] = None,
+    inst: PIVInstance, prev_diagram: Sequence[int], next_diagram: Sequence[int]
 ) -> str:
-    """y(t) with the conventional t/sqrt(k) arguments when the shift is 2k.
-
-    If the two ladder diagrams are given, the log-derivative form is used;
-    otherwise the explicit rational function in t is printed.
-    """
+    """y(t) as the log-derivative of the two ladder diagrams' Wronskians,
+    with the conventional t/sqrt(k) arguments when the shift is 2k."""
     k = int(1 / inst.c_sq)
     arg = "t" if k == 1 else r"t/\sqrt{%d}" % k
-    if prev_diagram is None or next_diagram is None:
-        return "y(t) = " + ratfunc_latex(inst.y_of_t(), "t")
     # coefficient of t in y: c^2 (lin - delta/2) with lin recovered from u
     delta = 2 / inst.c_sq
     lin_coeff = inst.c_sq * (inst.u.num.coeff(inst.u.den.degree + 1) / inst.u.den.leading)

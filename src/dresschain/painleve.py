@@ -163,6 +163,10 @@ def piv_residual(inst: PIVInstance) -> RationalFunction:
     return RationalFunction(r, 2 * n * v2 * v)
 
 
+# the default chain order rotated to start at each of its three flips
+PIV_ROTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
 def piv_families(cs: CyclicStructure) -> Tuple[PIVInstance, PIVInstance, PIVInstance]:
     """The three PIV solutions of a 3-cyclic structure.
 
@@ -177,7 +181,7 @@ def piv_families(cs: CyclicStructure) -> Tuple[PIVInstance, PIVInstance, PIVInst
     if cs.is_degenerate:
         raise DegenerateStructure("degenerate block layout: %r" % (cs,))
     out = []
-    for rot in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    for rot in PIV_ROTATIONS:
         sol = build_odd_chain(cs, perm=rot)
         out.append(piv_from_chain(sol))
     return tuple(out)

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .chain import (
+    OMEGA,
     build_even_chain,
     build_odd_chain,
     potential_of,
@@ -40,8 +41,8 @@ from .maya import (
 from .orthopoly import AlphaParam, hermite, laguerre
 from .painleve import piv_families, piv_residual, pv_from_chain, pv_residual
 from .wronskian import (
-    check_translation_equivalence_hermite,
-    check_translation_equivalence_laguerre,
+    _hermite_matrix_det,
+    _laguerre_matrix_det,
     hermite_wronskian,
     laguerre_pseudo_wronskian,
 )
@@ -158,26 +159,30 @@ def _canonical_diagrams(max_entry: int, max_size: int) -> List[MayaDiagram]:
 
 
 def check_wronskian_equivalences() -> CheckResult:
+    # each ladder entry against the raw matrix of the same translate, which
+    # never uses the translation identities; k = 0 is the canonical entry
     def run():
         h_cases = 0
         for d in _canonical_diagrams(7, 4):
-            for k in (1, 2, 3):
-                check_translation_equivalence_hermite(d, k)  # NotProportional on failure
-                h_cases += 1
+            for k in (0, 1, 2, 3):
+                t = translate(d, k)
+                if hermite_wronskian(t).poly != _hermite_matrix_det(t.entries):
+                    return False, "Hermite ladder differs from its matrix at %r" % (t.entries,)
+                h_cases += k > 0
         l_cases = 0
         ucs = [
             UniversalCharacter(a, b)
             for a in _canonical_diagrams(3, 2)
             for b in _canonical_diagrams(3, 2)
         ]
-        for uc in ucs:
-            for k1 in (0, 1, 2):
-                for k2 in (0, 1, 2):
-                    for a in ALPHA_TRIPLE:
-                        check_translation_equivalence_laguerre(
-                            uc, k1, k2, AlphaParam(a)
-                        )
-                        l_cases += 1
+        for uc, k1, k2 in itertools.product(ucs, (0, 1, 2), (0, 1, 2)):
+            t = UniversalCharacter(translate(uc.first, k1), translate(uc.second, k2))
+            for a in map(AlphaParam, ALPHA_TRIPLE):
+                if laguerre_pseudo_wronskian(t, a).poly != _laguerre_matrix_det(t, a.value):
+                    return False, (
+                        "Laguerre ladder differs from its matrix at %r x %r, alpha=%s"
+                        % (t.first.entries, t.second.entries, a.value))
+                l_cases += 1
         return True, "%d Hermite + %d Laguerre proportionalities" % (h_cases, l_cases)
 
     return _result(3, "Wronskian translation equivalences", run)
@@ -196,7 +201,7 @@ def check_odd_chains() -> CheckResult:
                 return False, "verification fails at %r" % (cs,)
             chains += 1
 
-        w = Fraction(2)
+        w = OMEGA
         # period-5 translation-1 table, ordering (l1, l1+m1, l2, l2+m2, 0)
         tables = 0
         for (l1, m1, m2) in itertools.product((1, 2, 3), repeat=3):
@@ -282,9 +287,8 @@ def _check_even_case(
     cs2: CyclicStructure,
     perm: Optional[Sequence[int]],
     table: Optional[Callable[[Fraction], Tuple[Fraction, ...]]],
-    alphas: Sequence[Fraction] = ALPHA_TRIPLE,
 ) -> Optional[str]:
-    for a in alphas:
+    for a in ALPHA_TRIPLE:
         sol = build_even_chain(cs1, cs2, AlphaParam(a), perm=perm)
         if not verify_chain(sol).ok:
             return "verification fails (%r, %r, alpha=%s)" % (cs1, cs2, a)
@@ -296,7 +300,7 @@ def _check_even_case(
 
 
 def check_even_chains() -> CheckResult:
-    w = Fraction(2)
+    w = OMEGA
 
     def run():
         cases = 0

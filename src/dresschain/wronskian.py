@@ -20,7 +20,7 @@ from math import factorial, prod
 from typing import Optional, Tuple
 
 from .exact import Polynomial, det_int_matrix, det_poly_matrix, frac_str
-from .maya import MayaDiagram, UniversalCharacter, conjugate, translate
+from .maya import MayaDiagram, UniversalCharacter, conjugate
 from .orthopoly import AlphaParam, falling_factorial, hermite
 
 # kept in this namespace, where bench/tracer.py times the orthopoly layer;
@@ -31,10 +31,6 @@ from .orthopoly import laguerre  # noqa: F401
 
 class NegativeIndex(ValueError):
     """Wronskian seed tuples must have non-negative entries."""
-
-
-class NotProportional(ValueError):
-    """Two polynomials expected to agree up to a constant did not."""
 
 
 @dataclass(frozen=True)
@@ -273,6 +269,12 @@ def _laguerre_top(uc: UniversalCharacter, a: Fraction) -> Fraction:
     return Fraction(-v if sum(entries) % 2 else v, den)
 
 
+def translation_power(r: int, k: int) -> int:
+    """The power of z that a k-translate of a second component of size r
+    adds to a pseudo-Wronskian: 2 r k + k (k - 1)."""
+    return 2 * r * k + k * (k - 1)
+
+
 @lru_cache(maxsize=None)
 def laguerre_pseudo_wronskian(
     uc: UniversalCharacter, alpha: AlphaParam
@@ -284,7 +286,7 @@ def laguerre_pseudo_wronskian(
     carry (l - alpha)_i z^{m+r-1-i} L_l^{-alpha-i}(z), row index i.  The
     gauge turns the result back into the full Wronskian of the mixed seed
     functions, up to a constant.  A character whose components are the
-    k1- and k2-translates of canonical ones is c z**(2 r k2 + k2 (k2 - 1))
+    k1- and k2-translates of canonical ones is c z**translation_power(r, k2)
     times the determinant of those at alpha + k1 - k2 (r the size of the
     canonical second one), and c is its top coefficient (_laguerre_top)
     over the leading one of the canonical determinant, which comes from
@@ -300,67 +302,9 @@ def laguerre_pseudo_wronskian(
     if k1 or k2:
         canon = UniversalCharacter(MayaDiagram(canon1), MayaDiagram(canon2))
         base = laguerre_pseudo_wronskian(canon, alpha.shifted(k1 - k2)).poly
-        power = 2 * len(canon2) * k2 + k2 * (k2 - 1)
-        poly = base.shifted(power) * (_laguerre_top(uc, a) / base.leading)
+        poly = base.shifted(translation_power(len(canon2), k2))
+        poly = poly * (_laguerre_top(uc, a) / base.leading)
     else:
         poly = _laguerre_matrix_det(uc, a)
     z_power = Fraction((m - r) ** 2, 4) - r * (r - 1) + a * Fraction(m - r, 2)
     return PseudoWronskian(poly, z_power, Fraction(-(m + r), 2), m, r, a)
-
-
-def proportionality_constant(p: Polynomial, q: Polynomial) -> Fraction:
-    """The constant c with p == c * q, or NotProportional."""
-    if p.is_zero or q.is_zero:
-        raise NotProportional("zero polynomial in proportionality check")
-    if p.degree != q.degree:
-        raise NotProportional("degree mismatch: %d vs %d" % (p.degree, q.degree))
-    c = p.leading / q.leading
-    if p != q * c:
-        raise NotProportional("polynomials are not proportional")
-    return c
-
-
-def check_translation_equivalence_hermite(d: MayaDiagram, k: int) -> Fraction:
-    """Exact constant ratio of the translated and original determinants.
-
-    Both sides are eliminated from their own matrices: hermite_wronskian
-    assumes this very identity, so it cannot serve as evidence for it.
-    """
-    if not d.is_canonical:
-        raise ValueError("expects a canonical diagram")
-    lhs = _hermite_matrix_det(translate(d, k).entries)
-    rhs = _hermite_matrix_det(d.entries)
-    return proportionality_constant(lhs, rhs)
-
-
-@dataclass(frozen=True)
-class LaguerreEquivalence:
-    """Verified data of the translated-pair identity: the translated
-    determinant equals constant * z**z_power times the original one at the
-    shifted parameter alpha + (k1 - k2)."""
-
-    constant: Fraction
-    z_power: int
-    alpha_shift: int
-
-
-def check_translation_equivalence_laguerre(
-    uc: UniversalCharacter, k1: int, k2: int, alpha: AlphaParam
-) -> LaguerreEquivalence:
-    """Verify the pseudo-Wronskian translation identity with its explicit
-    z power 2 r k2 + k2 (k2 - 1) and parameter shift k1 - k2.
-
-    Both sides are eliminated from their own matrices:
-    laguerre_pseudo_wronskian assumes this very identity.
-    """
-    if k1 < 0 or k2 < 0:
-        raise ValueError("translation amplitudes must be non-negative")
-    r = len(uc.second.entries)
-    shifted = UniversalCharacter(
-        translate(uc.first, k1), translate(uc.second, k2)
-    )
-    lhs = _laguerre_matrix_det(shifted, alpha.value)
-    rhs = _laguerre_matrix_det(uc, alpha.value + k1 - k2)
-    power = 2 * r * k2 + k2 * (k2 - 1)
-    c = proportionality_constant(lhs, rhs.shifted(power))
-    return LaguerreEquivalence(constant=c, z_power=power, alpha_shift=k1 - k2)

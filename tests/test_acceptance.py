@@ -31,9 +31,9 @@ def test_criterion_2_maya_cyclicity():
 
 
 def test_criterion_3_wronskian_equivalences():
-    # Hermite translation proportionality for all canonical diagrams with
-    # m <= 4, entries <= 7, k <= 3; the shadow-pair identity with its
-    # explicit z power for component sizes <= 2 at three alpha samples
+    # every ladder entry equals the raw matrix of the same translate:
+    # Hermite for all canonical diagrams with m <= 4, entries <= 7, k <= 3;
+    # Laguerre for component sizes <= 2, k1, k2 <= 2 at three alpha samples
     result = _run(selftest.check_wronskian_equivalences)
     assert result.seconds < 30
 

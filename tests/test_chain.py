@@ -502,9 +502,11 @@ def test_potential_of_examples():
         assert parts.rational == RationalFunction(
             Polynomial.constant(m * (m + 1)), x_sq
         )
-    parts = potential_of(MayaDiagram((1, 3)), omega=F(4))
+    parts = potential_of(MayaDiagram((1, 3)))
     assert parts.rational == RationalFunction(Polynomial.constant(6), x_sq)
-    assert parts.harmonic_coeff == 4 and parts.constant == 6
+    # omega**2 / 4 and m omega - omega / 2 at m = 2
+    assert parts.harmonic_coeff == OMEGA * OMEGA / 4 == 1
+    assert parts.constant == 2 * OMEGA - OMEGA / 2 == 3
 
 
 def test_alpha_sampled_verify():

@@ -199,9 +199,27 @@ def test_selftest_single_criterion(capsys):
          "--out", "missing/report.json"],
         ["selftest", "--criteria", "9"],
         ["selftest", "--criteria", "0,-1"],
+        ["painleve", "--period", "3", "--shift", "1", "--params", "1,1",
+         "--perm", "2,1,0"],
+        ["painleve", "--period", "3", "--shift", "1", "--params", "1,1",
+         "--alpha", "1/3"],
+        ["painleve", "--period", "3", "--shift", "1", "--params", "1,1",
+         "--case", "3,1"],
+        ["painleve", "--period", "3", "--shift", "1", "--params", "1,1",
+         "--allow-degenerate"],
+        ["verify", "--period", "3", "--shift", "1", "--params", "1,2",
+         "--alpha", "1/3"],
+        ["build", "--period", "3", "--shift", "1", "--params", "1,2",
+         "--case", "3,1"],
+        ["verify", "--period", "4", "--case", "2,2", "--params", "0,0",
+         "--allow-degenerate"],
+        ["painleve", "--period", "4", "--case", "2,2", "--params", "0,0",
+         "--perm", "1,0,3,2", "--allow-degenerate"],
     ],
     ids=["repeated-perm", "short-perm", "zero-bound", "duplicate-alpha",
-         "out-is-directory", "out-parent-missing", "criterion-9", "criterion-0"],
+         "out-is-directory", "out-parent-missing", "criterion-9", "criterion-0",
+         "piv-perm", "piv-alpha", "piv-case", "piv-allow-degenerate",
+         "odd-alpha", "odd-case", "even-allow-degenerate", "pv-allow-degenerate"],
 )
 def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     # relative --out paths resolve in an empty directory

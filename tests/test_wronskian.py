@@ -11,9 +11,9 @@ import dresschain.wronskian
 from dresschain.exact import Polynomial
 from dresschain.maya import MayaDiagram, UniversalCharacter, conjugate, translate
 from dresschain.orthopoly import AlphaParam, falling_factorial, hermite, laguerre
+from dresschain.selftest import check_wronskian_equivalences
 from dresschain.wronskian import (
     NegativeIndex,
-    NotProportional,
     _canonical_hermite_det,
     _conjugate_hermite_det,
     _hermite_matrix_det,
@@ -23,11 +23,9 @@ from dresschain.wronskian import (
     _laguerre_matrix_det,
     _laguerre_top,
     _packed_hermite_det,
-    check_translation_equivalence_hermite,
-    check_translation_equivalence_laguerre,
     hermite_wronskian,
     laguerre_pseudo_wronskian,
-    proportionality_constant,
+    translation_power,
 )
 
 from oracles import (
@@ -117,9 +115,13 @@ def test_staircase_collapses_to_monomial():
 
 
 def test_translation_equivalence_hermite():
-    assert check_translation_equivalence_hermite(MayaDiagram((1,)), 1) == 2
-    check_translation_equivalence_hermite(EMPTY, 2)
-    check_translation_equivalence_hermite(MayaDiagram((1, 3)), 1)
+    # (0, 2) is the 1-translate of (1,), at twice its determinant
+    assert hermite_wronskian(MayaDiagram((0, 2))).poly == 2 * hermite_wronskian(
+        MayaDiagram((1,))
+    ).poly
+    for d, k in [(MayaDiagram((1,)), 1), (EMPTY, 2), (MayaDiagram((1, 3)), 1)]:
+        t = translate(d, k)
+        assert hermite_wronskian(t).poly == _hermite_matrix_det(t.entries)
 
 
 def test_translated_determinant_rescales_canonical_one():
@@ -129,19 +131,29 @@ def test_translated_determinant_rescales_canonical_one():
         assert hermite_wronskian(MayaDiagram(entries)).poly == _hermite_matrix_det(entries)
 
 
-def test_translation_equivalence_uses_raw_matrices(monkeypatch):
-    # the cached path assumes the identity, so the check must not use it
-    def served_from_cache(entries, negate=False):
-        raise AssertionError("canonical route consulted for %r" % (entries,))
+@pytest.fixture
+def fresh_memos():
+    """Empty ladder memos before and after a test that corrupts the ladders."""
+    memos = (_canonical_hermite_det, laguerre_pseudo_wronskian)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
 
-    for name in ("_canonical_hermite_det", "_packed_hermite_det", "_conjugate_hermite_det"):
-        monkeypatch.setattr(dresschain.wronskian, name, served_from_cache)
-    with pytest.raises(AssertionError):
-        hermite_wronskian(MayaDiagram((0, 2)))
-    assert check_translation_equivalence_hermite(MayaDiagram((1,)), 1) == 2
-    for d in (EMPTY, MayaDiagram((1, 3)), MayaDiagram((2, 3, 5))):
-        for k in (1, 2, 3):
-            check_translation_equivalence_hermite(d, k)
+
+def test_criterion_3_catches_a_wrong_hermite_ratio(monkeypatch, fresh_memos):
+    # translates are exactly the tuples that start at 0, so this doubles
+    # V(translate) / V(canonical) and leaves every canonical entry alone
+    vandermonde = dresschain.wronskian._vandermonde
+    monkeypatch.setattr(
+        dresschain.wronskian,
+        "_vandermonde",
+        lambda e: 2 * vandermonde(e) if e[:1] == (0,) else vandermonde(e),
+    )
+    result = check_wronskian_equivalences()
+    assert not result.ok
+    assert result.detail == "Hermite ladder differs from its matrix at (0,)"
 
 
 def partitions(n, largest):
@@ -205,28 +217,21 @@ def test_laguerre_memo_keys_on_values():
 
 
 def test_translation_equivalence_laguerre_power():
+    assert translation_power(1, 1) == 2
+    assert translation_power(0, 1) == 0
     a = AlphaParam(F(7, 3))
-    eq = check_translation_equivalence_laguerre(
-        UniversalCharacter(EMPTY, MayaDiagram((1,))), 0, 1, a
-    )
-    assert eq.z_power == 2 and eq.alpha_shift == -1
-
-    eq = check_translation_equivalence_laguerre(
-        UniversalCharacter(MayaDiagram((1,)), EMPTY), 1, 0, a
-    )
-    assert eq.z_power == 0 and eq.alpha_shift == 1
-
-    eq = check_translation_equivalence_laguerre(
-        UniversalCharacter(EMPTY, EMPTY), 1, 1, a
-    )
-    assert eq.z_power == 0 and eq.alpha_shift == 0
-
-
-def test_proportionality_rejects():
-    with pytest.raises(NotProportional):
-        proportionality_constant(Z, Z + 1)
-    with pytest.raises(NotProportional):
-        proportionality_constant(Z * Z, Z)
+    # (canonical character, k1, k2, z power): a translate is a constant
+    # times z**power times its canonical determinant at alpha + k1 - k2
+    for uc, k1, k2, power in [
+        (UniversalCharacter(EMPTY, MayaDiagram((1,))), 0, 1, 2),
+        (UniversalCharacter(MayaDiagram((1,)), EMPTY), 1, 0, 0),
+        (UniversalCharacter(EMPTY, EMPTY), 1, 1, 0),
+    ]:
+        shifted = UniversalCharacter(translate(uc.first, k1), translate(uc.second, k2))
+        lhs = laguerre_pseudo_wronskian(shifted, a).poly
+        assert lhs == _laguerre_matrix_det(shifted, a.value)
+        rhs = laguerre_pseudo_wronskian(uc, a.shifted(k1 - k2)).poly.shifted(power)
+        assert lhs * rhs.leading == rhs * lhs.leading
 
 
 def test_pseudo_wronskian_json():
@@ -283,20 +288,12 @@ def test_translated_laguerre_shares_canonical_determinant():
     assert len(tops) == 2 * len(TRANSLATED) and all(tops)
 
 
-def test_translation_equivalence_laguerre_uses_raw_matrices(monkeypatch):
-    # the sharing path assumes the identity, so the check must not use it
-    def served_from_memo(uc, alpha):
-        raise AssertionError("pseudo-Wronskian memo consulted for %r" % (uc,))
-
-    monkeypatch.setattr(
-        dresschain.wronskian, "laguerre_pseudo_wronskian", served_from_memo
-    )
-    shifted = UniversalCharacter(MayaDiagram((0, 2)), EMPTY)
-    with pytest.raises(AssertionError):
-        laguerre_pseudo_wronskian.__wrapped__(shifted, AlphaParam(F(1, 3)))
-    for uc, k1, k2 in TRANSLATED:
-        for a in (F(1, 3), F(-2, 5)):
-            check_translation_equivalence_laguerre(uc, k1, k2, AlphaParam(a))
+def test_criterion_3_catches_a_wrong_laguerre_top(monkeypatch, fresh_memos):
+    top = dresschain.wronskian._laguerre_top
+    monkeypatch.setattr(dresschain.wronskian, "_laguerre_top", lambda uc, a: 2 * top(uc, a))
+    result = check_wronskian_equivalences()
+    assert not result.ok
+    assert result.detail == "Laguerre ladder differs from its matrix at () x (0,), alpha=1/3"
 
 
 def translated_characters(max_entry, max_size):
