@@ -22,7 +22,6 @@ from .orthopoly import (
 )
 from .maya import (
     AmplitudeMismatch,
-    Block,
     CyclicStructure,
     DegenerateStructure,
     Flip,

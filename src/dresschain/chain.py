@@ -81,11 +81,7 @@ class WTerm:
         if P.is_zero or Q.is_zero:
             raise ZeroPolynomial("log-derivative of a zero polynomial")
         h = self.h
-        PQ = P * Q
-        W = P.derivative() * Q - P * Q.derivative()
-        return RationalFunction(
-            Polynomial((self.inv, self.lin)) * PQ + W.shifted(h) * (1 + h), PQ
-        )
+        return RationalFunction(*_component(Polynomial((self.inv, self.lin)), P, Q, h, 1 + h))
 
 
 @dataclass(frozen=True)
@@ -438,12 +434,7 @@ def potential_of(d: MayaDiagram) -> PotentialParts:
     m = len(d.entries)
     constant = m * OMEGA - OMEGA / 2
     num = h.derivative().derivative() * h - h.derivative() * h.derivative()
-    den = h * h
-    inner = Polynomial((0, 0, OMEGA / 2))  # z**2 = (omega/2) x**2
-    rational = RationalFunction(
-        -OMEGA * num.decompress_even().compose(inner),
-        den.decompress_even().compose(inner),
-    )
+    rational = RationalFunction(-OMEGA * num, h * h)
     return PotentialParts(
         rational=rational, harmonic_coeff=OMEGA * OMEGA / 4, constant=constant
     )

@@ -114,6 +114,9 @@ def _even_structures(args) -> tuple:
     if len(case) != 2 or (case[0], case[1]) not in EVEN_SPLITS:
         raise UsageError("unsupported case %r" % (args.case,))
     p1, p2 = case
+    if p1 + p2 != args.period:
+        raise UsageError("case %r has period %d, not --period %d"
+                         % (args.case, p1 + p2, args.period))
     shift = EVEN_SPLITS[(p1, p2)]
     if shift is None:
         if not args.shift:

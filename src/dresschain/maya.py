@@ -161,22 +161,6 @@ def spin_at(d: MayaDiagram, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class Block:
-    """Stride-k index block (r, r+k, ..., r+(s-1)k)."""
-
-    r: int
-    s: int
-    k: int
-
-    def __post_init__(self):
-        if self.r < 0 or self.s < 1 or self.k < 1:
-            raise ValueError("block needs r >= 0, s >= 1, k >= 1")
-
-    def indices(self) -> Tuple[int, ...]:
-        return tuple(self.r + i * self.k for i in range(self.s))
-
-
-@dataclass(frozen=True)
 class Flip:
     level: int
     sign: int  # POSITIVE removes, NEGATIVE inserts
@@ -261,13 +245,12 @@ class CyclicStructure:
     def p(self) -> int:
         return self.k + 2 * len(self.second_type)
 
-    def blocks(self) -> List[Block]:
-        out = [
-            Block(l, a, self.k)
-            for l, a in enumerate(self.okamoto, start=1)
-            if a > 0
-        ]
-        out.extend(Block(l, m, self.k) for l, m in self.second_type)
+    def blocks(self) -> List[range]:
+        """The stride-k index blocks: each present Okamoto block, then each
+        free block."""
+        k = self.k
+        out = [range(l, l + a * k, k) for l, a in enumerate(self.okamoto, start=1) if a > 0]
+        out.extend(range(l, l + m * k, k) for l, m in self.second_type)
         return out
 
     @property
@@ -315,7 +298,7 @@ def build_diagram(cs: CyclicStructure) -> Tuple[MayaDiagram, bool]:
     """
     counts = {}
     for b in cs.blocks():
-        for idx in b.indices():
+        for idx in b:
             counts[idx] = counts.get(idx, 0) + 1
     entries = tuple(sorted(i for i, c in counts.items() if c % 2 == 1))
     degenerate = any(c > 1 for c in counts.values())

@@ -20,7 +20,7 @@ from typing import Tuple
 
 from .chain import ChainSolution, build_odd_chain
 from .exact import Polynomial, RationalFunction, frac_str
-from .maya import CyclicStructure, DegenerateStructure
+from .maya import CyclicStructure
 
 
 class WrongPeriod(ValueError):
@@ -178,8 +178,6 @@ def piv_families(cs: CyclicStructure) -> Tuple[PIVInstance, PIVInstance, PIVInst
     """
     if cs.p != 3:
         raise WrongPeriod("three-member families need a period-3 structure")
-    if cs.is_degenerate:
-        raise DegenerateStructure("degenerate block layout: %r" % (cs,))
     out = []
     for rot in PIV_ROTATIONS:
         sol = build_odd_chain(cs, perm=rot)

@@ -16,9 +16,11 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .chain import (
+    DEFAULT_ALPHA_SAMPLES,
     OMEGA,
     build_even_chain,
     build_odd_chain,
@@ -48,7 +50,6 @@ from .wronskian import (
 )
 
 ALPHA_TRIPLE = (Fraction(1, 3), Fraction(2, 5), Fraction(7, 3))
-ALPHA_FIVE = ALPHA_TRIPLE + (Fraction(5, 2), Fraction(-4, 3))
 
 
 @dataclass
@@ -81,7 +82,7 @@ def _result(criterion: int, name: str, fn: Callable[[], Tuple[bool, str]]) -> Ch
 def check_orthopoly_identities() -> CheckResult:
     def run():
         cases = 0
-        for a in ALPHA_FIVE:
+        for a in DEFAULT_ALPHA_SAMPLES:
             for n in range(1, 11):
                 if laguerre(n, a).derivative() != -laguerre(n - 1, a + 1):
                     return False, "derivative identity fails at n=%d a=%s" % (n, a)
@@ -191,57 +192,61 @@ def check_wronskian_equivalences() -> CheckResult:
 # -- criterion 4 -------------------------------------------------------------
 
 
+def _table_mismatch(rows) -> Optional[str]:
+    """The first failing row of a parameter table, or None.  A row is
+    (label, build, eps): the chain build() makes must verify and have the
+    energy differences eps."""
+    for label, build, eps in rows:
+        sol = build()
+        if not verify_chain(sol).ok:
+            return "verification fails at %s" % label
+        if sol.expected_eps != eps:
+            return "table mismatch at %s: %r" % (label, sol.expected_eps)
+    return None
+
+
+def _odd_table_rows():
+    """The rows of the period-5 tables of translations 1 and 3."""
+    w = OMEGA
+    perm = (1, 2, 3, 4, 0)
+    # translation 1, ordering (l1, l1+m1, l2, l2+m2, 0)
+    for (l1, m1, m2) in itertools.product((1, 2, 3), repeat=3):
+        for l2 in range(l1 + m1 + 1, 4):
+            cs = CyclicStructure(k=1, second_type=((l1, m1), (l2, m2)))
+            yield "p5 k1 %r" % (cs,), partial(build_odd_chain, cs, perm=perm), (
+                -m1 * w,
+                (l1 - l2 + m1) * w,
+                -m2 * w,
+                (l2 + m2) * w,
+                -(l1 + 1) * w,
+            )
+    # translation 3, ordering (1+3a1, 2+3a2, l1, l1+3m1, 0).
+    # The printed closing seed drops the stride: the residual-verified
+    # values use l1 + 3 m1, giving eps3 = -3 m1 w and eps4 = (l1+3m1) w.
+    l1 = 3
+    for (a1, a2, m1) in itertools.product((0, 1, 2, 3), (0, 1, 2, 3), (1, 2, 3)):
+        cs = CyclicStructure(k=3, okamoto=(a1, a2), second_type=((l1, m1),))
+        if cs.is_degenerate:
+            continue
+        yield "p5 k3 %r" % (cs,), partial(build_odd_chain, cs, perm=perm), (
+            (-1 - 3 * (a2 - a1)) * w,
+            (2 + 3 * a2 - l1) * w,
+            -3 * m1 * w,
+            (l1 + 3 * m1) * w,
+            (-4 - 3 * a1) * w,
+        )
+
+
 def check_odd_chains() -> CheckResult:
     def run():
-        chains = 0
-        for cs in _odd_parameter_grid(3):
-            sol = build_odd_chain(cs, allow_degenerate=True)
-            report = verify_chain(sol)
-            if not report.ok:
+        grid = list(_odd_parameter_grid(3))
+        for cs in grid:
+            if not verify_chain(build_odd_chain(cs, allow_degenerate=True)).ok:
                 return False, "verification fails at %r" % (cs,)
-            chains += 1
-
-        w = OMEGA
-        # period-5 translation-1 table, ordering (l1, l1+m1, l2, l2+m2, 0)
-        tables = 0
-        for (l1, m1, m2) in itertools.product((1, 2, 3), repeat=3):
-            for l2 in range(l1 + m1 + 1, 4):
-                cs = CyclicStructure(k=1, second_type=((l1, m1), (l2, m2)))
-                sol = build_odd_chain(cs, perm=(1, 2, 3, 4, 0))
-                if not verify_chain(sol).ok:
-                    return False, "p5 k1 chain fails at %r" % (cs,)
-                want = (
-                    -m1 * w,
-                    (l1 - l2 + m1) * w,
-                    -m2 * w,
-                    (l2 + m2) * w,
-                    -(l1 + 1) * w,
-                )
-                if sol.expected_eps != want:
-                    return False, "p5 k1 table mismatch at %r" % (cs,)
-                tables += 1
-        # period-5 translation-3 table, ordering (1+3a1, 2+3a2, l1, l1+3m1, 0).
-        # The printed closing seed drops the stride: the residual-verified
-        # values use l1 + 3 m1, giving eps3 = -3 m1 w and eps4 = (l1+3m1) w.
-        for (a1, a2, m1) in itertools.product((0, 1, 2, 3), (0, 1, 2, 3), (1, 2, 3)):
-            l1 = 3
-            cs = CyclicStructure(k=3, okamoto=(a1, a2), second_type=((l1, m1),))
-            if cs.is_degenerate:
-                continue
-            sol = build_odd_chain(cs, perm=(1, 2, 3, 4, 0))
-            if not verify_chain(sol).ok:
-                return False, "p5 k3 chain fails at %r" % (cs,)
-            want = (
-                (-1 - 3 * (a2 - a1)) * w,
-                (2 + 3 * a2 - l1) * w,
-                -3 * m1 * w,
-                (l1 + 3 * m1) * w,
-                (-4 - 3 * a1) * w,
-            )
-            if sol.expected_eps != want:
-                return False, "p5 k3 table mismatch at %r" % (cs,)
-            tables += 1
-        return True, "%d chains verified, %d table rows matched" % (chains, tables)
+        rows = list(_odd_table_rows())
+        err = _table_mismatch(rows)
+        return err is None, err or "%d chains verified, %d table rows matched" % (
+            len(grid), len(rows))
 
     return _result(4, "odd chains: residuals, sum rule, parameter tables", run)
 
@@ -251,29 +256,27 @@ def check_odd_chains() -> CheckResult:
 
 def check_piv() -> CheckResult:
     def run():
+        # (structure, a, b) of each family's first member: generalized Hermite, then Okamoto
+        rows = [
+            (CyclicStructure(k=1, second_type=((lam, mu),)), -(1 - mu - 2 * lam), -2 * mu * mu)
+            for lam, mu in itertools.product((1, 2, 3), repeat=2)
+        ] + [
+            (
+                CyclicStructure(k=3, okamoto=(a1, a2)),
+                a1 + a2,
+                -Fraction(2, 9) * (-1 + 3 * (a1 - a2)) ** 2,
+            )
+            for a1, a2 in itertools.product((0, 1, 2), repeat=2)
+        ]
         members = 0
-        for lam in (1, 2, 3):
-            for mu in (1, 2, 3):
-                cs = CyclicStructure(k=1, second_type=((lam, mu),))
-                fams = piv_families(cs)
-                if fams[0].a != -(1 - mu - 2 * lam) or fams[0].b != -2 * mu * mu:
-                    return False, "GH closed form fails at (%d,%d)" % (lam, mu)
-                for inst in fams:
-                    if not piv_residual(inst).is_zero:
-                        return False, "GH residual nonzero at (%d,%d)" % (lam, mu)
-                    members += 1
-        for a1 in (0, 1, 2):
-            for a2 in (0, 1, 2):
-                cs = CyclicStructure(k=3, okamoto=(a1, a2))
-                fams = piv_families(cs)
-                if fams[0].a != a1 + a2:
-                    return False, "Okamoto a fails at (%d,%d)" % (a1, a2)
-                if fams[0].b != -Fraction(2, 9) * (-1 + 3 * (a1 - a2)) ** 2:
-                    return False, "Okamoto b fails at (%d,%d)" % (a1, a2)
-                for inst in fams:
-                    if not piv_residual(inst).is_zero:
-                        return False, "Okamoto residual nonzero at (%d,%d)" % (a1, a2)
-                    members += 1
+        for cs, a, b in rows:
+            fams = piv_families(cs)
+            if (fams[0].a, fams[0].b) != (a, b):
+                return False, "closed-form parameters fail at %r" % (cs,)
+            for inst in fams:
+                if not piv_residual(inst).is_zero:
+                    return False, "residual nonzero at %r" % (cs,)
+                members += 1
         return True, "%d family members, all residuals zero" % members
 
     return _result(5, "PIV families and closed-form parameters", run)
@@ -282,158 +285,123 @@ def check_piv() -> CheckResult:
 # -- criterion 6 -------------------------------------------------------------
 
 
-def _check_even_case(
-    cs1: CyclicStructure,
-    cs2: CyclicStructure,
-    perm: Optional[Sequence[int]],
-    table: Optional[Callable[[Fraction], Tuple[Fraction, ...]]],
-) -> Optional[str]:
-    for a in ALPHA_TRIPLE:
-        sol = build_even_chain(cs1, cs2, AlphaParam(a), perm=perm)
-        if not verify_chain(sol).ok:
-            return "verification fails (%r, %r, alpha=%s)" % (cs1, cs2, a)
-        if table is not None and sol.expected_eps != table(a):
-            return "table mismatch (%r, %r, alpha=%s): %r" % (
-                cs1, cs2, a, sol.expected_eps,
-            )
-    return None
+def even_cells():
+    """The criterion-6 box: (cs1, cs2, perm, eps) for each of its 145
+    parameter cells, with eps(alpha) the cell's table row of energy
+    differences under the flip order perm."""
+    w = OMEGA
+    bare = CyclicStructure(k=1)
+    # period 2: bare isotonic seed
+    yield bare, bare, None, lambda a: (2 * a * w, -2 * a * w - 2 * w)
+
+    # period 4, split (3,1): chain (lam, lam+mu, 0) x (0)
+    for lam, mu in itertools.product((1, 2), repeat=2):
+        yield (
+            CyclicStructure(k=1, second_type=((lam, mu),)),
+            bare,
+            (1, 2, 0, 3),
+            lambda a, lam=lam, mu=mu: (
+                -2 * mu * w,
+                2 * (lam + mu) * w,
+                2 * a * w,
+                2 * (-1 - lam - a) * w,
+            ),
+        )
+
+    # period 4, split (2,2): chain (1+2a1, 0) x (1+2b1, 0)
+    for a1, b1 in itertools.product((0, 1, 2), repeat=2):
+        yield (
+            CyclicStructure(k=2, okamoto=(a1,)),
+            CyclicStructure(k=2, okamoto=(b1,)),
+            (1, 0, 3, 2),
+            lambda a, a1=a1, b1=b1: (
+                2 * (1 + 2 * a1) * w,
+                2 * (a - 1 - 2 * b1) * w,
+                2 * (1 + 2 * b1) * w,
+                2 * (-3 - 2 * a1 - a) * w,
+            ),
+        )
+
+    # period 6, split (5,1): chain (l1, l1+m1, l2, l2+m2, 0) x (0).
+    # Non-degenerate layouts need l2 > l1 + m1, so the second block is
+    # swept through its gap g = l2 - l1 - m1 in {1, 2}.
+    for l1, m1, g, m2 in itertools.product((1, 2), repeat=4):
+        l2 = l1 + m1 + g
+        yield (
+            CyclicStructure(k=1, second_type=((l1, m1), (l2, m2))),
+            bare,
+            (1, 2, 3, 4, 0, 5),
+            lambda a, l1=l1, m1=m1, l2=l2, m2=m2: (
+                -2 * m1 * w,
+                2 * (l1 + m1 - l2) * w,
+                -2 * m2 * w,
+                2 * (l2 + m2) * w,
+                2 * a * w,
+                2 * (-1 - l1 - a) * w,
+            ),
+        )
+
+    # period 6, split (4,2): chain (1+2a1, l1, l1+2m1, 0) x (1+2b1, 0).
+    # The printed closing seed l1+m1 drops the stride factor; the
+    # residual-verified entries use l1 + 2 m1.
+    l1 = 2
+    for a1, b1, m1 in itertools.product((0, 1, 2), (0, 1, 2), (1, 2)):
+        yield (
+            CyclicStructure(k=2, okamoto=(a1,), second_type=((l1, m1),)),
+            CyclicStructure(k=2, okamoto=(b1,)),
+            (1, 2, 3, 0, 5, 4),
+            lambda a, a1=a1, b1=b1, m1=m1: (
+                2 * (1 + 2 * a1 - l1) * w,
+                -4 * m1 * w,
+                2 * (l1 + 2 * m1) * w,
+                2 * (a - 1 - 2 * b1) * w,
+                2 * (1 + 2 * b1) * w,
+                2 * (-3 - 2 * a1 - a) * w,
+            ),
+        )
+
+    # period 6, split (3,3) with translation 3
+    for a1, a2, b1, b2 in itertools.product((0, 1, 2), repeat=4):
+        yield (
+            CyclicStructure(k=3, okamoto=(a1, a2)),
+            CyclicStructure(k=3, okamoto=(b1, b2)),
+            (1, 2, 0, 4, 5, 3),
+            lambda a, a1=a1, a2=a2, b1=b1, b2=b2: (
+                2 * (-1 + 3 * (a1 - a2)) * w,
+                2 * (2 + 3 * a2) * w,
+                2 * (a - 1 - 3 * b1) * w,
+                2 * (-1 + 3 * (b1 - b2)) * w,
+                2 * (2 + 3 * b2) * w,
+                2 * (-4 - 3 * a1 - a) * w,
+            ),
+        )
+
+    # period 6, split (3,3) with translation 1
+    for l1, m1, r1, s1 in itertools.product((1, 2), repeat=4):
+        yield (
+            CyclicStructure(k=1, second_type=((l1, m1),)),
+            CyclicStructure(k=1, second_type=((r1, s1),)),
+            (1, 2, 0, 4, 5, 3),
+            lambda a, l1=l1, m1=m1, r1=r1, s1=s1: (
+                -2 * m1 * w,
+                2 * (l1 + m1) * w,
+                2 * (a - r1) * w,
+                -2 * s1 * w,
+                2 * (r1 + s1) * w,
+                2 * (-1 - l1 - a) * w,
+            ),
+        )
 
 
 def check_even_chains() -> CheckResult:
-    w = OMEGA
-
     def run():
-        cases = 0
-        # period 2: bare isotonic seed
-        err = _check_even_case(
-            CyclicStructure(k=1),
-            CyclicStructure(k=1),
-            None,
-            lambda a: (2 * a * w, -2 * a * w - 2 * w),
+        cells = list(even_cells())
+        err = _table_mismatch(
+            ("(%r, %r, alpha=%s)" % (cs1, cs2, a),
+             partial(build_even_chain, cs1, cs2, AlphaParam(a), perm=perm), eps(a))
+            for cs1, cs2, perm, eps in cells for a in ALPHA_TRIPLE
         )
-        if err:
-            return False, err
-        cases += 1
-
-        # period 4, split (3,1): chain (lam, lam+mu, 0) x (0)
-        for lam, mu in itertools.product((1, 2), repeat=2):
-            cs1 = CyclicStructure(k=1, second_type=((lam, mu),))
-            err = _check_even_case(
-                cs1,
-                CyclicStructure(k=1),
-                (1, 2, 0, 3),
-                lambda a, lam=lam, mu=mu: (
-                    -2 * mu * w,
-                    2 * (lam + mu) * w,
-                    2 * a * w,
-                    2 * (-1 - lam - a) * w,
-                ),
-            )
-            if err:
-                return False, err
-            cases += 1
-
-        # period 4, split (2,2): chain (1+2a1, 0) x (1+2b1, 0)
-        for a1, b1 in itertools.product((0, 1, 2), repeat=2):
-            err = _check_even_case(
-                CyclicStructure(k=2, okamoto=(a1,)),
-                CyclicStructure(k=2, okamoto=(b1,)),
-                (1, 0, 3, 2),
-                lambda a, a1=a1, b1=b1: (
-                    2 * (1 + 2 * a1) * w,
-                    2 * (a - 1 - 2 * b1) * w,
-                    2 * (1 + 2 * b1) * w,
-                    2 * (-3 - 2 * a1 - a) * w,
-                ),
-            )
-            if err:
-                return False, err
-            cases += 1
-
-        # period 6, split (5,1): chain (l1, l1+m1, l2, l2+m2, 0) x (0).
-        # Non-degenerate layouts need l2 > l1 + m1, so the second block is
-        # swept through its gap g = l2 - l1 - m1 in {1, 2}.
-        for l1, m1, g, m2 in itertools.product((1, 2), repeat=4):
-            l2 = l1 + m1 + g
-            cs1 = CyclicStructure(k=1, second_type=((l1, m1), (l2, m2)))
-            err = _check_even_case(
-                cs1,
-                CyclicStructure(k=1),
-                (1, 2, 3, 4, 0, 5),
-                lambda a, l1=l1, m1=m1, l2=l2, m2=m2: (
-                    -2 * m1 * w,
-                    2 * (l1 + m1 - l2) * w,
-                    -2 * m2 * w,
-                    2 * (l2 + m2) * w,
-                    2 * a * w,
-                    2 * (-1 - l1 - a) * w,
-                ),
-            )
-            if err:
-                return False, err
-            cases += 1
-
-        # period 6, split (4,2): chain (1+2a1, l1, l1+2m1, 0) x (1+2b1, 0).
-        # The printed closing seed l1+m1 drops the stride factor; the
-        # residual-verified entries use l1 + 2 m1.
-        for a1, b1, m1 in itertools.product((0, 1, 2), (0, 1, 2), (1, 2)):
-            l1 = 2
-            cs1 = CyclicStructure(k=2, okamoto=(a1,), second_type=((l1, m1),))
-            err = _check_even_case(
-                cs1,
-                CyclicStructure(k=2, okamoto=(b1,)),
-                (1, 2, 3, 0, 5, 4),
-                lambda a, a1=a1, b1=b1, l1=l1, m1=m1: (
-                    2 * (1 + 2 * a1 - l1) * w,
-                    -4 * m1 * w,
-                    2 * (l1 + 2 * m1) * w,
-                    2 * (a - 1 - 2 * b1) * w,
-                    2 * (1 + 2 * b1) * w,
-                    2 * (-3 - 2 * a1 - a) * w,
-                ),
-            )
-            if err:
-                return False, err
-            cases += 1
-
-        # period 6, split (3,3) with translation 3
-        for a1, a2, b1, b2 in itertools.product((0, 1, 2), repeat=4):
-            err = _check_even_case(
-                CyclicStructure(k=3, okamoto=(a1, a2)),
-                CyclicStructure(k=3, okamoto=(b1, b2)),
-                (1, 2, 0, 4, 5, 3),
-                lambda a, a1=a1, a2=a2, b1=b1, b2=b2: (
-                    2 * (-1 + 3 * (a1 - a2)) * w,
-                    2 * (2 + 3 * a2) * w,
-                    2 * (a - 1 - 3 * b1) * w,
-                    2 * (-1 + 3 * (b1 - b2)) * w,
-                    2 * (2 + 3 * b2) * w,
-                    2 * (-4 - 3 * a1 - a) * w,
-                ),
-            )
-            if err:
-                return False, err
-            cases += 1
-
-        # period 6, split (3,3) with translation 1
-        for l1, m1, r1, s1 in itertools.product((1, 2), repeat=4):
-            err = _check_even_case(
-                CyclicStructure(k=1, second_type=((l1, m1),)),
-                CyclicStructure(k=1, second_type=((r1, s1),)),
-                (1, 2, 0, 4, 5, 3),
-                lambda a, l1=l1, m1=m1, r1=r1, s1=s1: (
-                    -2 * m1 * w,
-                    2 * (l1 + m1) * w,
-                    2 * (a - r1) * w,
-                    -2 * s1 * w,
-                    2 * (r1 + s1) * w,
-                    2 * (-1 - l1 - a) * w,
-                ),
-            )
-            if err:
-                return False, err
-            cases += 1
-        return True, "%d parameter cells x 3 alpha samples" % cases
+        return err is None, err or "%d parameter cells x 3 alpha samples" % len(cells)
 
     return _result(6, "even chains: residuals, sum rule, parameter tables", run)
 
@@ -444,46 +412,37 @@ def check_even_chains() -> CheckResult:
 def check_pv() -> CheckResult:
     def run():
         instances = 0
-        # split (3,1): the equation-solved parameters; the printed (a, b, c)
-        # are 4x these, the printed d agrees (see decisions ledger).
-        for lam, mu in itertools.product((1, 2), repeat=2):
+        for cs1, cs2, perm, _ in even_cells():
+            if cs1.p + cs2.p != 4:
+                continue
             for a in ALPHA_TRIPLE:
-                cs1 = CyclicStructure(k=1, second_type=((lam, mu),))
-                sol = build_even_chain(
-                    cs1, CyclicStructure(k=1), AlphaParam(a), perm=(1, 2, 0, 3)
-                )
-                inst = pv_from_chain(sol)
-                want = (
-                    Fraction(2 * mu * mu, 4),
-                    Fraction(-2) * a * a / 4,
-                    Fraction(4 * (a + 2 * lam + mu + 1), 4),
-                    Fraction(-1, 2),
-                )
+                inst = pv_from_chain(build_even_chain(cs1, cs2, AlphaParam(a), perm=perm))
+                if cs1.k == 1:
+                    # split (3,1): the equation-solved parameters (see
+                    # scripts/fit_pv_parameters.py); the printed (a, b, c)
+                    # are 4x these, the printed d agrees.
+                    ((lam, mu),) = cs1.second_type
+                    want = (
+                        Fraction(2 * mu * mu, 4),
+                        Fraction(-2) * a * a / 4,
+                        Fraction(4 * (a + 2 * lam + mu + 1), 4),
+                        Fraction(-1, 2),
+                    )
+                else:
+                    # split (2,2): printed a, b, d agree; printed c is 4x the
+                    # true one.
+                    (a1,), (b1,) = cs1.okamoto, cs2.okamoto
+                    want = (
+                        Fraction((1 + 2 * a1) ** 2, 8),
+                        Fraction(-((1 + 2 * b1) ** 2), 8),
+                        Fraction(8, 4) * (a + 1 + a1 - b1),
+                        Fraction(-2),
+                    )
+                cell = "(%r, %r, alpha=%s)" % (cs1, cs2, a)
                 if (inst.a, inst.b, inst.c, inst.d) != want:
-                    return False, "(3,1) params mismatch at (%d,%d,%s)" % (lam, mu, a)
+                    return False, "params mismatch at %s" % cell
                 if not pv_residual(inst).is_zero:
-                    return False, "(3,1) residual nonzero at (%d,%d,%s)" % (lam, mu, a)
-                instances += 1
-        # split (2,2): printed a, b, d agree; printed c is 4x the true one.
-        for a1, b1 in itertools.product((0, 1, 2), repeat=2):
-            for a in ALPHA_TRIPLE:
-                sol = build_even_chain(
-                    CyclicStructure(k=2, okamoto=(a1,)),
-                    CyclicStructure(k=2, okamoto=(b1,)),
-                    AlphaParam(a),
-                    perm=(1, 0, 3, 2),
-                )
-                inst = pv_from_chain(sol)
-                want = (
-                    Fraction((1 + 2 * a1) ** 2, 8),
-                    Fraction(-((1 + 2 * b1) ** 2), 8),
-                    Fraction(8, 4) * (a + 1 + a1 - b1),
-                    Fraction(-2),
-                )
-                if (inst.a, inst.b, inst.c, inst.d) != want:
-                    return False, "(2,2) params mismatch at (%d,%d,%s)" % (a1, b1, a)
-                if not pv_residual(inst).is_zero:
-                    return False, "(2,2) residual nonzero at (%d,%d,%s)" % (a1, b1, a)
+                    return False, "residual nonzero at %s" % cell
                 instances += 1
         return True, "%d PV instances, all residuals zero" % instances
 

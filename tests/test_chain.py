@@ -33,6 +33,7 @@ from dresschain.maya import (
     uc_flip_chain,
 )
 from dresschain.orthopoly import AlphaParam
+from dresschain.selftest import even_cells
 from dresschain.wronskian import (
     _hermite_matrix_det,
     _laguerre_matrix_det,
@@ -44,6 +45,12 @@ from oracles import _residual_rf
 EMPTY = MayaDiagram(())
 X = Polynomial.x()
 ALPHA = AlphaParam(F(1, 3))
+# the criterion-6 box: every cell as (cs1, cs2), and the period-4 cells,
+# splits (3,1) and (2,2), with their table flip orders
+EVEN_CELLS = [(cs1, cs2) for cs1, cs2, _, _ in even_cells()]
+PERIOD4_CELLS = [
+    (cs1, cs2, perm) for cs1, cs2, perm, _ in even_cells() if cs1.p + cs2.p == 4
+]
 
 
 def test_one_step_chain():
@@ -284,26 +291,16 @@ def test_corrupted_ladder_entry_fails(sol):
 
 def _chains_for_fast_check_oracle():
     """(chain, bump) pairs: the odd p, k <= 3 box under every flip order,
-    and the criterion-6 (3,1) and (2,2) cells at alpha 1/3.  A bumped
-    chain's residuals cost seconds of gcds each under some flip orders, so
-    odd chains are bumped in their default order only."""
+    and the criterion-6 period-4 cells at alpha 1/3.  A bumped chain's
+    residuals cost seconds of gcds each under some flip orders, so odd
+    chains are bumped in their default order only."""
     for p, k in ((1, 1), (3, 1), (3, 3)):
         for cs in enumerate_structures(p, k, 3):
             for perm in itertools.permutations(range(p)):
                 sol = build_odd_chain(cs, perm=perm, allow_degenerate=True)
                 yield sol, perm == tuple(range(p))
-    for lam, mu in itertools.product((1, 2), repeat=2):
-        cs1 = CyclicStructure(k=1, second_type=((lam, mu),))
-        sol = build_even_chain(cs1, CyclicStructure(k=1), ALPHA, perm=(1, 2, 0, 3))
-        yield sol, True
-    for a1, b1 in itertools.product((0, 1, 2), repeat=2):
-        sol = build_even_chain(
-            CyclicStructure(k=2, okamoto=(a1,)),
-            CyclicStructure(k=2, okamoto=(b1,)),
-            ALPHA,
-            perm=(1, 0, 3, 2),
-        )
-        yield sol, True
+    for cs1, cs2, perm in PERIOD4_CELLS:
+        yield build_even_chain(cs1, cs2, ALPHA, perm=perm), True
 
 
 def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
@@ -379,36 +376,6 @@ def test_random_odd_chains_verify_against_raw_ladders(data):
     assert [pw.poly for pw in sol.ladder] == [_hermite_matrix_det(s.entries) for s in states]
 
 
-def _period4_even_cells():
-    # the criterion-6 cells of splits (3,1) and (2,2)
-    for lam, mu in itertools.product((1, 2), repeat=2):
-        yield CyclicStructure(k=1, second_type=((lam, mu),)), CyclicStructure(k=1)
-    for a1, b1 in itertools.product((0, 1, 2), repeat=2):
-        yield CyclicStructure(k=2, okamoto=(a1,)), CyclicStructure(k=2, okamoto=(b1,))
-
-
-def _period6_even_cells():
-    # the criterion-6 cells of splits (5,1), (4,2) and (3,3)
-    for l1, m1, g, m2 in itertools.product((1, 2), repeat=4):
-        pairs = ((l1, m1), (l1 + m1 + g, m2))
-        yield CyclicStructure(k=1, second_type=pairs), CyclicStructure(k=1)
-    for a1, b1, m1 in itertools.product((0, 1, 2), (0, 1, 2), (1, 2)):
-        yield (
-            CyclicStructure(k=2, okamoto=(a1,), second_type=((2, m1),)),
-            CyclicStructure(k=2, okamoto=(b1,)),
-        )
-    for a1, a2, b1, b2 in itertools.product((0, 1, 2), repeat=4):
-        yield CyclicStructure(k=3, okamoto=(a1, a2)), CyclicStructure(k=3, okamoto=(b1, b2))
-    for l1, m1, r1, s1 in itertools.product((1, 2), repeat=4):
-        yield (
-            CyclicStructure(k=1, second_type=((l1, m1),)),
-            CyclicStructure(k=1, second_type=((r1, s1),)),
-        )
-
-
-EVEN_CELLS = list(_period4_even_cells()) + list(_period6_even_cells())
-
-
 def _ladder_states(cs1, cs2, sol):
     uc, _ = uc_flip_chain(cs1, cs2)
     state = (uc.first, uc.second)
@@ -425,7 +392,7 @@ def _check_even_ladders_against_raw(alphas):
     entries were translated characters."""
     translated = 0
     for alpha in alphas:
-        for cs1, cs2 in _period4_even_cells():
+        for cs1, cs2, _ in PERIOD4_CELLS:
             for perm in itertools.permutations(range(4)):
                 sol = build_even_chain(cs1, cs2, alpha, perm=perm)
                 states = _ladder_states(cs1, cs2, sol)

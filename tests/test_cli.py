@@ -215,11 +215,16 @@ def test_selftest_single_criterion(capsys):
          "--allow-degenerate"],
         ["painleve", "--period", "4", "--case", "2,2", "--params", "0,0",
          "--perm", "1,0,3,2", "--allow-degenerate"],
+        ["verify", "--period", "4", "--case", "3,3", "--shift", "1",
+         "--params", "1,1,1,1", "--format", "text"],
+        ["build", "--period", "8", "--case", "2,2", "--params", "0,0"],
+        ["verify", "--period", "2", "--case", "3,1", "--params", "1,1"],
     ],
     ids=["repeated-perm", "short-perm", "zero-bound", "duplicate-alpha",
          "out-is-directory", "out-parent-missing", "criterion-9", "criterion-0",
          "piv-perm", "piv-alpha", "piv-case", "piv-allow-degenerate",
-         "odd-alpha", "odd-case", "even-allow-degenerate", "pv-allow-degenerate"],
+         "odd-alpha", "odd-case", "even-allow-degenerate", "pv-allow-degenerate",
+         "case-6-period-4", "case-4-period-8", "case-4-period-2"],
 )
 def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     # relative --out paths resolve in an empty directory
