@@ -1,9 +1,9 @@
 """Exact-arithmetic engine for rational solutions of periodic dressing
 chains, built from cyclic Maya diagrams and universal characters.
 
-Everything is exact: polynomials and rational functions over Q, pseudo-
-Wronskian determinants by fraction-free elimination, chain residuals and
-Painleve IV/V reductions checked as rational-function identities.
+Everything is exact: polynomials and rational functions over Q, ladder
+determinants by the integer Wronskian recursion of Sylvester's identity,
+chain residuals and Painleve IV/V reductions checked as identities over Q.
 """
 
 from .exact import (

@@ -11,9 +11,10 @@ arithmetic; the Fraction coefficients of the public interface (`coeffs`,
 `leading`, `coeff`, serialisation) are produced on demand.
 
 Rational functions keep a monic denominator and a gcd-reduced numerator,
-so structural equality coincides with mathematical equality.  Determinants
-are taken by Bareiss elimination over Z[x] and gcds by a primitive
-pseudo-remainder sequence; both share the integer kernel below.
+so structural equality coincides with mathematical equality.  Gcds are
+taken by a primitive pseudo-remainder sequence, and general determinants
+by Bareiss elimination over Z[x], the oracle of the ladder recursion in
+`wronskian`; all of them share the integer kernel below.
 """
 
 from __future__ import annotations
@@ -364,17 +365,14 @@ class Polynomial:
 
     def of_square(self, shift: int = 0, negate: bool = False) -> "Polynomial":
         """x**shift * self(x**2), or x**shift * self(-x**2) when negate; the
-        inverse of decompress_even.  A negative shift may drop only zero
-        coefficients."""
+        inverse of decompress_even."""
+        if shift < 0:
+            raise ValueError("negative shift")
         n = list(self._n)
         if negate:
             n[1::2] = [-x for x in n[1::2]]
         out = [0] * (2 * len(n) - 1) if n else []
         out[0::2] = n
-        if shift < 0:
-            if any(out[:-shift]):
-                raise ValueError("x**%d does not divide the polynomial" % -shift)
-            out = out[-shift:]
         return _poly([0] * shift + out, self._d)
 
     # -- serialization & dunders ---------------------------------------------

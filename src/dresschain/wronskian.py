@@ -1,9 +1,12 @@
 """Hermite Wronskians and Laguerre pseudo-Wronskians with gauge tracking.
 
-Both determinants are defined directly as the polynomial matrices below
-(not as analytic Wronskians; those differ by a known constant factor that
-drops out of every log-derivative ratio).  Each result carries gauge
-exponents (z_power, exp_coeff) describing the prefactor
+Both determinants are defined as the polynomial matrices below.  Each
+is an analytic Wronskian up to a constant and a power of z, so it is
+computed by the Wronskian recursion of Sylvester's identity
+(_wronskian_ints) on integer coefficient lists, with the constant fixed
+by a closed-form leading coefficient; the matrices, eliminated in full
+(_hermite_matrix_det, _laguerre_matrix_det), are the oracles.  Each
+result carries gauge exponents (z_power, exp_coeff) describing the prefactor
 
     z**z_power * exp(exp_coeff * w),   w = omega * x**2 / 2,
 
@@ -20,6 +23,7 @@ from math import factorial, prod
 from typing import Optional, Tuple
 
 from .exact import Polynomial, det_int_matrix, det_poly_matrix, frac_str
+from .exact import _iexact_quo, _imul, _isub
 from .maya import MayaDiagram, UniversalCharacter, conjugate
 from .orthopoly import AlphaParam, falling_factorial, hermite
 
@@ -86,78 +90,69 @@ def _hermite_matrix_det(entries: Tuple[int, ...]) -> Polynomial:
     """Determinant with (i, j) entry (n_j)_i H_{n_j - i}(z), built from
     the Hermite polynomials and eliminated in full; the oracle of the
     canonical cache below."""
-    m = len(entries)
-    if m == 0:
+    if not entries:
         return Polynomial.one()
-    rows = []
-    for i in range(m):
-        row = []
-        for n in entries:
-            if n - i < 0:
-                row.append(Polynomial.zero())
-            else:
-                row.append(falling_factorial(n, i) * hermite(n - i))
-        rows.append(row)
-    return det_poly_matrix(rows)
+    return det_poly_matrix([
+        [falling_factorial(n, i) * hermite(n - i) if i <= n else Polynomial.zero()
+         for n in entries]
+        for i in range(len(entries))
+    ])
 
 
-def _hermite_ys(n: int, i: int) -> list:
-    """(n)_i H_{n-i}(z) z**(i%2 - n%2), i <= n, as integers in y = z**2.
+def _hermite_ys(n: int) -> list:
+    """H_n(z) z**-(n%2) as integers in y = z**2: the z**(n-2k) coefficient
+    of H_n is (-1)**k n! 2**(n-2k) / (k! (n-2k)!)."""
+    ys = [1 << n]
+    for k in range(n // 2):
+        ys.append(-ys[-1] * (n - 2 * k) * (n - 2 * k - 1) // (4 * (k + 1)))
+    return ys[::-1]
 
-    With t = n - i, the z**(t-2k) coefficient of (n)_i H_t(z) is the
-    integer (-1)**k n! 2**(t-2k) / (k! (t-2k)!), and the entry has the
-    parity of t; the factor of z makes it even (one leading zero in y when
-    n is even and i odd).
+
+def _wronskian_ints(funcs: list, s: int, t: int) -> Tuple[int, list]:
+    """(E, D) with s**(m (m-1) / 2) W(f_1, ..., f_m) = z**(E/s) D(z**t),
+    D(0) != 0, for independent f_j = z**(A_j/s) P_j(z**t) given as pairs
+    (A_j, P_j) of an int and an integer list with P_j(0) != 0.
+
+    By Sylvester's identity W(W(S, g), W(S, h)) = W(S) W(S, g, h), the
+    Wronskians of a prefix S with each later function give those of
+    S + (g,): m (m-1) / 2 steps of one 2 x 2 Wronskian and one exact
+    division by the previous W(S), with no pivot search.  As
+    s W(z**(a/s), z**(b/s)) = (b - a) z**((a+b-s)/s), a step on (A, P),
+    (B, Q) is sum (b_j - a_i) P_i Q_j u**(i+j), u = z**t, a_i = A + s t i,
+    b_j = B + s t j; its low zeros go into the exponent.
     """
-    t = n - i
-    c = (factorial(n) // factorial(t)) << t
-    ys = [c]
-    for k in range(t // 2):
-        c = -c * (t - 2 * k) * (t - 2 * k - 1) // (4 * (k + 1))
-        ys.append(c)
-    ys.reverse()
-    return [0] + ys if i % 2 > n % 2 else ys
-
-
-def _packed_hermite_det(entries: Tuple[int, ...], negate: bool = False) -> Polynomial:
-    """The determinant of _hermite_matrix_det, eliminated in y = z**2; with
-    negate, the same at z -> i z (up to a constant).
-
-    Entry (i, j) times z**(b_i - a_j), a_j = n_j mod 2 and b_i = i mod 2,
-    is the integer polynomial in y of _hermite_ys, so the determinant is
-    z**(sum a_j - sum b_i) D(z**2), with D the integer determinant of
-    those y-lists: every list Bareiss multiplies is half as long.
-    """
-    m = len(entries)
-    if m == 0:
-        return Polynomial.one()
-    rows = [[_hermite_ys(n, i) if i <= n else [] for n in entries] for i in range(m)]
-    shift = sum(n % 2 for n in entries) - m // 2
-    return det_int_matrix(rows).of_square(shift, negate)
-
-
-def _conjugate_hermite_det(entries: Tuple[int, ...]) -> Polynomial:
-    """The determinant of a canonical diagram c, eliminated at the size of
-    its conjugate c' (the diagram of the conjugate partition).
-
-    H_c(z) is proportional to H_c'(i z) / i**deg (Felder, Hemery and
-    Veselov 2012), which is H_c' with the sign of each z**k coefficient
-    flipped when (deg - k) / 2 is odd.  In y that is D(-y) up to the sign
-    (-1)**deg(D), and rescaling to the leading coefficient 2**deg V(c) of
-    H_c fixes every constant, the power of i included.
-    """
-    poly = _packed_hermite_det(conjugate(MayaDiagram(entries)).entries, negate=True)
-    return poly * Fraction(2 ** poly.degree * _vandermonde(entries), poly.leading)
+    st = s * t
+    row = list(funcs)
+    prev_e, prev = 0, [1]
+    while len(row) > 1:
+        (a, f), rest = row[0], row[1:]
+        fa = [(a + st * i) * x for i, x in enumerate(f)]
+        nxt = []
+        for b, g in rest:
+            gb = [(b + st * j) * y for j, y in enumerate(g)]
+            r = _isub(_imul(f, gb), _imul(fa, g))
+            v = next(i for i, x in enumerate(r) if x)
+            nxt.append((a + b - s + st * v - prev_e, _iexact_quo(r[v:], prev)))
+        (prev_e, prev), row = row[0], nxt
+    return row[0] if row else (0, [1])
 
 
 @lru_cache(maxsize=None)
 def _canonical_hermite_det(entries: Tuple[int, ...]) -> Polynomial:
-    """The determinant of a canonical diagram, eliminated once per process
-    in y = z**2, at size min(m, c_m - m + 1): through the conjugate when
-    that is the smaller diagram.  _hermite_matrix_det is its oracle."""
-    if entries and entries[-1] - len(entries) + 1 < len(entries):
-        return _conjugate_hermite_det(entries)
-    return _packed_hermite_det(entries)
+    """The determinant of a canonical diagram c, once per process: the
+    Wronskian, in y = z**2, of the Hermite polynomials of c or of its
+    conjugate c' (the diagram of the conjugate partition), whichever has
+    fewer, min(m, c_m - m + 1).  _hermite_matrix_det is its oracle.
+
+    H_c(z) is proportional to H_c'(i z) / i**deg (Felder, Hemery and
+    Veselov 2012), so through c' the result is taken at y -> -y.  Either
+    way the leading coefficient 2**deg V(c) of H_c fixes the constant.
+    """
+    through = bool(entries) and entries[-1] - len(entries) + 1 < len(entries)
+    seeds = conjugate(MayaDiagram(entries)).entries if through else entries
+    e, ys = _wronskian_ints([(n % 2, _hermite_ys(n)) for n in seeds], 1, 2)
+    poly = Polynomial(ys).of_square(e, negate=through)
+    return poly * Fraction(2 ** poly.degree * _vandermonde(entries), poly.leading)
 
 
 def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
@@ -167,10 +162,8 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
     the m seed eigenfunctions is proportional to exp(-m w / 2) times this
     polynomial, w = omega x**2 / 2.  A diagram (0, ..., k-1, c + k) is the
     k-translate of the canonical c, so its determinant is a constant times
-    the cached determinant of c.  That one depends only on the partition
-    of c, has leading coefficient 2**deg V(c), deg = sum c - m (m - 1) / 2,
-    and is taken from c or from its conjugate, whichever is smaller, as an
-    integer matrix in z**2 (see _canonical_hermite_det).
+    the cached determinant of c (_canonical_hermite_det), whose leading
+    coefficient is 2**deg V(c), deg = sum c - m (m - 1) / 2.
     """
     entries = d.entries
     _check_entries(entries)
@@ -239,7 +232,7 @@ def _laguerre_columns(uc: UniversalCharacter, a: Fraction) -> Tuple[list, list]:
 
 def _laguerre_matrix_det(uc: UniversalCharacter, a: Fraction) -> Polynomial:
     """The pseudo-Wronskian determinant built and eliminated in full; the
-    oracle of the translation sharing below."""
+    oracle of laguerre_pseudo_wronskian."""
     if not uc.first.entries and not uc.second.entries:
         return Polynomial.one()
     rows, dens = _laguerre_columns(uc, a)
@@ -285,12 +278,14 @@ def laguerre_pseudo_wronskian(
     Spectrum columns carry (-1)**i L_{n-i}^{alpha+i}(z); shadow columns
     carry (l - alpha)_i z^{m+r-1-i} L_l^{-alpha-i}(z), row index i.  The
     gauge turns the result back into the full Wronskian of the mixed seed
-    functions, up to a constant.  A character whose components are the
-    k1- and k2-translates of canonical ones is c z**translation_power(r, k2)
-    times the determinant of those at alpha + k1 - k2 (r the size of the
-    canonical second one), and c is its top coefficient (_laguerre_top)
-    over the leading one of the canonical determinant, which comes from
-    this memo.
+    functions, up to a constant.  A canonical character is
+    z**(r (m + r - 1) + r alpha) times the Wronskian of the L_n^alpha and
+    the z**-alpha L_l^-alpha (see _laguerre_top), which _wronskian_ints
+    takes in powers of z**(1/q), alpha = p/q.  A character whose
+    components are the k1- and k2-translates of canonical ones is
+    z**translation_power(r, k2) times the determinant of those at
+    alpha + k1 - k2 (r the size of the canonical second one), from this
+    memo.  Either way _laguerre_top fixes the constant.
     """
     _check_entries(uc.first.entries)
     _check_entries(uc.second.entries)
@@ -303,8 +298,12 @@ def laguerre_pseudo_wronskian(
         canon = UniversalCharacter(MayaDiagram(canon1), MayaDiagram(canon2))
         base = laguerre_pseudo_wronskian(canon, alpha.shifted(k1 - k2)).poly
         poly = base.shifted(translation_power(len(canon2), k2))
-        poly = poly * (_laguerre_top(uc, a) / base.leading)
     else:
-        poly = _laguerre_matrix_det(uc, a)
+        p, q = a.numerator, a.denominator
+        funcs = [(0, _laguerre_ints(n, p, q)) for n in uc.first.entries]
+        funcs += [(-p, _laguerre_ints(l, -p, q)) for l in uc.second.entries]
+        e, d = _wronskian_ints(funcs, q, 1)
+        poly = Polynomial(d).shifted(r * (m + r - 1) + (r * p + e) // q)
+    poly = poly * (_laguerre_top(uc, a) / poly.leading)
     z_power = Fraction((m - r) ** 2, 4) - r * (r - 1) + a * Fraction(m - r, 2)
     return PseudoWronskian(poly, z_power, Fraction(-(m + r), 2), m, r, a)

@@ -109,6 +109,16 @@ def test_build_emits_ladder(capsys):
             "enum --period 5 --shift 1 --bound 3 --format latex",
             "86b4de8892c47b84624b379d0fc261277ba7cf033330dd8971765ef490903b39",
         ),
+        (
+            "verify --period 6 --case 3,3 --shift 3 --params 1,2,0,1 --alpha -2/5,7/3"
+            " --perm 1,2,0,4,5,3 --format json",
+            "cac1b28fafe9e1662ab71c9ed938289ebfaf668db2b09ff382714d57d555ae11",
+        ),
+        (
+            "verify --period 4 --case 3,1 --params 1,1 --alpha -2/5,7/3 --perm 1,2,0,3"
+            " --format json",
+            "d7181cce152e6011762a382487bbc8e63edb4a106a7360638c646a17ffd671f7",
+        ),
     ],
 )
 def test_output_bytes_pinned(capsys, argv, digest):

@@ -8,21 +8,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dresschain.wronskian
+from dresschain.chain import build_even_chain, build_odd_chain, verify_chain
 from dresschain.exact import Polynomial
-from dresschain.maya import MayaDiagram, UniversalCharacter, conjugate, translate
-from dresschain.orthopoly import AlphaParam, falling_factorial, hermite, laguerre
+from dresschain.maya import (
+    CyclicStructure,
+    MayaDiagram,
+    UniversalCharacter,
+    conjugate,
+    translate,
+)
+from dresschain.orthopoly import AlphaParam, hermite, laguerre
 from dresschain.selftest import check_wronskian_equivalences
 from dresschain.wronskian import (
     NegativeIndex,
     _canonical_hermite_det,
-    _conjugate_hermite_det,
     _hermite_matrix_det,
     _hermite_ys,
     _laguerre_columns,
     _laguerre_ints,
     _laguerre_matrix_det,
     _laguerre_top,
-    _packed_hermite_det,
     hermite_wronskian,
     laguerre_pseudo_wronskian,
     translation_power,
@@ -176,34 +181,43 @@ SMALL_DIAGRAMS = [
 
 
 def test_packed_entries_match_hermite():
-    # z**(n%2 - i%2) times the y-list's polynomial in z**2 is the entry
+    # z**(n%2) times the y-list's polynomial in z**2 is H_n
     for n in range(26):
-        for i in range(n + 1):
-            entry = Polynomial(_hermite_ys(n, i)).of_square(n % 2 - i % 2)
-            assert entry == falling_factorial(n, i) * hermite(n - i), (n, i)
+        assert Polynomial(_hermite_ys(n)).of_square(n % 2) == hermite(n), n
+
+
+def takes_conjugate_route(c):
+    return len(conjugate(MayaDiagram(c))) < len(c)
 
 
 def test_hermite_routes_match_raw_elimination():
-    # both routes forced on every diagram of weight <= 12; equality is on
-    # exact coefficients, so content and sign are covered
+    # every diagram of weight <= 12, each on the route it takes (the
+    # conjugate one when that diagram is smaller); equality is on exact
+    # coefficients, so content and sign are covered
     assert len(SMALL_DIAGRAMS) == 272
     conjugated = 0
     for c in SMALL_DIAGRAMS:
-        raw = _hermite_matrix_det(c)
-        assert _packed_hermite_det(c) == raw, c
-        assert _conjugate_hermite_det(c) == raw, c
-        assert _canonical_hermite_det.__wrapped__(c) == raw, c
-        conjugated += len(conjugate(MayaDiagram(c))) < len(c)
-    assert conjugated > 0
+        assert _canonical_hermite_det.__wrapped__(c) == _hermite_matrix_det(c), c
+        conjugated += takes_conjugate_route(c)
+    assert 0 < conjugated < len(SMALL_DIAGRAMS)
+
+
+# m <= 8 entries: sparse ones (c_m >= 2m - 1) take the direct route, dense
+# ones (all below 2m - 1) the conjugate one
+sparse_diagrams = st.lists(st.integers(1, 20), min_size=1, max_size=8, unique=True).map(
+    lambda e: tuple(sorted(e))
+).filter(lambda c: c[-1] >= 2 * len(c) - 1)
+dense_diagrams = st.integers(2, 8).flatmap(
+    lambda m: st.lists(st.integers(1, 2 * m - 2), min_size=m, max_size=m, unique=True)
+).map(lambda e: tuple(sorted(e)))
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(1, 20), min_size=1, max_size=8, unique=True))
-def test_hermite_routes_match_raw_elimination_large(entries):
-    c = tuple(sorted(entries))
-    raw = _hermite_matrix_det(c)
-    assert _packed_hermite_det(c) == raw
-    assert _conjugate_hermite_det(c) == raw
+@given(sparse_diagrams, dense_diagrams)
+def test_hermite_routes_match_raw_elimination_large(sparse, dense):
+    assert not takes_conjugate_route(sparse) and takes_conjugate_route(dense)
+    for c in (sparse, dense):
+        assert _canonical_hermite_det.__wrapped__(c) == _hermite_matrix_det(c), c
 
 
 def test_laguerre_memo_keys_on_values():
@@ -271,26 +285,38 @@ TRANSLATED = [
 ]
 
 
-def test_translated_laguerre_shares_canonical_determinant():
-    tops = []
+def test_translated_laguerre_shares_canonical_determinant(fresh_memos):
+    # the recursion sees one function per entry, of the entry's degree; a
+    # translate has an entry 0 and a canonical character none, so only
+    # canonical characters reach it, each once per shifted alpha
+    degrees = []
 
-    def recorded(uc, a):
-        tops.append(top_coefficient(uc, a))
-        return tops[-1]
+    def recorded(funcs, s, t):
+        degrees.append([len(f) - 1 for _, f in funcs])
+        return kernel(funcs, s, t)
 
-    top_coefficient = dresschain.wronskian._laguerre_top
-    with mock.patch.object(dresschain.wronskian, "_laguerre_top", recorded):
+    kernel = dresschain.wronskian._wronskian_ints
+    alphas = (F(1, 3), F(-2, 5))
+    with mock.patch.object(dresschain.wronskian, "_wronskian_ints", recorded):
         for uc, k1, k2 in TRANSLATED:
             shifted = UniversalCharacter(translate(uc.first, k1), translate(uc.second, k2))
-            for a in (F(1, 3), F(-2, 5)):
+            for a in alphas:
                 pw = laguerre_pseudo_wronskian.__wrapped__(shifted, AlphaParam(a))
                 assert pw.poly == _laguerre_matrix_det(shifted, a)
-    assert len(tops) == 2 * len(TRANSLATED) and all(tops)
+    canonical = {(uc, a + k1 - k2) for uc, k1, k2 in TRANSLATED for a in alphas}
+    assert len(degrees) == len(canonical)
+    assert all(0 not in d for d in degrees)
 
 
 def test_criterion_3_catches_a_wrong_laguerre_top(monkeypatch, fresh_memos):
+    # canonical characters take their constant from _laguerre_top too, so
+    # only translates (a component starting at 0) get the wrong one
+    def doubled(uc, a):
+        translated = (uc.first.entries + uc.second.entries).count(0)
+        return 2 * top(uc, a) if translated else top(uc, a)
+
     top = dresschain.wronskian._laguerre_top
-    monkeypatch.setattr(dresschain.wronskian, "_laguerre_top", lambda uc, a: 2 * top(uc, a))
+    monkeypatch.setattr(dresschain.wronskian, "_laguerre_top", doubled)
     result = check_wronskian_equivalences()
     assert not result.ok
     assert result.detail == "Laguerre ladder differs from its matrix at () x (0,), alpha=1/3"
@@ -318,6 +344,56 @@ non_integer_alphas = st.fractions(min_value=-6, max_value=6, max_denominator=50)
 def test_laguerre_pseudo_wronskian_matches_oracle(uc, a):
     poly = laguerre_pseudo_wronskian.__wrapped__(uc, AlphaParam(a)).poly
     assert poly == laguerre_det_oracle(uc, a)
+
+
+def canonical_diagrams(max_size):
+    return st.lists(st.integers(1, 9), max_size=max_size, unique=True).map(
+        lambda e: MayaDiagram(tuple(sorted(e)))
+    )
+
+
+@st.composite
+def canonical_characters(draw):
+    """Canonical characters of size <= 8, spectrum-only and shadow-only
+    ones drawn on purpose."""
+    kind = draw(st.sampled_from(("spectrum", "shadow", "mixed")))
+    if kind == "mixed":
+        first = draw(canonical_diagrams(7))
+        second = draw(canonical_diagrams(8 - len(first)))
+    else:
+        first, second = draw(canonical_diagrams(8)), EMPTY
+        if kind == "shadow":
+            first, second = second, first
+    return UniversalCharacter(first, second)
+
+
+# alpha = p/q with q <= 9 and p of either sign
+small_denominator_alphas = st.builds(F, st.integers(-40, 40), st.integers(2, 9)).filter(
+    lambda a: a.denominator != 1
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(canonical_characters(), small_denominator_alphas)
+def test_laguerre_recursion_matches_raw_elimination(uc, a):
+    # a canonical character goes straight to the recursion
+    poly = laguerre_pseudo_wronskian.__wrapped__(uc, AlphaParam(a)).poly
+    assert poly == _laguerre_matrix_det(uc, a)
+
+
+def test_ladders_run_no_elimination(monkeypatch, fresh_memos):
+    def forbidden(*args):
+        raise AssertionError("a ladder entry ran a Bareiss elimination")
+
+    monkeypatch.setattr(dresschain.wronskian, "det_int_matrix", forbidden)
+    monkeypatch.setattr(dresschain.wronskian, "det_poly_matrix", forbidden)
+    odd = build_odd_chain(CyclicStructure(k=3, okamoto=(1, 2)), perm=(2, 0, 1))
+    even = build_even_chain(
+        CyclicStructure(k=1, second_type=((1, 2),)),
+        CyclicStructure(k=1, second_type=((2, 1),)),
+        AlphaParam(F(2, 5)),
+    )
+    assert verify_chain(odd).ok and verify_chain(even).ok
 
 
 @settings(max_examples=100, deadline=None)
