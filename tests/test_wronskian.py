@@ -312,7 +312,7 @@ def test_criterion_3_catches_a_wrong_laguerre_top(monkeypatch, fresh_memos):
     # canonical characters take their constant from _laguerre_top too, so
     # only translates (a component starting at 0) get the wrong one
     def doubled(uc, a):
-        translated = (uc.first.entries + uc.second.entries).count(0)
+        translated = 0 in uc.first.entries + uc.second.entries
         return 2 * top(uc, a) if translated else top(uc, a)
 
     top = dresschain.wronskian._laguerre_top
