@@ -51,10 +51,8 @@ from .wronskian import (
 from .chain import (
     ChainSolution,
     OddPeriodRequired,
-    SampleDegenerate,
     VerificationReport,
     WTerm,
-    alpha_sampled_verify,
     build_even_chain,
     build_odd_chain,
     potential_of,

@@ -52,10 +52,6 @@ class OddPeriodRequired(ValueError):
     """The harmonic-seed builder only produces odd-period chains."""
 
 
-class SampleDegenerate(ValueError):
-    """A ladder determinant vanished identically at this alpha sample."""
-
-
 OMEGA = Fraction(2)
 
 
@@ -142,8 +138,8 @@ class ChainSolution:
             WTerm(
                 lin=-OMEGA * (cur.exp_coeff - prev.exp_coeff),
                 inv=-2 * (cur.z_power - prev.z_power),
-                log_prev=prev.poly,
-                log_next=cur.poly,
+                log_prev=prev.prim,
+                log_next=cur.prim,
                 h=h,
             )
             for prev, cur in zip(self.ladder, self.ladder[1:])
@@ -190,8 +186,6 @@ def _assemble(
     """The solution of a replayed chain: its ladder, the energy differences
     of consecutive seeds (the last one less the shift), and the flips
     re-tagged with their dynamic signs."""
-    if any(pw.poly.is_zero for pw in ladder):
-        raise SampleDegenerate("a pseudo-Wronskian vanished identically; resample alpha")
     eps = [a - b for a, b in zip(seeds, seeds[1:])] + [seeds[-1] - seeds[0] - delta]
     return ChainSolution(
         delta=delta,
@@ -272,14 +266,9 @@ def _closure_exponent(sol: ChainSolution) -> int:
 
 
 def _closure_holds(sol: ChainSolution) -> bool:
-    """Ladder closure: last determinant == const * z**e * first one."""
-    first = sol.ladder[0].poly
-    last = sol.ladder[-1].poly
-    e = _closure_exponent(sol)
-    shifted = first.shifted(e)
-    if last.degree != shifted.degree:
-        return False
-    return last * shifted.leading == shifted * last.leading
+    """Ladder closure: last determinant == const * z**e * first one, that
+    is, equal primitive polynomials."""
+    return sol.ladder[-1].prim == sol.ladder[0].prim.shifted(_closure_exponent(sol))
 
 
 def _component(
@@ -379,9 +368,9 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
     closed = _closure_holds(sol)
     e = _closure_exponent(sol)
 
-    # every check is homogeneous in each ladder entry: integer entries
-    # with coprime coefficients keep the arithmetic small and exact
-    prims = [pw.poly.primitive() for pw in sol.ladder]
+    # every check is homogeneous in each ladder entry, so it reads the
+    # primitive integer polynomials: small and exact arithmetic
+    prims = [pw.prim for pw in sol.ladder]
     equations = []
     for i in range(1, p + 1):
         a = sol.terms[i - 1]
@@ -430,7 +419,7 @@ def potential_of(d: MayaDiagram) -> PotentialParts:
     """
     if not d.is_canonical:
         raise ValueError("potential_of expects a canonical diagram")
-    h = hermite_wronskian(d).poly
+    h = hermite_wronskian(d).prim
     m = len(d.entries)
     constant = m * OMEGA - OMEGA / 2
     num = h.derivative().derivative() * h - h.derivative() * h.derivative()
@@ -438,49 +427,3 @@ def potential_of(d: MayaDiagram) -> PotentialParts:
     return PotentialParts(
         rational=rational, harmonic_coeff=OMEGA * OMEGA / 4, constant=constant
     )
-
-
-DEFAULT_ALPHA_SAMPLES: Tuple[Fraction, ...] = (
-    Fraction(1, 3),
-    Fraction(2, 5),
-    Fraction(7, 3),
-    Fraction(5, 2),
-    Fraction(-4, 3),
-)
-
-
-@dataclass(frozen=True)
-class AlphaSweepReport:
-    samples: Tuple[Fraction, ...]
-    reports: Tuple[VerificationReport, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.reports)
-
-
-def alpha_sampled_verify(
-    cs1: CyclicStructure,
-    cs2: CyclicStructure,
-    samples: Optional[Sequence[AlphaParam]] = None,
-    perm: Optional[Sequence[int]] = None,
-) -> AlphaSweepReport:
-    """Build and verify the even chain at several alpha samples.
-
-    Each sample is checked exactly, at that alpha only; the default sweep
-    uses five.  Once denominators are cleared, each identity is polynomial
-    in alpha of some degree D, so a certificate for every alpha needs
-    D + 1 distinct samples, and D runs to the hundreds for the larger
-    chains; the sweep does not compute it.  A vanishing ladder
-    determinant raises SampleDegenerate.
-    """
-    if samples is None:
-        samples = tuple(AlphaParam(v) for v in DEFAULT_ALPHA_SAMPLES)
-    values = [a.value for a in samples]
-    if len(set(values)) != len(values):
-        raise ValueError("alpha samples must be distinct")
-    reports = []
-    for a in samples:
-        sol = build_even_chain(cs1, cs2, a, perm=perm)
-        reports.append(verify_chain(sol))
-    return AlphaSweepReport(samples=tuple(values), reports=tuple(reports))

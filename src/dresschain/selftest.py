@@ -20,7 +20,6 @@ from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .chain import (
-    DEFAULT_ALPHA_SAMPLES,
     OMEGA,
     build_even_chain,
     build_odd_chain,
@@ -50,6 +49,14 @@ from .wronskian import (
 )
 
 ALPHA_TRIPLE = (Fraction(1, 3), Fraction(2, 5), Fraction(7, 3))
+# the Laguerre parameters of criterion 1
+DEFAULT_ALPHA_SAMPLES: Tuple[Fraction, ...] = (
+    Fraction(1, 3),
+    Fraction(2, 5),
+    Fraction(7, 3),
+    Fraction(5, 2),
+    Fraction(-4, 3),
+)
 
 
 @dataclass
@@ -495,10 +502,11 @@ def check_degenerations() -> CheckResult:
             odd_part = tuple((n - 1) // 2 for n in d.entries if n % 2 == 1)
             even_part = tuple(n // 2 for n in d.entries if n % 2 == 0)
             uc = UniversalCharacter(MayaDiagram(odd_part), MayaDiagram(even_part))
-            lhs = _strip_even_square(hermite_wronskian(d).poly)
-            rhs_poly = laguerre_pseudo_wronskian(uc, half).poly
-            _, rhs = rhs_poly.split_lowest()
-            if lhs * rhs.leading != rhs * lhs.leading:
+            # primitive with positive leading coefficients: proportional
+            # polynomials are equal
+            lhs = _strip_even_square(hermite_wronskian(d).prim)
+            _, rhs = laguerre_pseudo_wronskian(uc, half).prim.split_lowest()
+            if lhs != rhs:
                 return False, "parity split fails at %r" % (d.entries,)
             split_cases += 1
         return True, "staircase, 1- and 2-step forms, %d parity splits" % split_cases

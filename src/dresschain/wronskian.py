@@ -3,9 +3,15 @@
 Both determinants are defined as the polynomial matrices below.  Each
 is an analytic Wronskian up to a constant and a power of z, so it is
 computed by the Wronskian recursion of Sylvester's identity
-(_wronskian_ints) on integer coefficient lists, with the constant fixed
-by a closed-form leading coefficient; the matrices, eliminated in full
-(_hermite_matrix_det, _laguerre_matrix_det), are the oracles.  Each
+(_wronskian_ints) on integer coefficient lists; the matrices, eliminated
+in full (_hermite_matrix_det, _laguerre_matrix_det), are the oracles.
+
+A ladder entry is stored as its primitive integer polynomial `prim`
+(coprime coefficients, positive leading one) and the determinant's
+leading coefficient `lead`, taken from a closed form: 2**deg V(entries)
+for a Hermite diagram, _laguerre_top for a character.  Every chain
+identity is homogeneous in each entry, so the chain reads `prim` only;
+the determinant itself, `poly`, is derived when output reads it.  Each
 result carries gauge exponents (z_power, exp_coeff) describing the prefactor
 
     z**z_power * exp(exp_coeff * w),   w = omega * x**2 / 2,
@@ -42,16 +48,25 @@ class PseudoWronskian:
     """Polynomial part of a seed-function Wronskian plus its gauge
     z**z_power * exp(exp_coeff * omega x**2 / 2).
 
-    m and r are the component sizes of the labeling index tuples (r = 0
-    and alpha = None for the harmonic-oscillator case).
+    The determinant is `lead / prim.leading` times `prim`, a primitive
+    integer polynomial with a positive leading coefficient; `lead`, its
+    leading coefficient, is never zero.  m and r are the component sizes
+    of the labeling index tuples (r = 0 and alpha = None for the
+    harmonic-oscillator case).
     """
 
-    poly: Polynomial
+    prim: Polynomial
+    lead: Fraction
     z_power: Fraction
     exp_coeff: Fraction
     m: int
     r: int
     alpha: Optional[Fraction]
+
+    @property
+    def poly(self) -> Polynomial:
+        """The determinant, with its constant."""
+        return self.prim * (self.lead / self.prim.leading)
 
     def to_json(self) -> dict:
         return {
@@ -88,8 +103,8 @@ def _vandermonde(entries: Tuple[int, ...]) -> int:
 
 def _hermite_matrix_det(entries: Tuple[int, ...]) -> Polynomial:
     """Determinant with (i, j) entry (n_j)_i H_{n_j - i}(z), built from
-    the Hermite polynomials and eliminated in full; the oracle of the
-    canonical cache below."""
+    the Hermite polynomials and eliminated in full; the oracle of
+    hermite_wronskian."""
     if not entries:
         return Polynomial.one()
     return det_poly_matrix([
@@ -139,20 +154,18 @@ def _wronskian_ints(funcs: list, s: int, t: int) -> Tuple[int, list]:
 
 @lru_cache(maxsize=None)
 def _canonical_hermite_det(entries: Tuple[int, ...]) -> Polynomial:
-    """The determinant of a canonical diagram c, once per process: the
-    Wronskian, in y = z**2, of the Hermite polynomials of c or of its
-    conjugate c' (the diagram of the conjugate partition), whichever has
-    fewer, min(m, c_m - m + 1).  _hermite_matrix_det is its oracle.
+    """The primitive determinant of a canonical diagram c, once per
+    process: the Wronskian, in y = z**2, of the Hermite polynomials of c
+    or of its conjugate c' (the diagram of the conjugate partition),
+    whichever has fewer, min(m, c_m - m + 1).
 
     H_c(z) is proportional to H_c'(i z) / i**deg (Felder, Hemery and
-    Veselov 2012), so through c' the result is taken at y -> -y.  Either
-    way the leading coefficient 2**deg V(c) of H_c fixes the constant.
+    Veselov 2012), so through c' the result is taken at y -> -y.
     """
     through = bool(entries) and entries[-1] - len(entries) + 1 < len(entries)
     seeds = conjugate(MayaDiagram(entries)).entries if through else entries
     e, ys = _wronskian_ints([(n % 2, _hermite_ys(n)) for n in seeds], 1, 2)
-    poly = Polynomial(ys).of_square(e, negate=through)
-    return poly * Fraction(2 ** poly.degree * _vandermonde(entries), poly.leading)
+    return Polynomial(ys).of_square(e, negate=through).primitive()
 
 
 def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
@@ -162,19 +175,16 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
     the m seed eigenfunctions is proportional to exp(-m w / 2) times this
     polynomial, w = omega x**2 / 2.  A diagram (0, ..., k-1, c + k) is the
     k-translate of the canonical c, so its determinant is a constant times
-    the cached determinant of c (_canonical_hermite_det), whose leading
-    coefficient is 2**deg V(c), deg = sum c - m (m - 1) / 2.
+    that of c, and both share the cached primitive polynomial
+    (_canonical_hermite_det).  The leading coefficient of either is
+    2**deg V(entries), deg = sum(entries) - m (m - 1) / 2.
     """
     entries = d.entries
     _check_entries(entries)
     m = len(entries)
-    k, canon = _untranslate(entries)
-    poly = _canonical_hermite_det(canon)
-    if k:
-        # the leading coefficient is 2**deg * V(entries), deg = sum(n) - m(m-1)/2,
-        # and translation keeps deg: the constant is the ratio of the two V
-        poly = poly * Fraction(_vandermonde(entries), _vandermonde(canon))
-    return PseudoWronskian(poly, Fraction(0), Fraction(-m, 2), m, 0, None)
+    prim = _canonical_hermite_det(_untranslate(entries)[1])
+    lead = Fraction(2 ** prim.degree * _vandermonde(entries))
+    return PseudoWronskian(prim, lead, Fraction(0), Fraction(-m, 2), m, 0, None)
 
 
 def _laguerre_ints(n: int, p: int, q: int) -> list:
@@ -285,7 +295,8 @@ def laguerre_pseudo_wronskian(
     components are the k1- and k2-translates of canonical ones is
     z**translation_power(r, k2) times the determinant of those at
     alpha + k1 - k2 (r the size of the canonical second one), from this
-    memo.  Either way _laguerre_top fixes the constant.
+    memo.  Either way the entry stores the primitive polynomial, and
+    _laguerre_top is its leading coefficient.
     """
     _check_entries(uc.first.entries)
     _check_entries(uc.second.entries)
@@ -296,14 +307,15 @@ def laguerre_pseudo_wronskian(
     k2, canon2 = _untranslate(uc.second.entries)
     if k1 or k2:
         canon = UniversalCharacter(MayaDiagram(canon1), MayaDiagram(canon2))
-        base = laguerre_pseudo_wronskian(canon, alpha.shifted(k1 - k2)).poly
-        poly = base.shifted(translation_power(len(canon2), k2))
+        base = laguerre_pseudo_wronskian(canon, alpha.shifted(k1 - k2)).prim
+        prim = base.shifted(translation_power(len(canon2), k2))
     else:
         p, q = a.numerator, a.denominator
         funcs = [(0, _laguerre_ints(n, p, q)) for n in uc.first.entries]
         funcs += [(-p, _laguerre_ints(l, -p, q)) for l in uc.second.entries]
         e, d = _wronskian_ints(funcs, q, 1)
-        poly = Polynomial(d).shifted(r * (m + r - 1) + (r * p + e) // q)
-    poly = poly * (_laguerre_top(uc, a) / poly.leading)
+        prim = Polynomial(d).shifted(r * (m + r - 1) + (r * p + e) // q).primitive()
     z_power = Fraction((m - r) ** 2, 4) - r * (r - 1) + a * Fraction(m - r, 2)
-    return PseudoWronskian(poly, z_power, Fraction(-(m + r), 2), m, r, a)
+    return PseudoWronskian(
+        prim, _laguerre_top(uc, a), z_power, Fraction(-(m + r), 2), m, r, a
+    )

@@ -4,16 +4,13 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dresschain.chain
 from dresschain.chain import (
-    DEFAULT_ALPHA_SAMPLES,
     OMEGA,
     OddPeriodRequired,
-    SampleDegenerate,
-    alpha_sampled_verify,
     build_even_chain,
     build_odd_chain,
     potential_of,
@@ -33,11 +30,15 @@ from dresschain.maya import (
     uc_flip_chain,
 )
 from dresschain.orthopoly import AlphaParam
+from dresschain.painleve import piv_from_chain, pv_from_chain
 from dresschain.selftest import even_cells
 from dresschain.wronskian import (
+    PseudoWronskian,
+    _canonical_hermite_det,
     _hermite_matrix_det,
     _laguerre_matrix_det,
     _untranslate,
+    laguerre_pseudo_wronskian,
 )
 
 from oracles import _residual_rf
@@ -171,9 +172,14 @@ def test_broken_ladder_fails_sum_rule():
     assert not report.sum_rule and not report.ok
 
 
+def _as_entry(pw, poly):
+    """pw with the determinant poly, in the ladder-entry format."""
+    return dataclasses.replace(pw, prim=poly.primitive(), lead=poly.leading)
+
+
 def _with_ladder_entry(sol, index, poly):
     ladder = list(sol.ladder)
-    ladder[index] = dataclasses.replace(ladder[index], poly=poly)
+    ladder[index] = _as_entry(ladder[index], poly)
     return dataclasses.replace(sol, ladder=tuple(ladder))
 
 
@@ -241,6 +247,37 @@ def test_verify_chain_builds_no_rational_function(name, monkeypatch):
 
     monkeypatch.setattr(dresschain.exact.RationalFunction, "__init__", refuse)
     assert verify_chain(sol).to_json() == expected
+
+
+def test_chain_layers_never_read_the_ladder_constant(monkeypatch):
+    # every chain identity is homogeneous in each ladder entry: building,
+    # verifying and the Painleve reductions read the primitive polynomials,
+    # and an entry's constant is applied only when output reads `poly`
+    def run():
+        odd = build_odd_chain(CyclicStructure(k=3, okamoto=(1, 2)), perm=(2, 0, 1))
+        even = build_even_chain(
+            CyclicStructure(k=2, okamoto=(1,)),
+            CyclicStructure(k=2, okamoto=(2,)),
+            ALPHA,
+            perm=(1, 0, 3, 2),
+        )
+        return (
+            verify_chain(odd).to_json(),
+            verify_chain(even).to_json(),
+            piv_from_chain(odd),
+            pv_from_chain(even),
+            potential_of(MayaDiagram((1, 2, 5))),
+        )
+
+    expected = run()
+
+    def refuse(self):
+        raise AssertionError("a chain layer read a ladder entry's constant")
+
+    monkeypatch.setattr(PseudoWronskian, "poly", property(refuse))
+    _canonical_hermite_det.cache_clear()
+    laguerre_pseudo_wronskian.cache_clear()
+    assert run() == expected
 
 
 @pytest.mark.parametrize(
@@ -350,7 +387,7 @@ def test_odd_ladders_match_raw_determinants():
                 sol = build_odd_chain(cs, perm=perm, allow_degenerate=True)
                 states = static_flip_chain(cs).permuted(perm).states(start)
                 raw = [
-                    dataclasses.replace(pw, poly=_hermite_matrix_det(s.entries))
+                    _as_entry(pw, _hermite_matrix_det(s.entries))
                     for pw, s in zip(sol.ladder, states)
                 ]
                 assert [pw.poly for pw in sol.ladder] == [pw.poly for pw in raw]
@@ -397,9 +434,7 @@ def _check_even_ladders_against_raw(alphas):
                 sol = build_even_chain(cs1, cs2, alpha, perm=perm)
                 states = _ladder_states(cs1, cs2, sol)
                 raw = [
-                    dataclasses.replace(
-                        pw, poly=_laguerre_matrix_det(UniversalCharacter(*s), alpha.value)
-                    )
+                    _as_entry(pw, _laguerre_matrix_det(UniversalCharacter(*s), alpha.value))
                     for pw, s in zip(sol.ladder, states)
                 ]
                 assert len(raw) == len(sol.ladder) == 5
@@ -434,10 +469,7 @@ def test_even_ladders_match_raw_determinants():
 )
 def test_random_even_chains_verify_against_raw_ladders(cell, alpha):
     (cs1, cs2), perm = cell
-    try:
-        sol = build_even_chain(cs1, cs2, AlphaParam(alpha), perm=perm)
-    except SampleDegenerate:
-        reject()
+    sol = build_even_chain(cs1, cs2, AlphaParam(alpha), perm=perm)
     assert verify_chain(sol).ok
     states = _ladder_states(cs1, cs2, sol)
     assert [pw.poly for pw in sol.ladder] == [
@@ -476,22 +508,6 @@ def test_potential_of_examples():
     assert parts.constant == 2 * OMEGA - OMEGA / 2 == 3
 
 
-def test_alpha_sampled_verify():
-    report = alpha_sampled_verify(
-        CyclicStructure(k=1, second_type=((1, 1),)),
-        CyclicStructure(k=1),
-        perm=(1, 2, 0, 3),
-    )
-    assert report.ok and len(report.reports) == 5
-    assert report.samples == DEFAULT_ALPHA_SAMPLES
-    with pytest.raises(ValueError):
-        alpha_sampled_verify(
-            CyclicStructure(k=1),
-            CyclicStructure(k=1),
-            samples=[ALPHA, AlphaParam(F(1, 3))],
-        )
-
-
 def test_wterm_invariants():
     sol = build_odd_chain(CyclicStructure(k=1, second_type=((1, 2),)))
     for term in sol.terms:
@@ -505,11 +521,10 @@ def test_wterm_invariants():
 def test_replaced_ladder_carries_its_own_terms(sol):
     # the components are derived from the ladder, so replacing the ladder
     # replaces the two terms that touch the bumped entry, and no gauge data
-    ladder = list(sol.ladder)
-    bumped = ladder[2].poly + Polynomial.one()
-    ladder[2] = dataclasses.replace(ladder[2], poly=bumped)
-    new = dataclasses.replace(sol, ladder=tuple(ladder))
-    assert new.terms[1].log_next == bumped and new.terms[2].log_prev == bumped
+    bumped = sol.ladder[2].poly + Polynomial.one()
+    new = _with_ladder_entry(sol, 2, bumped)
+    prim = bumped.primitive()
+    assert new.terms[1].log_next == prim and new.terms[2].log_prev == prim
     assert new.terms[1] != sol.terms[1] and new.terms[2] != sol.terms[2]
     assert [(t.lin, t.inv, t.h) for t in new.terms] == [
         (t.lin, t.inv, t.h) for t in sol.terms

@@ -119,6 +119,15 @@ def test_build_emits_ladder(capsys):
             " --format json",
             "d7181cce152e6011762a382487bbc8e63edb4a106a7360638c646a17ffd671f7",
         ),
+        (
+            "build --period 5 --shift 1 --params 1,1,3,2 --perm 4,0,1,2,3",
+            "df22c049fc7d2cad0ce7e4c134949e9e227a6f2e746fcb6241a4e3fb4a82dff6",
+        ),
+        (
+            "build --period 6 --case 3,3 --shift 3 --params 1,2,0,1 --alpha -2/5,7/3"
+            " --perm 1,2,0,4,5,3",
+            "4957a07554ce600ee949d93b1ae9e45584dab531a4d11b97315097e80eb29a87",
+        ),
     ],
 )
 def test_output_bytes_pinned(capsys, argv, digest):

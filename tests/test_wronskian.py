@@ -149,7 +149,8 @@ def fresh_memos():
 
 def test_criterion_3_catches_a_wrong_hermite_ratio(monkeypatch, fresh_memos):
     # translates are exactly the tuples that start at 0, so this doubles
-    # V(translate) / V(canonical) and leaves every canonical entry alone
+    # the leading coefficient 2**deg V(translate) and leaves every
+    # canonical entry alone
     vandermonde = dresschain.wronskian._vandermonde
     monkeypatch.setattr(
         dresschain.wronskian,
@@ -197,7 +198,7 @@ def test_hermite_routes_match_raw_elimination():
     assert len(SMALL_DIAGRAMS) == 272
     conjugated = 0
     for c in SMALL_DIAGRAMS:
-        assert _canonical_hermite_det.__wrapped__(c) == _hermite_matrix_det(c), c
+        assert hermite_wronskian(MayaDiagram(c)).poly == _hermite_matrix_det(c), c
         conjugated += takes_conjugate_route(c)
     assert 0 < conjugated < len(SMALL_DIAGRAMS)
 
@@ -217,7 +218,7 @@ dense_diagrams = st.integers(2, 8).flatmap(
 def test_hermite_routes_match_raw_elimination_large(sparse, dense):
     assert not takes_conjugate_route(sparse) and takes_conjugate_route(dense)
     for c in (sparse, dense):
-        assert _canonical_hermite_det.__wrapped__(c) == _hermite_matrix_det(c), c
+        assert hermite_wronskian(MayaDiagram(c)).poly == _hermite_matrix_det(c), c
 
 
 def test_laguerre_memo_keys_on_values():
@@ -403,6 +404,21 @@ def test_top_coefficient_is_the_nonzero_leading_coefficient(uc, a):
     # translated character can be rescaled from its canonical one
     top = _laguerre_top(uc, a)
     assert top and top == _laguerre_matrix_det(uc, a).leading
+
+
+@settings(max_examples=100, deadline=None)
+@given(translated_characters(6, 3), non_integer_alphas)
+def test_ladder_entry_is_primitive_polynomial_and_leading_coefficient(uc, a):
+    # the components of a translated character are translated Hermite
+    # diagrams; every entry stores a primitive integer polynomial with a
+    # positive leading coefficient and the determinant's nonzero one
+    for pw in (
+        hermite_wronskian(uc.first),
+        hermite_wronskian(uc.second),
+        laguerre_pseudo_wronskian(uc, AlphaParam(a)),
+    ):
+        assert pw.prim.primitive() == pw.prim and pw.prim.leading > 0
+        assert pw.lead != 0 and pw.poly.leading == pw.lead
 
 
 @settings(max_examples=200, deadline=None)
