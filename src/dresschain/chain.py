@@ -9,7 +9,9 @@ x-derivative of the full gauge-tracked ratio of consecutive ladder entries:
 with lin_i = -omega * (exp-gauge increment) and inv_i = -2 * (z-power
 increment).  Verification substitutes these exact rational functions into
 the first-order cyclic system and checks every residual against the seed
-energy differences, entirely in integer polynomial arithmetic.
+energy differences.  Cleared of denominators, each equation is one identity
+between integer polynomials, and it is tested as one integer: its value at
+z = 2**K, where 2**K exceeds a proven bound on its coefficients.
 
 The builders fix omega = OMEGA = 2: it makes z = x**(1+h) with parity
 h = 0 in the odd (harmonic-seed) case and h = 1 in the even
@@ -19,10 +21,11 @@ function field, and one parity-generic check serves both.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm as _lcm
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .exact import Polynomial, RationalFunction, ZeroPolynomial, frac_str
 from .maya import (
@@ -76,8 +79,9 @@ class WTerm:
         P, Q = self.log_prev, self.log_next
         if P.is_zero or Q.is_zero:
             raise ZeroPolynomial("log-derivative of a zero polynomial")
-        h = self.h
-        return RationalFunction(*_component(Polynomial((self.inv, self.lin)), P, Q, h, 1 + h))
+        PQ = P * Q
+        W = (P.derivative() * Q - P * Q.derivative()).shifted(self.h) * (1 + self.h)
+        return RationalFunction(Polynomial((self.inv, self.lin)) * PQ + W, PQ)
 
 
 @dataclass(frozen=True)
@@ -256,7 +260,8 @@ def build_even_chain(
 
 # ---------------------------------------------------------------------------
 # Verification.  Every equation is one identity between integer-coefficient
-# polynomials, whether or not it holds; no polynomial gcds.
+# polynomials, whether or not it holds, and it is tested as one integer: its
+# value at z = 2**K.  No polynomial products and no gcds.
 
 
 def _closure_exponent(sol: ChainSolution) -> int:
@@ -271,89 +276,163 @@ def _closure_holds(sol: ChainSolution) -> bool:
     return sol.ladder[-1].prim == sol.ladder[0].prim.shifted(_closure_exponent(sol))
 
 
-def _component(
-    g0: Polynomial, U: Polynomial, V: Polynomial, h: int, cd: int
-) -> tuple:
-    """(N, UV) with N / (d0 UV) = g0/d0 + c z**h (log U/V)', where cd = c d0:
-    N = g0 UV + c d0 z**h (U'V - UV')."""
-    UV = U * V
-    return g0 * UV + (U.derivative() * V - U * V.derivative()).shifted(h) * cd, UV
+def _jet(coeffs: Sequence[int], k: int) -> tuple:
+    """(P, P', P'') at z = 2**k, by Horner's rule, for the integer
+    coefficients of P (ascending).  At k = 0 with the coefficients in
+    absolute value, these are the l1 norms of P, P' and P''."""
+    v = d1 = d2 = 0
+    for c in reversed(coeffs):
+        d2 = (d2 << k) + d1
+        d1 = (d1 << k) + v
+        v = (v << k) + c
+    return v, d1, 2 * d2
 
 
-def _riccati(
-    N: Polynomial,
-    E: Polynomial,
-    V: Polynomial,
-    h: int,
-    cd: int,
-    M: Polynomial = Polynomial(),
-) -> Polynomial:
-    """V (E N - c d0 z**h N' - M) + 2 c d0 z**h V' N, where cd = c d0."""
-    inner = E * N - N.derivative().shifted(h) * cd - M
-    return V * inner + (V.derivative() * N).shifted(h) * (2 * cd)
+class _Equation(NamedTuple):
+    """One chain equation for `_sides`: the ladder indices of B, Pa, Pb and
+    C, the parity h, the common denominator d0 of the gauge coefficients,
+    the integer coefficients (of 1 and z) of the identity's linear
+    polynomials, (S0, E) when Pa == Pb and (a0, Ea, b0, Eb) when not, and
+    the expected eps."""
+
+    entries: Tuple[int, int, int, int]
+    h: int
+    d0: int
+    lines: Tuple[Tuple[int, int], ...]
+    expected: Fraction
+
+    def bounds(self, norms: Sequence) -> tuple:
+        """l1 bounds of L and R (`_sides`), from the l1 norm jets of the
+        ladder entries: the sides at z = 1 with every coefficient made
+        nonnegative and every subtraction an addition."""
+        lines = tuple((abs(g0), abs(g1)) for g0, g1 in self.lines)
+        return _sides(self._replace(lines=lines), norms, 0, operator.add)
 
 
-def _check_equation(
-    B: Polynomial,
-    Pa: Polynomial,
-    Pb: Polynomial,
-    C: Polynomial,
+def _equation(
+    entries: Tuple[int, int, int, int],
+    same: bool,
     h: int,
     lin_a: Fraction,
     inv_a: Fraction,
     lin_b: Fraction,
     inv_b: Fraction,
     expected: Fraction,
-) -> Optional[Fraction]:
-    """The residual rho = -(w_a + w_b)' + w_b**2 - w_a**2 if it is a
-    constant, else None.
-
-    With c = 1 + h, d0 the common denominator of the gauge coefficients,
-    a0 = d0 (inv_a + lin_a z) and b0 = d0 (inv_b + lin_b z), the components
-    are v_a = a0/d0 + c z**h (log B/Pa)' and v_b = b0/d0 + c z**h (log Pb/C)',
-    and z**h rho = -c z**h S' + S (h + D) for S = v_a + v_b, D = v_b - v_a.
-    If Pa == Pb = P, write S = Sn / (d0 BC) (`_component`): the (BC)'/BC
-    parts of -c z**h S' and of S D cancel, squares of B'/B and C'/C
-    included, as in the bilinear form of the chain, and
-    d0**2 z**h BCP rho = `_riccati`(Sn, b0 - a0 + h d0, P).  Otherwise (the
-    wrap equation of an unclosed ladder) the squares of Pa'/Pa and Pb'/Pb
-    stay: z**h rho = F(v_a) + G(v_b) with F, G = -c z**h v' + h v -+ v**2,
-    where d0**2 B Pa**2 F(v_a) = `_riccati`(Na, h d0 - a0, Pa) and
-    d0**2 C Pb**2 G(v_b) = `_riccati`(Nb, h d0 + b0, Pb).
-
-    Either way rho = lhs / (d0**2 rhs), so rho is a constant k iff
-    diff = lhs - expected d0**2 rhs is (k - expected) d0**2 rhs: zero, or
-    the ratio of the leading coefficients, confirmed by one exact
-    comparison.  Each ladder entry may be scaled freely.
-    """
+) -> _Equation:
+    """The equation of components a and b, with a0 = d0 (inv_a + lin_a z)
+    and b0 = d0 (inv_b + lin_b z); same says Pa == Pb."""
     d0 = _lcm(
         lin_a.denominator, inv_a.denominator, lin_b.denominator, inv_b.denominator
     )
-    a0 = Polynomial((inv_a * d0, lin_a * d0))
-    b0 = Polynomial((inv_b * d0, lin_b * d0))
-    cd = (1 + h) * d0
-    scale = d0 * d0
-    if Pa == Pb:
-        Sn, BC = _component(a0 + b0, B, C, h, cd)
-        eps_part = BC.shifted(h) * (expected * scale)
-        diff = _riccati(Sn, b0 - a0 + h * d0, Pa, h, cd, eps_part)
-        if diff.is_zero:
-            return expected
-        rhs = (BC * Pa).shifted(h)
+    a0, a1, b0, b1 = (
+        g.numerator * (d0 // g.denominator) for g in (inv_a, lin_a, inv_b, lin_b)
+    )
+    hd = h * d0
+    if same:
+        lines = ((a0 + b0, a1 + b1), (b0 - a0 + hd, b1 - a1))
     else:
-        Na, BPa = _component(a0, B, Pa, h, cd)
-        Nb, PbC = _component(b0, Pb, C, h, cd)
-        BPa2, CPb2 = BPa * Pa, PbC * Pb
-        rhs = (BPa2 * CPb2).shifted(h)
-        diff = (
-            _riccati(Na, h * d0 - a0, Pa, h, cd) * CPb2
-            + _riccati(Nb, b0 + h * d0, Pb, h, cd) * BPa2
-            - rhs * (expected * scale)
-        )
-        if diff.is_zero:
-            return expected
-    k = diff.leading / (rhs.leading * scale)
-    return expected + k if diff == rhs * (k * scale) else None
+        lines = ((a0, a1), (hd - a0, -a1), (b0, b1), (b0 + hd, b1))
+    return _Equation(entries, h, d0, lines, expected)
+
+
+def _numerator(g, dg, U, V, h, hk, cd, sub) -> tuple:
+    """(N, N', UV) at one point, where N = g UV + c d0 z**h (U'V - UV') is
+    d0 UV times the component g/d0 + c z**h (log U/V)'; cd = c d0, U and V
+    are jets, and << hk multiplies by z**h."""
+    u, u1, u2 = U
+    v, v1, v2 = V
+    uv, t1, t2 = u * v, u1 * v, u * v1
+    w = sub(t1, t2)
+    n = g * uv + (cd * w << hk)
+    dn = dg * uv + g * (t1 + t2) + cd * (h * w + (sub(u2 * v, u * v2) << hk))
+    return n, dn, uv
+
+
+def _lhs_part(n, dn, e, V, hk, cd, sub):
+    """V (E N - c d0 z**h N') + 2 c d0 z**h V' N at one point."""
+    v, v1, _ = V
+    return v * sub(e * n, cd * dn << hk) + (2 * cd * v1 * n << hk)
+
+
+def _sides(eq: _Equation, jets, k: int, sub) -> tuple:
+    """(L, R) at z = 2**k, from the ladder-entry jets: the residual
+    rho = -(w_a + w_b)' + w_b**2 - w_a**2 of eq is constant exactly when
+    L / R is, and then equals it.
+
+    With c = 1 + h, a0 and b0 as in `_equation`, the components are
+    v_a = a0/d0 + c z**h (log B/Pa)' and v_b = b0/d0 + c z**h (log Pb/C)',
+    and z**h rho = -c z**h S' + S (h + D) for S = v_a + v_b, D = v_b - v_a.
+    If Pa == Pb = P, write S = Sn / (d0 BC) (`_numerator`): the (BC)'/BC
+    parts of -c z**h S' and of S D cancel, squares of B'/B and C'/C
+    included, as in the bilinear form of the chain, and
+    d0**2 z**h BCP rho = `_lhs_part`(Sn, b0 - a0 + h d0, P).  Otherwise (the
+    wrap equation of an unclosed ladder) the squares of Pa'/Pa and Pb'/Pb
+    stay: z**h rho = F(v_a) + G(v_b) with F, G = -c z**h v' + h v -+ v**2,
+    where d0**2 B Pa**2 F(v_a) = `_lhs_part`(Na, h d0 - a0, Pa) and
+    d0**2 C Pb**2 G(v_b) = `_lhs_part`(Nb, h d0 + b0, Pb).
+
+    The same arithmetic bounds the coefficients (`_Equation.bounds`), by
+    |f + g| <= |f| + |g|, |fg| <= |f| |g| and z**h free.
+    """
+    h, d0 = eq.h, eq.d0
+    cd, hk = (1 + h) * d0, h * k
+    B, Pa, Pb, C = (jets[j] for j in eq.entries)
+    lines = [(g0 + (g1 << k), g1) for g0, g1 in eq.lines]
+    if len(lines) == 2:
+        (s, ds), (e, _) = lines
+        n, dn, bc = _numerator(s, ds, B, C, h, hk, cd, sub)
+        return _lhs_part(n, dn, e, Pa, hk, cd, sub), d0 * d0 * bc * Pa[0] << hk
+    (a, da), (ea, _), (b, db), (eb, _) = lines
+    na, dna, bpa = _numerator(a, da, B, Pa, h, hk, cd, sub)
+    nb, dnb, pbc = _numerator(b, db, Pb, C, h, hk, cd, sub)
+    bpa2, cpb2 = bpa * Pa[0], pbc * Pb[0]
+    lhs = (
+        _lhs_part(na, dna, ea, Pa, hk, cd, sub) * cpb2
+        + _lhs_part(nb, dnb, eb, Pb, hk, cd, sub) * bpa2
+    )
+    return lhs, d0 * d0 * bpa2 * cpb2 << hk
+
+
+def _bits(value: Fraction, bounds: tuple) -> int:
+    """The least K with 2**K above the l1 bounds of R and of
+    den(value) L - num(value) R, given those of L and R."""
+    lb, rb = bounds
+    return max(value.denominator * lb + abs(value.numerator) * rb, rb).bit_length()
+
+
+def _check_equation(
+    eq: _Equation, coeffs: Sequence, jets: Sequence, k: int, bounds: tuple
+) -> Optional[Fraction]:
+    """The residual of eq if it is a constant, else None, from the jets of
+    the ladder entries at z = 2**k, where k >= _bits(eq.expected, bounds).
+
+    rho is the constant q exactly when the integer polynomial
+    den(q) L - num(q) R is zero.  If 2**k exceeds its l1 bound, it is zero
+    exactly when its value at 2**k is: its lowest nonzero coefficient,
+    of absolute value below 2**k, is not divisible by 2**k.  The same bound
+    on R makes R(2**k) nonzero.  So rho is eq.expected iff that value is 0;
+    otherwise the only candidate is q = L(2**k) / R(2**k), which the value
+    at 2**k cannot refute.  If L = q R, then q = L_j / R_j at a nonzero
+    coefficient R_j, so den(q) and |num(q)| are at most the l1 bounds of R
+    and L; past them q is refuted.  Within them q is confirmed by its own
+    bound, or by the entries repacked at _bits(q, bounds) when that
+    exceeds k.
+    """
+    sub = operator.sub
+    lhs, rhs = _sides(eq, jets, k, sub)
+    e = eq.expected
+    if e.denominator * lhs == e.numerator * rhs:
+        return e
+    value = Fraction(lhs, rhs)
+    if value.denominator > bounds[1] or abs(value.numerator) > bounds[0]:
+        return None
+    k2 = _bits(value, bounds)
+    if k2 > k:
+        jets = {j: _jet(coeffs[j], k2) for j in set(eq.entries)}
+        lhs, rhs = _sides(eq, jets, k2, sub)
+        if value.denominator * lhs != value.numerator * rhs:
+            return None
+    return value
 
 
 def verify_chain(sol: ChainSolution) -> VerificationReport:
@@ -361,8 +440,9 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
 
     Failures are report entries, not exceptions.  Each residual is read
     off as a constant, or found not to be one, by one cross-multiplied
-    polynomial identity (`_check_equation`) and compared with the expected
-    energy difference.
+    integer identity (`_check_equation`) and compared with the expected
+    energy difference.  Every ladder entry is packed once, at the one
+    z = 2**K that the l1 bounds of all equations admit.
     """
     p = sol.period
     closed = _closure_holds(sol)
@@ -370,23 +450,30 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
 
     # every check is homogeneous in each ladder entry, so it reads the
     # primitive integer polynomials: small and exact arithmetic
-    prims = [pw.prim for pw in sol.ladder]
+    coeffs = [pw.prim.int_coeffs for pw in sol.ladder]
     equations = []
     for i in range(1, p + 1):
         a = sol.terms[i - 1]
         b = sol.terms[i % p]
-        expected = sol.expected_eps[i - 1]
-        B, Pa, Pb, C = prims[i - 1], prims[i], prims[i % p], prims[i % p + 1]
+        entries = (i - 1, i, i % p, i % p + 1)
         inv_a = a.inv
         if i == p and closed:
             # last determinant is z**e * first: same log derivative up to
             # e/z, absorbed into the 1/x coefficient
-            Pa, inv_a = Pb, inv_a - 2 * e
-        value = _check_equation(
-            B, Pa, Pb, C, a.h, a.lin, inv_a, b.lin, b.inv, expected
-        )
-        equations.append(
-            EquationCheck(value is not None, value, expected, value == expected)
+            entries, inv_a = (i - 1, 0, 0, 1), inv_a - 2 * e
+        same = coeffs[entries[1]] == coeffs[entries[2]]
+        equations.append(_equation(
+            entries, same, a.h, a.lin, inv_a, b.lin, b.inv, sol.expected_eps[i - 1]
+        ))
+    norms = [_jet([abs(c) for c in cs], 0) for cs in coeffs]
+    bounds = [eq.bounds(norms) for eq in equations]
+    k = max(_bits(eq.expected, bound) for eq, bound in zip(equations, bounds))
+    jets = [_jet(cs, k) for cs in coeffs]
+    checks = []
+    for eq, bound in zip(equations, bounds):
+        value = _check_equation(eq, coeffs, jets, k, bound)
+        checks.append(
+            EquationCheck(value is not None, value, eq.expected, value == eq.expected)
         )
 
     # sum rule: total lin must be delta/2, total 1/x part must vanish
@@ -394,7 +481,7 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
     inv_total = sum(t.inv for t in sol.terms)
     sum_rule = closed and lin_total == sol.delta / 2 and inv_total == 2 * e
     return VerificationReport(
-        period=p, delta=sol.delta, equations=tuple(equations), sum_rule=sum_rule
+        period=p, delta=sol.delta, equations=tuple(checks), sum_rule=sum_rule
     )
 
 

@@ -225,6 +225,13 @@ class Polynomial:
     def coeff(self, i: int) -> Fraction:
         return Fraction(self._n[i], self._d) if 0 <= i < len(self._n) else Fraction(0)
 
+    @property
+    def int_coeffs(self) -> tuple:
+        """The coefficients (ascending) of a polynomial over Z, as ints."""
+        if self._d != 1:
+            raise ValueError("polynomial has non-integer coefficients")
+        return self._n
+
     def primitive(self) -> "Polynomial":
         """The positive rational multiple of self, or of -self, with coprime
         integer coefficients and a positive leading one; zero stays zero."""

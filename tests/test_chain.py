@@ -1,13 +1,16 @@
 import dataclasses
 import itertools
+import operator
 from fractions import Fraction as F
 from functools import lru_cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dresschain.chain
+import dresschain.exact
 from dresschain.chain import (
     OMEGA,
     OddPeriodRequired,
@@ -249,6 +252,21 @@ def test_verify_chain_builds_no_rational_function(name, monkeypatch):
     assert verify_chain(sol).to_json() == expected
 
 
+@pytest.mark.parametrize("name", STRUCTURAL_CHAINS)
+def test_verify_chain_makes_no_polynomial_product(name, monkeypatch):
+    # the chains are built with real products; verifying them evaluates
+    # every identity at one integer point and multiplies no polynomials
+    sol = STRUCTURAL_CHAINS[name]
+    expected = verify_chain(sol).to_json()
+
+    def refuse(*args):
+        raise AssertionError("verify_chain multiplied polynomials")
+
+    monkeypatch.setattr(dresschain.exact, "_imul", refuse)
+    monkeypatch.setattr(dresschain.exact.Polynomial, "__mul__", refuse)
+    assert verify_chain(sol).to_json() == expected
+
+
 def test_chain_layers_never_read_the_ladder_constant(monkeypatch):
     # every chain identity is homogeneous in each ladder entry: building,
     # verifying and the Painleve reductions read the primitive polynomials,
@@ -326,6 +344,120 @@ def test_corrupted_ladder_entry_fails(sol):
     assert mutated >= 4
 
 
+def test_read_off_constant_confirmed_by_repacking(monkeypatch):
+    # with every expected eps set to 0, the chain's K covers the left
+    # sides only; confirming the true eps needs a larger K', so the entries
+    # of those equations are packed again, and the oracle's value comes out
+    sol = SAMPLE_CHAINS["even-22"]
+    p = sol.period
+    ks = []
+    jet = dresschain.chain._jet
+
+    def recorder(coeffs, k):
+        ks.append(k)
+        return jet(coeffs, k)
+
+    monkeypatch.setattr(dresschain.chain, "_jet", recorder)
+    zero = dataclasses.replace(sol, expected_eps=(F(0),) * p)
+    report = verify_chain(zero)
+    # p + 1 norms at k = 0, p + 1 packings at the chain's K, then repacks
+    K = ks[p + 1]
+    assert ks[: 2 * (p + 1)] == [0] * (p + 1) + [K] * (p + 1)
+    assert ks[2 * (p + 1):] and min(ks[2 * (p + 1):]) > K
+    for i, eq in enumerate(report.equations, 1):
+        assert eq.value == _residual_rf(zero, i).constant_value()
+        assert eq.value == sol.expected_eps[i - 1]
+        assert eq.residual_constant and not eq.match
+
+
+def test_read_off_candidate_refuted_by_repacking():
+    # unit ladder entries, h = 1, v_a = 2 - z and v_b = -2: the residual is
+    # 5 - z, so L = 5z - z**2 and R = z.  At the chain's z = 2**3 it reads
+    # -3, within the heights a constant could have (|L|_1 = 6, |R|_1 = 1);
+    # only the confirmation at z = 2**4 shows that it is not a constant
+    chain = dresschain.chain
+    coeffs = [(1,)] * 3
+    eq = chain._equation((0, 1, 1, 2), True, 1, F(-1), F(2), F(0), F(-2), F(0))
+    bounds = eq.bounds([chain._jet((1,), 0)] * 3)
+    assert bounds == (6, 1) and chain._bits(F(0), bounds) == 3
+    jets = [chain._jet(cs, 3) for cs in coeffs]
+    assert chain._sides(eq, jets, 3, operator.sub) == (-24, 8)
+    assert chain._check_equation(eq, coeffs, jets, 3, bounds) is None
+
+
+def _expanded_sides(B, Pa, Pb, C, h, lin_a, inv_a, lin_b, inv_b):
+    """L and R of chain._sides as polynomials, expanded in Polynomial
+    arithmetic: the residual is L / R when that is a constant."""
+    d0 = lcm(lin_a.denominator, inv_a.denominator, lin_b.denominator, inv_b.denominator)
+    a0 = Polynomial((inv_a * d0, lin_a * d0))
+    b0 = Polynomial((inv_b * d0, lin_b * d0))
+    cd = (1 + h) * d0
+
+    def component(g, U, V):
+        UV = U * V
+        return g * UV + (U.derivative() * V - U * V.derivative()).shifted(h) * cd, UV
+
+    def riccati(N, E, V):
+        inner = E * N - N.derivative().shifted(h) * cd
+        return V * inner + (V.derivative() * N).shifted(h) * (2 * cd)
+
+    if Pa == Pb:
+        Sn, BC = component(a0 + b0, B, C)
+        return riccati(Sn, b0 - a0 + h * d0, Pa), (BC * Pa).shifted(h) * d0 ** 2
+    Na, BPa = component(a0, B, Pa)
+    Nb, PbC = component(b0, Pb, C)
+    BPa2, CPb2 = BPa * Pa, PbC * Pb
+    lhs = riccati(Na, h * d0 - a0, Pa) * CPb2 + riccati(Nb, b0 + h * d0, Pb) * BPa2
+    return lhs, (BPa2 * CPb2).shifted(h) * d0 ** 2
+
+
+# degree <= 30, every coefficient +-2**b with b <= 64
+adversarial_polys = st.lists(
+    st.builds(lambda s, b: s * 2 ** b, st.sampled_from((1, -1)), st.integers(0, 64)),
+    min_size=1,
+    max_size=31,
+).map(Polynomial)
+gauge_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(*[adversarial_polys] * 4).filter(lambda polys: polys[1] != polys[2]),
+    st.integers(0, 1),
+    st.tuples(*[gauge_fractions] * 4),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4),
+)
+def test_evaluation_bound_covers_every_coefficient(polys, h, gauge, eps):
+    # both forms (Pa == Pb, and the distinct pair): 2**K exceeds every
+    # coefficient of diff = den(eps) L - num(eps) R and of R, so diff is 0
+    # exactly when diff(2**K) is; and the packed sides are L and R at 2**K
+    chain = dresschain.chain
+    B, Pa, Pb, C = polys
+    coeffs = [P.int_coeffs for P in polys]
+    norms = [chain._jet([abs(c) for c in cs], 0) for cs in coeffs]
+    for entries in ((0, 1, 1, 3), (0, 1, 2, 3)):
+        same = entries[1] == entries[2]
+        eq = chain._equation(entries, same, h, *gauge, eps)
+        bounds = eq.bounds(norms)
+        K = chain._bits(eps, bounds)
+        L, R = _expanded_sides(B, Pa, Pa if same else Pb, C, h, *gauge)
+        diff = L * eps.denominator - R * eps.numerator
+        assert max(abs(c) for c in diff.coeffs + R.coeffs) < 2 ** K
+        jets = [chain._jet(cs, K) for cs in coeffs]
+        assert chain._sides(eq, jets, K, operator.sub) == (
+            L.eval_at(2 ** K), R.eval_at(2 ** K))
+
+
+def test_evaluation_bound_must_be_strict():
+    # 2**K - z is not zero, but it vanishes at z = 2**K: its coefficient
+    # 2**K reaches the evaluation point.  An l1 bound of 2**K therefore
+    # asks for K + 1, where the value no longer vanishes
+    K = 40
+    assert dresschain.chain._jet([2 ** K, -1], K)[0] == 0
+    assert dresschain.chain._bits(F(0), (2 ** K, 1)) == K + 1
+    assert dresschain.chain._jet([2 ** K, -1], K + 1)[0] != 0
+
+
 def _chains_for_fast_check_oracle():
     """(chain, bump) pairs: the odd p, k <= 3 box under every flip order,
     and the criterion-6 period-4 cells at alpha 1/3.  A bumped chain's
@@ -350,6 +482,9 @@ def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
     check = dresschain.chain._check_equation
 
     def recorder(*args):
+        # the chain's one K covers the bound of every equation
+        eq, _, _, k, bounds = args
+        assert k >= dresschain.chain._bits(eq.expected, bounds)
         values.append(check(*args))
         return values[-1]
 

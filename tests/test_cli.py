@@ -120,6 +120,10 @@ def test_build_emits_ladder(capsys):
             "d7181cce152e6011762a382487bbc8e63edb4a106a7360638c646a17ffd671f7",
         ),
         (
+            "verify --period 5 --shift 1 --params 1,1,3,2 --perm 4,0,1,2,3 --format json",
+            "6a0f85c713bd56c708081ffffa9d332b99454cbf9934fc3e6d8ab7959ecbb746",
+        ),
+        (
             "build --period 5 --shift 1 --params 1,1,3,2 --perm 4,0,1,2,3",
             "df22c049fc7d2cad0ce7e4c134949e9e227a6f2e746fcb6241a4e3fb4a82dff6",
         ),
