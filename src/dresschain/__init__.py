@@ -52,7 +52,6 @@ from .chain import (
     ChainSolution,
     OddPeriodRequired,
     VerificationReport,
-    WTerm,
     build_even_chain,
     build_odd_chain,
     potential_of,

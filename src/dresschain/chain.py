@@ -22,7 +22,7 @@ function field, and one parity-generic check serves both.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm as _lcm
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -58,30 +58,12 @@ class OddPeriodRequired(ValueError):
 OMEGA = Fraction(2)
 
 
-@dataclass(frozen=True)
-class WTerm:
-    """One chain component w(x) = lin*x + inv/x + (dz/dx) d/dz log(prev/next)."""
-
-    lin: Fraction
-    inv: Fraction
-    log_prev: Polynomial
-    log_next: Polynomial
-    h: int  # parity: z = x**(1 + h), so 0 for odd and 1 for even chains
-
-    def rational_part(self) -> RationalFunction:
-        """The component v = x**h * w rewritten in z, as one reduced fraction:
-
-            v(z) = lin*z + inv + (1 + h) z**h (P'Q - PQ')/(PQ),
-
-        with P, Q the previous and next ladder entries.  Odd ladders carry
-        no z-power, so inv = 0 there and v = w.
-        """
-        P, Q = self.log_prev, self.log_next
-        if P.is_zero or Q.is_zero:
-            raise ZeroPolynomial("log-derivative of a zero polynomial")
-        PQ = P * Q
-        W = (P.derivative() * Q - P * Q.derivative()).shifted(self.h) * (1 + self.h)
-        return RationalFunction(Polynomial((self.inv, self.lin)) * PQ + W, PQ)
+def _gauge(prev: PseudoWronskian, cur: PseudoWronskian) -> Tuple[Fraction, Fraction]:
+    """(lin, inv) of the components from ladder entry prev to cur: minus
+    omega times the exp-gauge increment and -2 times the z-power increment.
+    Consecutive increments add, so a span of components has the gauge of
+    its two end entries."""
+    return -OMEGA * (cur.exp_coeff - prev.exp_coeff), -2 * (cur.z_power - prev.z_power)
 
 
 @dataclass(frozen=True)
@@ -124,31 +106,16 @@ class VerificationReport:
 class ChainSolution:
     """Verified-form data of a period-p dressing chain solution.
 
-    The ladder of p + 1 pseudo-Wronskians is the solution: the components
-    `terms` are derived from it once, on construction, so
-    dataclasses.replace(sol, ladder=...) carries matching terms.  Laguerre
-    entries carry an alpha and Hermite entries None, which fixes h.
+    The ladder of p + 1 pseudo-Wronskians is the solution: every component
+    is read off it (`span`), so dataclasses.replace(sol, ladder=...) has
+    matching components.  Laguerre entries carry an alpha and Hermite
+    entries None, which fixes h.
     """
 
     delta: Fraction
     expected_eps: Tuple[Fraction, ...]
     ladder: Tuple[PseudoWronskian, ...]
     chain_labels: FlipChain
-    terms: Tuple[WTerm, ...] = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        h = int(self.is_even)
-        terms = tuple(
-            WTerm(
-                lin=-OMEGA * (cur.exp_coeff - prev.exp_coeff),
-                inv=-2 * (cur.z_power - prev.z_power),
-                log_prev=prev.prim,
-                log_next=cur.prim,
-                h=h,
-            )
-            for prev, cur in zip(self.ladder, self.ladder[1:])
-        )
-        object.__setattr__(self, "terms", terms)
 
     @property
     def period(self) -> int:
@@ -158,11 +125,25 @@ class ChainSolution:
     def is_even(self) -> bool:
         return self.ladder[0].alpha is not None
 
-    @property
-    def translation(self) -> int:
-        """The diagram translation k realized by the chain: delta is
-        (1 + h) k omega."""
-        return int(self.delta / ((1 + self.is_even) * OMEGA))
+    def span(self, i: int, j: int) -> RationalFunction:
+        """v_{i+1} + ... + v_j, with each component v = x**h w rewritten in
+        z, as one reduced fraction.  The sum telescopes to ladder entries
+        P = ladder[i] and Q = ladder[j]:
+
+            lin*z + inv + (1 + h) z**h (P'Q - PQ')/(PQ),
+
+        with (lin, inv) = _gauge(P, Q).  Odd ladders carry no z-power, so
+        inv = 0 there and v = w.
+        """
+        prev, cur = self.ladder[i], self.ladder[j]
+        lin, inv = _gauge(prev, cur)
+        P, Q = prev.prim, cur.prim
+        if P.is_zero or Q.is_zero:
+            raise ZeroPolynomial("log-derivative of a zero polynomial")
+        h = int(self.is_even)
+        PQ = P * Q
+        W = (P.derivative() * Q - P * Q.derivative()).shifted(h) * (1 + h)
+        return RationalFunction(Polynomial((inv, lin)) * PQ + W, PQ)
 
 
 def _dynamic_signs(chain: FlipChain, start_states) -> FlipChain:
@@ -267,7 +248,8 @@ def build_even_chain(
 def _closure_exponent(sol: ChainSolution) -> int:
     if not sol.is_even:
         return 0
-    return translation_power(sol.ladder[0].r, sol.translation)
+    # an even chain realizes the diagram translation k = delta / (2 omega)
+    return translation_power(sol.ladder[0].r, int(sol.delta / (2 * OMEGA)))
 
 
 def _closure_holds(sol: ChainSolution) -> bool:
@@ -451,19 +433,19 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
     # every check is homogeneous in each ladder entry, so it reads the
     # primitive integer polynomials: small and exact arithmetic
     coeffs = [pw.prim.int_coeffs for pw in sol.ladder]
+    gauges = [_gauge(prev, cur) for prev, cur in zip(sol.ladder, sol.ladder[1:])]
+    h = int(sol.is_even)
     equations = []
     for i in range(1, p + 1):
-        a = sol.terms[i - 1]
-        b = sol.terms[i % p]
+        (lin_a, inv_a), (lin_b, inv_b) = gauges[i - 1], gauges[i % p]
         entries = (i - 1, i, i % p, i % p + 1)
-        inv_a = a.inv
         if i == p and closed:
             # last determinant is z**e * first: same log derivative up to
             # e/z, absorbed into the 1/x coefficient
             entries, inv_a = (i - 1, 0, 0, 1), inv_a - 2 * e
         same = coeffs[entries[1]] == coeffs[entries[2]]
         equations.append(_equation(
-            entries, same, a.h, a.lin, inv_a, b.lin, b.inv, sol.expected_eps[i - 1]
+            entries, same, h, lin_a, inv_a, lin_b, inv_b, sol.expected_eps[i - 1]
         ))
     norms = [_jet([abs(c) for c in cs], 0) for cs in coeffs]
     bounds = [eq.bounds(norms) for eq in equations]
@@ -476,10 +458,10 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
             EquationCheck(value is not None, value, eq.expected, value == eq.expected)
         )
 
-    # sum rule: total lin must be delta/2, total 1/x part must vanish
-    lin_total = sum(t.lin for t in sol.terms)
-    inv_total = sum(t.inv for t in sol.terms)
-    sum_rule = closed and lin_total == sol.delta / 2 and inv_total == 2 * e
+    # sum rule: the gauges telescope to the end entries; the total lin must
+    # be delta/2, and the total 1/x part 2e, which the closure z**e cancels
+    total = _gauge(sol.ladder[0], sol.ladder[-1])
+    sum_rule = closed and total == (sol.delta / 2, 2 * e)
     return VerificationReport(
         period=p, delta=sol.delta, equations=tuple(checks), sum_rule=sum_rule
     )

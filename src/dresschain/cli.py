@@ -43,6 +43,7 @@ class UsageError(ValueError):
 
 
 EVEN_SPLITS = {
+    (1, 1): 1,
     (3, 1): 1,
     (2, 2): 2,
     (5, 1): 1,
@@ -119,10 +120,10 @@ def _even_structures(args) -> tuple:
                          % (args.case, p1 + p2, args.period))
     shift = EVEN_SPLITS[(p1, p2)]
     if shift is None:
-        if not args.shift:
+        if args.shift is None:
             raise UsageError("case 3,3 needs an explicit --shift (1 or 3)")
         shift = args.shift
-    elif args.shift and args.shift != shift:
+    elif args.shift is not None and args.shift != shift:
         raise UsageError("case %r forces shift %d" % (args.case, shift))
     params = _parse_int_list(args.params or "")
     need1 = (shift - 1) + (p1 - shift)
@@ -396,9 +397,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         sys.stdout.write(_dump({"error": str(exc)}))
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         # every library ValueError rejects the job description: a bad
-        # permutation or bound, a degenerate structure or alpha sample
+        # permutation or bound, a degenerate structure or alpha sample; an
+        # OverflowError, a parameter too large to build a ladder from
         sys.stdout.write(_dump({"error": "%s: %s" % (type(exc).__name__, exc)}))
         return 2
 

@@ -119,8 +119,7 @@ def piv_from_chain(sol: ChainSolution) -> PIVInstance:
     """Map a period-3 chain to its PIV instance: u = w_1 - (shift/2) x."""
     if sol.period != 3 or sol.is_even:
         raise WrongPeriod("PIV needs an odd chain of period 3")
-    w1 = sol.terms[0].rational_part()
-    u = w1 - RationalFunction(Polynomial((0, sol.delta / 2)))
+    u = sol.span(0, 1) - RationalFunction(Polynomial((0, sol.delta / 2)))
     e12, e23 = sol.expected_eps[0], sol.expected_eps[1]
     return PIVInstance(
         u=u,
@@ -188,12 +187,12 @@ def piv_families(cs: CyclicStructure) -> Tuple[PIVInstance, PIVInstance, PIVInst
 def pv_from_chain(sol: ChainSolution) -> PVInstance:
     """Map a period-4 chain to its PV instance.
 
-    w_1 + w_2 = v(z)/x with v rational in z, so y = 1 - shift*z/(2 v(z))
-    is an exact rational function of t = z = x**2.
+    w_1 + w_2 = v(z)/x with v = `span`(0, 2) rational in z, so
+    y = 1 - shift*z/(2 v(z)) is an exact rational function of t = z = x**2.
     """
     if sol.period != 4 or not sol.is_even:
         raise WrongPeriod("PV needs an even chain of period 4")
-    v = sol.terms[0].rational_part() + sol.terms[1].rational_part()
+    v = sol.span(0, 2)
     z = RationalFunction(Polynomial.x())
     line = RationalFunction(Polynomial((0, sol.delta / 2)))
     if v.is_zero or v == line:

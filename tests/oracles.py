@@ -87,11 +87,9 @@ def log_derivative_ratio(p, q):
 def _residual_rf(sol, i):
     """Residual of chain equation i (1-based) of sol, the oracle for
     chain._check_equation: -(1+h) s' + s (h + v_b - v_a) / z**h with
-    s = v_a + v_b."""
-    a = sol.terms[i - 1]
-    b = sol.terms[i % sol.period]
-    h = a.h
-    va, vb = a.rational_part(), b.rational_part()
+    s = v_a + v_b, the components i and i + 1 (mod p)."""
+    j, h = i % sol.period, int(sol.is_even)
+    va, vb = sol.span(i - 1, i), sol.span(j, j + 1)
     s = va + vb
     return -(1 + h) * s.derivative() + s * ((h + vb - va) / Polynomial.monomial(h))
 

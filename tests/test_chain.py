@@ -14,6 +14,7 @@ import dresschain.exact
 from dresschain.chain import (
     OMEGA,
     OddPeriodRequired,
+    _gauge,
     build_even_chain,
     build_odd_chain,
     potential_of,
@@ -44,7 +45,7 @@ from dresschain.wronskian import (
     laguerre_pseudo_wronskian,
 )
 
-from oracles import _residual_rf
+from oracles import _residual_rf, log_derivative_ratio
 
 EMPTY = MayaDiagram(())
 X = Polynomial.x()
@@ -60,7 +61,7 @@ PERIOD4_CELLS = [
 def test_one_step_chain():
     sol = build_odd_chain(CyclicStructure(k=1))
     assert sol.period == 1 and sol.delta == 2
-    assert sol.terms[0].rational_part() == RationalFunction(X)
+    assert sol.span(0, 1) == RationalFunction(X)
     report = verify_chain(sol)
     assert report.ok
     assert report.equations[0].value == -2  # eps_11 minus the shift
@@ -71,8 +72,7 @@ def test_two_step_chain_closed_form():
     a = ALPHA.value
     assert sol.delta == 4
     assert sol.expected_eps == (4 * a, -4 * a - 4)
-    v1 = sol.terms[0].rational_part()
-    v2 = sol.terms[1].rational_part()
+    v1, v2 = sol.span(0, 1), sol.span(1, 2)
     assert v1 == RationalFunction(Polynomial((-(a + F(1, 2)), 1)))
     assert v2 == RationalFunction(Polynomial((a + F(1, 2), 1)))
     assert verify_chain(sol).ok
@@ -109,8 +109,9 @@ def test_inverse_x_coefficients_follow_flip_signs():
     # first-slot flips: positive gives lin = -omega/2, negative +omega/2
     cs1 = CyclicStructure(k=1, second_type=((1, 2),))
     sol = build_even_chain(cs1, CyclicStructure(k=1), ALPHA)
-    for term, flip in zip(sol.terms, sol.chain_labels.flips):
-        assert term.lin == -flip.sign * OMEGA / 2
+    for i, flip in enumerate(sol.chain_labels.flips):
+        lin, _ = _gauge(sol.ladder[i], sol.ladder[i + 1])
+        assert lin == -flip.sign * OMEGA / 2
 
 
 def test_degenerate_structure_refused_then_allowed():
@@ -502,7 +503,7 @@ def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
                 assert eq.value == value and eq.match == (value == eq.expected)
                 failures += not eq.match
                 unread += value is None
-            parities.add(chain.terms[0].h)
+            parities.add(chain.is_even)
         for i, true_eps in enumerate(sol.expected_eps):
             eps = sol.expected_eps[:i] + (true_eps + 1,) + sol.expected_eps[i + 1:]
             values.clear()
@@ -643,24 +644,62 @@ def test_potential_of_examples():
     assert parts.constant == 2 * OMEGA - OMEGA / 2 == 3
 
 
-def test_wterm_invariants():
+def test_gauge_invariants():
+    # odd components carry no 1/x part and lin = -+omega/2; even ones live
+    # in z = x**2 (h = 1)
     sol = build_odd_chain(CyclicStructure(k=1, second_type=((1, 2),)))
-    for term in sol.terms:
-        assert term.inv == 0 and term.h == 0
-        assert term.lin in (F(1), F(-1))
+    assert not sol.is_even
+    for prev, cur in zip(sol.ladder, sol.ladder[1:]):
+        lin, inv = _gauge(prev, cur)
+        assert inv == 0 and lin in (F(1), F(-1))
     sol = build_even_chain(CyclicStructure(k=1), CyclicStructure(k=1), ALPHA)
-    assert [t.h for t in sol.terms] == [1, 1]
+    assert sol.is_even
+
+
+def _span_oracle(sol, i, j):
+    """span(i, j) from the gauge and the reduced log-derivative of the two
+    end entries' primitive polynomials."""
+    lin, inv = _gauge(sol.ladder[i], sol.ladder[j])
+    h = int(sol.is_even)
+    log_ratio = log_derivative_ratio(sol.ladder[i].prim, sol.ladder[j].prim)
+    return RationalFunction(Polynomial((inv, lin))) + (1 + h) * (
+        log_ratio * Polynomial.monomial(h)
+    )
 
 
 @pytest.mark.parametrize("sol", SAMPLE_CHAINS.values(), ids=SAMPLE_CHAINS.keys())
 def test_replaced_ladder_carries_its_own_terms(sol):
     # the components are derived from the ladder, so replacing the ladder
-    # replaces the two terms that touch the bumped entry, and no gauge data
+    # replaces the two spans that touch the bumped entry, and no gauge data
     bumped = sol.ladder[2].poly + Polynomial.one()
     new = _with_ladder_entry(sol, 2, bumped)
-    prim = bumped.primitive()
-    assert new.terms[1].log_next == prim and new.terms[2].log_prev == prim
-    assert new.terms[1] != sol.terms[1] and new.terms[2] != sol.terms[2]
-    assert [(t.lin, t.inv, t.h) for t in new.terms] == [
-        (t.lin, t.inv, t.h) for t in sol.terms
+    assert new.ladder[2].prim == bumped.primitive() != sol.ladder[2].prim
+    for i in (1, 2):
+        assert new.span(i, i + 1) == _span_oracle(new, i, i + 1)
+        assert new.span(i, i + 1) != sol.span(i, i + 1)
+    for i in range(sol.period):
+        if i not in (1, 2):
+            assert new.span(i, i + 1) == sol.span(i, i + 1)
+    pairs = list(itertools.combinations(range(sol.period + 1), 2))
+    assert [_gauge(new.ladder[i], new.ladder[j]) for i, j in pairs] == [
+        _gauge(sol.ladder[i], sol.ladder[j]) for i, j in pairs
     ]
+
+
+TELESCOPE_CHAINS = dict(
+    SAMPLE_CHAINS,
+    **{name + "-bumped": _bumped(sol) for name, sol in SAMPLE_CHAINS.items()},
+    **{name + "-unclosed": _unclosed(sol) for name, sol in SAMPLE_CHAINS.items()},
+)
+
+
+@pytest.mark.parametrize("name", TELESCOPE_CHAINS)
+def test_span_telescopes(name):
+    # one normalisation of the two end entries equals the RationalFunction
+    # sum of the one-step spans in between, for every i < j
+    sol = TELESCOPE_CHAINS[name]
+    steps = [sol.span(k, k + 1) for k in range(sol.period)]
+    for k, step in enumerate(steps):
+        assert step == _span_oracle(sol, k, k + 1)
+    for i, j in itertools.combinations(range(sol.period + 1), 2):
+        assert sol.span(i, j) == sum(steps[i + 1:j], steps[i]), (i, j)

@@ -1,13 +1,15 @@
 import hashlib
 import json
+from fractions import Fraction as F
 
 import pytest
 
 import dresschain.cli
 import dresschain.painleve
 from dresschain.cli import main
-from dresschain.exact import RationalFunction
+from dresschain.exact import RationalFunction, frac_str
 from dresschain.maya import CyclicStructure
+from dresschain.selftest import even_cells
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +134,18 @@ def test_build_emits_ladder(capsys):
             " --perm 1,2,0,4,5,3",
             "4957a07554ce600ee949d93b1ae9e45584dab531a4d11b97315097e80eb29a87",
         ),
+        (
+            "painleve --period 4 --case 3,1 --params 1,1 --alpha -2/5,7/3 --perm 1,2,0,3",
+            "c08b14e6c8a1c62069c523933204afc0d04dda7b02276a6c10bd35734740f3f2",
+        ),
+        (
+            "painleve --period 3 --shift 3 --params 1,1",
+            "5ebebbd6e0c8a8027b6cf4e75c7a62bb7f2b8b33048a214900046506112f3d6d",
+        ),
+        (
+            "verify --period 2 --case 1,1 --alpha 1/3,-2/5",
+            "d4ef21abb878cce4b1f76c4472e91219754f75879c60bcc21c4debaa70623749",
+        ),
     ],
 )
 def test_output_bytes_pinned(capsys, argv, digest):
@@ -188,6 +202,20 @@ def test_painleve_latex_exit_code_follows_residual(capsys, monkeypatch, name, ar
     assert run_cli(capsys, *argv, "--format", "latex") == (1, out)
 
 
+def test_period_2_matches_criterion_6_row(capsys):
+    # the bare isotonic chain, the first cell of the criterion-6 box
+    cs1, cs2, _, eps = next(even_cells())
+    assert cs1.p + cs2.p == 2
+    code, out = run_cli(
+        capsys, "verify", "--period", "2", "--case", "1,1", "--alpha", "1/3"
+    )
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    want = [frac_str(e) for e in eps(F(1, 3))]
+    assert [eq["expected"] for eq in report["equations"]] == want == ["4/3", "-16/3"]
+    assert all(eq["match"] for eq in report["equations"]) and report["sum_rule"]
+
+
 def test_case_33_needs_shift(capsys):
     code, out = run_cli(
         capsys, "verify", "--period", "6", "--case", "3,3",
@@ -242,12 +270,19 @@ def test_selftest_single_criterion(capsys):
          "--params", "1,1,1,1", "--format", "text"],
         ["build", "--period", "8", "--case", "2,2", "--params", "0,0"],
         ["verify", "--period", "2", "--case", "3,1", "--params", "1,1"],
+        ["verify", "--period", "4", "--case", "2,2", "--params", "0,0",
+         "--shift", "0"],
+        ["verify", "--period", "6", "--case", "3,3", "--params", "1,1,1,1",
+         "--shift", "0"],
+        ["verify", "--period", "3", "--shift", "1", "--params",
+         "99999999999999999999999,1"],
     ],
     ids=["repeated-perm", "short-perm", "zero-bound", "duplicate-alpha",
          "out-is-directory", "out-parent-missing", "criterion-9", "criterion-0",
          "piv-perm", "piv-alpha", "piv-case", "piv-allow-degenerate",
          "odd-alpha", "odd-case", "even-allow-degenerate", "pv-allow-degenerate",
-         "case-6-period-4", "case-4-period-8", "case-4-period-2"],
+         "case-6-period-4", "case-4-period-8", "case-4-period-2",
+         "case-2-2-shift-0", "case-3-3-shift-0", "overflowing-param"],
 )
 def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     # relative --out paths resolve in an empty directory
