@@ -29,6 +29,7 @@ from .maya import (
     InvalidParity,
     MayaDiagram,
     UniversalCharacter,
+    admitted_shifts,
     build_diagram,
     canonicalize,
     conjugate,

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import latex as latex_mod
 from .chain import OMEGA, build_even_chain, build_odd_chain, verify_chain
@@ -20,7 +20,7 @@ from .exact import frac_str, parse_frac
 from .maya import (
     CyclicStructure,
     DegenerateStructure,
-    InvalidParity,
+    admitted_shifts,
     build_diagram,
     enumerate_structures,
     static_flip_chain,
@@ -40,16 +40,6 @@ from .selftest import run_all
 
 class UsageError(ValueError):
     """Invalid job description; surfaces as exit code 2."""
-
-
-EVEN_SPLITS = {
-    (1, 1): 1,
-    (3, 1): 1,
-    (2, 2): 2,
-    (5, 1): 1,
-    (4, 2): 2,
-    (3, 3): None,  # ambiguous: needs --shift 1 or 3
-}
 
 
 def _dump(obj) -> str:
@@ -88,54 +78,53 @@ def _parse_alpha_list(text: Optional[str]) -> List[AlphaParam]:
     return out
 
 
-def _structure_from(period: int, shift: int, params: Sequence[int]) -> CyclicStructure:
-    if shift < 1 or period < 1 or shift > period or (period - shift) % 2:
-        raise UsageError("period %d and shift %d are not parity-consistent" % (period, shift))
-    j = (period - shift) // 2
-    need = (shift - 1) + 2 * j
-    if len(params) != need:
-        raise UsageError(
-            "period %d shift %d needs %d parameters, got %d"
-            % (period, shift, need, len(params))
-        )
-    okamoto = tuple(params[: shift - 1])
-    pairs = tuple(
-        (params[shift - 1 + 2 * i], params[shift + 2 * i]) for i in range(j)
-    )
-    try:
-        return CyclicStructure(k=shift, okamoto=okamoto, second_type=pairs)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+def _job_name(periods: Sequence[int]) -> str:
+    return "%s %s" % ("case" if len(periods) > 1 else "period", ",".join(map(str, periods)))
 
 
-def _even_structures(args) -> tuple:
-    if not args.case:
+def _shift(args, periods: Sequence[int]) -> int:
+    """--shift, or the one shift the periods admit when it is left out."""
+    shifts = admitted_shifts(*periods)
+    if args.shift is None and len(shifts) == 1:
+        return shifts[0]
+    if args.shift is not None and args.shift in shifts:
+        return args.shift
+    have = "shifts %d..%d step 2" % (shifts[0], shifts[-1]) if shifts else "no shift"
+    got = "pick one with --shift" if args.shift is None else "not --shift %d" % args.shift
+    raise UsageError("%s admits %s: %s" % (_job_name(periods), have, got))
+
+
+def _structures(args) -> Tuple[CyclicStructure, ...]:
+    """The structures a job describes, all with one shift k: one for an
+    odd --period, one per component of an even --case.  A component of
+    period p reads p - 1 parameters from --params, k - 1 Okamoto lengths
+    and then (p - k) / 2 block pairs."""
+    if args.period % 2:
+        periods = [args.period]
+    elif not args.case:
         raise UsageError("even periods need --case p1,p2")
-    case = tuple(_parse_int_list(args.case))
-    if len(case) != 2 or (case[0], case[1]) not in EVEN_SPLITS:
-        raise UsageError("unsupported case %r" % (args.case,))
-    p1, p2 = case
-    if p1 + p2 != args.period:
-        raise UsageError("case %r has period %d, not --period %d"
-                         % (args.case, p1 + p2, args.period))
-    shift = EVEN_SPLITS[(p1, p2)]
-    if shift is None:
-        if args.shift is None:
-            raise UsageError("case 3,3 needs an explicit --shift (1 or 3)")
-        shift = args.shift
-    elif args.shift is not None and args.shift != shift:
-        raise UsageError("case %r forces shift %d" % (args.case, shift))
+    else:
+        periods = _parse_int_list(args.case)
+        if len(periods) != 2:
+            raise UsageError("case %r is not a split p1,p2" % (args.case,))
+        if sum(periods) != args.period:
+            raise UsageError("case %r has period %d, not --period %d"
+                             % (args.case, sum(periods), args.period))
+    k = _shift(args, periods)
     params = _parse_int_list(args.params or "")
-    need1 = (shift - 1) + (p1 - shift)
-    need2 = (shift - 1) + (p2 - shift)
-    if len(params) != need1 + need2:
-        raise UsageError(
-            "case %r shift %d needs %d+%d parameters, got %d"
-            % (args.case, shift, need1, need2, len(params))
-        )
-    cs1 = _structure_from(p1, shift, params[:need1])
-    cs2 = _structure_from(p2, shift, params[need1:])
-    return cs1, cs2
+    need = [p - 1 for p in periods]
+    if len(params) != sum(need):
+        raise UsageError("%s shift %d needs %s parameters, got %d" % (
+            _job_name(periods), k, "+".join(map(str, need)), len(params)))
+    out = []
+    for n in need:
+        own, params = params[:n], params[n:]
+        try:
+            out.append(CyclicStructure(k, tuple(own[:k - 1]),
+                                       tuple(zip(own[k - 1::2], own[k::2]))))
+        except ValueError as exc:
+            raise UsageError(str(exc))
+    return tuple(out)
 
 
 def _refuse_unread(args, *names: str) -> None:
@@ -162,34 +151,24 @@ def _solution_json(sol) -> dict:
     }
 
 
-def _odd_shift(args) -> int:
-    if args.shift is not None:
-        return args.shift
-    if args.period == 1:
-        return 1
-    raise UsageError("odd periods above 1 need an explicit --shift")
-
-
 def _build_solutions(args):
     """Construct the chain(s) a job describes; even jobs sweep alphas."""
     perm = _perm(args)
     if args.period % 2:
         _refuse_unread(args, "alpha", "case")
-        cs = _structure_from(args.period, _odd_shift(args), _parse_int_list(args.params or ""))
+        (cs,) = _structures(args)
         return [(None, build_odd_chain(cs, perm=perm, allow_degenerate=args.allow_degenerate))]
     _refuse_unread(args, "allow_degenerate")
     alphas = _parse_alpha_list(args.alpha) or [AlphaParam(Fraction(1, 3))]
     if len({a.value for a in alphas}) != len(alphas):
         raise UsageError("alpha samples must be distinct")
-    cs1, cs2 = _even_structures(args)
+    cs1, cs2 = _structures(args)
     return [(a, build_even_chain(cs1, cs2, a, perm=perm)) for a in alphas]
 
 
 def cmd_enum(args) -> int:
-    try:
-        structures = enumerate_structures(args.period, args.shift, args.bound)
-    except InvalidParity as exc:
-        raise UsageError(str(exc))
+    shift = _shift(args, [args.period])
+    structures = enumerate_structures(args.period, shift, args.bound)
 
     diagrams, rows = [], []
     for cs in structures:
@@ -202,7 +181,7 @@ def cmd_enum(args) -> int:
             "flip_levels": list(static_flip_chain(cs).levels()),
         })
     if args.format == "json":
-        _emit(_dump({"command": "enum", "period": args.period, "shift": args.shift,
+        _emit(_dump({"command": "enum", "period": args.period, "shift": shift,
                      "bound": args.bound, "structures": rows}), args.out)
     elif args.format == "latex":
         lines = [
@@ -276,7 +255,7 @@ def cmd_verify(args) -> int:
 def cmd_painleve(args) -> int:
     if args.period == 3:
         _refuse_unread(args, "case", "alpha", "perm", "allow_degenerate")
-        cs = _structure_from(3, _odd_shift(args), _parse_int_list(args.params or ""))
+        (cs,) = _structures(args)
         try:
             fams = piv_families(cs)
         except (WrongPeriod, DegenerateStructure) as exc:
@@ -350,7 +329,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enum", help="enumerate cyclic structures")
     p_enum.add_argument("--period", type=int, required=True)
-    p_enum.add_argument("--shift", type=int, required=True)
+    p_enum.add_argument("--shift", type=int, default=None)
     p_enum.add_argument("--bound", type=int, default=1)
     p_enum.add_argument("--format", choices=("json", "text", "latex"), default="json")
     p_enum.add_argument("--out", type=str, default=None)
@@ -377,13 +356,17 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_alpha_values(argv: Sequence[str]) -> List[str]:
-    """Join "--alpha -4/3" into "--alpha=-4/3": argparse takes a separate
-    value that starts with "-" and is not a plain number for an option."""
+_LIST_OPTIONS = ("--alpha", "--params", "--perm", "--case", "--criteria")
+
+
+def _attach_list_values(argv: Sequence[str]) -> List[str]:
+    """Join "--params -1,0" into "--params=-1,0" for every comma-list
+    option: argparse takes a separate value that starts with "-" and is
+    not a plain number for an option."""
     out: List[str] = []
     for tok in argv:
-        if out and out[-1] == "--alpha" and tok[:1] == "-" and tok[1:2].isdigit():
-            out[-1] = "--alpha=" + tok
+        if out and out[-1] in _LIST_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
@@ -391,7 +374,7 @@ def _attach_alpha_values(argv: Sequence[str]) -> List[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
-    args = parser.parse_args(_attach_alpha_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -23,7 +23,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 
 class InvalidParity(ValueError):
-    """p and k must satisfy k <= p and k == p (mod 2)."""
+    """k must be one of admitted_shifts(p)."""
 
 
 class DegenerateStructure(ValueError):
@@ -375,14 +375,25 @@ def minimal_flip_chain(d: MayaDiagram, k: int) -> FlipChain:
     return FlipChain(tuple(flips))
 
 
+def admitted_shifts(*periods: int) -> range:
+    """The shifts k that structures of these periods can share: a
+    p-cyclic structure has k - 1 Okamoto and (p - k) / 2 free blocks, and
+    the components of a universal character share k (uc_flip_chain), so
+    1 <= k <= min(periods) and k = p (mod 2) for every p."""
+    top = min(periods)
+    if top < 1 or len({p % 2 for p in periods}) > 1:
+        return range(0)
+    return range(2 - top % 2, top + 1, 2)
+
+
 def enumerate_structures(p: int, k: int, bound: int) -> List[CyclicStructure]:
     """All structures with Okamoto lengths <= bound and block parameters
     <= bound, in lexicographic order.  Degenerate layouts are included;
     callers filter on is_degenerate."""
     if p < 1 or k < 1 or bound < 1:
         raise ValueError("p, k, bound must be >= 1")
-    if k > p or (p - k) % 2 != 0:
-        raise InvalidParity("need k <= p with k and p of equal parity")
+    if k not in admitted_shifts(p):
+        raise InvalidParity("period %d admits no shift %d" % (p, k))
     j = (p - k) // 2
     out = []
     for okamoto in itertools.product(range(bound + 1), repeat=k - 1):

@@ -32,6 +32,7 @@ from .maya import (
     DegenerateStructure,
     MayaDiagram,
     UniversalCharacter,
+    admitted_shifts,
     build_diagram,
     enumerate_structures,
     flip_chain_of,
@@ -118,11 +119,8 @@ def check_orthopoly_identities() -> CheckResult:
 
 def _odd_parameter_grid(bound: int):
     for p in (1, 3, 5):
-        for k in (1, 3, 5):
-            if k > p or (p - k) % 2:
-                continue
-            for cs in enumerate_structures(p, k, bound):
-                yield cs
+        for k in admitted_shifts(p):
+            yield from enumerate_structures(p, k, bound)
 
 
 def check_maya_cyclicity() -> CheckResult:

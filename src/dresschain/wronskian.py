@@ -153,36 +153,33 @@ def _wronskian_ints(funcs: list, s: int, t: int) -> Tuple[int, list]:
 
 
 @lru_cache(maxsize=None)
-def _canonical_hermite_det(entries: Tuple[int, ...]) -> Polynomial:
-    """The primitive determinant of a canonical diagram c, once per
-    process: the Wronskian, in y = z**2, of the Hermite polynomials of c
-    or of its conjugate c' (the diagram of the conjugate partition),
-    whichever has fewer, min(m, c_m - m + 1).
-
-    H_c(z) is proportional to H_c'(i z) / i**deg (Felder, Hemery and
-    Veselov 2012), so through c' the result is taken at y -> -y.
-    """
-    through = bool(entries) and entries[-1] - len(entries) + 1 < len(entries)
-    seeds = conjugate(MayaDiagram(entries)).entries if through else entries
-    e, ys = _wronskian_ints([(n % 2, _hermite_ys(n)) for n in seeds], 1, 2)
-    return Polynomial(ys).of_square(e, negate=through).primitive()
-
-
 def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
-    """Determinant with (i, j) entry (n_j)_i H_{n_j - i}(z), i = 0..m-1.
+    """Determinant with (i, j) entry (n_j)_i H_{n_j - i}(z), i = 0..m-1,
+    memoised on the diagram.
 
     The empty diagram gives the constant 1.  Gauge: the full Wronskian of
     the m seed eigenfunctions is proportional to exp(-m w / 2) times this
     polynomial, w = omega x**2 / 2.  A diagram (0, ..., k-1, c + k) is the
     k-translate of the canonical c, so its determinant is a constant times
-    that of c, and both share the cached primitive polynomial
-    (_canonical_hermite_det).  The leading coefficient of either is
-    2**deg V(entries), deg = sum(entries) - m (m - 1) / 2.
+    that of c, and it reads the primitive polynomial of c from this memo.
+    A canonical c takes it from the Wronskian, in y = z**2, of the Hermite
+    polynomials of c or of its conjugate c' (the diagram of the conjugate
+    partition), whichever has fewer, min(m, c_m - m + 1): H_c(z) is
+    proportional to H_c'(i z) / i**deg (Felder, Hemery and Veselov 2012),
+    so through c' the result is taken at y -> -y.  The leading coefficient
+    of either is 2**deg V(entries), deg = sum(entries) - m (m - 1) / 2.
     """
     entries = d.entries
     _check_entries(entries)
     m = len(entries)
-    prim = _canonical_hermite_det(_untranslate(entries)[1])
+    k, canon = _untranslate(entries)
+    if k:
+        prim = hermite_wronskian(MayaDiagram(canon)).prim
+    else:
+        through = bool(entries) and entries[-1] - m + 1 < m
+        seeds = conjugate(d).entries if through else entries
+        e, ys = _wronskian_ints([(n % 2, _hermite_ys(n)) for n in seeds], 1, 2)
+        prim = Polynomial(ys).of_square(e, negate=through).primitive()
     lead = Fraction(2 ** prim.degree * _vandermonde(entries))
     return PseudoWronskian(prim, lead, Fraction(0), Fraction(-m, 2), m, 0, None)
 

@@ -38,10 +38,10 @@ from dresschain.painleve import piv_from_chain, pv_from_chain
 from dresschain.selftest import even_cells
 from dresschain.wronskian import (
     PseudoWronskian,
-    _canonical_hermite_det,
     _hermite_matrix_det,
     _laguerre_matrix_det,
     _untranslate,
+    hermite_wronskian,
     laguerre_pseudo_wronskian,
 )
 
@@ -294,7 +294,7 @@ def test_chain_layers_never_read_the_ladder_constant(monkeypatch):
         raise AssertionError("a chain layer read a ladder entry's constant")
 
     monkeypatch.setattr(PseudoWronskian, "poly", property(refuse))
-    _canonical_hermite_det.cache_clear()
+    hermite_wronskian.cache_clear()
     laguerre_pseudo_wronskian.cache_clear()
     assert run() == expected
 

@@ -6,9 +6,11 @@ import pytest
 
 import dresschain.cli
 import dresschain.painleve
+from dresschain.chain import build_even_chain, verify_chain
 from dresschain.cli import main
 from dresschain.exact import RationalFunction, frac_str
-from dresschain.maya import CyclicStructure
+from dresschain.maya import CyclicStructure, admitted_shifts, enumerate_structures
+from dresschain.orthopoly import AlphaParam
 from dresschain.selftest import even_cells
 
 
@@ -41,6 +43,15 @@ def test_enum_round_trip(capsys):
     data = json.loads(out)
     rebuilt = [CyclicStructure.from_json(s["structure"]) for s in data["structures"]]
     assert [cs.to_json() for cs in rebuilt] == [s["structure"] for s in data["structures"]]
+
+
+def test_enum_period_1_needs_no_shift(capsys):
+    # period 1 admits the one shift 1
+    code, out = run_cli(capsys, "enum", "--period", "1", "--bound", "2")
+    assert code == 0
+    assert run_cli(capsys, "enum", "--period", "1", "--shift", "1", "--bound", "2") == (0, out)
+    code, out = run_cli(capsys, "enum", "--period", "3")
+    assert code == 2 and list(json.loads(out)) == ["error"]
 
 
 def test_enum_parity_error(capsys):
@@ -229,6 +240,39 @@ def test_case_33_needs_shift(capsys):
     assert code == 0
 
 
+def _params(cs):
+    return list(cs.okamoto) + [x for pair in cs.second_type for x in pair]
+
+
+EVEN_JOBS = [
+    ((p1, period - p1), k, cs1, cs2)
+    for period in (2, 4, 6, 8)
+    for p1 in range(1, period)
+    for k in admitted_shifts(p1, period - p1)
+    for cs1 in enumerate_structures(p1, k, 1)
+    for cs2 in enumerate_structures(period - p1, k, 1)
+]
+
+
+def test_every_admitted_even_split_matches_the_library(capsys):
+    # every split of periods 2-8 and every shift it admits, with each
+    # pair of bound-1 structures: the CLI runs the library's chain
+    assert len(EVEN_JOBS) == 146
+    alpha = AlphaParam(F(1, 3))
+    for (p1, p2), k, cs1, cs2 in EVEN_JOBS:
+        code, out = run_cli(
+            capsys, "verify", "--period", str(p1 + p2), "--case", "%d,%d" % (p1, p2),
+            "--shift", str(k), "--params", ",".join(map(str, _params(cs1) + _params(cs2))),
+        )
+        assert code == 0, (p1, p2, k, cs1, cs2)
+        (report,) = json.loads(out)["reports"]
+        want = verify_chain(build_even_chain(cs1, cs2, alpha)).to_json()
+        want["alpha"] = "1/3"
+        if p1 + p2 == 4:
+            want["pv_residual_zero"] = True
+        assert report == want
+
+
 def test_selftest_single_criterion(capsys):
     code, out = run_cli(capsys, "selftest", "--criteria", "1")
     assert code == 0
@@ -276,13 +320,26 @@ def test_selftest_single_criterion(capsys):
          "--shift", "0"],
         ["verify", "--period", "3", "--shift", "1", "--params",
          "99999999999999999999999,1"],
+        ["verify", "--period", "4", "--case", "2,2", "--params", "-1,0"],
+        ["verify", "--period", "3", "--shift", "1", "--params", "1,2",
+         "--perm", "-1,0,1"],
+        ["verify", "--period", "4", "--case", "-1,5"],
+        ["selftest", "--criteria", "-1,2"],
+        ["verify", "--period", "4", "--case", "2,2", "--shift", "1",
+         "--params", "0,0"],
+        ["verify", "--period", "4", "--case", "0,4"],
+        ["verify", "--period", "2000000000", "--case", "1000000000,1000000000"],
+        ["verify", "--period", "2000000000", "--case", "1000000000,1000000000",
+         "--shift", "2"],
     ],
     ids=["repeated-perm", "short-perm", "zero-bound", "duplicate-alpha",
          "out-is-directory", "out-parent-missing", "criterion-9", "criterion-0",
          "piv-perm", "piv-alpha", "piv-case", "piv-allow-degenerate",
          "odd-alpha", "odd-case", "even-allow-degenerate", "pv-allow-degenerate",
          "case-6-period-4", "case-4-period-8", "case-4-period-2",
-         "case-2-2-shift-0", "case-3-3-shift-0", "overflowing-param"],
+         "case-2-2-shift-0", "case-3-3-shift-0", "overflowing-param",
+         "negative-param", "negative-perm", "negative-case", "negative-criterion",
+         "case-2-2-shift-1", "case-0-4", "huge-case", "huge-case-shift-2"],
 )
 def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     # relative --out paths resolve in an empty directory

@@ -11,6 +11,7 @@ from dresschain.maya import (
     InvalidParity,
     MayaDiagram,
     UniversalCharacter,
+    admitted_shifts,
     build_diagram,
     canonicalize,
     conjugate,
@@ -282,6 +283,27 @@ def test_enumerate_parity_errors():
         enumerate_structures(3, 2, 1)
     with pytest.raises(InvalidParity):
         enumerate_structures(3, 5, 1)
+
+
+def test_admitted_shifts_match_brute_force():
+    # a shift k fits a period p when 1 <= k <= p and k = p (mod 2); the
+    # components of a split share one shift
+    def fits(k, p):
+        return 1 <= k <= p and (p - k) % 2 == 0
+
+    for p1 in range(-1, 13):
+        assert list(admitted_shifts(p1)) == [k for k in range(1, 13) if fits(k, p1)]
+        for p2 in range(-1, 13):
+            want = [k for k in range(1, 13) if fits(k, p1) and fits(k, p2)]
+            assert list(admitted_shifts(p1, p2)) == want
+
+
+def test_admitted_shifts_of_a_huge_period_are_a_range():
+    # nothing loops up to the period: membership and length are O(1)
+    shifts = admitted_shifts(10 ** 9, 10 ** 9)
+    assert len(shifts) == 5 * 10 ** 8
+    assert 10 ** 9 in shifts and 10 ** 9 - 1 not in shifts
+    assert not admitted_shifts(10 ** 9, 10 ** 9 + 1)
 
 
 # -- universal characters -----------------------------------------------------------

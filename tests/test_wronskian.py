@@ -21,7 +21,6 @@ from dresschain.orthopoly import AlphaParam, hermite, laguerre
 from dresschain.selftest import check_wronskian_equivalences
 from dresschain.wronskian import (
     NegativeIndex,
-    _canonical_hermite_det,
     _hermite_matrix_det,
     _hermite_ys,
     _laguerre_columns,
@@ -139,7 +138,7 @@ def test_translated_determinant_rescales_canonical_one():
 @pytest.fixture
 def fresh_memos():
     """Empty ladder memos before and after a test that corrupts the ladders."""
-    memos = (_canonical_hermite_det, laguerre_pseudo_wronskian)
+    memos = (hermite_wronskian, laguerre_pseudo_wronskian)
     for memo in memos:
         memo.cache_clear()
     yield
