@@ -2,7 +2,8 @@
 chains, built from cyclic Maya diagrams and universal characters.
 
 Everything is exact: polynomials and rational functions over Q, ladder
-determinants by the integer Wronskian recursion of Sylvester's identity,
+determinants by the integer Wronskian recursion of Sylvester's identity
+(top down, memoised on sorted seed tuples, so entries share their steps),
 chain residuals and Painleve IV/V reductions checked as identities over Q.
 """
 

@@ -380,10 +380,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         sys.stdout.write(_dump({"error": str(exc)}))
         return 2
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, RecursionError) as exc:
         # every library ValueError rejects the job description: a bad
         # permutation or bound, a degenerate structure or alpha sample; an
-        # OverflowError, a parameter too large to build a ladder from
+        # OverflowError or RecursionError, a parameter too large to build a ladder from
         sys.stdout.write(_dump({"error": "%s: %s" % (type(exc).__name__, exc)}))
         return 2
 

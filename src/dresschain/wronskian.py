@@ -2,9 +2,10 @@
 
 Both determinants are defined as the polynomial matrices below.  Each
 is an analytic Wronskian up to a constant and a power of z, so it is
-computed by the Wronskian recursion of Sylvester's identity
-(_wronskian_ints) on integer coefficient lists; the matrices, eliminated
-in full (_hermite_matrix_det, _laguerre_matrix_det), are the oracles.
+computed by the Wronskian recursion of Sylvester's identity, top down and
+memoised on sorted seed tuples (_hermite_kernel, _laguerre_kernel); the
+matrices, eliminated in full (_hermite_matrix_det, _laguerre_matrix_det),
+are the oracles.
 
 A ladder entry is stored as its primitive integer polynomial `prim`
 (coprime coefficients, positive leading one) and the determinant's
@@ -86,19 +87,13 @@ def _check_entries(entries: Tuple[int, ...]) -> None:
 
 def _untranslate(entries: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
     """(k, c) with entries == (0, ..., k-1) + (c + k) and c canonical."""
-    k = 0
-    while k < len(entries) and entries[k] == k:
-        k += 1
+    k = next((i for i, n in enumerate(entries) if n != i), len(entries))
     return k, tuple(n - k for n in entries[k:])
 
 
 def _vandermonde(entries: Tuple[int, ...]) -> int:
     """prod_{i<j} (n_j - n_i)."""
-    out = 1
-    for j, nj in enumerate(entries):
-        for ni in entries[:j]:
-            out *= nj - ni
-    return out
+    return prod(nj - ni for j, nj in enumerate(entries) for ni in entries[:j])
 
 
 def _hermite_matrix_det(entries: Tuple[int, ...]) -> Polynomial:
@@ -123,33 +118,34 @@ def _hermite_ys(n: int) -> list:
     return ys[::-1]
 
 
-def _wronskian_ints(funcs: list, s: int, t: int) -> Tuple[int, list]:
+def _sylvester(w, seeds: tuple, s: int, t: int) -> Tuple[int, list]:
     """(E, D) with s**(m (m-1) / 2) W(f_1, ..., f_m) = z**(E/s) D(z**t),
-    D(0) != 0, for independent f_j = z**(A_j/s) P_j(z**t) given as pairs
-    (A_j, P_j) of an int and an integer list with P_j(0) != 0.
+    D(0) != 0, for the m >= 2 independent f_j = z**(A_j/s) P_j(z**t) of a
+    sorted seed tuple S + (g, h), where w gives (E, D) of shorter tuples.
 
-    By Sylvester's identity W(W(S, g), W(S, h)) = W(S) W(S, g, h), the
-    Wronskians of a prefix S with each later function give those of
-    S + (g,): m (m-1) / 2 steps of one 2 x 2 Wronskian and one exact
-    division by the previous W(S), with no pivot search.  As
-    s W(z**(a/s), z**(b/s)) = (b - a) z**((a+b-s)/s), a step on (A, P),
+    By Sylvester's identity W(W(S, g), W(S, h)) = W(S) W(S, g, h), this is
+    one 2 x 2 Wronskian and one exact division by W(S).  As
+    s W(z**(a/s), z**(b/s)) = (b - a) z**((a+b-s)/s), the step on (A, P),
     (B, Q) is sum (b_j - a_i) P_i Q_j u**(i+j), u = z**t, a_i = A + s t i,
     b_j = B + s t j; its low zeros go into the exponent.
     """
+    head = seeds[:-2]
+    (a, f), (b, g), (prev_e, prev) = w(seeds[:-1]), w(head + seeds[-1:]), w(head)
     st = s * t
-    row = list(funcs)
-    prev_e, prev = 0, [1]
-    while len(row) > 1:
-        (a, f), rest = row[0], row[1:]
-        fa = [(a + st * i) * x for i, x in enumerate(f)]
-        nxt = []
-        for b, g in rest:
-            gb = [(b + st * j) * y for j, y in enumerate(g)]
-            r = _isub(_imul(f, gb), _imul(fa, g))
-            v = next(i for i, x in enumerate(r) if x)
-            nxt.append((a + b - s + st * v - prev_e, _iexact_quo(r[v:], prev)))
-        (prev_e, prev), row = row[0], nxt
-    return row[0] if row else (0, [1])
+    fa = [(a + st * i) * x for i, x in enumerate(f)]
+    gb = [(b + st * j) * y for j, y in enumerate(g)]
+    r = _isub(_imul(f, gb), _imul(fa, g))
+    v = next(i for i, x in enumerate(r) if x)
+    return a + b - s + st * v - prev_e, _iexact_quo(r[v:], prev)
+
+
+@lru_cache(maxsize=None)
+def _hermite_kernel(seeds: Tuple[int, ...]) -> Tuple[int, list]:
+    """_sylvester's (E, D) for the H_n(z), n in seeds, each z**(n%2) times
+    integers in y = z**2 (s = 1, t = 2)."""
+    if len(seeds) > 1:
+        return _sylvester(_hermite_kernel, seeds, 1, 2)
+    return (seeds[0] % 2, _hermite_ys(seeds[0])) if seeds else (0, [1])
 
 
 @lru_cache(maxsize=None)
@@ -177,8 +173,7 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
         prim = hermite_wronskian(MayaDiagram(canon)).prim
     else:
         through = bool(entries) and entries[-1] - m + 1 < m
-        seeds = conjugate(d).entries if through else entries
-        e, ys = _wronskian_ints([(n % 2, _hermite_ys(n)) for n in seeds], 1, 2)
+        e, ys = _hermite_kernel(conjugate(d).entries if through else entries)
         prim = Polynomial(ys).of_square(e, negate=through).primitive()
     lead = Fraction(2 ** prim.degree * _vandermonde(entries))
     return PseudoWronskian(prim, lead, Fraction(0), Fraction(-m, 2), m, 0, None)
@@ -198,6 +193,16 @@ def _laguerre_ints(n: int, p: int, q: int) -> list:
         t = t * k * (p + k * q) // ((n - k + 1) * q)
         out[k - 1] = t if k % 2 else -t
     return out
+
+
+@lru_cache(maxsize=None)
+def _laguerre_kernel(p: int, q: int, seeds: tuple) -> Tuple[int, list]:
+    """_sylvester's (E, D) at alpha = p/q (s = q, t = 1) for the seeds
+    (0, n), L_n^alpha, and (1, l), z**-alpha L_l^-alpha: spectrum first."""
+    if len(seeds) > 1:
+        return _sylvester(lambda sub: _laguerre_kernel(p, q, sub), seeds, q, 1)
+    shadow, n = seeds[0] if seeds else (0, 0)  # L_0 = 1 for no seeds
+    return -p * shadow, _laguerre_ints(n, -p if shadow else p, q)
 
 
 def _laguerre_columns(uc: UniversalCharacter, a: Fraction) -> Tuple[list, list]:
@@ -262,9 +267,8 @@ def _laguerre_top(uc: UniversalCharacter, a: Fraction) -> Fraction:
     p, q = a.numerator, a.denominator
     entries = uc.first.entries + uc.second.entries
     size = len(entries)
-    v = _vandermonde(
-        tuple(n * q for n in uc.first.entries) + tuple(l * q - p for l in uc.second.entries)
-    )
+    v = _vandermonde(tuple(n * q for n in uc.first.entries)
+                     + tuple(l * q - p for l in uc.second.entries))
     den = q ** (size * (size - 1) // 2) * prod(map(factorial, entries))
     return Fraction(-v if sum(entries) % 2 else v, den)
 
@@ -287,7 +291,7 @@ def laguerre_pseudo_wronskian(
     gauge turns the result back into the full Wronskian of the mixed seed
     functions, up to a constant.  A canonical character is
     z**(r (m + r - 1) + r alpha) times the Wronskian of the L_n^alpha and
-    the z**-alpha L_l^-alpha (see _laguerre_top), which _wronskian_ints
+    the z**-alpha L_l^-alpha (see _laguerre_top), which _laguerre_kernel
     takes in powers of z**(1/q), alpha = p/q.  A character whose
     components are the k1- and k2-translates of canonical ones is
     z**translation_power(r, k2) times the determinant of those at
@@ -295,11 +299,9 @@ def laguerre_pseudo_wronskian(
     memo.  Either way the entry stores the primitive polynomial, and
     _laguerre_top is its leading coefficient.
     """
-    _check_entries(uc.first.entries)
-    _check_entries(uc.second.entries)
+    _check_entries(uc.first.entries + uc.second.entries)
     a = alpha.value
-    m = len(uc.first.entries)
-    r = len(uc.second.entries)
+    m, r = len(uc.first.entries), len(uc.second.entries)
     k1, canon1 = _untranslate(uc.first.entries)
     k2, canon2 = _untranslate(uc.second.entries)
     if k1 or k2:
@@ -308,11 +310,8 @@ def laguerre_pseudo_wronskian(
         prim = base.shifted(translation_power(len(canon2), k2))
     else:
         p, q = a.numerator, a.denominator
-        funcs = [(0, _laguerre_ints(n, p, q)) for n in uc.first.entries]
-        funcs += [(-p, _laguerre_ints(l, -p, q)) for l in uc.second.entries]
-        e, d = _wronskian_ints(funcs, q, 1)
+        seeds = tuple((0, n) for n in uc.first.entries)
+        e, d = _laguerre_kernel(p, q, seeds + tuple((1, l) for l in uc.second.entries))
         prim = Polynomial(d).shifted(r * (m + r - 1) + (r * p + e) // q).primitive()
     z_power = Fraction((m - r) ** 2, 4) - r * (r - 1) + a * Fraction(m - r, 2)
-    return PseudoWronskian(
-        prim, _laguerre_top(uc, a), z_power, Fraction(-(m + r), 2), m, r, a
-    )
+    return PseudoWronskian(prim, _laguerre_top(uc, a), z_power, Fraction(-(m + r), 2), m, r, a)

@@ -5,6 +5,9 @@ way: a determinant by cofactor expansion, the Laguerre pseudo-Wronskian
 matrix from recurrence-built Fraction polynomials, its top coefficient from
 the full integer columns, and the chain, PIV and PV residuals as chains of
 reduced RationalFunction operations (one gcd per operation).
+
+clear_ladder_memos empties the library's ladder memos, so that a test
+which corrupts a ladder leaks into no later one.
 """
 
 from fractions import Fraction
@@ -20,7 +23,21 @@ from dresschain.exact import (
 )
 from dresschain.orthopoly import falling_factorial, laguerre
 from dresschain.painleve import pv_pieces
-from dresschain.wronskian import _laguerre_columns
+from dresschain.wronskian import (
+    _hermite_kernel,
+    _laguerre_columns,
+    _laguerre_kernel,
+    hermite_wronskian,
+    laguerre_pseudo_wronskian,
+)
+
+LADDER_MEMOS = (hermite_wronskian, laguerre_pseudo_wronskian, _hermite_kernel, _laguerre_kernel)
+
+
+def clear_ladder_memos():
+    """Empty the ladder entry memos and the Wronskian kernel memos under them."""
+    for memo in LADDER_MEMOS:
+        memo.cache_clear()
 
 
 def det_poly_matrix_cofactor(rows):

@@ -41,11 +41,9 @@ from dresschain.wronskian import (
     _hermite_matrix_det,
     _laguerre_matrix_det,
     _untranslate,
-    hermite_wronskian,
-    laguerre_pseudo_wronskian,
 )
 
-from oracles import _residual_rf, log_derivative_ratio
+from oracles import _residual_rf, clear_ladder_memos, log_derivative_ratio
 
 EMPTY = MayaDiagram(())
 X = Polynomial.x()
@@ -294,8 +292,7 @@ def test_chain_layers_never_read_the_ladder_constant(monkeypatch):
         raise AssertionError("a chain layer read a ladder entry's constant")
 
     monkeypatch.setattr(PseudoWronskian, "poly", property(refuse))
-    hermite_wronskian.cache_clear()
-    laguerre_pseudo_wronskian.cache_clear()
+    clear_ladder_memos()
     assert run() == expected
 
 

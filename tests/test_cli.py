@@ -157,6 +157,16 @@ def test_build_emits_ladder(capsys):
             "verify --period 2 --case 1,1 --alpha 1/3,-2/5",
             "d4ef21abb878cce4b1f76c4472e91219754f75879c60bcc21c4debaa70623749",
         ),
+        (
+            "verify --period 8 --case 4,4 --shift 2 --params 1,1,1,1,1,1 --format json",
+            "6c1052bbaad9b165efbe9a70a6443c0c458dafc05efd43ef8d8de1f38e070e95",
+        ),
+        (
+            # ladder degree up to 42, six of its canonical diagrams taken through
+            # their conjugates
+            "verify --period 7 --shift 7 --params 3,2,3,1,3,2 --perm 2,0,5,1,6,3,4 --format json",
+            "ba62a0c5f2ea2d6820a93bb7936dafa2ea3d2adac245de642c1fa6a41296acc2",
+        ),
     ],
 )
 def test_output_bytes_pinned(capsys, argv, digest):
@@ -331,6 +341,8 @@ def test_selftest_single_criterion(capsys):
         ["verify", "--period", "2000000000", "--case", "1000000000,1000000000"],
         ["verify", "--period", "2000000000", "--case", "1000000000,1000000000",
          "--shift", "2"],
+        # 400 seeds: deeper than the memoised recursion can go
+        ["build", "--period", "3", "--shift", "3", "--params", "400,0"],
     ],
     ids=["repeated-perm", "short-perm", "zero-bound", "duplicate-alpha",
          "out-is-directory", "out-parent-missing", "criterion-9", "criterion-0",
@@ -339,7 +351,8 @@ def test_selftest_single_criterion(capsys):
          "case-6-period-4", "case-4-period-8", "case-4-period-2",
          "case-2-2-shift-0", "case-3-3-shift-0", "overflowing-param",
          "negative-param", "negative-perm", "negative-case", "negative-criterion",
-         "case-2-2-shift-1", "case-0-4", "huge-case", "huge-case-shift-2"],
+         "case-2-2-shift-1", "case-0-4", "huge-case", "huge-case-shift-2",
+         "seed-tuple-too-long"],
 )
 def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     # relative --out paths resolve in an empty directory

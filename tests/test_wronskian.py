@@ -21,6 +21,7 @@ from dresschain.orthopoly import AlphaParam, hermite, laguerre
 from dresschain.selftest import check_wronskian_equivalences
 from dresschain.wronskian import (
     NegativeIndex,
+    _hermite_kernel,
     _hermite_matrix_det,
     _hermite_ys,
     _laguerre_columns,
@@ -33,6 +34,7 @@ from dresschain.wronskian import (
 )
 
 from oracles import (
+    clear_ladder_memos,
     det_poly_matrix_cofactor,
     laguerre_det_oracle,
     laguerre_matrix_oracle,
@@ -138,12 +140,9 @@ def test_translated_determinant_rescales_canonical_one():
 @pytest.fixture
 def fresh_memos():
     """Empty ladder memos before and after a test that corrupts the ladders."""
-    memos = (hermite_wronskian, laguerre_pseudo_wronskian)
-    for memo in memos:
-        memo.cache_clear()
+    clear_ladder_memos()
     yield
-    for memo in memos:
-        memo.cache_clear()
+    clear_ladder_memos()
 
 
 def test_criterion_3_catches_a_wrong_hermite_ratio(monkeypatch, fresh_memos):
@@ -286,18 +285,26 @@ TRANSLATED = [
 
 
 def test_translated_laguerre_shares_canonical_determinant(fresh_memos):
-    # the recursion sees one function per entry, of the entry's degree; a
-    # translate has an entry 0 and a canonical character none, so only
-    # canonical characters reach it, each once per shifted alpha
+    # the kernel is entered with one seed per entry, of the entry's degree;
+    # a translate has an entry 0 and a canonical character none, so only
+    # canonical characters reach it, each once per shifted alpha.  Calls
+    # the kernel makes to itself, for sub-tuples, are not entries.
     degrees = []
+    depth = 0
 
-    def recorded(funcs, s, t):
-        degrees.append([len(f) - 1 for _, f in funcs])
-        return kernel(funcs, s, t)
+    def recorded(p, q, seeds):
+        nonlocal depth
+        if not depth:
+            degrees.append([n for _, n in seeds])
+        depth += 1
+        try:
+            return kernel(p, q, seeds)
+        finally:
+            depth -= 1
 
-    kernel = dresschain.wronskian._wronskian_ints
+    kernel = dresschain.wronskian._laguerre_kernel
     alphas = (F(1, 3), F(-2, 5))
-    with mock.patch.object(dresschain.wronskian, "_wronskian_ints", recorded):
+    with mock.patch.object(dresschain.wronskian, "_laguerre_kernel", recorded):
         for uc, k1, k2 in TRANSLATED:
             shifted = UniversalCharacter(translate(uc.first, k1), translate(uc.second, k2))
             for a in alphas:
@@ -379,6 +386,95 @@ def test_laguerre_recursion_matches_raw_elimination(uc, a):
     # a canonical character goes straight to the recursion
     poly = laguerre_pseudo_wronskian.__wrapped__(uc, AlphaParam(a)).poly
     assert poly == _laguerre_matrix_det(uc, a)
+
+
+def sharing_diagrams(prefix, tails):
+    """Canonical diagrams that all start with prefix, one per tail (of
+    entries above the prefix)."""
+    return [MayaDiagram(tuple(sorted(set(prefix) | set(t)))) for t in tails]
+
+
+def routed(d):
+    """A canonical diagram and, when its size differs, its conjugate: the
+    smaller of the two goes direct and the larger through it, so the two
+    routes reach the kernel with one seed tuple."""
+    dual = conjugate(d)
+    return [d, dual] if len(dual.entries) != len(d.entries) else [d]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), max_size=3, unique=True),
+    st.lists(st.lists(st.integers(5, 10), max_size=3, unique=True), min_size=2, max_size=5),
+    st.lists(st.integers(1, 3), max_size=2, unique=True),
+    st.lists(
+        st.tuples(st.lists(st.integers(4, 7), max_size=2, unique=True),
+                  st.lists(st.integers(4, 7), max_size=2, unique=True)),
+        min_size=2, max_size=4,
+    ),
+    st.tuples(st.integers(-20, 20).filter(lambda p: p % 3),
+              st.integers(-20, 20).filter(lambda p: p % 7)),
+    st.randoms(use_true_random=False),
+)
+def test_kernel_memos_are_independent_of_order(prefix, tails, lprefix, ltails, ps, rnd):
+    # warm the kernel memos in a random order with entries that share
+    # sub-tuples (direct and conjugate Hermite routes, Laguerre at two
+    # denominators), then every entry, in another order, is its matrix
+    clear_ladder_memos()
+    diagrams = [e for d in sharing_diagrams(prefix, tails) for e in routed(d)]
+    alphas = [F(ps[0], 3), F(ps[1], 7)]
+    characters = [
+        (UniversalCharacter(d1, d2), a)
+        for d1, d2 in zip(sharing_diagrams(lprefix, [t for t, _ in ltails]),
+                          sharing_diagrams(lprefix[:1], [t for _, t in ltails]))
+        for a in alphas
+    ]
+    jobs = [(hermite_wronskian.__wrapped__, (d,)) for d in diagrams]
+    jobs += [(laguerre_pseudo_wronskian.__wrapped__, (uc, AlphaParam(a))) for uc, a in characters]
+    for _ in range(2):
+        rnd.shuffle(jobs)
+        for build, args in jobs:
+            build(*args)
+    rnd.shuffle(diagrams)
+    for d in diagrams:
+        assert hermite_wronskian.__wrapped__(d).poly == _hermite_matrix_det(d.entries)
+    rnd.shuffle(characters)
+    for uc, a in characters:
+        pw = laguerre_pseudo_wronskian.__wrapped__(uc, AlphaParam(a))
+        assert pw.poly == _laguerre_matrix_det(uc, a)
+
+
+def test_both_hermite_routes_share_the_kernel_memo(fresh_memos):
+    # (2, 5) goes direct; its conjugate (1, 2, 4, 5) goes through it, so
+    # building the conjugate afterwards runs no new kernel step
+    d = MayaDiagram((2, 5))
+    assert routed(d) == [d, MayaDiagram((1, 2, 4, 5))]
+    hermite_wronskian(d)
+    misses = _hermite_kernel.cache_info().misses
+    hermite_wronskian(conjugate(d))
+    assert _hermite_kernel.cache_info().misses == misses
+
+
+def test_kernel_memo_holds_each_needed_sub_tuple_once(fresh_memos):
+    # a determinant of the sorted seeds T, m = len(T), needs W of T[:j] and
+    # of T[:j] + (T[i],) for 0 <= j <= i < m (prefixes plus one later seed);
+    # a memo on sorted tuples computes each of these once over all 35
+    # 4-subsets of range(7)
+    def seeds(entries):
+        k = next((i for i, n in enumerate(entries) if n != i), len(entries))
+        c = MayaDiagram(tuple(n - k for n in entries[k:]))
+        dual = conjugate(c)
+        return dual.entries if len(dual.entries) < len(c.entries) else c.entries
+
+    needed = set()
+    for entries in combinations(range(7), 4):
+        t = seeds(entries)
+        needed.add(())
+        needed.update(t[:j] + (t[i],) for i in range(len(t)) for j in range(i + 1))
+    for entries in combinations(range(7), 4):
+        hermite_wronskian(MayaDiagram(entries))
+    info = _hermite_kernel.cache_info()
+    assert info.misses == info.currsize == len(needed)
 
 
 def test_ladders_run_no_elimination(monkeypatch, fresh_memos):
