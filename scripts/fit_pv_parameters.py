@@ -25,9 +25,9 @@ Usage: python scripts/fit_pv_parameters.py
 from fractions import Fraction
 
 from dresschain.chain import build_even_chain
-from dresschain.maya import CyclicStructure
 from dresschain.orthopoly import AlphaParam
 from dresschain.painleve import pv_from_chain, pv_pieces, pv_residual
+from dresschain.selftest import even_cells
 
 ALPHAS = (Fraction(1, 3), Fraction(2, 5))
 
@@ -68,29 +68,19 @@ def solve_parameters(y):
     return tuple(params)
 
 
+def cell_label(cs1, cs2):
+    """The cell's name from its structures: the block of a (3,1) split,
+    the Okamoto lengths of a (2,2) one."""
+    if cs1.p == 3:
+        ((lam, mu),) = cs1.second_type
+        return "split (3,1) lam=%d mu=%d" % (lam, mu)
+    return "split (2,2) a1=%d b1=%d" % (cs1.okamoto + cs2.okamoto)
+
+
 def survey():
-    jobs = []
-    for lam in (1, 2):
-        for mu in (1, 2):
-            jobs.append(
-                (
-                    "split (3,1) lam=%d mu=%d" % (lam, mu),
-                    CyclicStructure(k=1, second_type=((lam, mu),)),
-                    CyclicStructure(k=1),
-                    (1, 2, 0, 3),
-                )
-            )
-    for a1 in (0, 1, 2):
-        for b1 in (0, 1, 2):
-            jobs.append(
-                (
-                    "split (2,2) a1=%d b1=%d" % (a1, b1),
-                    CyclicStructure(k=2, okamoto=(a1,)),
-                    CyclicStructure(k=2, okamoto=(b1,)),
-                    (1, 0, 3, 2),
-                )
-            )
-    for label, cs1, cs2, perm in jobs:
+    for cs1, cs2, perm, _ in even_cells():
+        if cs1.p + cs2.p != 4:
+            continue
         for alpha_value in ALPHAS:
             sol = build_even_chain(cs1, cs2, AlphaParam(alpha_value), perm=perm)
             inst = pv_from_chain(sol)
@@ -105,7 +95,7 @@ def survey():
                 status = "MISMATCH: solved %s" % (solved,)
             print(
                 "%-26s alpha=%-4s (a,b,c,d)=(%s, %s, %s, %s)  %s"
-                % (label, alpha_value, *implemented, status)
+                % (cell_label(cs1, cs2), alpha_value, *implemented, status)
             )
 
 

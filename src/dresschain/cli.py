@@ -292,7 +292,7 @@ def cmd_painleve(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    criteria = _parse_int_list(args.criteria) if args.criteria else None
+    criteria = None if args.criteria is None else _parse_int_list(args.criteria)
     results = run_all(criteria)
     ok = all(r.ok for r in results)
     if args.format == "json":

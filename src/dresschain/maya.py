@@ -304,22 +304,14 @@ def build_diagram(cs: CyclicStructure) -> Tuple[MayaDiagram, bool]:
     degenerate = any(c > 1 for c in counts.values())
 
     if not degenerate:
-        # merge test per residue class: any block starting exactly where
-        # another ends.  Absent Okamoto blocks still anchor their residue,
-        # so a free block starting at l with okamoto[l-1] == 0 merges too.
-        starts = {}
-        ends = {}
-        for l, a in enumerate(cs.okamoto, start=1):
-            ends.setdefault(l % cs.k, set()).add(l + a * cs.k)
-            if a > 0:
-                starts.setdefault(l % cs.k, set()).add(l)
-        for l, m in cs.second_type:
-            starts.setdefault(l % cs.k, set()).add(l)
-            ends.setdefault(l % cs.k, set()).add(l + m * cs.k)
-        for res, ss in starts.items():
-            if ss & ends.get(res, set()):
-                degenerate = True
-                break
+        # merge test: any block starting exactly where another ends (a
+        # block's start and end share a residue mod k, so one set of each
+        # suffices).  Absent Okamoto blocks still anchor their residue, so
+        # a free block starting at l with okamoto[l-1] == 0 merges too.
+        okamoto = tuple(enumerate(cs.okamoto, start=1))
+        starts = {l for l, a in okamoto if a > 0} | {l for l, _ in cs.second_type}
+        ends = {l + a * cs.k for l, a in okamoto + cs.second_type}
+        degenerate = bool(starts & ends)
 
     return MayaDiagram(entries), degenerate
 

@@ -523,12 +523,14 @@ ALL_CHECKS: Tuple[Callable[[], CheckResult], ...] = (
 
 
 def run_all(criteria: Optional[Sequence[int]] = None) -> List[CheckResult]:
-    unknown = sorted(set(criteria or ()) - set(range(1, len(ALL_CHECKS) + 1)))
+    """Run every check, or those of a non-empty list of distinct criteria,
+    in criterion order."""
+    if criteria is None:
+        criteria = range(1, len(ALL_CHECKS) + 1)
+    unknown = sorted(set(criteria) - set(range(1, len(ALL_CHECKS) + 1)))
     if unknown:
         raise ValueError("criteria lie in 1..%d, got %s" % (len(ALL_CHECKS), unknown))
-    results = []
-    for i, fn in enumerate(ALL_CHECKS, start=1):
-        if criteria and i not in criteria:
-            continue
-        results.append(fn())
-    return results
+    if not criteria or len(set(criteria)) != len(criteria):
+        raise ValueError("criteria must be a non-empty list of distinct numbers, got %s"
+                         % list(criteria))
+    return [fn() for i, fn in enumerate(ALL_CHECKS, start=1) if i in criteria]

@@ -3,9 +3,10 @@
 Both determinants are defined as the polynomial matrices below.  Each
 is an analytic Wronskian up to a constant and a power of z, so it is
 computed by the Wronskian recursion of Sylvester's identity, top down and
-memoised on sorted seed tuples (_hermite_kernel, _laguerre_kernel); the
-matrices, eliminated in full (_hermite_matrix_det, _laguerre_matrix_det),
-are the oracles.
+memoised on sorted seed tuples (_hermite_kernel, _laguerre_kernel).  The
+oracles (_hermite_matrix_det, _laguerre_matrix_det) build the matrices
+column by column from the recurrence-defined polynomials of orthopoly
+(_hermite_column, _laguerre_column) and eliminate them in full.
 
 A ladder entry is stored as its primitive integer polynomial `prim`
 (coprime coefficients, positive leading one) and the determinant's
@@ -29,15 +30,10 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Optional, Tuple
 
-from .exact import Polynomial, det_int_matrix, det_poly_matrix, frac_str
+from .exact import Polynomial, det_poly_matrix, frac_str
 from .exact import _iexact_quo, _imul, _isub
 from .maya import MayaDiagram, UniversalCharacter, conjugate
-from .orthopoly import AlphaParam, falling_factorial, hermite
-
-# kept in this namespace, where bench/tracer.py times the orthopoly layer;
-# hermite, falling_factorial and det_poly_matrix are looked up here by the
-# tracer too, although only the raw oracle _hermite_matrix_det calls them
-from .orthopoly import laguerre  # noqa: F401
+from .orthopoly import AlphaParam, falling_factorial, hermite, laguerre
 
 
 class NegativeIndex(ValueError):
@@ -96,17 +92,25 @@ def _vandermonde(entries: Tuple[int, ...]) -> int:
     return prod(nj - ni for j, nj in enumerate(entries) for ni in entries[:j])
 
 
-def _hermite_matrix_det(entries: Tuple[int, ...]) -> Polynomial:
-    """Determinant with (i, j) entry (n_j)_i H_{n_j - i}(z), built from
-    the Hermite polynomials and eliminated in full; the oracle of
-    hermite_wronskian."""
-    if not entries:
+def _matrix_det(columns: list) -> Polynomial:
+    """Determinant of the square matrix with these columns, eliminated in
+    full; no columns give 1."""
+    if not columns:
         return Polynomial.one()
-    return det_poly_matrix([
-        [falling_factorial(n, i) * hermite(n - i) if i <= n else Polynomial.zero()
-         for n in entries]
-        for i in range(len(entries))
-    ])
+    return det_poly_matrix([list(row) for row in zip(*columns)])
+
+
+@lru_cache(maxsize=None)
+def _hermite_column(n: int, size: int) -> Tuple[Polynomial, ...]:
+    """Rows 0..size-1 of the Hermite Wronskian column of n: (n)_i H_{n-i}(z)."""
+    return tuple(falling_factorial(n, i) * hermite(n - i) if i <= n else Polynomial.zero()
+                 for i in range(size))
+
+
+def _hermite_matrix_det(entries: Tuple[int, ...]) -> Polynomial:
+    """Determinant with (i, j) entry (n_j)_i H_{n_j - i}(z); the oracle of
+    hermite_wronskian."""
+    return _matrix_det([_hermite_column(n, len(entries)) for n in entries])
 
 
 def _hermite_ys(n: int) -> list:
@@ -205,50 +209,24 @@ def _laguerre_kernel(p: int, q: int, seeds: tuple) -> Tuple[int, list]:
     return -p * shadow, _laguerre_ints(n, -p if shadow else p, q)
 
 
-def _laguerre_columns(uc: UniversalCharacter, a: Fraction) -> Tuple[list, list]:
-    """The pseudo-Wronskian matrix as integer coefficient lists, row-major,
-    and the denominator of each column.
-
-    With a = p/q, a spectrum column of n lies over q**n n!: its row i is
-    (-1)**i q**i (n)_i times the integers of L_{n-i}^{a+i}.  A shadow
-    column of l lies over q**(l+size-1) l!: its row i is
-    q**(size-1-i) prod_{t<i} ((l - t) q - p), which is q**(size-1) (l - a)_i,
-    times the integers of L_l^{-a-i}, shifted by size - 1 - i.
-    """
-    p, q = a.numerator, a.denominator
-    size = len(uc.first.entries) + len(uc.second.entries)
-    columns = []
-    dens = []
-    for n in uc.first.entries:
-        col = []
-        f = 1  # q**i (n)_i
-        for i in range(min(n + 1, size)):
-            s = -f if i % 2 else f
-            col.append([s * x for x in _laguerre_ints(n - i, p + i * q, q)])
-            f *= (n - i) * q
-        columns.append(col + [[]] * (size - len(col)))
-        dens.append(q ** n * factorial(n))
-    for l in uc.second.entries:
-        col = []
-        f = 1  # prod_{t<i} ((l - t) q - p)
-        for i in range(size):
-            s = f * q ** (size - 1 - i)
-            col.append(
-                [0] * (size - 1 - i) + [s * x for x in _laguerre_ints(l, -p - i * q, q)]
-            )
-            f *= (l - i) * q - p
-        columns.append(col)
-        dens.append(q ** (l + size - 1) * factorial(l))
-    return [list(row) for row in zip(*columns)], dens
+@lru_cache(maxsize=None)
+def _laguerre_column(c: int, shadow: bool, a: Fraction, size: int) -> Tuple[Polynomial, ...]:
+    """Rows 0..size-1 of a pseudo-Wronskian column: (-1)**i L_{c-i}^{a+i}(z)
+    for a spectrum entry c, (c - a)_i z**(size-1-i) L_c^{-a-i}(z) for a
+    shadow entry c."""
+    if shadow:
+        return tuple((falling_factorial(c - a, i) * laguerre(c, -a - i)).shifted(size - 1 - i)
+                     for i in range(size))
+    return tuple((-1) ** i * laguerre(c - i, a + i) if i <= c else Polynomial.zero()
+                 for i in range(size))
 
 
 def _laguerre_matrix_det(uc: UniversalCharacter, a: Fraction) -> Polynomial:
-    """The pseudo-Wronskian determinant built and eliminated in full; the
-    oracle of laguerre_pseudo_wronskian."""
-    if not uc.first.entries and not uc.second.entries:
-        return Polynomial.one()
-    rows, dens = _laguerre_columns(uc, a)
-    return det_int_matrix(rows, prod(dens))
+    """Determinant of the _laguerre_column matrix, spectrum columns first;
+    the oracle of laguerre_pseudo_wronskian."""
+    size = len(uc.first.entries) + len(uc.second.entries)
+    return _matrix_det([_laguerre_column(n, False, a, size) for n in uc.first.entries]
+                       + [_laguerre_column(l, True, a, size) for l in uc.second.entries])
 
 
 def _laguerre_top(uc: UniversalCharacter, a: Fraction) -> Fraction:

@@ -1,10 +1,10 @@
 """Slow exact oracles that the tests run against the library's fast paths.
 
 Each one computes the same value as a function in dresschain the direct
-way: a determinant by cofactor expansion, the Laguerre pseudo-Wronskian
-matrix from recurrence-built Fraction polynomials, its top coefficient from
-the full integer columns, and the chain, PIV and PV residuals as chains of
-reduced RationalFunction operations (one gcd per operation).
+way: a determinant by cofactor expansion, the top coefficient of a
+Laguerre pseudo-Wronskian from the top coefficients of its textbook matrix
+entries, and the chain, PIV and PV residuals as chains of reduced
+RationalFunction operations (one gcd per operation).
 
 clear_ladder_memos empties the library's ladder memos, so that a test
 which corrupts a ladder leaks into no later one.
@@ -12,21 +12,14 @@ which corrupts a ladder leaks into no later one.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 
-from dresschain.exact import (
-    Polynomial,
-    RationalFunction,
-    ZeroPolynomial,
-    det_int_matrix,
-    det_poly_matrix,
-)
-from dresschain.orthopoly import falling_factorial, laguerre
+from dresschain.exact import Polynomial, RationalFunction, ZeroPolynomial
 from dresschain.painleve import pv_pieces
 from dresschain.wronskian import (
     _hermite_kernel,
-    _laguerre_columns,
+    _laguerre_column,
     _laguerre_kernel,
+    _matrix_det,
     hermite_wronskian,
     laguerre_pseudo_wronskian,
 )
@@ -60,38 +53,16 @@ def det_poly_matrix_cofactor(rows):
     return acc
 
 
-def laguerre_matrix_oracle(uc, a):
-    """Rows of the pseudo-Wronskian matrix of wronskian._laguerre_columns,
-    built from orthopoly.laguerre (three-term recurrence) and
-    falling_factorial: (-1)**i L_{n-i}^{a+i} in a spectrum column of n and
-    (l - a)_i z**(size-1-i) L_l^{-a-i} in a shadow column of l."""
-    size = len(uc.first.entries) + len(uc.second.entries)
-    columns = []
-    for n in uc.first.entries:
-        columns.append([
-            (-1) ** i * laguerre(n - i, a + i) if i <= n else Polynomial.zero()
-            for i in range(size)
-        ])
-    for l in uc.second.entries:
-        columns.append([
-            (falling_factorial(l - a, i) * laguerre(l, -a - i)).shifted(size - 1 - i)
-            for i in range(size)
-        ])
-    return [[col[i] for col in columns] for i in range(size)]
-
-
-def laguerre_det_oracle(uc, a):
-    """The pseudo-Wronskian polynomial from the oracle matrix."""
-    rows = laguerre_matrix_oracle(uc, a)
-    return det_poly_matrix(rows) if rows else Polynomial.one()
-
-
 def top_coefficient_oracle(uc, a):
-    """The top coefficient of wronskian._laguerre_top, from the last
-    integer of every entry of the full wronskian._laguerre_columns matrix,
-    eliminated by the polynomial Bareiss core as constant lists."""
-    rows, dens = _laguerre_columns(uc, a)
-    return det_int_matrix([[e[-1:] for e in row] for row in rows], prod(dens)).coeff(0)
+    """The top coefficient of wronskian._laguerre_top: the determinant of
+    the z**(c_j - i) coefficients of the textbook entries (i, j), with
+    c_j = n in a spectrum column and l + size - 1 in a shadow one."""
+    size = len(uc.first.entries) + len(uc.second.entries)
+    columns = [(n, _laguerre_column(n, False, a, size)) for n in uc.first.entries]
+    columns += [(l + size - 1, _laguerre_column(l, True, a, size)) for l in uc.second.entries]
+    return _matrix_det([
+        [Polynomial.constant(col[i].coeff(c - i)) for i in range(size)] for c, col in columns
+    ]).coeff(0)
 
 
 def log_derivative_ratio(p, q):

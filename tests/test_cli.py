@@ -335,6 +335,8 @@ def test_selftest_single_criterion(capsys):
          "--perm", "-1,0,1"],
         ["verify", "--period", "4", "--case", "-1,5"],
         ["selftest", "--criteria", "-1,2"],
+        ["selftest", "--criteria="],
+        ["selftest", "--criteria=1,1"],
         ["verify", "--period", "4", "--case", "2,2", "--shift", "1",
          "--params", "0,0"],
         ["verify", "--period", "4", "--case", "0,4"],
@@ -351,6 +353,7 @@ def test_selftest_single_criterion(capsys):
          "case-6-period-4", "case-4-period-8", "case-4-period-2",
          "case-2-2-shift-0", "case-3-3-shift-0", "overflowing-param",
          "negative-param", "negative-perm", "negative-case", "negative-criterion",
+         "empty-criteria", "repeated-criterion",
          "case-2-2-shift-1", "case-0-4", "huge-case", "huge-case-shift-2",
          "seed-tuple-too-long"],
 )

@@ -260,6 +260,21 @@ def test_lemma_counts_on_enumerated_chains():
                 assert minimal_flip_chain(d, k).multiset() == chain.multiset()
 
 
+def test_degenerate_exactly_when_minimal_chain_differs():
+    # the converse of criterion 2, which compares the two multisets only
+    # on non-degenerate structures: every period up to 9, bounds 4, 2, 1
+    degenerate = 0
+    for p in range(1, 10):
+        bound = 4 if p <= 5 else 2 if p <= 7 else 1
+        for k in admitted_shifts(p):
+            for cs in enumerate_structures(p, k, bound):
+                d, flagged = build_diagram(cs)
+                minimal = minimal_flip_chain(d, k).multiset()
+                assert flagged == (minimal != static_flip_chain(cs).multiset()), cs
+                degenerate += flagged
+    assert degenerate == 1355
+
+
 # -- enumeration ------------------------------------------------------------------
 
 def test_enumerate_counts():

@@ -24,7 +24,6 @@ from dresschain.wronskian import (
     _hermite_kernel,
     _hermite_matrix_det,
     _hermite_ys,
-    _laguerre_columns,
     _laguerre_ints,
     _laguerre_matrix_det,
     _laguerre_top,
@@ -36,8 +35,6 @@ from dresschain.wronskian import (
 from oracles import (
     clear_ladder_memos,
     det_poly_matrix_cofactor,
-    laguerre_det_oracle,
-    laguerre_matrix_oracle,
     top_coefficient_oracle,
 )
 
@@ -266,16 +263,6 @@ def test_closed_form_laguerre_matches_recurrence():
             assert Polynomial(F(x, den) for x in _laguerre_ints(n, p, q)) == laguerre(n, a)
 
 
-def test_integer_columns_match_oracle_matrix():
-    for first, second in [((1,), ()), ((0, 2), (1,)), ((1, 3), (0, 2)), ((), (0, 1, 4))]:
-        uc = UniversalCharacter(MayaDiagram(first), MayaDiagram(second))
-        for a in (F(1, 3), F(-2, 5), F(7, 3)):
-            rows, dens = _laguerre_columns(uc, a)
-            oracle = laguerre_matrix_oracle(uc, a)
-            assert [[Polynomial(F(x, d) for x in e) for e, d in zip(row, dens)]
-                    for row in rows] == oracle
-
-
 TRANSLATED = [
     (UniversalCharacter(MayaDiagram(c1), MayaDiagram(c2)), k1, k2)
     for c1, c2 in [((), ()), ((1,), ()), ((), (2,)), ((1, 3), (2,)), ((2,), (1, 2))]
@@ -350,7 +337,7 @@ non_integer_alphas = st.fractions(min_value=-6, max_value=6, max_denominator=50)
 @given(characters, non_integer_alphas)
 def test_laguerre_pseudo_wronskian_matches_oracle(uc, a):
     poly = laguerre_pseudo_wronskian.__wrapped__(uc, AlphaParam(a)).poly
-    assert poly == laguerre_det_oracle(uc, a)
+    assert poly == _laguerre_matrix_det(uc, a)
 
 
 def canonical_diagrams(max_size):
@@ -481,7 +468,6 @@ def test_ladders_run_no_elimination(monkeypatch, fresh_memos):
     def forbidden(*args):
         raise AssertionError("a ladder entry ran a Bareiss elimination")
 
-    monkeypatch.setattr(dresschain.wronskian, "det_int_matrix", forbidden)
     monkeypatch.setattr(dresschain.wronskian, "det_poly_matrix", forbidden)
     odd = build_odd_chain(CyclicStructure(k=3, okamoto=(1, 2)), perm=(2, 0, 1))
     even = build_even_chain(
@@ -547,6 +533,6 @@ def test_top_coefficient_builds_no_columns(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the top coefficient built a polynomial matrix")
 
-    monkeypatch.setattr(dresschain.wronskian, "_laguerre_columns", forbidden)
-    monkeypatch.setattr(dresschain.wronskian, "det_int_matrix", forbidden)
+    monkeypatch.setattr(dresschain.wronskian, "_laguerre_column", forbidden)
+    monkeypatch.setattr(dresschain.wronskian, "det_poly_matrix", forbidden)
     assert [_laguerre_top(uc, a) for uc, a in cases] == expected
