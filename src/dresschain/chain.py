@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm as _lcm
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .exact import Polynomial, RationalFunction, ZeroPolynomial, frac_str
+from .exact import Polynomial, RationalFunction, ZeroPolynomial, bits_above, frac_str, jet
 from .maya import (
     NEGATIVE,
     POSITIVE,
@@ -258,18 +258,6 @@ def _closure_holds(sol: ChainSolution) -> bool:
     return sol.ladder[-1].prim == sol.ladder[0].prim.shifted(_closure_exponent(sol))
 
 
-def _jet(coeffs: Sequence[int], k: int) -> tuple:
-    """(P, P', P'') at z = 2**k, by Horner's rule, for the integer
-    coefficients of P (ascending).  At k = 0 with the coefficients in
-    absolute value, these are the l1 norms of P, P' and P''."""
-    v = d1 = d2 = 0
-    for c in reversed(coeffs):
-        d2 = (d2 << k) + d1
-        d1 = (d1 << k) + v
-        v = (v << k) + c
-    return v, d1, 2 * d2
-
-
 class _Equation(NamedTuple):
     """One chain equation for `_sides`: the ladder indices of B, Pa, Pb and
     C, the parity h, the common denominator d0 of the gauge coefficients,
@@ -379,7 +367,7 @@ def _bits(value: Fraction, bounds: tuple) -> int:
     """The least K with 2**K above the l1 bounds of R and of
     den(value) L - num(value) R, given those of L and R."""
     lb, rb = bounds
-    return max(value.denominator * lb + abs(value.numerator) * rb, rb).bit_length()
+    return bits_above(max(value.denominator * lb + abs(value.numerator) * rb, rb))
 
 
 def _check_equation(
@@ -390,8 +378,7 @@ def _check_equation(
 
     rho is the constant q exactly when the integer polynomial
     den(q) L - num(q) R is zero.  If 2**k exceeds its l1 bound, it is zero
-    exactly when its value at 2**k is: its lowest nonzero coefficient,
-    of absolute value below 2**k, is not divisible by 2**k.  The same bound
+    exactly when its value at 2**k is (`exact.bits_above`).  The same bound
     on R makes R(2**k) nonzero.  So rho is eq.expected iff that value is 0;
     otherwise the only candidate is q = L(2**k) / R(2**k), which the value
     at 2**k cannot refute.  If L = q R, then q = L_j / R_j at a nonzero
@@ -410,7 +397,7 @@ def _check_equation(
         return None
     k2 = _bits(value, bounds)
     if k2 > k:
-        jets = {j: _jet(coeffs[j], k2) for j in set(eq.entries)}
+        jets = {j: jet(coeffs[j], k2) for j in set(eq.entries)}
         lhs, rhs = _sides(eq, jets, k2, sub)
         if value.denominator * lhs != value.numerator * rhs:
             return None
@@ -447,10 +434,10 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
         equations.append(_equation(
             entries, same, h, lin_a, inv_a, lin_b, inv_b, sol.expected_eps[i - 1]
         ))
-    norms = [_jet([abs(c) for c in cs], 0) for cs in coeffs]
+    norms = [jet([abs(c) for c in cs], 0) for cs in coeffs]
     bounds = [eq.bounds(norms) for eq in equations]
     k = max(_bits(eq.expected, bound) for eq, bound in zip(equations, bounds))
-    jets = [_jet(cs, k) for cs in coeffs]
+    jets = [jet(cs, k) for cs in coeffs]
     checks = []
     for eq, bound in zip(equations, bounds):
         value = _check_equation(eq, coeffs, jets, k, bound)

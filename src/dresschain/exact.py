@@ -14,7 +14,9 @@ Rational functions keep a monic denominator and a gcd-reduced numerator,
 so structural equality coincides with mathematical equality.  Gcds are
 taken by a primitive pseudo-remainder sequence, and general determinants
 by Bareiss elimination over Z[x], the oracle of the ladder recursion in
-`wronskian`; all of them share the integer kernel below.
+`wronskian`; all of them share the integer kernel below.  `jet` and
+`bits_above` test an identity between integer polynomials as one integer,
+for the chain and Painleve checks.
 """
 
 from __future__ import annotations
@@ -440,6 +442,36 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return _poly(ia, ia[-1])
 
 
+# ---------------------------------------------------------------------------
+# An identity between integer polynomials, tested as one integer.  A nonzero
+# integer polynomial F does not vanish at x = 2**K once 2**K exceeds its l1
+# norm |F|_1: its lowest nonzero coefficient f_j has 0 < |f_j| < 2**K, so
+# F(2**K) = 2**(jK) (f_j + 2**K m) for an integer m, and f_j + 2**K m != 0.
+# Whoever evaluates F from the jets of its ingredients bounds |F|_1 by the
+# same arithmetic at x = 1 on their l1 norms (their jets at k = 0 with every
+# coefficient in absolute value), with every constant in absolute value and
+# every subtraction an addition: |f + g| <= |f| + |g|, |fg| <= |f| |g|, and
+# a power of x is free.
+
+
+def jet(coeffs: Sequence[int], k: int) -> tuple:
+    """(P, P', P'') at x = 2**k, by Horner's rule, for the integer
+    coefficients of P (ascending).  At k = 0 with the coefficients in
+    absolute value, these are the l1 norms of P, P' and P''."""
+    v = d1 = d2 = 0
+    for c in reversed(coeffs):
+        d2 = (d2 << k) + d1
+        d1 = (d1 << k) + v
+        v = (v << k) + c
+    return v, d1, 2 * d2
+
+
+def bits_above(bound: int) -> int:
+    """The least K with 2**K > bound: an integer polynomial of l1 norm at
+    most bound is zero exactly when its value at 2**K is."""
+    return bound.bit_length()
+
+
 def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Exact determinant of a square polynomial matrix: each column is
     brought onto the common denominator of its entries, and the integer
@@ -538,6 +570,17 @@ class RationalFunction:
     def zero(cls) -> "RationalFunction":
         return cls(Polynomial())
 
+    @classmethod
+    def from_coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num / den for coprime num and den: den is made monic, and no gcd
+        is taken."""
+        if den.is_zero:
+            raise ZeroDivisionError("rational function with zero denominator")
+        lead = den.leading
+        if lead != 1:
+            num, den = num * (1 / lead), den.monic()
+        return cls._reduced(num, den)
+
     @property
     def num(self) -> Polynomial:
         return self._n
@@ -549,6 +592,12 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self._n.is_zero
+
+    def integer_pair(self) -> tuple:
+        """(N, V): integer coefficient tuples (ascending) with N / V = self,
+        each of num and den scaled by the other's denominator."""
+        n, d = self._n, self._d
+        return tuple(d._d * c for c in n._n), tuple(n._d * c for c in d._n)
 
     def constant_value(self) -> Optional[Fraction]:
         """The value as a Fraction if this is a constant, else None."""
@@ -564,11 +613,11 @@ class RationalFunction:
         out._d = den
         return out
 
-    # A constant operand c keeps the normal form: gcd(num + c den, den) is
-    # gcd(num, den) = 1, and c num / den is reduced for c != 0.
+    # A polynomial operand q keeps the normal form: gcd(num + q den, den) is
+    # gcd(num, den) = 1, and c num / den is reduced for a constant c != 0.
 
     def __add__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, Polynomial)):
             return self._reduced(self._n + self._d * other, self._d)
         other = self._coerce(other)
         return RationalFunction(

@@ -30,6 +30,10 @@ class DegenerateStructure(ValueError):
     """The block layout overlaps or merges; no static flip chain exists."""
 
 
+class EnumerationTooLarge(ValueError):
+    """The structure box exceeds ENUM_BUDGET (`enumerate_structures`)."""
+
+
 class AmplitudeMismatch(ValueError):
     """The two components of a universal character must share the same k."""
 
@@ -378,14 +382,41 @@ def admitted_shifts(*periods: int) -> range:
     return range(2 - top % 2, top + 1, 2)
 
 
+# The size of a structure box is the number of flips its structures carry,
+# p (bound + 1)**(k - 1) bound**(p - k): k - 1 Okamoto lengths in 0..bound
+# and (p - k) / 2 block pairs in 1..bound, p flips each.  The largest box in
+# use, p = k = 9 at bound 2, has size 9 * 3**8 = 59049.
+ENUM_BUDGET = 10 ** 5
+
+
+def _box_size_capped(p: int, k: int, bound: int) -> int:
+    """The size of the (p, k, bound) box, or a number above ENUM_BUDGET
+    when it exceeds it.  p is compared first, and every factor past 1 at
+    least doubles the product, so at most log2(ENUM_BUDGET) of the
+    factors are multiplied."""
+    size = p
+    for base, count in ((bound + 1, k - 1), (bound, p - k)):
+        for _ in range(count if base > 1 else 0):
+            if size > ENUM_BUDGET:
+                return size
+            size *= base
+    return size
+
+
 def enumerate_structures(p: int, k: int, bound: int) -> List[CyclicStructure]:
     """All structures with Okamoto lengths <= bound and block parameters
     <= bound, in lexicographic order.  Degenerate layouts are included;
-    callers filter on is_degenerate."""
+    callers filter on is_degenerate.  A box of size above ENUM_BUDGET is
+    refused before any work."""
     if p < 1 or k < 1 or bound < 1:
         raise ValueError("p, k, bound must be >= 1")
     if k not in admitted_shifts(p):
         raise InvalidParity("period %d admits no shift %d" % (p, k))
+    if _box_size_capped(p, k, bound) > ENUM_BUDGET:
+        raise EnumerationTooLarge(
+            "period %d, shift %d, bound %d: more than %d flips to enumerate"
+            % (p, k, bound, ENUM_BUDGET)
+        )
     j = (p - k) // 2
     out = []
     for okamoto in itertools.product(range(bound + 1), repeat=k - 1):

@@ -5,6 +5,11 @@ c**2 = 2/shift, the equation multiplied through by c only involves c**2,
 so the residual lives in Q(x) even when the shift makes c irrational.
 PV is verified directly in Q(t), t = x**2.
 
+Each residual is R / S, with R an integer polynomial in the solution's
+numerator and denominator and their derivatives.  R is checked as one
+integer, its value at 2**K (`_residual`); only a failing instance builds
+R / S by polynomial products, with one gcd, to report it.
+
 The PV parameter map (a, b, c, d) =
 (e12**2/(2 D**2), -e34**2/(2 D**2), (D - e41 + e23)/4, -D**2/32)
 was cross-checked against the equation itself: solving the PV identity
@@ -14,12 +19,14 @@ these values and no others (see scripts/fit_pv_parameters.py).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from math import lcm
+from typing import Callable, Sequence, Tuple
 
 from .chain import ChainSolution, build_odd_chain
-from .exact import Polynomial, RationalFunction, frac_str
+from .exact import Polynomial, RationalFunction, bits_above, frac_str, jet
 from .maya import CyclicStructure
 
 
@@ -70,8 +77,11 @@ class PIVInstance:
                 out.append(coeff * self.c_sq ** (e // 2) if coeff else Fraction(0))
             return Polynomial(out)
 
+        # x -> c x keeps num and den coprime: no gcd
         sigma = self.u.den.degree % 2
-        return RationalFunction(rescale(self.u.num, 1 + sigma), rescale(self.u.den, sigma))
+        return RationalFunction.from_coprime(
+            rescale(self.u.num, 1 + sigma), rescale(self.u.den, sigma)
+        )
 
     def to_json(self) -> dict:
         y = self.y_of_t()
@@ -119,7 +129,7 @@ def piv_from_chain(sol: ChainSolution) -> PIVInstance:
     """Map a period-3 chain to its PIV instance: u = w_1 - (shift/2) x."""
     if sol.period != 3 or sol.is_even:
         raise WrongPeriod("PIV needs an odd chain of period 3")
-    u = sol.span(0, 1) - RationalFunction(Polynomial((0, sol.delta / 2)))
+    u = sol.span(0, 1) - Polynomial((0, sol.delta / 2))
     e12, e23 = sol.expected_eps[0], sol.expected_eps[1]
     return PIVInstance(
         u=u,
@@ -129,12 +139,63 @@ def piv_from_chain(sol: ChainSolution) -> PIVInstance:
     )
 
 
-def _quotient_derivatives(f: RationalFunction) -> tuple:
-    """N, D, M, K with f = N/D, f' = M/D**2 and f'' = K/D**3."""
-    n, d = f.num, f.den
-    dd = d.derivative()
-    m = n.derivative() * d - n * dd
-    return n, d, m, m.derivative() * d - 2 * m * dd
+def _quotient_derivatives(*coeff_lists: Sequence[int]) -> tuple:
+    """(P, P', P'') as polynomials for each integer coefficient list: the
+    jets of N and V, f = N/V, that a failing residual is built from."""
+    polys = [Polynomial(cs) for cs in coeff_lists]
+    return tuple((p, p.derivative(), p.derivative().derivative()) for p in polys)
+
+
+def _quotient_jets(N, V, sub) -> tuple:
+    """(M, K) from the jets of N and V, with f = N/V, f' = M/V**2 and
+    f'' = K/V**3."""
+    n, n1, n2 = N
+    v, v1, v2 = V
+    m = sub(n1 * v, n * v1)
+    return m, sub(sub(n2 * v, n * v2) * v, 2 * m * v1)
+
+
+def _residual(
+    numerator: Callable, denominator: Callable, f: RationalFunction,
+    consts: Sequence[Fraction],
+) -> RationalFunction:
+    """The residual numerator / (L denominator) of f = N/V, in Q(x).
+
+    numerator(N, V, x, ints, sub) is homogeneous in (N, V), of the degree
+    of denominator(N, V, x), so N and V may be the integer polynomials of
+    `integer_pair`; it reads their jets at a point x, and the constants
+    times their common denominator L.  At x = 1 on the l1 norms, with the
+    constants in absolute value and sub the addition, it bounds its own l1
+    norm, so its value at 2**bits_above(bound) is 0 exactly when it is the
+    zero polynomial.  Only a nonzero one is built by polynomial products.
+    """
+    cs, vs = f.integer_pair()
+    scale = lcm(*(q.denominator for q in consts))
+    ints = [q.numerator * (scale // q.denominator) for q in consts]
+    bound = numerator(
+        jet([abs(c) for c in cs], 0), jet([abs(c) for c in vs], 0), 1,
+        [abs(c) for c in ints], operator.add,
+    )
+    k = bits_above(bound)
+    if numerator(jet(cs, k), jet(vs, k), 1 << k, ints, operator.sub) == 0:
+        return RationalFunction.zero()
+    N, V = _quotient_derivatives(cs, vs)
+    x = Polynomial.x()
+    return RationalFunction(
+        numerator(N, V, x, ints, operator.sub), scale * denominator(N[0], V[0], x)
+    )
+
+
+def _piv_numerator(N, V, x, consts, sub):
+    """L R of `piv_residual`, with consts = L (1, 4D, D**2, 2aD, b D**2 / 2)."""
+    s, c1, c2, c3, c4 = consts
+    n, v = N[0], V[0]
+    m, k = _quotient_jets(N, V, sub)
+    n2, v2 = n * n, v * v
+    return sub(
+        2 * s * n * k + c3 * n2 * v2,
+        s * m * m + n2 * (3 * s * n2 + c1 * x * n * v + c2 * x * x * v2) + c4 * v2 * v2,
+    )
 
 
 def piv_residual(inst: PIVInstance) -> RationalFunction:
@@ -146,20 +207,21 @@ def piv_residual(inst: PIVInstance) -> RationalFunction:
         u'' = u'**2/(2u) + (3/2) u**3 + 2 D x u**2
               + (D**2 x**2 / 2 - a D) u + (b D**2 / 4) / u,
 
-    with D the shift.  The returned residual is lhs - rhs in Q(x), built as
-    R / (2 N V**3) from u = N/V, u' = M/V**2, u'' = K/V**3; multiplying the
+    with D the shift.  The returned residual is lhs - rhs in Q(x), which is
+    R / (2 N V**3) with u = N/V, u' = M/V**2, u'' = K/V**3; multiplying the
     equation by 2 u V**4 gives R = 2NK - M**2 - 3N**4 - 4DxN**3 V
-    - (D**2 x**2 - 2aD) N**2 V**2 - (b D**2 / 2) V**4, so a solution takes
-    no gcd.
+    - (D**2 x**2 - 2aD) N**2 V**2 - (b D**2 / 2) V**4.  R is checked at
+    x = 2**K (`_residual`); only a nonzero R is built by polynomial products
+    and reduced, with one gcd.
     """
     if inst.u.is_zero:
         raise ZeroDenominator("candidate PIV solution is identically zero")
-    n, v, m, k = _quotient_derivatives(inst.u)
     delta = 2 / inst.c_sq
-    n2, v2, dx = n * n, v * v, Polynomial((0, delta))
-    inner = 3 * n2 + 4 * dx * n * v + (dx * dx - 2 * inst.a * delta) * v2
-    r = 2 * n * k - m * m - n2 * inner - inst.b * delta * delta / 2 * (v2 * v2)
-    return RationalFunction(r, 2 * n * v2 * v)
+    consts = (
+        Fraction(1), 4 * delta, delta * delta, 2 * inst.a * delta,
+        inst.b * delta * delta / 2,
+    )
+    return _residual(_piv_numerator, lambda n, v, x: 2 * n * v * v * v, inst.u, consts)
 
 
 # the default chain order rotated to start at each of its three flips
@@ -189,16 +251,24 @@ def pv_from_chain(sol: ChainSolution) -> PVInstance:
 
     w_1 + w_2 = v(z)/x with v = `span`(0, 2) rational in z, so
     y = 1 - shift*z/(2 v(z)) is an exact rational function of t = z = x**2.
+    With v = A/B, y = (2A - shift z B) / (2A); a common factor of the two
+    divides z B and A, which is coprime to B, so it is z, and only when
+    A(0) = 0 (then B(0) != 0): y takes no gcd.
     """
     if sol.period != 4 or not sol.is_even:
         raise WrongPeriod("PV needs an even chain of period 4")
-    v = sol.span(0, 2)
-    z = RationalFunction(Polynomial.x())
-    line = RationalFunction(Polynomial((0, sol.delta / 2)))
-    if v.is_zero or v == line:
-        raise DegenerateDenominator("w_1 + w_2 degenerates; PV map undefined")
-    y = 1 - sol.delta * z / (2 * v)
     delta = sol.delta
+    v = sol.span(0, 2)
+    if v.is_zero:
+        raise DegenerateDenominator("w_1 + w_2 degenerates; PV map undefined")
+    a, zb = v.num, v.den.shifted(1)
+    low, rest = a.split_lowest()
+    if low:
+        a, zb = rest.shifted(low - 1), v.den
+    num = 2 * a - delta * zb
+    if num.is_zero:  # v is the line shift*z/2
+        raise DegenerateDenominator("w_1 + w_2 degenerates; PV map undefined")
+    y = RationalFunction.from_coprime(num, 2 * a)
     e12, e23, e34 = sol.expected_eps[0], sol.expected_eps[1], sol.expected_eps[2]
     e41 = sol.expected_eps[3] + delta
     return PVInstance(
@@ -220,21 +290,31 @@ def pv_pieces(y: RationalFunction) -> tuple:
     return base, y1sq * y / (t * t), y1sq / (y * t * t), y / t, y * (y + 1) / (y - 1)
 
 
+def _pv_numerator(N, V, t, consts, sub):
+    """L R of `pv_residual`, with consts = L (1, 2a, 2b, 2c, 2d)."""
+    s, ca, cb, cc, cd = consts
+    n, v = N[0], V[0]
+    m, k = _quotient_jets(N, V, sub)
+    e, nv = sub(n, v), n * v
+    ne = n * e
+    inner = sub(2 * s * ne * k, s * (e + 2 * n) * m * m + cd * nv * nv * (n + v))
+    mid = sub(t * inner + 2 * s * ne * v * m, cc * ne * v * nv)
+    return sub(t * mid, e * e * e * (ca * n * n + cb * v * v))
+
+
 def pv_residual(inst: PVInstance) -> RationalFunction:
     """Exact PV residual in Q(t); identically zero iff PV holds.
 
-    The residual base - (a A + b B + c C + d E) of `pv_pieces`, built as
-    R / (2 t**2 N E V**3) from y = N/V, E = N - V, y' = M/V**2 and
+    The residual base - (a A + b B + c C + d E) of `pv_pieces`, which is
+    R / (2 t**2 N E V**3) with y = N/V, E = N - V, y' = M/V**2 and
     y'' = K/V**3: R = 2t**2 NEK - t**2 (E + 2N) M**2 + 2tNEVM
-    - 2E**3 (aN**2 + bV**2) - 2ctN**2 E V**2 - 2d t**2 N**2 (N + V) V**2,
-    so a solution takes no gcd.
+    - 2E**3 (aN**2 + bV**2) - 2ctN**2 E V**2 - 2d t**2 N**2 (N + V) V**2.
+    R is checked at t = 2**K (`_residual`); only a nonzero R is built by
+    polynomial products and reduced, with one gcd.
     """
     if inst.y.is_zero or inst.y == 1:
         raise ZeroDenominator("candidate PV solution is identically 0 or 1")
-    n, v, m, k = _quotient_derivatives(inst.y)
-    e, nv, t = n - v, n * v, Polynomial.x()
-    ne = n * e
-    r = t * (t * (2 * ne * k - (e + 2 * n) * m * m - 2 * inst.d * nv * nv * (n + v))
-             + 2 * ne * v * (m - inst.c * nv))
-    r -= 2 * e * e * e * (inst.a * n * n + inst.b * v * v)
-    return RationalFunction(r, 2 * t * t * ne * v * v * v)
+    consts = (Fraction(1), 2 * inst.a, 2 * inst.b, 2 * inst.c, 2 * inst.d)
+    return _residual(
+        _pv_numerator, lambda n, v, t: 2 * t * t * n * (n - v) * v * v * v, inst.y, consts
+    )

@@ -349,13 +349,13 @@ def test_read_off_constant_confirmed_by_repacking(monkeypatch):
     sol = SAMPLE_CHAINS["even-22"]
     p = sol.period
     ks = []
-    jet = dresschain.chain._jet
+    jet = dresschain.chain.jet
 
     def recorder(coeffs, k):
         ks.append(k)
         return jet(coeffs, k)
 
-    monkeypatch.setattr(dresschain.chain, "_jet", recorder)
+    monkeypatch.setattr(dresschain.chain, "jet", recorder)
     zero = dataclasses.replace(sol, expected_eps=(F(0),) * p)
     report = verify_chain(zero)
     # p + 1 norms at k = 0, p + 1 packings at the chain's K, then repacks
@@ -376,9 +376,9 @@ def test_read_off_candidate_refuted_by_repacking():
     chain = dresschain.chain
     coeffs = [(1,)] * 3
     eq = chain._equation((0, 1, 1, 2), True, 1, F(-1), F(2), F(0), F(-2), F(0))
-    bounds = eq.bounds([chain._jet((1,), 0)] * 3)
+    bounds = eq.bounds([chain.jet((1,), 0)] * 3)
     assert bounds == (6, 1) and chain._bits(F(0), bounds) == 3
-    jets = [chain._jet(cs, 3) for cs in coeffs]
+    jets = [chain.jet(cs, 3) for cs in coeffs]
     assert chain._sides(eq, jets, 3, operator.sub) == (-24, 8)
     assert chain._check_equation(eq, coeffs, jets, 3, bounds) is None
 
@@ -432,7 +432,7 @@ def test_evaluation_bound_covers_every_coefficient(polys, h, gauge, eps):
     chain = dresschain.chain
     B, Pa, Pb, C = polys
     coeffs = [P.int_coeffs for P in polys]
-    norms = [chain._jet([abs(c) for c in cs], 0) for cs in coeffs]
+    norms = [chain.jet([abs(c) for c in cs], 0) for cs in coeffs]
     for entries in ((0, 1, 1, 3), (0, 1, 2, 3)):
         same = entries[1] == entries[2]
         eq = chain._equation(entries, same, h, *gauge, eps)
@@ -441,7 +441,7 @@ def test_evaluation_bound_covers_every_coefficient(polys, h, gauge, eps):
         L, R = _expanded_sides(B, Pa, Pa if same else Pb, C, h, *gauge)
         diff = L * eps.denominator - R * eps.numerator
         assert max(abs(c) for c in diff.coeffs + R.coeffs) < 2 ** K
-        jets = [chain._jet(cs, K) for cs in coeffs]
+        jets = [chain.jet(cs, K) for cs in coeffs]
         assert chain._sides(eq, jets, K, operator.sub) == (
             L.eval_at(2 ** K), R.eval_at(2 ** K))
 
@@ -451,9 +451,9 @@ def test_evaluation_bound_must_be_strict():
     # 2**K reaches the evaluation point.  An l1 bound of 2**K therefore
     # asks for K + 1, where the value no longer vanishes
     K = 40
-    assert dresschain.chain._jet([2 ** K, -1], K)[0] == 0
+    assert dresschain.chain.jet([2 ** K, -1], K)[0] == 0
     assert dresschain.chain._bits(F(0), (2 ** K, 1)) == K + 1
-    assert dresschain.chain._jet([2 ** K, -1], K + 1)[0] != 0
+    assert dresschain.chain.jet([2 ** K, -1], K + 1)[0] != 0
 
 
 def _chains_for_fast_check_oracle():

@@ -154,6 +154,15 @@ def test_build_emits_ladder(capsys):
             "5ebebbd6e0c8a8027b6cf4e75c7a62bb7f2b8b33048a214900046506112f3d6d",
         ),
         (
+            "painleve --period 3 --shift 3 --params 1,1 --format latex",
+            "e37cd49ebb88563c491a9e1916444c67bbd9241faa413b6234857a9bc24b09fc",
+        ),
+        (
+            "painleve --period 4 --case 3,1 --params 1,1 --alpha -2/5,7/3 --perm 1,2,0,3"
+            " --format latex",
+            "738746c7e7dd643127cd9891bad2ad22cdbff95fc6f8d0757290dce77baea020",
+        ),
+        (
             "verify --period 2 --case 1,1 --alpha 1/3,-2/5",
             "d4ef21abb878cce4b1f76c4472e91219754f75879c60bcc21c4debaa70623749",
         ),
@@ -345,6 +354,10 @@ def test_selftest_single_criterion(capsys):
          "--shift", "2"],
         # 400 seeds: deeper than the memoised recursion can go
         ["build", "--period", "3", "--shift", "3", "--params", "400,0"],
+        # structure boxes over maya.ENUM_BUDGET, refused before any work
+        ["enum", "--period", "99999999999", "--shift", "1", "--bound", "1"],
+        ["enum", "--period", "3", "--shift", "3", "--bound", "200"],
+        ["enum", "--period", "5", "--shift", "1", "--bound", "1" + "0" * 40],
     ],
     ids=["repeated-perm", "short-perm", "zero-bound", "duplicate-alpha",
          "out-is-directory", "out-parent-missing", "criterion-9", "criterion-0",
@@ -355,7 +368,8 @@ def test_selftest_single_criterion(capsys):
          "negative-param", "negative-perm", "negative-case", "negative-criterion",
          "empty-criteria", "repeated-criterion",
          "case-2-2-shift-1", "case-0-4", "huge-case", "huge-case-shift-2",
-         "seed-tuple-too-long"],
+         "seed-tuple-too-long", "huge-enum-period", "enum-box-over-budget",
+         "huge-enum-bound"],
 )
 def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     # relative --out paths resolve in an empty directory

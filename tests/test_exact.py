@@ -9,8 +9,10 @@ from dresschain.exact import (
     Polynomial,
     RationalFunction,
     ZeroPolynomial,
+    bits_above,
     det_int_matrix,
     det_poly_matrix,
+    jet,
     poly_gcd,
 )
 
@@ -370,3 +372,44 @@ def test_gcd_divides_both(a, b):
     g = poly_gcd(a, b)
     assert (a % g).is_zero and (b % g).is_zero
     assert g.leading == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, nonzero_polys, small_polys)
+def test_polynomial_operand_matches_rational_function(a, b, q):
+    # a polynomial operand skips the gcd too, with the same normal form
+    r = RationalFunction(a, b)
+    k = RationalFunction(q)
+    assert r + q == r + k and r - q == r - k
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, nonzero_polys, scalars, scalars)
+def test_from_coprime_and_integer_pair(a, b, c, d):
+    r = RationalFunction(a, b)
+    if c and d:
+        # scaling a coprime pair keeps it coprime: only the monic step remains
+        assert RationalFunction.from_coprime(r.num * c, r.den * d) == RationalFunction(
+            r.num * c, r.den * d)
+    n, v = r.integer_pair()
+    assert all(isinstance(x, int) for x in n + v)
+    assert RationalFunction(Polynomial(n), Polynomial(v)) == r
+
+
+@pytest.mark.parametrize("j", (1, 5, 64))
+def test_bits_above_is_strict(j):
+    # x - 2**j has l1 norm 2**j + 1 and vanishes at 2**j: the K for that
+    # bound is j + 1, where it does not, and one bit less accepts it as 0
+    coeffs = (-(2 ** j), 1)
+    bound = jet([abs(c) for c in coeffs], 0)[0]
+    K = bits_above(bound)
+    assert bound == 2 ** j + 1 and K == j + 1
+    assert jet(coeffs, K)[0] != 0
+    assert jet(coeffs, K - 1)[0] == 0
+
+
+def test_jet_values_and_l1_norms():
+    # P = 3 - 2x + x**3: P, P' = -2 + 3x**2 and P'' = 6x at 2**2, then the
+    # l1 norms 6, 5 and 6
+    assert jet((3, -2, 0, 1), 2) == (59, 46, 24)
+    assert jet((3, 2, 0, 1), 0) == (6, 5, 6)

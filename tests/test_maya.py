@@ -7,10 +7,13 @@ from dresschain.maya import (
     POSITIVE,
     AmplitudeMismatch,
     CyclicStructure,
+    ENUM_BUDGET,
     DegenerateStructure,
+    EnumerationTooLarge,
     InvalidParity,
     MayaDiagram,
     UniversalCharacter,
+    _box_size_capped,
     admitted_shifts,
     build_diagram,
     canonicalize,
@@ -291,6 +294,31 @@ def test_enumerate_lexicographic_and_flagging():
     ]
     flagged = [cs for cs in enumerate_structures(5, 1, 2) if cs.is_degenerate]
     assert flagged  # kept, not dropped
+
+
+def test_box_size_rule():
+    # p (bound + 1)**(k - 1) bound**(p - k), exact up to the budget
+    for p, k, bound in ((1, 1, 5), (3, 1, 2), (5, 3, 1), (7, 3, 3), (9, 9, 2)):
+        size = _box_size_capped(p, k, bound)
+        assert size == p * (bound + 1) ** (k - 1) * bound ** (p - k)
+        assert size == p * len(enumerate_structures(p, k, bound))
+    # past the budget the product stops after a few factors, however large
+    # the period or the bound
+    for p, k, bound in ((99999999999, 1, 1), (3, 3, 200), (5, 1, 10 ** 40),
+                        (10 ** 30 + 1, 10 ** 30 + 1, 2)):
+        size = _box_size_capped(p, k, bound)
+        assert ENUM_BUDGET < size <= max(p, ENUM_BUDGET * (bound + 1))
+        with pytest.raises(EnumerationTooLarge):
+            enumerate_structures(p, k, bound)
+
+
+def test_every_box_in_use_fits_the_budget():
+    # selftest and the tests (periods up to 9), the bench and script boxes
+    # (bound 3 up to period 5), the p = 7, bound 3 and p = 9, bound 2 boxes
+    boxes = [(p, 4 if p <= 5 else 2) for p in range(1, 10)] + [(7, 3), (9, 2)]
+    for p, bound in boxes:
+        for k in admitted_shifts(p):
+            assert _box_size_capped(p, k, bound) <= ENUM_BUDGET, (p, k, bound)
 
 
 def test_enumerate_parity_errors():

@@ -1,15 +1,19 @@
 import itertools
+import operator
 from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dresschain import painleve
 from dresschain.chain import build_even_chain, build_odd_chain
 from dresschain.exact import Polynomial, RationalFunction
 from dresschain.maya import CyclicStructure, MayaDiagram
 from dresschain.orthopoly import AlphaParam
+from dresschain.selftest import ALPHA_TRIPLE, even_cells
 from dresschain.painleve import (
     PIVInstance,
     PVInstance,
@@ -296,3 +300,86 @@ def test_pv_residual_matches_oracle_property(n, d, a, b, c, e):
     assume(not n.is_zero and not d.is_zero and n != d)
     inst = PVInstance(y=RationalFunction(n, d), a=a, b=b, c=c, d=e)
     assert pv_residual(inst) == pv_residual_oracle(inst)
+
+
+# -- the check at 2**K ----------------------------------------------------------
+
+
+def test_passing_instances_take_the_check_at_a_power_of_two(monkeypatch):
+    # every PIV family of the criterion-5 box and every criterion-7 PV cell
+    # is accepted without building R by polynomial products
+    def refuse(*coeff_lists):
+        raise AssertionError("polynomial residual built for a solution")
+
+    monkeypatch.setattr(painleve, "_quotient_derivatives", refuse)
+    instances = [inst for cs in PIV_BOX for inst in piv_families(cs)]
+    for cs1, cs2, perm, _ in even_cells():
+        if cs1.p + cs2.p == 4:
+            for a in ALPHA_TRIPLE:
+                sol = build_even_chain(cs1, cs2, AlphaParam(a), perm=perm)
+                instances.append(pv_from_chain(sol))
+    assert len(instances) == 54 + 39
+    for inst in instances:
+        assert inst.to_json()["residual_zero"] is True
+
+
+def _recorded_numerator(name, inst, residual):
+    """The calls that residual(inst) makes of the numerator painleve.<name>,
+    each as (args, result): the bound, the value at 2**K, and for a
+    failing instance the polynomial."""
+    calls = []
+    numerator = getattr(painleve, name)
+
+    def recorder(*args):
+        calls.append((args, numerator(*args)))
+        return calls[-1][1]
+
+    with mock.patch.object(painleve, name, recorder):
+        residual(inst)
+    return calls
+
+
+def _poly_jet(coeffs):
+    p = Polynomial(coeffs)
+    return p, p.derivative(), p.derivative().derivative()
+
+
+def _assert_bound_covers_numerator(name, inst, f, residual):
+    # the bound is at least the l1 norm of the expanded integer numerator,
+    # 2**K exceeds it, and the value at 2**K is the numerator's
+    calls = _recorded_numerator(name, inst, residual)
+    (bound_args, bound), (value_args, value) = calls[:2]
+    assert bound_args[2] == 1 and bound_args[4] is operator.add
+    _, _, x, ints, sub = value_args
+    n, v = f.integer_pair()
+    expanded = getattr(painleve, name)(
+        _poly_jet(n), _poly_jet(v), Polynomial.x(), ints, operator.sub
+    )
+    assert sub is operator.sub
+    assert sum(abs(c) for c in expanded.coeffs) <= bound < x
+    assert expanded.eval_at(x) == value
+
+
+# degree <= 8, every coefficient +-2**b with b <= 40
+adversarial_polys = st.lists(
+    st.builds(lambda s, b: s * 2 ** b, st.sampled_from((1, -1)), st.integers(0, 40)),
+    min_size=1,
+    max_size=9,
+).map(Polynomial)
+signed_params = st.fractions(min_value=-10 ** 4, max_value=10 ** 4, max_denominator=60)
+
+
+@settings(max_examples=40, deadline=None)
+@given(adversarial_polys, adversarial_polys, signed_params, signed_params, signed_params)
+def test_piv_bound_covers_every_coefficient(n, d, c_sq, a, b):
+    assume(c_sq != 0)
+    inst = PIVInstance(u=RationalFunction(n, d), c_sq=c_sq, a=a, b=b)
+    _assert_bound_covers_numerator("_piv_numerator", inst, inst.u, piv_residual)
+
+
+@settings(max_examples=40, deadline=None)
+@given(adversarial_polys, adversarial_polys, *[signed_params] * 4)
+def test_pv_bound_covers_every_coefficient(n, d, a, b, c, e):
+    assume(n != d)
+    inst = PVInstance(y=RationalFunction(n, d), a=a, b=b, c=c, d=e)
+    _assert_bound_covers_numerator("_pv_numerator", inst, inst.y, pv_residual)
