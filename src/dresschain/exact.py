@@ -574,8 +574,6 @@ class RationalFunction:
     def from_coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
         """num / den for coprime num and den: den is made monic, and no gcd
         is taken."""
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
         lead = den.leading
         if lead != 1:
             num, den = num * (1 / lead), den.monic()

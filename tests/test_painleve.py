@@ -13,7 +13,6 @@ from dresschain.chain import build_even_chain, build_odd_chain
 from dresschain.exact import Polynomial, RationalFunction
 from dresschain.maya import CyclicStructure, MayaDiagram
 from dresschain.orthopoly import AlphaParam
-from dresschain.selftest import ALPHA_TRIPLE, even_cells
 from dresschain.painleve import (
     PIVInstance,
     PVInstance,
@@ -25,6 +24,7 @@ from dresschain.painleve import (
     pv_from_chain,
     pv_residual,
 )
+from dresschain.selftest import ALPHA_TRIPLE, even_cells
 from dresschain.wronskian import hermite_wronskian
 
 from oracles import log_derivative_ratio, piv_residual_oracle, pv_residual_oracle
@@ -339,11 +339,6 @@ def _recorded_numerator(name, inst, residual):
     return calls
 
 
-def _poly_jet(coeffs):
-    p = Polynomial(coeffs)
-    return p, p.derivative(), p.derivative().derivative()
-
-
 def _assert_bound_covers_numerator(name, inst, f, residual):
     # the bound is at least the l1 norm of the expanded integer numerator,
     # 2**K exceeds it, and the value at 2**K is the numerator's
@@ -351,10 +346,8 @@ def _assert_bound_covers_numerator(name, inst, f, residual):
     (bound_args, bound), (value_args, value) = calls[:2]
     assert bound_args[2] == 1 and bound_args[4] is operator.add
     _, _, x, ints, sub = value_args
-    n, v = f.integer_pair()
-    expanded = getattr(painleve, name)(
-        _poly_jet(n), _poly_jet(v), Polynomial.x(), ints, operator.sub
-    )
+    N, V = painleve._quotient_derivatives(*f.integer_pair())
+    expanded = getattr(painleve, name)(N, V, Polynomial.x(), ints, operator.sub)
     assert sub is operator.sub
     assert sum(abs(c) for c in expanded.coeffs) <= bound < x
     assert expanded.eval_at(x) == value
