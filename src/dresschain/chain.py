@@ -7,11 +7,15 @@ x-derivative of the full gauge-tracked ratio of consecutive ladder entries:
     w_i = lin_i * x + inv_i / x + (dz/dx) d/dz log(P_{i-1} / P_i),
 
 with lin_i = -omega * (exp-gauge increment) and inv_i = -2 * (z-power
-increment).  Verification substitutes these exact rational functions into
-the first-order cyclic system and checks every residual against the seed
+increment), integers over one denominator 2q for alpha = p/q (`_gauge`).
+Verification substitutes these exact rational functions into the
+first-order cyclic system and checks every residual against the seed
 energy differences.  Cleared of denominators, each equation is one identity
 between integer polynomials, and it is tested as one integer: its value at
-z = 2**K, where 2**K exceeds a proven bound on its coefficients.
+z = 2**K, where 2**K exceeds a proven bound on its coefficients.  On an odd
+ladder whose entries are each parity-definite, as Hermite Wronskians are,
+every identity is parity-definite too, and z = 2**ceil(K/2) suffices
+(`_stride`, `exact.bits_above`).
 
 The builders fix omega = OMEGA = 2: it makes z = x**(1+h) with parity
 h = 0 in the odd (harmonic-seed) case and h = 1 in the even
@@ -24,7 +28,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm as _lcm
+from math import gcd as _gcd
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .exact import Polynomial, RationalFunction, ZeroPolynomial, bits_above, frac_str, jet
@@ -58,12 +62,14 @@ class OddPeriodRequired(ValueError):
 OMEGA = Fraction(2)
 
 
-def _gauge(prev: PseudoWronskian, cur: PseudoWronskian) -> Tuple[Fraction, Fraction]:
-    """(lin, inv) of the components from ladder entry prev to cur: minus
-    omega times the exp-gauge increment and -2 times the z-power increment.
-    Consecutive increments add, so a span of components has the gauge of
-    its two end entries."""
-    return -OMEGA * (cur.exp_coeff - prev.exp_coeff), -2 * (cur.z_power - prev.z_power)
+def _gauge(prev: PseudoWronskian, cur: PseudoWronskian) -> Tuple[int, int]:
+    """(lin, 2 q inv) of the components from ladder entry prev to cur, as
+    integers, with q = cur.gauge_den (1 on an odd ladder).  lin is minus
+    omega times the exp-gauge increment, Delta(m + r) at OMEGA = 2, and inv
+    is -2 times the z-power increment, -Delta(4 q z_power) / (2 q); it is 0
+    on an odd ladder.  Consecutive increments add, so a span of components
+    has the gauge of its two end entries."""
+    return cur.m + cur.r - prev.m - prev.r, prev.z_power_num - cur.z_power_num
 
 
 @dataclass(frozen=True)
@@ -137,6 +143,7 @@ class ChainSolution:
         """
         prev, cur = self.ladder[i], self.ladder[j]
         lin, inv = _gauge(prev, cur)
+        inv = Fraction(inv, 2 * cur.gauge_den)
         P, Q = prev.prim, cur.prim
         if P.is_zero or Q.is_zero:
             raise ZeroPolynomial("log-derivative of a zero polynomial")
@@ -283,20 +290,19 @@ def _equation(
     entries: Tuple[int, int, int, int],
     same: bool,
     h: int,
-    lin_a: Fraction,
-    inv_a: Fraction,
-    lin_b: Fraction,
-    inv_b: Fraction,
+    den: int,
+    gauge_a: Tuple[int, int],
+    gauge_b: Tuple[int, int],
     expected: Fraction,
 ) -> _Equation:
-    """The equation of components a and b, with a0 = d0 (inv_a + lin_a z)
-    and b0 = d0 (inv_b + lin_b z); same says Pa == Pb."""
-    d0 = _lcm(
-        lin_a.denominator, inv_a.denominator, lin_b.denominator, inv_b.denominator
-    )
-    a0, a1, b0, b1 = (
-        g.numerator * (d0 // g.denominator) for g in (inv_a, lin_a, inv_b, lin_b)
-    )
+    """The equation of components a and b, from their gauges (lin, den inv)
+    as `_gauge` gives them, with den = 2 q: a0 = d0 (inv_a + lin_a z) and
+    b0 = d0 (inv_b + lin_b z), d0 the least denominator of inv_a and inv_b;
+    same says Pa == Pb."""
+    (lin_a, inv_a), (lin_b, inv_b) = gauge_a, gauge_b
+    t = _gcd(inv_a, inv_b, den)
+    d0, a0, b0 = den // t, inv_a // t, inv_b // t
+    a1, b1 = lin_a * d0, lin_b * d0
     hd = h * d0
     if same:
         lines = ((a0 + b0, a1 + b1), (b0 - a0 + hd, b1 - a1))
@@ -363,29 +369,50 @@ def _sides(eq: _Equation, jets, k: int, sub) -> tuple:
     return lhs, d0 * d0 * bpa2 * cpb2 << hk
 
 
-def _bits(value: Fraction, bounds: tuple) -> int:
-    """The least K with 2**K above the l1 bounds of R and of
+def _bits(value: Fraction, bounds: tuple, stride: int) -> int:
+    """The least K with 2**(stride K) above the l1 bounds of R and of
     den(value) L - num(value) R, given those of L and R."""
     lb, rb = bounds
-    return bits_above(max(value.denominator * lb + abs(value.numerator) * rb, rb))
+    return bits_above(
+        max(value.denominator * lb + abs(value.numerator) * rb, rb), stride
+    )
+
+
+def _stride(equations: Sequence[_Equation], coeffs: Sequence) -> int:
+    """2 when every identity of the chain is parity-definite in z, else 1.
+
+    That holds when every equation has h = 0 and gauge lines g1 z, as on
+    every odd ladder, and every ladder entry is parity-definite: every
+    other coefficient from the top is zero (`exact.bits_above`).  Mixed
+    parity keeps stride 1.
+    """
+    if any(eq.h or any(g0 for g0, _ in eq.lines) for eq in equations):
+        return 1
+    if any(any(cs[-2::-2]) for cs in coeffs):
+        return 1
+    return 2
 
 
 def _check_equation(
-    eq: _Equation, coeffs: Sequence, jets: Sequence, k: int, bounds: tuple
+    eq: _Equation, coeffs: Sequence, jets: Sequence, k: int, bounds: tuple,
+    stride: int,
 ) -> Optional[Fraction]:
     """The residual of eq if it is a constant, else None, from the jets of
-    the ladder entries at z = 2**k, where k >= _bits(eq.expected, bounds).
+    the ladder entries at z = 2**k, where
+    k >= _bits(eq.expected, bounds, stride) and stride = _stride of the
+    chain.
 
     rho is the constant q exactly when the integer polynomial
-    den(q) L - num(q) R is zero.  If 2**k exceeds its l1 bound, it is zero
-    exactly when its value at 2**k is (`exact.bits_above`).  The same bound
-    on R makes R(2**k) nonzero.  So rho is eq.expected iff that value is 0;
-    otherwise the only candidate is q = L(2**k) / R(2**k), which the value
-    at 2**k cannot refute.  If L = q R, then q = L_j / R_j at a nonzero
-    coefficient R_j, so den(q) and |num(q)| are at most the l1 bounds of R
-    and L; past them q is refuted.  Within them q is confirmed by its own
-    bound, or by the entries repacked at _bits(q, bounds) when that
-    exceeds k.
+    den(q) L - num(q) R is zero.  If 2**(stride k) exceeds its l1 bound, it
+    is zero exactly when its value at 2**k is: at stride 2 because L and R
+    are then parity-definite of one parity (`exact.bits_above`).  The same
+    bound on R makes R(2**k) nonzero.  So rho is eq.expected iff that value
+    is 0; otherwise the only candidate is q = L(2**k) / R(2**k), which the
+    value at 2**k cannot refute.  If L = q R, then q = L_j / R_j at a
+    nonzero coefficient R_j, so den(q) and |num(q)| are at most the l1
+    bounds of R and L; past them q is refuted.  Within them q is confirmed
+    by its own bound, or by the entries repacked at _bits(q, bounds,
+    stride) when that exceeds k.
     """
     sub = operator.sub
     lhs, rhs = _sides(eq, jets, k, sub)
@@ -395,7 +422,7 @@ def _check_equation(
     value = Fraction(lhs, rhs)
     if value.denominator > bounds[1] or abs(value.numerator) > bounds[0]:
         return None
-    k2 = _bits(value, bounds)
+    k2 = _bits(value, bounds, stride)
     if k2 > k:
         jets = {j: jet(coeffs[j], k2) for j in set(eq.entries)}
         lhs, rhs = _sides(eq, jets, k2, sub)
@@ -411,7 +438,8 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
     off as a constant, or found not to be one, by one cross-multiplied
     integer identity (`_check_equation`) and compared with the expected
     energy difference.  Every ladder entry is packed once, at the one
-    z = 2**K that the l1 bounds of all equations admit.
+    z = 2**K that the l1 bounds of all equations admit; on an odd ladder of
+    parity-definite entries at half the bits (`_stride`).
     """
     p = sol.period
     closed = _closure_holds(sol)
@@ -422,33 +450,36 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
     coeffs = [pw.prim.int_coeffs for pw in sol.ladder]
     gauges = [_gauge(prev, cur) for prev, cur in zip(sol.ladder, sol.ladder[1:])]
     h = int(sol.is_even)
+    den = 2 * sol.ladder[0].gauge_den
     equations = []
     for i in range(1, p + 1):
-        (lin_a, inv_a), (lin_b, inv_b) = gauges[i - 1], gauges[i % p]
+        gauge_a, gauge_b = gauges[i - 1], gauges[i % p]
         entries = (i - 1, i, i % p, i % p + 1)
         if i == p and closed:
             # last determinant is z**e * first: same log derivative up to
             # e/z, absorbed into the 1/x coefficient
-            entries, inv_a = (i - 1, 0, 0, 1), inv_a - 2 * e
+            entries = (i - 1, 0, 0, 1)
+            gauge_a = (gauge_a[0], gauge_a[1] - 2 * e * den)
         same = coeffs[entries[1]] == coeffs[entries[2]]
         equations.append(_equation(
-            entries, same, h, lin_a, inv_a, lin_b, inv_b, sol.expected_eps[i - 1]
+            entries, same, h, den, gauge_a, gauge_b, sol.expected_eps[i - 1]
         ))
+    stride = _stride(equations, coeffs)
     norms = [jet([abs(c) for c in cs], 0) for cs in coeffs]
     bounds = [eq.bounds(norms) for eq in equations]
-    k = max(_bits(eq.expected, bound) for eq, bound in zip(equations, bounds))
+    k = max(_bits(eq.expected, bound, stride) for eq, bound in zip(equations, bounds))
     jets = [jet(cs, k) for cs in coeffs]
     checks = []
     for eq, bound in zip(equations, bounds):
-        value = _check_equation(eq, coeffs, jets, k, bound)
+        value = _check_equation(eq, coeffs, jets, k, bound, stride)
         checks.append(
             EquationCheck(value is not None, value, eq.expected, value == eq.expected)
         )
 
     # sum rule: the gauges telescope to the end entries; the total lin must
     # be delta/2, and the total 1/x part 2e, which the closure z**e cancels
-    total = _gauge(sol.ladder[0], sol.ladder[-1])
-    sum_rule = closed and total == (sol.delta / 2, 2 * e)
+    lin, inv = _gauge(sol.ladder[0], sol.ladder[-1])
+    sum_rule = closed and 2 * lin == sol.delta and inv == 2 * e * den
     return VerificationReport(
         period=p, delta=sol.delta, equations=tuple(checks), sum_rule=sum_rule
     )

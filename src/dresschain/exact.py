@@ -16,7 +16,8 @@ taken by a primitive pseudo-remainder sequence, and general determinants
 by Bareiss elimination over Z[x], the oracle of the ladder recursion in
 `wronskian`; all of them share the integer kernel below.  `jet` and
 `bits_above` test an identity between integer polynomials as one integer,
-for the chain and Painleve checks.
+for the chain and Painleve checks, at half the bits when it is
+parity-definite.
 """
 
 from __future__ import annotations
@@ -247,9 +248,8 @@ class Polynomial:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _aligned(self, other) -> tuple:
+    def _aligned(self, other: "Polynomial") -> tuple:
         """Both integer numerators over the common denominator, and it."""
-        other = self._coerce(other)
         a, b = self._d, other._d
         if a == b:
             return self._n, other._n, a
@@ -257,6 +257,9 @@ class Polynomial:
         return [den // a * x for x in self._n], [den // b * x for x in other._n], den
 
     def __add__(self, other) -> "Polynomial":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         a, b, den = self._aligned(other)
         return _poly(_iadd(a, b), den)
 
@@ -267,17 +270,21 @@ class Polynomial:
         return _poly([-x for x in self._n], self._d)
 
     def __sub__(self, other) -> "Polynomial":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         a, b, den = self._aligned(other)
         return _poly(_isub(a, b), den)
 
     def __rsub__(self, other) -> "Polynomial":
-        return self._coerce(other).__sub__(self)
+        other = self._coerce(other)
+        return NotImplemented if other is None else other.__sub__(self)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             return _poly(_imul(self._n, other._n), self._d * other._d)
         if not isinstance(other, (int, Fraction)):
-            other = Fraction(other)
+            return NotImplemented
         s = other.numerator
         return _poly([s * x for x in self._n] if s else [], self._d * other.denominator)
 
@@ -301,6 +308,8 @@ class Polynomial:
         divisor's leading integer coefficient to the power deg - deg' + 1,
         s * num(self) == q * num(other) + r over Z."""
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         e = len(self._n) - len(other._n) + 1
@@ -318,10 +327,15 @@ class Polynomial:
         return divmod(self, other)[1]
 
     @staticmethod
-    def _coerce(value) -> "Polynomial":
+    def _coerce(value) -> Optional["Polynomial"]:
+        """value as a Polynomial if it is one, an int or a Fraction; else
+        None, and the operator returns NotImplemented, so that the other
+        operand's reflected method (a RationalFunction's) answers."""
         if isinstance(value, Polynomial):
             return value
-        return Polynomial((value,))
+        if isinstance(value, (int, Fraction)):
+            return Polynomial((value,))
+        return None
 
     # -- calculus & transforms ----------------------------------------------
 
@@ -452,6 +466,18 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 # coefficient in absolute value), with every constant in absolute value and
 # every subtraction an addition: |f + g| <= |f| + |g|, |fg| <= |f| |g|, and
 # a power of x is free.
+#
+# A parity-definite F needs half the bits.  F = x**f G(x**2) with f in
+# {0, 1} and |G|_1 = |F|_1, so F(2**J) = 2**(fJ) G(2**(2J)) vanishes exactly
+# when G does, once 2**(2J) > |F|_1: bits_above(bound, 2).  The chain
+# identities of an odd ladder are such (`chain._stride`).  Let each entry be
+# parity-definite, B(-z) = (-1)**sB B(z) and so on, and each gauge line be
+# g1 z (g0 = 0: odd ladders carry no z power).  A derivative or a factor z
+# flips a parity, so every term of `chain._sides` has one parity: L and R
+# both have parity sB + sC + sP in the form with Pa == Pb = P, and sB + sC
+# in the wrap form.  So den(q) L - num(q) R = z**f G(z**2), with
+# |G|_1 = |F|_1 <= bound < 2**(2J).  Mixed parity must keep the full K:
+# P = x - 2**J has l1 norm 2**J + 1 < 2**(2J), yet P(2**J) = 0.
 
 
 def jet(coeffs: Sequence[int], k: int) -> tuple:
@@ -466,10 +492,12 @@ def jet(coeffs: Sequence[int], k: int) -> tuple:
     return v, d1, 2 * d2
 
 
-def bits_above(bound: int) -> int:
-    """The least K with 2**K > bound: an integer polynomial of l1 norm at
-    most bound is zero exactly when its value at 2**K is."""
-    return bound.bit_length()
+def bits_above(bound: int, stride: int = 1) -> int:
+    """The least J with 2**(stride J) > bound: an integer polynomial
+    x**f G(x**stride) of l1 norm at most bound is zero exactly when its
+    value at 2**J is (stride 1: any polynomial; stride 2: a parity-definite
+    one)."""
+    return -(-bound.bit_length() // stride)
 
 
 def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -539,10 +567,9 @@ class RationalFunction:
     def __init__(self, num: Polynomial, den: Polynomial = None):
         if den is None:
             den = Polynomial.one()
-        if not isinstance(num, Polynomial):
-            num = Polynomial._coerce(num)
-        if not isinstance(den, Polynomial):
-            den = Polynomial._coerce(den)
+        num, den = Polynomial._coerce(num), Polynomial._coerce(den)
+        if num is None or den is None:
+            raise TypeError("a rational function takes polynomial, int or Fraction parts")
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:

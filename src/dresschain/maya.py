@@ -382,19 +382,21 @@ def admitted_shifts(*periods: int) -> range:
     return range(2 - top % 2, top + 1, 2)
 
 
-# The size of a structure box is the number of flips its structures carry,
-# p (bound + 1)**(k - 1) bound**(p - k): k - 1 Okamoto lengths in 0..bound
-# and (p - k) / 2 block pairs in 1..bound, p flips each.  The largest box in
-# use, p = k = 9 at bound 2, has size 9 * 3**8 = 59049.
-ENUM_BUDGET = 10 ** 5
+# The size of a structure box bounds the flips and diagram entries its
+# structures carry, (p + L) (bound + 1)**(k - 1) bound**(p - k): k - 1
+# Okamoto lengths in 0..bound and (p - k) / 2 block pairs in 1..bound, each
+# structure with p flips and a diagram of at most
+# L = bound (k - 1 + (p - k) / 2) entries, one per block index.  The largest
+# box in use, p = k = 9 at bound 2, has size (9 + 16) 3**8 = 164025.
+ENUM_BUDGET = 10 ** 6
 
 
 def _box_size_capped(p: int, k: int, bound: int) -> int:
     """The size of the (p, k, bound) box, or a number above ENUM_BUDGET
-    when it exceeds it.  p is compared first, and every factor past 1 at
-    least doubles the product, so at most log2(ENUM_BUDGET) of the
+    when it exceeds it.  p + L is compared first, and every factor past 1
+    at least doubles the product, so at most log2(ENUM_BUDGET) of the
     factors are multiplied."""
-    size = p
+    size = p + bound * (k - 1 + (p - k) // 2)
     for base, count in ((bound + 1, k - 1), (bound, p - k)):
         for _ in range(count if base > 1 else 0):
             if size > ENUM_BUDGET:
@@ -414,7 +416,8 @@ def enumerate_structures(p: int, k: int, bound: int) -> List[CyclicStructure]:
         raise InvalidParity("period %d admits no shift %d" % (p, k))
     if _box_size_capped(p, k, bound) > ENUM_BUDGET:
         raise EnumerationTooLarge(
-            "period %d, shift %d, bound %d: more than %d flips to enumerate"
+            "period %d, shift %d, bound %d: more than %d flips and diagram"
+            " entries to enumerate"
             % (p, k, bound, ENUM_BUDGET)
         )
     j = (p - k) // 2

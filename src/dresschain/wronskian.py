@@ -14,7 +14,8 @@ leading coefficient `lead`, taken from a closed form: 2**deg V(entries)
 for a Hermite diagram, _laguerre_top for a character.  Every chain
 identity is homogeneous in each entry, so the chain reads `prim` only;
 the determinant itself, `poly`, is derived when output reads it.  Each
-result carries gauge exponents (z_power, exp_coeff) describing the prefactor
+result derives, from its sizes m, r and its alpha, the gauge exponents
+(z_power, exp_coeff) of the prefactor
 
     z**z_power * exp(exp_coeff * w),   w = omega * x**2 / 2,
 
@@ -49,13 +50,13 @@ class PseudoWronskian:
     integer polynomial with a positive leading coefficient; `lead`, its
     leading coefficient, is never zero.  m and r are the component sizes
     of the labeling index tuples (r = 0 and alpha = None for the
-    harmonic-oscillator case).
+    harmonic-oscillator case), and they fix the gauge: exp_coeff is
+    -(m + r)/2, and z_power is 0 for a Hermite entry and
+    (m - r)**2/4 - r (r - 1) + alpha (m - r)/2 for a Laguerre one.
     """
 
     prim: Polynomial
     lead: Fraction
-    z_power: Fraction
-    exp_coeff: Fraction
     m: int
     r: int
     alpha: Optional[Fraction]
@@ -64,6 +65,30 @@ class PseudoWronskian:
     def poly(self) -> Polynomial:
         """The determinant, with its constant."""
         return self.prim * (self.lead / self.prim.leading)
+
+    @property
+    def gauge_den(self) -> int:
+        """q for alpha = p/q, 1 for a Hermite entry: 4 q z_power is an
+        integer."""
+        return 1 if self.alpha is None else self.alpha.denominator
+
+    @property
+    def z_power_num(self) -> int:
+        """4 q z_power, q = gauge_den: q (m - r)**2 - 4 q r (r - 1) +
+        2 p (m - r) for alpha = p/q, and 0 for a Hermite entry."""
+        if self.alpha is None:
+            return 0
+        p, q = self.alpha.numerator, self.alpha.denominator
+        d = self.m - self.r
+        return q * (d * d - 4 * self.r * (self.r - 1)) + 2 * p * d
+
+    @property
+    def z_power(self) -> Fraction:
+        return Fraction(self.z_power_num, 4 * self.gauge_den)
+
+    @property
+    def exp_coeff(self) -> Fraction:
+        return Fraction(-(self.m + self.r), 2)
 
     def to_json(self) -> dict:
         return {
@@ -180,7 +205,7 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
         e, ys = _hermite_kernel(conjugate(d).entries if through else entries)
         prim = Polynomial(ys).of_square(e, negate=through).primitive()
     lead = Fraction(2 ** prim.degree * _vandermonde(entries))
-    return PseudoWronskian(prim, lead, Fraction(0), Fraction(-m, 2), m, 0, None)
+    return PseudoWronskian(prim, lead, m, 0, None)
 
 
 def _laguerre_ints(n: int, p: int, q: int) -> list:
@@ -291,5 +316,4 @@ def laguerre_pseudo_wronskian(
         seeds = tuple((0, n) for n in uc.first.entries)
         e, d = _laguerre_kernel(p, q, seeds + tuple((1, l) for l in uc.second.entries))
         prim = Polynomial(d).shifted(r * (m + r - 1) + (r * p + e) // q).primitive()
-    z_power = Fraction((m - r) ** 2, 4) - r * (r - 1) + a * Fraction(m - r, 2)
-    return PseudoWronskian(prim, _laguerre_top(uc, a), z_power, Fraction(-(m + r), 2), m, r, a)
+    return PseudoWronskian(prim, _laguerre_top(uc, a), m, r, a)

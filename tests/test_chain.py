@@ -35,7 +35,7 @@ from dresschain.maya import (
 )
 from dresschain.orthopoly import AlphaParam
 from dresschain.painleve import piv_from_chain, pv_from_chain
-from dresschain.selftest import even_cells
+from dresschain.selftest import _odd_parameter_grid, _odd_table_rows, even_cells
 from dresschain.wronskian import (
     PseudoWronskian,
     _hermite_matrix_det,
@@ -372,15 +372,17 @@ def test_read_off_candidate_refuted_by_repacking():
     # unit ladder entries, h = 1, v_a = 2 - z and v_b = -2: the residual is
     # 5 - z, so L = 5z - z**2 and R = z.  At the chain's z = 2**3 it reads
     # -3, within the heights a constant could have (|L|_1 = 6, |R|_1 = 1);
-    # only the confirmation at z = 2**4 shows that it is not a constant
+    # only the confirmation at z = 2**4 shows that it is not a constant.
+    # The gauges are (lin, 2 q inv) with q = 1
     chain = dresschain.chain
     coeffs = [(1,)] * 3
-    eq = chain._equation((0, 1, 1, 2), True, 1, F(-1), F(2), F(0), F(-2), F(0))
+    eq = chain._equation((0, 1, 1, 2), True, 1, 2, (-1, 4), (0, -4), F(0))
+    assert (eq.d0, eq.lines) == (1, ((0, -1), (-3, 1)))
     bounds = eq.bounds([chain.jet((1,), 0)] * 3)
-    assert bounds == (6, 1) and chain._bits(F(0), bounds) == 3
+    assert bounds == (6, 1) and chain._bits(F(0), bounds, 1) == 3
     jets = [chain.jet(cs, 3) for cs in coeffs]
     assert chain._sides(eq, jets, 3, operator.sub) == (-24, 8)
-    assert chain._check_equation(eq, coeffs, jets, 3, bounds) is None
+    assert chain._check_equation(eq, coeffs, jets, 3, bounds, 1) is None
 
 
 def _expanded_sides(B, Pa, Pb, C, h, lin_a, inv_a, lin_b, inv_b):
@@ -409,38 +411,71 @@ def _expanded_sides(B, Pa, Pb, C, h, lin_a, inv_a, lin_b, inv_b):
     return lhs, (BPa2 * CPb2).shifted(h) * d0 ** 2
 
 
+def _parity_definite(poly):
+    """poly(-z) = +-poly(z), by composition: no coefficient slices."""
+    return poly.compose(-X) in (poly, -poly)
+
+
+def _l1(poly):
+    return sum(abs(c) for c in poly.coeffs)
+
+
 # degree <= 30, every coefficient +-2**b with b <= 64
 adversarial_polys = st.lists(
     st.builds(lambda s, b: s * 2 ** b, st.sampled_from((1, -1)), st.integers(0, 64)),
     min_size=1,
     max_size=31,
 ).map(Polynomial)
-gauge_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+# (lin, 2 q inv) as chain._gauge gives them, with 2 q <= 24
+gauge_ints = st.tuples(st.integers(-50, 50), st.integers(-1200, 1200))
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     st.tuples(*[adversarial_polys] * 4).filter(lambda polys: polys[1] != polys[2]),
     st.integers(0, 1),
-    st.tuples(*[gauge_fractions] * 4),
+    st.integers(1, 12),
+    st.tuples(gauge_ints, gauge_ints),
     st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4),
+    st.booleans(),
 )
-def test_evaluation_bound_covers_every_coefficient(polys, h, gauge, eps):
-    # both forms (Pa == Pb, and the distinct pair): 2**K exceeds every
-    # coefficient of diff = den(eps) L - num(eps) R and of R, so diff is 0
-    # exactly when diff(2**K) is; and the packed sides are L and R at 2**K
+def test_evaluation_bound_covers_every_coefficient(polys, h, q, gauges, eps, odd):
+    # both forms (Pa == Pb, and the distinct pair): 2**(stride K) exceeds
+    # the l1 norms of diff = den(eps) L - num(eps) R and of R, so diff is 0
+    # exactly when diff(2**K) is; and the packed sides are L and R at 2**K.
+    # An odd ladder (h = 0, inv = 0) of parity-definite entries has stride
+    # 2: there diff and R are parity-definite, of one parity
     chain = dresschain.chain
+    if odd:
+        # every other coefficient from the top dropped; no 1/z part
+        polys = tuple(
+            Polynomial(c if (P.degree - i) % 2 == 0 else 0 for i, c in enumerate(P.coeffs))
+            for P in polys
+        )
+        h, q, gauges = 0, 1, tuple((lin, 0) for lin, _ in gauges)
+        if polys[1] == polys[2]:
+            return
     B, Pa, Pb, C = polys
     coeffs = [P.int_coeffs for P in polys]
+    den = 2 * q
+    lines = [(lin, F(inv, den)) for lin, inv in gauges]
     norms = [chain.jet([abs(c) for c in cs], 0) for cs in coeffs]
     for entries in ((0, 1, 1, 3), (0, 1, 2, 3)):
         same = entries[1] == entries[2]
-        eq = chain._equation(entries, same, h, *gauge, eps)
+        eq = chain._equation(entries, same, h, den, *gauges, eps)
+        stride = chain._stride([eq], coeffs)
+        if odd:
+            assert stride == 2
+        else:
+            assert stride == 1 or all(map(_parity_definite, polys))
         bounds = eq.bounds(norms)
-        K = chain._bits(eps, bounds)
-        L, R = _expanded_sides(B, Pa, Pa if same else Pb, C, h, *gauge)
+        K = chain._bits(eps, bounds, stride)
+        L, R = _expanded_sides(B, Pa, Pa if same else Pb, C, h, *lines[0], *lines[1])
         diff = L * eps.denominator - R * eps.numerator
-        assert max(abs(c) for c in diff.coeffs + R.coeffs) < 2 ** K
+        assert max(_l1(diff), _l1(R)) < 2 ** (stride * K)
+        if stride == 2:
+            assert _parity_definite(diff) and _parity_definite(R)
+            assert (diff.degree - R.degree) % 2 == 0 or diff.is_zero
         jets = [chain.jet(cs, K) for cs in coeffs]
         assert chain._sides(eq, jets, K, operator.sub) == (
             L.eval_at(2 ** K), R.eval_at(2 ** K))
@@ -452,7 +487,7 @@ def test_evaluation_bound_must_be_strict():
     # asks for K + 1, where the value no longer vanishes
     K = 40
     assert dresschain.chain.jet([2 ** K, -1], K)[0] == 0
-    assert dresschain.chain._bits(F(0), (2 ** K, 1)) == K + 1
+    assert dresschain.chain._bits(F(0), (2 ** K, 1), 1) == K + 1
     assert dresschain.chain.jet([2 ** K, -1], K + 1)[0] != 0
 
 
@@ -476,13 +511,17 @@ def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
     # highest interior ladder entry bumped (the closure is unaffected);
     # with one expected eps raised by 1, that equation fails and reports
     # the true eps
-    values = []
+    values, strides = [], []
     check = dresschain.chain._check_equation
 
     def recorder(*args):
-        # the chain's one K covers the bound of every equation
-        eq, _, _, k, bounds = args
-        assert k >= dresschain.chain._bits(eq.expected, bounds)
+        # the chain's one K covers the bound of every equation, at the
+        # stride its parity proves: half the bits only on an odd ladder of
+        # parity-definite entries
+        eq, _, _, k, (lb, rb), stride = args
+        e = eq.expected
+        assert stride == strides[-1]
+        assert 2 ** (stride * k) > max(e.denominator * lb + abs(e.numerator) * rb, rb)
         values.append(check(*args))
         return values[-1]
 
@@ -492,6 +531,7 @@ def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
         variants = [sol, _bumped(sol)] if bump and sol.period > 1 else [sol]
         for chain in variants:
             values.clear()
+            strides.append(_proven_stride(chain))
             report = verify_chain(chain)
             assert len(values) == chain.period
             for i, (value, eq) in enumerate(zip(values, report.equations), 1):
@@ -501,6 +541,7 @@ def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
                 failures += not eq.match
                 unread += value is None
             parities.add(chain.is_even)
+        strides.append(_proven_stride(sol))
         for i, true_eps in enumerate(sol.expected_eps):
             eps = sol.expected_eps[:i] + (true_eps + 1,) + sol.expected_eps[i + 1:]
             values.clear()
@@ -508,6 +549,68 @@ def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
             assert values[i] == true_eps
             assert eq.residual_constant and eq.value == true_eps and not eq.match
     assert parities == {0, 1} and failures > 0 and unread > 0
+    assert set(strides) == {1, 2}
+
+
+def _proven_stride(sol):
+    """2 for an odd ladder of parity-definite entries, else 1."""
+    odd = not sol.is_even and all(_parity_definite(pw.prim) for pw in sol.ladder)
+    return 2 if odd else 1
+
+
+def _chain_ks(sol, monkeypatch):
+    """(K that verify_chain packs sol at, the full K of stride 1)."""
+    chain = dresschain.chain
+    check = chain._check_equation
+    seen = []
+
+    def recorder(eq, coeffs, jets, k, bounds, stride):
+        seen.append((k, chain._bits(eq.expected, bounds, 1)))
+        return check(eq, coeffs, jets, k, bounds, stride)
+
+    monkeypatch.setattr(chain, "_check_equation", recorder)
+    try:
+        verify_chain(sol)
+    finally:
+        monkeypatch.undo()
+    assert len({k for k, _ in seen}) == 1
+    return seen[0][0], max(full for _, full in seen)
+
+
+def test_odd_chains_are_packed_at_half_the_bits(monkeypatch):
+    # every criterion-4 odd chain is an odd ladder of Hermite Wronskians,
+    # each parity-definite: its K is ceil(full / 2).  Even chains, and an
+    # odd chain with an odd-degree entry bumped to mixed parity, keep the
+    # full K
+    odd = [build_odd_chain(cs, allow_degenerate=True) for cs in _odd_parameter_grid(3)]
+    odd += [build() for _, build, _ in _odd_table_rows()]
+    assert len(odd) > 400
+    for sol in odd:
+        assert _proven_stride(sol) == 2
+        k, full = _chain_ks(sol, monkeypatch)
+        assert k == -(-full // 2), sol.chain_labels
+    # ladder degrees 2, 0, 1, 2: the bumped entry, of degree 1, becomes
+    # z + 1 up to a constant
+    mixed = _bumped(build_odd_chain(CyclicStructure(k=1, second_type=((1, 2),))))
+    assert any(not _parity_definite(pw.prim) for pw in mixed.ladder)
+    evens = [build_even_chain(cs1, cs2, ALPHA, perm=perm) for cs1, cs2, perm in PERIOD4_CELLS]
+    for sol in [mixed] + evens:
+        k, full = _chain_ks(sol, monkeypatch)
+        assert k == full
+
+
+def test_mixed_parity_ladder_keeps_the_full_bits(monkeypatch):
+    # entry 2 of a period-3 odd ladder, z, replaced by (z - 1)(z - 2): no
+    # residual is a constant, as the oracle says.  Packed at the half-bit
+    # point 2**5 instead of 2**9, equation 1 would read off the constant
+    # 1/5, which is why mixed parity keeps the full K
+    sol = build_odd_chain(CyclicStructure(k=1, second_type=((1, 2),)))
+    mixed = _with_ladder_entry(sol, 2, Polynomial((2, -3, 1)))
+    values = [eq.value for eq in verify_chain(mixed).equations]
+    assert values == [_residual_rf(mixed, i).constant_value() for i in (1, 2, 3)]
+    assert values == [None] * 3
+    monkeypatch.setattr(dresschain.chain, "_stride", lambda equations, coeffs: 2)
+    assert verify_chain(mixed).equations[0].value == F(1, 5)
 
 
 def test_odd_ladders_match_raw_determinants():
@@ -657,6 +760,7 @@ def _span_oracle(sol, i, j):
     """span(i, j) from the gauge and the reduced log-derivative of the two
     end entries' primitive polynomials."""
     lin, inv = _gauge(sol.ladder[i], sol.ladder[j])
+    inv = F(inv, 2 * sol.ladder[j].gauge_den)
     h = int(sol.is_even)
     log_ratio = log_derivative_ratio(sol.ladder[i].prim, sol.ladder[j].prim)
     return RationalFunction(Polynomial((inv, lin))) + (1 + h) * (

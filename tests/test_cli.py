@@ -176,6 +176,12 @@ def test_build_emits_ladder(capsys):
             "verify --period 7 --shift 7 --params 3,2,3,1,3,2 --perm 2,0,5,1,6,3,4 --format json",
             "ba62a0c5f2ea2d6820a93bb7936dafa2ea3d2adac245de642c1fa6a41296acc2",
         ),
+        (
+            # a deep odd ladder, checked at half the bits
+            "verify --period 9 --shift 9 --params 2,1,2,0,2,1,2,1 --perm 3,7,0,5,1,8,2,6,4"
+            " --format json",
+            "fd381b48edfc4f0b02b948f1b1aa3fa3c40622ad10e16969967f82a50c4bb9ed",
+        ),
     ],
 )
 def test_output_bytes_pinned(capsys, argv, digest):
@@ -358,6 +364,8 @@ def test_selftest_single_criterion(capsys):
         ["enum", "--period", "99999999999", "--shift", "1", "--bound", "1"],
         ["enum", "--period", "3", "--shift", "3", "--bound", "200"],
         ["enum", "--period", "5", "--shift", "1", "--bound", "1" + "0" * 40],
+        # few structures, but each with a diagram of up to 362 entries
+        ["enum", "--period", "3", "--shift", "3", "--bound", "181"],
     ],
     ids=["repeated-perm", "short-perm", "zero-bound", "duplicate-alpha",
          "out-is-directory", "out-parent-missing", "criterion-9", "criterion-0",
@@ -369,7 +377,7 @@ def test_selftest_single_criterion(capsys):
          "empty-criteria", "repeated-criterion",
          "case-2-2-shift-1", "case-0-4", "huge-case", "huge-case-shift-2",
          "seed-tuple-too-long", "huge-enum-period", "enum-box-over-budget",
-         "huge-enum-bound"],
+         "huge-enum-bound", "enum-diagrams-over-budget"],
 )
 def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     # relative --out paths resolve in an empty directory

@@ -377,10 +377,13 @@ def test_gcd_divides_both(a, b):
 @settings(max_examples=60, deadline=None)
 @given(small_polys, nonzero_polys, small_polys)
 def test_polynomial_operand_matches_rational_function(a, b, q):
-    # a polynomial operand skips the gcd too, with the same normal form
+    # a polynomial operand skips the gcd too, with the same normal form; on
+    # the left, the polynomial defers to the rational function's reflected
+    # operators
     r = RationalFunction(a, b)
     k = RationalFunction(q)
-    assert r + q == r + k and r - q == r - k
+    assert r + q == r + k and r - q == r - k and r * q == r * k
+    assert q + r == k + r and q - r == k - r and q * r == k * r
 
 
 @settings(max_examples=60, deadline=None)
@@ -406,6 +409,32 @@ def test_bits_above_is_strict(j):
     assert bound == 2 ** j + 1 and K == j + 1
     assert jet(coeffs, K)[0] != 0
     assert jet(coeffs, K - 1)[0] == 0
+
+
+@pytest.mark.parametrize("f", (0, 1))
+@pytest.mark.parametrize("j", (1, 5, 64))
+def test_bits_above_is_strict_at_stride_2(j, f):
+    # the parity-definite x**f (x**2 - 4**j) has l1 norm 4**j + 1 and
+    # vanishes at 2**j: the J for that bound at stride 2 is j + 1, where it
+    # does not, and one less accepts it as 0
+    coeffs = (0,) * f + (-(4 ** j), 0, 1)
+    bound = jet([abs(c) for c in coeffs], 0)[0]
+    J = bits_above(bound, 2)
+    assert bound == 4 ** j + 1 and J == j + 1
+    assert jet(coeffs, J)[0] != 0
+    assert jet(coeffs, J - 1)[0] == 0
+
+
+@pytest.mark.parametrize("j", (2, 5, 64))
+def test_mixed_parity_needs_the_full_bits(j):
+    # x - 2**j is nonzero with l1 norm 2**j + 1 < 4**j, which stride 2
+    # would accept at 2**j, yet it vanishes there: half the bits hold only
+    # for parity-definite polynomials
+    coeffs = (-(2 ** j), 1)
+    bound = jet([abs(c) for c in coeffs], 0)[0]
+    assert bound < 4 ** j and bits_above(bound, 2) <= j
+    assert jet(coeffs, j)[0] == 0
+    assert jet(coeffs, bits_above(bound))[0] != 0
 
 
 def test_jet_values_and_l1_norms():

@@ -297,17 +297,23 @@ def test_enumerate_lexicographic_and_flagging():
 
 
 def test_box_size_rule():
-    # p (bound + 1)**(k - 1) bound**(p - k), exact up to the budget
+    # (p + L) (bound + 1)**(k - 1) bound**(p - k), exact up to the budget,
+    # with L = bound (k - 1 + (p - k) / 2) bounding every diagram's length
     for p, k, bound in ((1, 1, 5), (3, 1, 2), (5, 3, 1), (7, 3, 3), (9, 9, 2)):
         size = _box_size_capped(p, k, bound)
-        assert size == p * (bound + 1) ** (k - 1) * bound ** (p - k)
-        assert size == p * len(enumerate_structures(p, k, bound))
+        structures = enumerate_structures(p, k, bound)
+        longest = bound * (k - 1 + (p - k) // 2)
+        assert max(len(build_diagram(cs)[0]) for cs in structures) <= longest
+        assert size == (p + longest) * (bound + 1) ** (k - 1) * bound ** (p - k)
+        assert size == (p + longest) * len(structures)
     # past the budget the product stops after a few factors, however large
-    # the period or the bound
+    # the period or the bound; a box of few structures with long diagrams
+    # is over the budget too
     for p, k, bound in ((99999999999, 1, 1), (3, 3, 200), (5, 1, 10 ** 40),
-                        (10 ** 30 + 1, 10 ** 30 + 1, 2)):
+                        (10 ** 30 + 1, 10 ** 30 + 1, 2), (3, 3, 181)):
         size = _box_size_capped(p, k, bound)
-        assert ENUM_BUDGET < size <= max(p, ENUM_BUDGET * (bound + 1))
+        start = p + bound * (k - 1 + (p - k) // 2)
+        assert ENUM_BUDGET < size <= max(start, ENUM_BUDGET * (bound + 1))
         with pytest.raises(EnumerationTooLarge):
             enumerate_structures(p, k, bound)
 
