@@ -36,13 +36,13 @@ from .maya import (
     NEGATIVE,
     POSITIVE,
     CyclicStructure,
-    DegenerateStructure,
     Flip,
     FlipChain,
     MayaDiagram,
     UniversalCharacter,
     apply_uc_flip,
     build_diagram,
+    flip_chain_of,
     static_flip_chain,
     uc_flip_chain,
 )
@@ -204,9 +204,7 @@ def build_odd_chain(
     """
     if cs.p % 2 == 0:
         raise OddPeriodRequired("period %d is even" % cs.p)
-    if cs.is_degenerate and not allow_degenerate:
-        raise DegenerateStructure("degenerate block layout: %r" % (cs,))
-    chain = static_flip_chain(cs)
+    chain = static_flip_chain(cs) if allow_degenerate else flip_chain_of(cs)
     if perm is not None:
         chain = chain.permuted(perm)
     states = chain.states(build_diagram(cs)[0])

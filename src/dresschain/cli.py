@@ -66,9 +66,7 @@ def _parse_int_list(text: str) -> List[int]:
         raise UsageError("expected a comma list of integers, got %r" % text)
 
 
-def _parse_alpha_list(text: Optional[str]) -> List[AlphaParam]:
-    if not text:
-        return []
+def _parse_alpha_list(text: str) -> List[AlphaParam]:
     out = []
     for tok in text.split(","):
         try:
@@ -136,10 +134,6 @@ def _refuse_unread(args, *names: str) -> None:
         raise UsageError("this job does not read %s" % ", ".join(given))
 
 
-def _perm(args) -> Optional[List[int]]:
-    return _parse_int_list(args.perm) if args.perm else None
-
-
 def _solution_json(sol) -> dict:
     return {
         "period": sol.period,
@@ -153,13 +147,14 @@ def _solution_json(sol) -> dict:
 
 def _build_solutions(args):
     """Construct the chain(s) a job describes; even jobs sweep alphas."""
-    perm = _perm(args)
+    perm = None if args.perm is None else _parse_int_list(args.perm)
     if args.period % 2:
         _refuse_unread(args, "alpha", "case")
         (cs,) = _structures(args)
         return [(None, build_odd_chain(cs, perm=perm, allow_degenerate=args.allow_degenerate))]
     _refuse_unread(args, "allow_degenerate")
-    alphas = _parse_alpha_list(args.alpha) or [AlphaParam(Fraction(1, 3))]
+    alphas = ([AlphaParam(Fraction(1, 3))] if args.alpha is None
+              else _parse_alpha_list(args.alpha))
     if len({a.value for a in alphas}) != len(alphas):
         raise UsageError("alpha samples must be distinct")
     cs1, cs2 = _structures(args)

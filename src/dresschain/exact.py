@@ -12,12 +12,12 @@ arithmetic; the Fraction coefficients of the public interface (`coeffs`,
 
 Rational functions keep a monic denominator and a gcd-reduced numerator,
 so structural equality coincides with mathematical equality.  Gcds are
-taken by a primitive pseudo-remainder sequence, and general determinants
-by Bareiss elimination over Z[x], the oracle of the ladder recursion in
-`wronskian`; all of them share the integer kernel below.  `jet` and
-`bits_above` test an identity between integer polynomials as one integer,
-for the chain and Painleve checks, at half the bits when it is
-parity-definite.
+taken by a primitive pseudo-remainder sequence, and general determinants,
+of a matrix given by rows or by columns, by Bareiss elimination over Z[x],
+the oracle of the ladder recursion in `wronskian`; all of them share the
+integer kernel below.  `jet` and `bits_above` test an identity between
+integer polynomials as one integer, for the chain and Painleve checks, at
+half the bits when it is parity-definite.
 """
 
 from __future__ import annotations
@@ -200,10 +200,6 @@ class Polynomial:
     def monomial(cls, power: int, coeff=1) -> "Polynomial":
         return cls((0,) * power + (coeff,))
 
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "Polynomial":
-        return cls(parse_frac(s) for s in items)
-
     # -- basic structure ----------------------------------------------------
 
     @property
@@ -380,15 +376,8 @@ class Polynomial:
             v += 1
         return v, _poly(list(self._n[v:]), self._d)
 
-    def decompress_even(self) -> "Polynomial":
-        """Given p with only even-power terms, return q with p(x) = q(x**2)."""
-        if any(self._n[1::2]):
-            raise ValueError("polynomial has odd-degree terms")
-        return _poly(list(self._n[0::2]), self._d)
-
     def of_square(self, shift: int = 0, negate: bool = False) -> "Polynomial":
-        """x**shift * self(x**2), or x**shift * self(-x**2) when negate; the
-        inverse of decompress_even."""
+        """x**shift * self(x**2), or x**shift * self(-x**2) when negate."""
         if shift < 0:
             raise ValueError("negative shift")
         n = list(self._n)
@@ -501,9 +490,13 @@ def bits_above(bound: int, stride: int = 1) -> int:
 
 
 def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant of a square polynomial matrix: each column is
-    brought onto the common denominator of its entries, and the integer
-    matrix goes to det_int_matrix over the product of those denominators."""
+    """Exact determinant of a square polynomial matrix, given by its rows
+    or by its columns (det A = det A^T): each line is brought onto the
+    common denominator of its entries, and the integer matrix is
+    eliminated fraction-free (Bareiss) over Z[x], every pivot division
+    exact.  When a pivot column vanishes from the pivot row down, the
+    trailing block has a zero first column, so by Sylvester's identity
+    the determinant is zero."""
     n = len(rows)
     if n == 0:
         raise ValueError("determinant of an empty matrix is not defined")
@@ -512,26 +505,11 @@ def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
             raise ValueError("matrix is not square")
 
     scale = 1
-    mat = [[None] * n for _ in range(n)]
-    for j in range(n):
-        col = _lcm(*(rows[i][j]._d for i in range(n)))
-        scale *= col
-        for i in range(n):
-            e = rows[i][j]
-            mat[i][j] = e._n if e._d == col else [col // e._d * x for x in e._n]
-    return det_int_matrix(mat, scale)
-
-
-def det_int_matrix(mat: list, scale: int = 1) -> Polynomial:
-    """det(mat) / scale, for a non-empty square matrix of ascending integer
-    coefficient lists (the zero entry is []); mat is consumed.
-
-    Fraction-free (Bareiss) elimination over Z[x]; every pivot division is
-    exact.  When a pivot column vanishes from the pivot row down, the
-    trailing block has a zero first column, so by Sylvester's identity the
-    determinant is zero.
-    """
-    n = len(mat)
+    mat = []
+    for r in rows:
+        den = _lcm(*(e._d for e in r))
+        scale *= den
+        mat.append([e._n if e._d == den else [den // e._d * x for x in e._n] for e in r])
     sign = 1
     prev = [1]
     for k in range(n - 1):
@@ -582,16 +560,7 @@ class RationalFunction:
             # lemma it divides both integer numerators exactly
             num = _poly(_iexact_quo(num._n, g._n), num._d)
             den = _poly(_iexact_quo(den._n, g._n), den._d)
-        lead = den.leading
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den.monic()
-        self._n = num
-        self._d = den
-
-    @classmethod
-    def from_const(cls, value) -> "RationalFunction":
-        return cls(Polynomial.constant(value))
+        self._n, self._d = self._monic(num, den)
 
     @classmethod
     def zero(cls) -> "RationalFunction":
@@ -601,10 +570,7 @@ class RationalFunction:
     def from_coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
         """num / den for coprime num and den: den is made monic, and no gcd
         is taken."""
-        lead = den.leading
-        if lead != 1:
-            num, den = num * (1 / lead), den.monic()
-        return cls._reduced(num, den)
+        return cls._reduced(*cls._monic(num, den))
 
     @property
     def num(self) -> Polynomial:
@@ -629,6 +595,14 @@ class RationalFunction:
         if self._d.degree == 0 and self._n.degree <= 0:
             return self._n.coeff(0)
         return None
+
+    @staticmethod
+    def _monic(num: Polynomial, den: Polynomial) -> tuple:
+        """num and den divided by den's leading coefficient."""
+        lead = den.leading
+        if lead != 1:
+            return num * (1 / lead), den.monic()
+        return num, den
 
     @staticmethod
     def _reduced(num: Polynomial, den: Polynomial) -> "RationalFunction":

@@ -9,7 +9,7 @@ purely presentational; nothing here participates in verification.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Union
 
 from .chain import ChainSolution
 from .exact import Polynomial, RationalFunction
@@ -35,10 +35,9 @@ def ratfunc_latex(r: RationalFunction, var: str = "x") -> str:
     return r"\frac{%s}{%s}" % (poly_latex(r.num, var), poly_latex(r.den, var))
 
 
-def diagram_latex(d: MayaDiagram) -> str:
-    if not d.entries:
-        return r"\varnothing"
-    return "(" + ",".join(str(n) for n in d.entries) + ")"
+def diagram_latex(d: Union[MayaDiagram, Sequence[int]]) -> str:
+    """A diagram, or its entry tuple, as (n_1,...,n_m)."""
+    return "(" + ",".join(map(str, d)) + ")" if len(d) else r"\varnothing"
 
 
 def structure_latex(cs: CyclicStructure) -> str:
@@ -66,10 +65,6 @@ def _wronskian_symbol(kind: str, label: str, arg: str) -> str:
     return r"\mathcal{%s}^{%s}(%s)" % (kind, label, arg)
 
 
-def _diagram_label(d: Sequence[int]) -> str:
-    return "(" + ",".join(str(n) for n in d) + ")" if d else r"\varnothing"
-
-
 def piv_latex(
     inst: PIVInstance, prev_diagram: Sequence[int], next_diagram: Sequence[int]
 ) -> str:
@@ -81,8 +76,8 @@ def piv_latex(
     delta = 2 / inst.c_sq
     lin_coeff = inst.c_sq * (inst.u.num.coeff(inst.u.den.degree + 1) / inst.u.den.leading)
     head = "" if lin_coeff == 0 else frac_latex(lin_coeff) + "t + "
-    top = _wronskian_symbol("H", _diagram_label(prev_diagram), arg)
-    bot = _wronskian_symbol("H", _diagram_label(next_diagram), arg)
+    top = _wronskian_symbol("H", diagram_latex(prev_diagram), arg)
+    bot = _wronskian_symbol("H", diagram_latex(next_diagram), arg)
     return r"y(t) = %s\frac{d}{dt}\log\frac{%s}{%s}" % (head, top, bot)
 
 

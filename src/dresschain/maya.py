@@ -72,10 +72,6 @@ class MayaDiagram:
     def is_canonical(self) -> bool:
         return not self.entries or self.entries[0] >= 1
 
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
     def is_filled(self, level: int) -> bool:
         if level < 0:
             return level not in self.entries
@@ -83,10 +79,6 @@ class MayaDiagram:
 
     def to_json(self) -> list:
         return list(self.entries)
-
-    @classmethod
-    def from_json(cls, data: Sequence[int]) -> "MayaDiagram":
-        return cls(tuple(sorted(int(v) for v in data)))
 
 
 def canonicalize(raw: Iterable[int]) -> Tuple[MayaDiagram, int]:
@@ -196,9 +188,7 @@ class FlipChain:
         return tuple(f.level for f in self.flips)
 
     def apply(self, d: MayaDiagram) -> MayaDiagram:
-        for f in self.flips:
-            d = flip_at(d, f.level)
-        return d
+        return self.states(d)[-1]
 
     def states(self, d: MayaDiagram) -> List[MayaDiagram]:
         out = [d]
@@ -284,13 +274,6 @@ class UniversalCharacter:
 
     first: MayaDiagram
     second: MayaDiagram
-
-    def to_json(self) -> dict:
-        return {"N": self.first.to_json(), "L": self.second.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "UniversalCharacter":
-        return cls(MayaDiagram.from_json(data["N"]), MayaDiagram.from_json(data["L"]))
 
 
 def build_diagram(cs: CyclicStructure) -> Tuple[MayaDiagram, bool]:

@@ -43,6 +43,20 @@ class DegenerateDenominator(ValueError):
     """w_1 + w_2 collapsed onto the shift line; the PV map is undefined."""
 
 
+def _instance_json(equation: str, y: RationalFunction, residual: RationalFunction,
+                   **params: Fraction) -> dict:
+    """The JSON record of a solution y(t) of the equation with these
+    parameters, and whether its residual vanishes."""
+    return {
+        "equation": equation,
+        "params": {name: frac_str(v) for name, v in params.items()},
+        "solution_num": y.num.to_strings(),
+        "solution_den": y.den.to_strings(),
+        "variable": "t",
+        "residual_zero": residual.is_zero,
+    }
+
+
 @dataclass(frozen=True)
 class PIVInstance:
     """Rationalized PIV data: y = c u(x), x = c t, c**2 = c_sq = 2/shift.
@@ -84,19 +98,8 @@ class PIVInstance:
         )
 
     def to_json(self) -> dict:
-        y = self.y_of_t()
-        return {
-            "equation": "PIV",
-            "params": {
-                "a": frac_str(self.a),
-                "b": frac_str(self.b),
-                "c_sq": frac_str(self.c_sq),
-            },
-            "solution_num": y.num.to_strings(),
-            "solution_den": y.den.to_strings(),
-            "variable": "t",
-            "residual_zero": piv_residual(self).is_zero,
-        }
+        return _instance_json("PIV", self.y_of_t(), piv_residual(self),
+                              a=self.a, b=self.b, c_sq=self.c_sq)
 
 
 @dataclass(frozen=True)
@@ -110,19 +113,8 @@ class PVInstance:
     d: Fraction
 
     def to_json(self) -> dict:
-        return {
-            "equation": "PV",
-            "params": {
-                "a": frac_str(self.a),
-                "b": frac_str(self.b),
-                "c": frac_str(self.c),
-                "d": frac_str(self.d),
-            },
-            "solution_num": self.y.num.to_strings(),
-            "solution_den": self.y.den.to_strings(),
-            "variable": "t",
-            "residual_zero": pv_residual(self).is_zero,
-        }
+        return _instance_json("PV", self.y, pv_residual(self),
+                              a=self.a, b=self.b, c=self.c, d=self.d)
 
 
 def piv_from_chain(sol: ChainSolution) -> PIVInstance:

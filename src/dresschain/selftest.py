@@ -457,13 +457,6 @@ def check_pv() -> CheckResult:
 # -- criterion 8 -------------------------------------------------------------
 
 
-def _strip_even_square(p: Polynomial) -> Polynomial:
-    """Write p(z) = z**v * q(z) with q(0) != 0, then q as a polynomial in
-    z**2 (requires q even, which holds for fixed-parity p)."""
-    _, q = p.split_lowest()
-    return q.decompress_even()
-
-
 def check_degenerations() -> CheckResult:
     def run():
         x_sq = Polynomial((0, 0, 1))
@@ -499,10 +492,10 @@ def check_degenerations() -> CheckResult:
             even_part = tuple(n // 2 for n in d.entries if n % 2 == 0)
             uc = UniversalCharacter(MayaDiagram(odd_part), MayaDiagram(even_part))
             # primitive with positive leading coefficients: proportional
-            # polynomials are equal
-            lhs = _strip_even_square(hermite_wronskian(d).prim)
+            # polynomials are equal; the Laguerre one is taken at z**2
+            _, lhs = hermite_wronskian(d).prim.split_lowest()
             _, rhs = laguerre_pseudo_wronskian(uc, half).prim.split_lowest()
-            if lhs != rhs:
+            if lhs != rhs.of_square():
                 return False, "parity split fails at %r" % (d.entries,)
             split_cases += 1
         return True, "staircase, 1- and 2-step forms, %d parity splits" % split_cases

@@ -122,7 +122,7 @@ def _matrix_det(columns: list) -> Polynomial:
     full; no columns give 1."""
     if not columns:
         return Polynomial.one()
-    return det_poly_matrix([list(row) for row in zip(*columns)])
+    return det_poly_matrix(columns)
 
 
 @lru_cache(maxsize=None)

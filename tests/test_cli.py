@@ -182,6 +182,11 @@ def test_build_emits_ladder(capsys):
             " --format json",
             "fd381b48edfc4f0b02b948f1b1aa3fa3c40622ad10e16969967f82a50c4bb9ed",
         ),
+        (
+            # all eight criteria; criterion 8 compares ladders in z**2
+            "selftest --format json",
+            "b7482a22b4cabcb4942b74d867e07a2a06535502cb207563f3ee0ded25e7cc87",
+        ),
     ],
 )
 def test_output_bytes_pinned(capsys, argv, digest):
@@ -234,7 +239,7 @@ def test_painleve_latex_exit_code_follows_residual(capsys, monkeypatch, name, ar
     code, out = run_cli(capsys, *argv, "--format", "latex")
     assert code == 0 and out.startswith(("y_{0}: y(t) = ", "y(t) = "))
     monkeypatch.setattr(dresschain.painleve, name,
-                        lambda inst: RationalFunction.from_const(1))
+                        lambda inst: RationalFunction(1))
     assert run_cli(capsys, *argv, "--format", "latex") == (1, out)
 
 
@@ -366,6 +371,10 @@ def test_selftest_single_criterion(capsys):
         ["enum", "--period", "5", "--shift", "1", "--bound", "1" + "0" * 40],
         # few structures, but each with a diagram of up to 362 entries
         ["enum", "--period", "3", "--shift", "3", "--bound", "181"],
+        # an empty list is not the default
+        ["verify", "--period", "4", "--case", "2,2", "--params", "0,0", "--alpha="],
+        ["verify", "--period", "3", "--shift", "1", "--params", "1,2", "--perm="],
+        ["painleve", "--period", "4", "--case", "2,2", "--params", "1,0", "--alpha="],
     ],
     ids=["repeated-perm", "short-perm", "zero-bound", "duplicate-alpha",
          "out-is-directory", "out-parent-missing", "criterion-9", "criterion-0",
@@ -377,7 +386,8 @@ def test_selftest_single_criterion(capsys):
          "empty-criteria", "repeated-criterion",
          "case-2-2-shift-1", "case-0-4", "huge-case", "huge-case-shift-2",
          "seed-tuple-too-long", "huge-enum-period", "enum-box-over-budget",
-         "huge-enum-bound", "enum-diagrams-over-budget"],
+         "huge-enum-bound", "enum-diagrams-over-budget",
+         "empty-alpha", "empty-perm", "pv-empty-alpha"],
 )
 def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     # relative --out paths resolve in an empty directory
@@ -402,7 +412,7 @@ def test_verify_text_agrees_with_exit_code(capsys, monkeypatch):
     assert (code, out) == (0, "period=3 delta=2/1 OK\n")
     # the chain report still holds; only the PIV residual fails
     monkeypatch.setattr(dresschain.cli, "piv_residual",
-                        lambda inst: RationalFunction.from_const(1))
+                        lambda inst: RationalFunction(1))
     code, out = run_cli(capsys, *args)
     assert (code, out) == (1, "period=3 delta=2/1 FAILED\n")
 
