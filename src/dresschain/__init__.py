@@ -36,7 +36,6 @@ from .maya import (
     conjugate,
     enumerate_structures,
     flip_at,
-    flip_chain_of,
     minimal_flip_chain,
     spin_at,
     static_flip_chain,

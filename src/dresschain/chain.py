@@ -36,13 +36,13 @@ from .maya import (
     NEGATIVE,
     POSITIVE,
     CyclicStructure,
+    DegenerateStructure,
     Flip,
     FlipChain,
     MayaDiagram,
     UniversalCharacter,
     apply_uc_flip,
     build_diagram,
-    flip_chain_of,
     static_flip_chain,
     uc_flip_chain,
 )
@@ -204,10 +204,13 @@ def build_odd_chain(
     """
     if cs.p % 2 == 0:
         raise OddPeriodRequired("period %d is even" % cs.p)
-    chain = static_flip_chain(cs) if allow_degenerate else flip_chain_of(cs)
+    start, degenerate = build_diagram(cs)
+    if degenerate and not allow_degenerate:
+        raise DegenerateStructure("degenerate block layout: %r" % (cs,))
+    chain = static_flip_chain(cs)
     if perm is not None:
         chain = chain.permuted(perm)
-    states = chain.states(build_diagram(cs)[0])
+    states = chain.states(start)
     ladder = [hermite_wronskian(s) for s in states]
     seeds = [f.level * OMEGA for f in chain.flips]
     return _assemble(chain, states, ladder, seeds, cs.k * OMEGA)
@@ -281,7 +284,7 @@ class _Equation(NamedTuple):
         ladder entries: the sides at z = 1 with every coefficient made
         nonnegative and every subtraction an addition."""
         lines = tuple((abs(g0), abs(g1)) for g0, g1 in self.lines)
-        return _sides(self._replace(lines=lines), norms, 0, operator.add)
+        return _sides(self._replace(lines=lines), norms, lambda v: v, operator.add)
 
 
 def _equation(
@@ -309,27 +312,28 @@ def _equation(
     return _Equation(entries, h, d0, lines, expected)
 
 
-def _numerator(g, dg, U, V, h, hk, cd, sub) -> tuple:
+def _numerator(g, dg, U, V, h, zh, cd, sub) -> tuple:
     """(N, N', UV) at one point, where N = g UV + c d0 z**h (U'V - UV') is
     d0 UV times the component g/d0 + c z**h (log U/V)'; cd = c d0, U and V
-    are jets, and << hk multiplies by z**h."""
+    are jets, and zh multiplies by z**h."""
     u, u1, u2 = U
     v, v1, v2 = V
     uv, t1, t2 = u * v, u1 * v, u * v1
     w = sub(t1, t2)
-    n = g * uv + (cd * w << hk)
-    dn = dg * uv + g * (t1 + t2) + cd * (h * w + (sub(u2 * v, u * v2) << hk))
+    n = g * uv + zh(cd * w)
+    dn = dg * uv + g * (t1 + t2) + cd * (h * w + zh(sub(u2 * v, u * v2)))
     return n, dn, uv
 
 
-def _lhs_part(n, dn, e, V, hk, cd, sub):
+def _lhs_part(n, dn, e, V, zh, cd, sub):
     """V (E N - c d0 z**h N') + 2 c d0 z**h V' N at one point."""
     v, v1, _ = V
-    return v * sub(e * n, cd * dn << hk) + (2 * cd * v1 * n << hk)
+    return v * sub(e * n, zh(cd * dn)) + zh(2 * cd * v1 * n)
 
 
-def _sides(eq: _Equation, jets, k: int, sub) -> tuple:
-    """(L, R) at z = 2**k, from the ladder-entry jets: the residual
+def _sides(eq: _Equation, jets, times_z, sub) -> tuple:
+    """(L, R) at the point z that times_z multiplies by, from the
+    ladder-entry jets there: the residual
     rho = -(w_a + w_b)' + w_b**2 - w_a**2 of eq is constant exactly when
     L / R is, and then equals it.
 
@@ -349,22 +353,23 @@ def _sides(eq: _Equation, jets, k: int, sub) -> tuple:
     |f + g| <= |f| + |g|, |fg| <= |f| |g| and z**h free.
     """
     h, d0 = eq.h, eq.d0
-    cd, hk = (1 + h) * d0, h * k
+    cd = (1 + h) * d0
+    zh = times_z if h else (lambda v: v)
     B, Pa, Pb, C = (jets[j] for j in eq.entries)
-    lines = [(g0 + (g1 << k), g1) for g0, g1 in eq.lines]
+    lines = [(g0 + times_z(g1), g1) for g0, g1 in eq.lines]
     if len(lines) == 2:
         (s, ds), (e, _) = lines
-        n, dn, bc = _numerator(s, ds, B, C, h, hk, cd, sub)
-        return _lhs_part(n, dn, e, Pa, hk, cd, sub), d0 * d0 * bc * Pa[0] << hk
+        n, dn, bc = _numerator(s, ds, B, C, h, zh, cd, sub)
+        return _lhs_part(n, dn, e, Pa, zh, cd, sub), zh(d0 * d0 * bc * Pa[0])
     (a, da), (ea, _), (b, db), (eb, _) = lines
-    na, dna, bpa = _numerator(a, da, B, Pa, h, hk, cd, sub)
-    nb, dnb, pbc = _numerator(b, db, Pb, C, h, hk, cd, sub)
+    na, dna, bpa = _numerator(a, da, B, Pa, h, zh, cd, sub)
+    nb, dnb, pbc = _numerator(b, db, Pb, C, h, zh, cd, sub)
     bpa2, cpb2 = bpa * Pa[0], pbc * Pb[0]
     lhs = (
-        _lhs_part(na, dna, ea, Pa, hk, cd, sub) * cpb2
-        + _lhs_part(nb, dnb, eb, Pb, hk, cd, sub) * bpa2
+        _lhs_part(na, dna, ea, Pa, zh, cd, sub) * cpb2
+        + _lhs_part(nb, dnb, eb, Pb, zh, cd, sub) * bpa2
     )
-    return lhs, d0 * d0 * bpa2 * cpb2 << hk
+    return lhs, zh(d0 * d0 * bpa2 * cpb2)
 
 
 def _bits(value: Fraction, bounds: tuple, stride: int) -> int:
@@ -413,7 +418,7 @@ def _check_equation(
     stride) when that exceeds k.
     """
     sub = operator.sub
-    lhs, rhs = _sides(eq, jets, k, sub)
+    lhs, rhs = _sides(eq, jets, lambda v: v << k, sub)
     e = eq.expected
     if e.denominator * lhs == e.numerator * rhs:
         return e
@@ -423,7 +428,7 @@ def _check_equation(
     k2 = _bits(value, bounds, stride)
     if k2 > k:
         jets = {j: jet(coeffs[j], k2) for j in set(eq.entries)}
-        lhs, rhs = _sides(eq, jets, k2, sub)
+        lhs, rhs = _sides(eq, jets, lambda v: v << k2, sub)
         if value.denominator * lhs != value.numerator * rhs:
             return None
     return value

@@ -172,7 +172,9 @@ class Polynomial:
     __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Iterable = ()):
-        c = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs]
+        c = list(coeffs)
+        if not all(isinstance(x, (int, Fraction)) for x in c):
+            raise TypeError("polynomial coefficients must be int or Fraction")
         den = _lcm(*(x.denominator for x in c))
         p = _poly([x.numerator * (den // x.denominator) for x in c], den)
         self._n = p._n

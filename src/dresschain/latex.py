@@ -73,7 +73,6 @@ def piv_latex(
     k = int(1 / inst.c_sq)
     arg = "t" if k == 1 else r"t/\sqrt{%d}" % k
     # coefficient of t in y: c^2 (lin - delta/2) with lin recovered from u
-    delta = 2 / inst.c_sq
     lin_coeff = inst.c_sq * (inst.u.num.coeff(inst.u.den.degree + 1) / inst.u.den.leading)
     head = "" if lin_coeff == 0 else frac_latex(lin_coeff) + "t + "
     top = _wronskian_symbol("H", diagram_latex(prev_diagram), arg)

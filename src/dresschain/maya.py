@@ -321,13 +321,6 @@ def static_flip_chain(cs: CyclicStructure) -> FlipChain:
     return FlipChain(tuple(flips))
 
 
-def flip_chain_of(cs: CyclicStructure) -> FlipChain:
-    """Static flip chain of a non-degenerate structure, in block order."""
-    if cs.is_degenerate:
-        raise DegenerateStructure("degenerate block layout: %r" % (cs,))
-    return static_flip_chain(cs)
-
-
 def minimal_flip_chain(d: MayaDiagram, k: int) -> FlipChain:
     """Minimal flip multiset carrying the canonical d to its k-translate.
 

@@ -32,6 +32,8 @@ class AlphaParam:
     value: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.value, (int, Fraction)):
+            raise TypeError("alpha must be an int or a Fraction")
         object.__setattr__(self, "value", Fraction(self.value))
         if self.value.denominator == 1:
             raise IntegerAlpha("alpha must not be an integer: %s" % self.value)

@@ -35,7 +35,6 @@ from .maya import (
     admitted_shifts,
     build_diagram,
     enumerate_structures,
-    flip_chain_of,
     minimal_flip_chain,
     static_flip_chain,
     translate,
@@ -139,7 +138,7 @@ def check_maya_cyclicity() -> CheckResult:
             replays += 1
             if degenerate:
                 try:
-                    flip_chain_of(cs)
+                    build_odd_chain(cs)
                     return False, "degenerate structure not refused: %r" % (cs,)
                 except DegenerateStructure:
                     pass

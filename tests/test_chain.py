@@ -3,7 +3,6 @@ import itertools
 import operator
 from fractions import Fraction as F
 from functools import lru_cache
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -381,34 +380,8 @@ def test_read_off_candidate_refuted_by_repacking():
     bounds = eq.bounds([chain.jet((1,), 0)] * 3)
     assert bounds == (6, 1) and chain._bits(F(0), bounds, 1) == 3
     jets = [chain.jet(cs, 3) for cs in coeffs]
-    assert chain._sides(eq, jets, 3, operator.sub) == (-24, 8)
+    assert chain._sides(eq, jets, lambda v: v << 3, operator.sub) == (-24, 8)
     assert chain._check_equation(eq, coeffs, jets, 3, bounds, 1) is None
-
-
-def _expanded_sides(B, Pa, Pb, C, h, lin_a, inv_a, lin_b, inv_b):
-    """L and R of chain._sides as polynomials, expanded in Polynomial
-    arithmetic: the residual is L / R when that is a constant."""
-    d0 = lcm(lin_a.denominator, inv_a.denominator, lin_b.denominator, inv_b.denominator)
-    a0 = Polynomial((inv_a * d0, lin_a * d0))
-    b0 = Polynomial((inv_b * d0, lin_b * d0))
-    cd = (1 + h) * d0
-
-    def component(g, U, V):
-        UV = U * V
-        return g * UV + (U.derivative() * V - U * V.derivative()).shifted(h) * cd, UV
-
-    def riccati(N, E, V):
-        inner = E * N - N.derivative().shifted(h) * cd
-        return V * inner + (V.derivative() * N).shifted(h) * (2 * cd)
-
-    if Pa == Pb:
-        Sn, BC = component(a0 + b0, B, C)
-        return riccati(Sn, b0 - a0 + h * d0, Pa), (BC * Pa).shifted(h) * d0 ** 2
-    Na, BPa = component(a0, B, Pa)
-    Nb, PbC = component(b0, Pb, C)
-    BPa2, CPb2 = BPa * Pa, PbC * Pb
-    lhs = riccati(Na, h * d0 - a0, Pa) * CPb2 + riccati(Nb, b0 + h * d0, Pb) * BPa2
-    return lhs, (BPa2 * CPb2).shifted(h) * d0 ** 2
 
 
 def _parity_definite(poly):
@@ -443,6 +416,7 @@ def test_evaluation_bound_covers_every_coefficient(polys, h, q, gauges, eps, odd
     # both forms (Pa == Pb, and the distinct pair): 2**(stride K) exceeds
     # the l1 norms of diff = den(eps) L - num(eps) R and of R, so diff is 0
     # exactly when diff(2**K) is; and the packed sides are L and R at 2**K.
+    # L and R are chain._sides itself, at the polynomial variable z.
     # An odd ladder (h = 0, inv = 0) of parity-definite entries has stride
     # 2: there diff and R are parity-definite, of one parity
     chain = dresschain.chain
@@ -455,11 +429,10 @@ def test_evaluation_bound_covers_every_coefficient(polys, h, q, gauges, eps, odd
         h, q, gauges = 0, 1, tuple((lin, 0) for lin, _ in gauges)
         if polys[1] == polys[2]:
             return
-    B, Pa, Pb, C = polys
     coeffs = [P.int_coeffs for P in polys]
     den = 2 * q
-    lines = [(lin, F(inv, den)) for lin, inv in gauges]
     norms = [chain.jet([abs(c) for c in cs], 0) for cs in coeffs]
+    poly_jets = [(P, P.derivative(), P.derivative().derivative()) for P in polys]
     for entries in ((0, 1, 1, 3), (0, 1, 2, 3)):
         same = entries[1] == entries[2]
         eq = chain._equation(entries, same, h, den, *gauges, eps)
@@ -470,14 +443,14 @@ def test_evaluation_bound_covers_every_coefficient(polys, h, q, gauges, eps, odd
             assert stride == 1 or all(map(_parity_definite, polys))
         bounds = eq.bounds(norms)
         K = chain._bits(eps, bounds, stride)
-        L, R = _expanded_sides(B, Pa, Pa if same else Pb, C, h, *lines[0], *lines[1])
+        L, R = chain._sides(eq, poly_jets, lambda v: X * v, operator.sub)
         diff = L * eps.denominator - R * eps.numerator
         assert max(_l1(diff), _l1(R)) < 2 ** (stride * K)
         if stride == 2:
             assert _parity_definite(diff) and _parity_definite(R)
             assert (diff.degree - R.degree) % 2 == 0 or diff.is_zero
         jets = [chain.jet(cs, K) for cs in coeffs]
-        assert chain._sides(eq, jets, K, operator.sub) == (
+        assert chain._sides(eq, jets, lambda v: v << K, operator.sub) == (
             L.eval_at(2 ** K), R.eval_at(2 ** K))
 
 

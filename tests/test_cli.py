@@ -137,6 +137,11 @@ def test_build_emits_ladder(capsys):
             "6a0f85c713bd56c708081ffffa9d332b99454cbf9934fc3e6d8ab7959ecbb746",
         ),
         (
+            # a period-3 report carries piv_residual_zero
+            "verify --period 3 --shift 3 --params 1,1 --format json",
+            "59cb89a3ff75a51dc24090a631eb4dfe31a774718ae4747526b02986bcb2318f",
+        ),
+        (
             "build --period 5 --shift 1 --params 1,1,3,2 --perm 4,0,1,2,3",
             "df22c049fc7d2cad0ce7e4c134949e9e227a6f2e746fcb6241a4e3fb4a82dff6",
         ),

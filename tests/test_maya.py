@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dresschain.chain import build_odd_chain
 from dresschain.maya import (
     NEGATIVE,
     POSITIVE,
@@ -19,7 +20,6 @@ from dresschain.maya import (
     conjugate,
     enumerate_structures,
     flip_at,
-    flip_chain_of,
     minimal_flip_chain,
     spin_at,
     static_flip_chain,
@@ -187,7 +187,7 @@ def test_okamoto_gh_coincidences():
 
 def test_flip_chain_gh():
     cs = CyclicStructure(k=1, second_type=((2, 2),))
-    chain = flip_chain_of(cs)
+    chain = static_flip_chain(cs)
     assert chain.multiset() == ((0, NEGATIVE), (2, POSITIVE), (4, NEGATIVE))
     d, _ = build_diagram(cs)
     assert chain.apply(d) == translate(d, 1)
@@ -195,7 +195,7 @@ def test_flip_chain_gh():
 
 def test_flip_chain_okamoto():
     cs = CyclicStructure(k=3, okamoto=(1, 1))
-    chain = flip_chain_of(cs)
+    chain = static_flip_chain(cs)
     assert chain.multiset() == ((0, NEGATIVE), (4, NEGATIVE), (5, NEGATIVE))
     d, _ = build_diagram(cs)
     assert chain.apply(d) == translate(d, 3)
@@ -203,22 +203,22 @@ def test_flip_chain_okamoto():
 
 def test_flip_chain_zero_lengths():
     cs = CyclicStructure(k=5, okamoto=(0, 0, 0, 0))
-    chain = flip_chain_of(cs)
+    chain = static_flip_chain(cs)
     assert sorted(chain.levels()) == [0, 1, 2, 3, 4]
     assert chain.apply(EMPTY) == translate(EMPTY, 5)
 
 
 def test_flip_chain_rejects_degenerate():
     cs = CyclicStructure(k=1, second_type=((1, 2), (2, 1)))
-    with pytest.raises(DegenerateStructure):
-        flip_chain_of(cs)
-    # the unchecked variant still closes the translation
+    with pytest.raises(DegenerateStructure, match="degenerate block layout"):
+        build_odd_chain(cs)
+    # the ungated chain still closes the translation
     d, _ = build_diagram(cs)
     assert static_flip_chain(cs).apply(d) == translate(d, 1)
 
 
 def test_permutation_validation():
-    chain = flip_chain_of(CyclicStructure(k=1, second_type=((2, 2),)))
+    chain = static_flip_chain(CyclicStructure(k=1, second_type=((2, 2),)))
     assert chain.permuted((2, 0, 1)).levels() == (4, 0, 2)
     with pytest.raises(ValueError):
         chain.permuted((0, 0, 1))

@@ -87,3 +87,12 @@ def test_alpha_param_rejects_integers():
     with pytest.raises(IntegerAlpha):
         AlphaParam(F(-3))
     assert AlphaParam(F(1, 2)).shifted(3).value == F(7, 2)
+
+
+@pytest.mark.parametrize(
+    "make", (lambda v: Polynomial((1, v)), AlphaParam), ids=("Polynomial", "AlphaParam")
+)
+@pytest.mark.parametrize("value", (0.1, "1/3"), ids=("float", "str"))
+def test_exact_inputs_only(make, value):
+    with pytest.raises(TypeError):
+        make(value)

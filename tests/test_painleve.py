@@ -129,6 +129,16 @@ def test_piv_wrong_period():
         piv_families(CyclicStructure(k=1))
 
 
+def test_piv_map_refuses_a_solution_not_odd_in_x():
+    # ladder entry 1 times z + 1 breaks the parity that y_of_t rescales by
+    sol = build_odd_chain(gh(1, 2))
+    entry = replace(sol.ladder[1], prim=sol.ladder[1].prim * Polynomial((1, 1)))
+    inst = piv_from_chain(replace(sol, ladder=sol.ladder[:1] + (entry,) + sol.ladder[2:]))
+    for call in (inst.y_of_t, inst.to_json):
+        with pytest.raises(ValueError, match="solution is not odd in x"):
+            call()
+
+
 def test_piv_zero_denominator():
     inst = piv_families(gh(1, 2))[0]
     bad = PIVInstance(u=RationalFunction.zero(), c_sq=inst.c_sq, a=inst.a, b=inst.b)
