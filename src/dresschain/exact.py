@@ -405,7 +405,7 @@ class Polynomial:
         return hash((self._n, self._d))
 
     def __repr__(self) -> str:
-        return "Polynomial(%r)" % (self.to_strings(),)
+        return "Polynomial(%r)" % (self.coeffs,)
 
     def format(
         self, var: str = "z", coeff=str, power: str = "%s^%d", times: str = "*"

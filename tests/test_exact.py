@@ -75,6 +75,7 @@ def test_split_lowest():
 def test_string_round_trip():
     p = P(F(-2), 0, F(4))
     assert p.to_strings() == ["-2/1", "0/1", "4/1"]
+    assert eval(repr(P(F(-1, 3), 2)), {"Polynomial": Polynomial, "Fraction": F}) == P(F(-1, 3), 2)
 
 
 @pytest.mark.parametrize("p, var, text, latex", [
