@@ -74,10 +74,18 @@ def _gauge(prev: PseudoWronskian, cur: PseudoWronskian) -> Tuple[int, int]:
 
 @dataclass(frozen=True)
 class EquationCheck:
-    residual_constant: bool
+    """The constant an equation's residual reads off, None if it is not one."""
+
     value: Optional[Fraction]
     expected: Fraction
-    match: bool
+
+    @property
+    def residual_constant(self) -> bool:
+        return self.value is not None
+
+    @property
+    def match(self) -> bool:
+        return self.value == self.expected
 
     def to_json(self) -> dict:
         return {
@@ -472,12 +480,10 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
     bounds = [eq.bounds(norms) for eq in equations]
     k = max(_bits(eq.expected, bound, stride) for eq, bound in zip(equations, bounds))
     jets = [jet(cs, k) for cs in coeffs]
-    checks = []
-    for eq, bound in zip(equations, bounds):
-        value = _check_equation(eq, coeffs, jets, k, bound, stride)
-        checks.append(
-            EquationCheck(value is not None, value, eq.expected, value == eq.expected)
-        )
+    checks = [
+        EquationCheck(_check_equation(eq, coeffs, jets, k, bound, stride), eq.expected)
+        for eq, bound in zip(equations, bounds)
+    ]
 
     # sum rule: the gauges telescope to the end entries; the total lin must
     # be delta/2, and the total 1/x part 2e, which the closure z**e cancels

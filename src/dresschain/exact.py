@@ -36,6 +36,13 @@ def frac_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
+def _exact(x):
+    """x, if it is an int or a Fraction: Fraction() would take a float or a str."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError("expected an int or a Fraction, got %s" % type(x).__name__)
+    return x
+
+
 def parse_frac(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer string) into a Fraction."""
     return Fraction(text.strip())
@@ -172,9 +179,7 @@ class Polynomial:
     __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Iterable = ()):
-        c = list(coeffs)
-        if not all(isinstance(x, (int, Fraction)) for x in c):
-            raise TypeError("polynomial coefficients must be int or Fraction")
+        c = [_exact(x) for x in coeffs]
         den = _lcm(*(x.denominator for x in c))
         p = _poly([x.numerator * (den // x.denominator) for x in c], den)
         self._n = p._n
@@ -342,7 +347,7 @@ class Polynomial:
 
     def eval_at(self, x0) -> Fraction:
         """Exact Horner evaluation, homogenised over the integers."""
-        x0 = Fraction(x0)
+        x0 = Fraction(_exact(x0))
         p, q = x0.numerator, x0.denominator
         acc, scale = 0, 1
         for c in reversed(self._n):

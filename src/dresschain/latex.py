@@ -72,8 +72,8 @@ def piv_latex(
     with the conventional t/sqrt(k) arguments when the shift is 2k."""
     k = int(1 / inst.c_sq)
     arg = "t" if k == 1 else r"t/\sqrt{%d}" % k
-    # coefficient of t in y: c^2 (lin - delta/2) with lin recovered from u
-    lin_coeff = inst.c_sq * (inst.u.num.coeff(inst.u.den.degree + 1) / inst.u.den.leading)
+    # coefficient of t in y, whose denominator is monic
+    lin_coeff = inst.y.num.coeff(inst.y.den.degree + 1)
     head = "" if lin_coeff == 0 else frac_latex(lin_coeff) + "t + "
     top = _wronskian_symbol("H", diagram_latex(prev_diagram), arg)
     bot = _wronskian_symbol("H", diagram_latex(next_diagram), arg)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Polynomial
+from .exact import Polynomial, _exact
 
 
 class IntegerAlpha(ValueError):
@@ -32,9 +32,7 @@ class AlphaParam:
     value: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.value, (int, Fraction)):
-            raise TypeError("alpha must be an int or a Fraction")
-        object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "value", Fraction(_exact(self.value)))
         if self.value.denominator == 1:
             raise IntegerAlpha("alpha must not be an integer: %s" % self.value)
 
@@ -55,12 +53,13 @@ def hermite(n: int) -> Polynomial:
     return z2 * hermite(n - 1) - (2 * (n - 1)) * hermite(n - 2)
 
 
-@lru_cache(maxsize=None)
+# typed: a float a equal to a cached Fraction misses, and is refused
+@lru_cache(maxsize=None, typed=True)
 def laguerre(n: int, a: Fraction) -> Polynomial:
     """L_n^a by the three-term recurrence; exact rational coefficients."""
     if n < 0:
         raise ValueError("laguerre index must be non-negative")
-    a = Fraction(a)
+    a = Fraction(_exact(a))
     if n == 0:
         return Polynomial.one()
     if n == 1:
@@ -73,7 +72,7 @@ def falling_factorial(x, i: int) -> Fraction:
     """x (x-1) ... (x-i+1); the empty product is 1."""
     if i < 0:
         raise ValueError("factorial length must be non-negative")
-    x = Fraction(x)
+    x = Fraction(_exact(x))
     acc = Fraction(1)
     for j in range(i):
         acc *= x - j

@@ -1,9 +1,7 @@
 """Reduction of period-3 and period-4 chains to the PIV and PV equations.
 
-PIV is verified in a rationalized form: with y = c u(x), t = c x and
-c**2 = 2/shift, the equation multiplied through by c only involves c**2,
-so the residual lives in Q(x) even when the shift makes c irrational.
-PV is verified directly in Q(t), t = x**2.
+Both equations are verified in Q(t), with t the variable their solutions
+are printed in (`piv_from_chain`, `pv_from_chain`).
 
 Each residual is R / S, with R an integer polynomial in the solution's
 numerator and denominator and their derivatives.  R is checked as one
@@ -59,7 +57,8 @@ def _instance_json(equation: str, y: RationalFunction, residual: RationalFunctio
 
 @dataclass(frozen=True)
 class PIVInstance:
-    """Rationalized PIV data: y = c u(x), x = c t, c**2 = c_sq = 2/shift.
+    """PIV data: y(t) solves the equation with parameters (a, b), and
+    c_sq = c**2 = 2/shift is the scale of `piv_from_chain`'s y = c u(c t).
 
     The t map is the inverse of the y scaling (x = c t, not t = c x); the
     pair is pinned by the equation itself: under it the energy-difference
@@ -70,35 +69,13 @@ class PIVInstance:
     test suite).
     """
 
-    u: RationalFunction
+    y: RationalFunction
     c_sq: Fraction
     a: Fraction
     b: Fraction
 
-    def y_of_t(self) -> RationalFunction:
-        """The solution as an exact rational function of t.
-
-        u is odd (log-derivatives of fixed-parity polynomials), so
-        y(t) = c u(c t) rescales with integer powers of c**2 only.
-        """
-        def rescale(p: Polynomial, shift: int) -> Polynomial:
-            # the coefficient of x**i moves with c**(shift + i), an even power
-            out = []
-            for i, coeff in enumerate(p.coeffs):
-                e = shift + i
-                if coeff and e % 2:
-                    raise ValueError("solution is not odd in x")
-                out.append(coeff * self.c_sq ** (e // 2) if coeff else Fraction(0))
-            return Polynomial(out)
-
-        # x -> c x keeps num and den coprime: no gcd
-        sigma = self.u.den.degree % 2
-        return RationalFunction.from_coprime(
-            rescale(self.u.num, 1 + sigma), rescale(self.u.den, sigma)
-        )
-
     def to_json(self) -> dict:
-        return _instance_json("PIV", self.y_of_t(), piv_residual(self),
+        return _instance_json("PIV", self.y, piv_residual(self),
                               a=self.a, b=self.b, c_sq=self.c_sq)
 
 
@@ -118,14 +95,28 @@ class PVInstance:
 
 
 def piv_from_chain(sol: ChainSolution) -> PIVInstance:
-    """Map a period-3 chain to its PIV instance: u = w_1 - (shift/2) x."""
+    """Map a period-3 chain to its PIV instance: y(t) = c u(c t), with
+    u = w_1 - (shift/2) x and c**2 = 2/shift.  u is odd (log-derivatives of
+    fixed-parity polynomials), so y lies in Q(t) even when c is irrational."""
     if sol.period != 3 or sol.is_even:
         raise WrongPeriod("PIV needs an odd chain of period 3")
+    c_sq = 2 / sol.delta
     u = sol.span(0, 1) - Polynomial((0, sol.delta / 2))
+
+    def rescale(p: Polynomial, shift: int) -> Polynomial:
+        # the coefficient of x**i moves with c**(shift + i), an even power
+        if any(coeff and (shift + i) % 2 for i, coeff in enumerate(p.coeffs)):
+            raise ValueError("solution is not odd in x")
+        return Polynomial([
+            coeff * c_sq ** ((shift + i) // 2) for i, coeff in enumerate(p.coeffs)
+        ])
+
+    # x -> c x keeps num and den coprime: no gcd
+    sigma = u.den.degree % 2
     e12, e23 = sol.expected_eps[0], sol.expected_eps[1]
     return PIVInstance(
-        u=u,
-        c_sq=2 / sol.delta,
+        y=RationalFunction.from_coprime(rescale(u.num, 1 + sigma), rescale(u.den, sigma)),
+        c_sq=c_sq,
         a=-(sol.delta + e23 + 2 * e12) / sol.delta,
         b=-2 * e23 * e23 / (sol.delta * sol.delta),
     )
@@ -151,12 +142,12 @@ def _residual(
     numerator: Callable, denominator: Callable, f: RationalFunction,
     consts: Sequence[Fraction],
 ) -> RationalFunction:
-    """The residual numerator / (L denominator) of f = N/V, in Q(x).
+    """The residual numerator / (L denominator) of f = N/V, in Q(t).
 
-    numerator(N, V, x, ints, sub) is homogeneous in (N, V), of the degree
-    of denominator(N, V, x), so N and V may be the integer polynomials of
-    `integer_pair`; it reads their jets at a point x, and the constants
-    times their common denominator L.  At x = 1 on the l1 norms, with the
+    numerator(N, V, t, ints, sub) is homogeneous in (N, V), of the degree
+    of denominator(N, V, t), so N and V may be the integer polynomials of
+    `integer_pair`; it reads their jets at a point t, and the constants
+    times their common denominator L.  At t = 1 on the l1 norms, with the
     constants in absolute value and sub the addition, it bounds its own l1
     norm, so its value at 2**bits_above(bound) is 0 exactly when it is the
     zero polynomial.  Only a nonzero one is built by polynomial products.
@@ -172,48 +163,39 @@ def _residual(
     if numerator(jet(cs, k), jet(vs, k), 1 << k, ints, operator.sub) == 0:
         return RationalFunction.zero()
     N, V = _quotient_derivatives(cs, vs)
-    x = Polynomial.x()
+    t = Polynomial.x()
     return RationalFunction(
-        numerator(N, V, x, ints, operator.sub), scale * denominator(N[0], V[0], x)
+        numerator(N, V, t, ints, operator.sub), scale * denominator(N[0], V[0], t)
     )
 
 
-def _piv_numerator(N, V, x, consts, sub):
-    """L R of `piv_residual`, with consts = L (1, 4D, D**2, 2aD, b D**2 / 2)."""
+def _piv_numerator(N, V, t, consts, sub):
+    """L R of `piv_residual`, with consts = L (1, 8, 4, 4a, 2b)."""
     s, c1, c2, c3, c4 = consts
     n, v = N[0], V[0]
     m, k = _quotient_jets(N, V, sub)
     n2, v2 = n * n, v * v
     return sub(
         2 * s * n * k + c3 * n2 * v2,
-        s * m * m + n2 * (3 * s * n2 + c1 * x * n * v + c2 * x * x * v2) + c4 * v2 * v2,
+        s * m * m + n2 * (3 * s * n2 + c1 * t * n * v + c2 * t * t * v2) + c4 * v2 * v2,
     )
 
 
 def piv_residual(inst: PIVInstance) -> RationalFunction:
-    """Exact rationalized PIV residual; identically zero iff PIV holds.
+    """Exact PIV residual in Q(t); identically zero iff PIV holds:
 
-    Substituting y = c u(x), x = c t into PIV and dividing by c**3 clears
-    every odd power of c (c**2 = 2/shift is rational):
+        y'' = y'**2/(2y) + (3/2) y**3 + 4t y**2 + 2(t**2 - a) y + b/y.
 
-        u'' = u'**2/(2u) + (3/2) u**3 + 2 D x u**2
-              + (D**2 x**2 / 2 - a D) u + (b D**2 / 4) / u,
-
-    with D the shift.  The returned residual is lhs - rhs in Q(x), which is
-    R / (2 N V**3) with u = N/V, u' = M/V**2, u'' = K/V**3; multiplying the
-    equation by 2 u V**4 gives R = 2NK - M**2 - 3N**4 - 4DxN**3 V
-    - (D**2 x**2 - 2aD) N**2 V**2 - (b D**2 / 2) V**4.  R is checked at
-    x = 2**K (`_residual`); only a nonzero R is built by polynomial products
-    and reduced, with one gcd.
+    The returned residual is lhs - rhs, which is R / (2 N V**3) with
+    y = N/V, y' = M/V**2, y'' = K/V**3; multiplying the equation by
+    2 y V**4 gives R = 2NK - M**2 - 3N**4 - 8tN**3 V - (4t**2 - 4a) N**2 V**2
+    - 2b V**4.  R is checked at t = 2**K (`_residual`); only a nonzero R is
+    built by polynomial products and reduced, with one gcd.
     """
-    if inst.u.is_zero:
+    if inst.y.is_zero:
         raise ZeroDenominator("candidate PIV solution is identically zero")
-    delta = 2 / inst.c_sq
-    consts = (
-        Fraction(1), 4 * delta, delta * delta, 2 * inst.a * delta,
-        inst.b * delta * delta / 2,
-    )
-    return _residual(_piv_numerator, lambda n, v, x: 2 * n * v * v * v, inst.u, consts)
+    consts = (1, 8, 4, 4 * inst.a, 2 * inst.b)
+    return _residual(_piv_numerator, lambda n, v, t: 2 * n * v * v * v, inst.y, consts)
 
 
 # the default chain order rotated to start at each of its three flips

@@ -83,19 +83,19 @@ def _residual_rf(sol, i):
 
 
 def piv_residual_oracle(inst):
-    """lhs - rhs of the rationalized PIV equation of painleve.piv_residual."""
-    u = inst.u
-    x = RationalFunction(Polynomial.x())
-    delta = 2 / inst.c_sq
-    du = u.derivative()
+    """lhs - rhs of PIV in t, the equation of painleve.piv_residual:
+    y'' = y'**2/(2y) + (3/2) y**3 + 4t y**2 + 2(t**2 - a) y + b/y."""
+    y = inst.y
+    t = RationalFunction(Polynomial.x())
+    dy = y.derivative()
     rhs = (
-        du * du / (2 * u)
-        + Fraction(3, 2) * (u * u * u)
-        + 2 * delta * x * (u * u)
-        + (delta * delta * (x * x) / 2 - inst.a * delta) * u
-        + (inst.b * delta * delta / 4) / u
+        dy * dy / (2 * y)
+        + Fraction(3, 2) * (y * y * y)
+        + 4 * t * (y * y)
+        + 2 * (t * t - inst.a) * y
+        + inst.b / y
     )
-    return du.derivative() - rhs
+    return dy.derivative() - rhs
 
 
 # the pieces depend on y alone, so parameter perturbations of one solution

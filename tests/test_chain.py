@@ -316,14 +316,17 @@ def test_unclosed_ladder_wrap_equation(sol):
 
 def test_wrap_form_with_distinct_middle_entries(monkeypatch):
     # with the closure test forced off, the wrap equation of a ladder that
-    # does close, up to z**e with e = 10, goes through the form for two
-    # distinct middle entries P_0 and z**e P_0 and still reads off eps;
-    # only the sum rule fails
-    sol = SAMPLE_CHAINS["even-22"]
+    # does close, up to z**e, goes through the form for two distinct middle
+    # entries P_0 and z**e P_0 whenever e > 0 (e = 10 on the even-22 sample),
+    # and still reads off eps on every even cell; only the sum rule fails
     monkeypatch.setattr(dresschain.chain, "_closure_holds", lambda sol: False)
-    report = verify_chain(sol)
-    assert [eq.value for eq in report.equations] == list(sol.expected_eps)
-    assert all(eq.match for eq in report.equations) and not report.sum_rule
+    cells = list(even_cells())
+    assert len(cells) == 145
+    for cs1, cs2, perm, _ in cells:
+        sol = build_even_chain(cs1, cs2, ALPHA, perm=perm)
+        report = verify_chain(sol)
+        assert [eq.value for eq in report.equations] == list(sol.expected_eps), (cs1, cs2)
+        assert all(eq.match for eq in report.equations) and not report.sum_rule
 
 
 @pytest.mark.parametrize("sol", SAMPLE_CHAINS.values(), ids=SAMPLE_CHAINS.keys())

@@ -380,6 +380,12 @@ def test_selftest_single_criterion(capsys):
         ["verify", "--period", "4", "--case", "2,2", "--params", "0,0", "--alpha="],
         ["verify", "--period", "3", "--shift", "1", "--params", "1,2", "--perm="],
         ["painleve", "--period", "4", "--case", "2,2", "--params", "1,0", "--alpha="],
+        # alpha values that are not a list of non-integer fractions
+        ["verify", "--period", "4", "--case", "2,2", "--params", "0,0", "--alpha", "2"],
+        ["verify", "--period", "4", "--case", "2,2", "--params", "0,0", "--alpha", "1/0"],
+        ["verify", "--period", "4", "--case", "2,2", "--params", "0,0", "--alpha", "x"],
+        ["verify", "--period", "4", "--case", "2,2", "--params", "0,0", "--alpha", "1/3,"],
+        ["painleve", "--period", "4", "--case", "2,2", "--params", "1,0", "--alpha", "1/0"],
     ],
     ids=["repeated-perm", "short-perm", "zero-bound", "duplicate-alpha",
          "out-is-directory", "out-parent-missing", "criterion-9", "criterion-0",
@@ -392,7 +398,9 @@ def test_selftest_single_criterion(capsys):
          "case-2-2-shift-1", "case-0-4", "huge-case", "huge-case-shift-2",
          "seed-tuple-too-long", "huge-enum-period", "enum-box-over-budget",
          "huge-enum-bound", "enum-diagrams-over-budget",
-         "empty-alpha", "empty-perm", "pv-empty-alpha"],
+         "empty-alpha", "empty-perm", "pv-empty-alpha",
+         "integer-alpha", "zero-denominator-alpha", "malformed-alpha",
+         "trailing-empty-alpha", "pv-zero-denominator-alpha"],
 )
 def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     # relative --out paths resolve in an empty directory

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dresschain.exact import Polynomial
+from dresschain.exact import Polynomial, RationalFunction
 from dresschain.orthopoly import (
     AlphaParam,
     IntegerAlpha,
@@ -89,8 +89,25 @@ def test_alpha_param_rejects_integers():
     assert AlphaParam(F(1, 2)).shifted(3).value == F(7, 2)
 
 
+def _warm_laguerre(v):
+    # L_1^a is cached first at the Fraction a = F(v), which equals a float v
+    # and hashes alike, so the call with v would hit that entry
+    laguerre(1, F(v))
+    return laguerre(1, v)
+
+
 @pytest.mark.parametrize(
-    "make", (lambda v: Polynomial((1, v)), AlphaParam), ids=("Polynomial", "AlphaParam")
+    "make",
+    (
+        lambda v: Polynomial((1, v)),
+        AlphaParam,
+        lambda v: Polynomial((1, 2)).eval_at(v),
+        lambda v: RationalFunction(Polynomial.one(), Z + 1).eval_at(v),
+        _warm_laguerre,
+        lambda v: falling_factorial(v, 2),
+    ),
+    ids=("Polynomial", "AlphaParam", "Polynomial.eval_at", "RationalFunction.eval_at",
+         "laguerre", "falling_factorial"),
 )
 @pytest.mark.parametrize("value", (0.1, "1/3"), ids=("float", "str"))
 def test_exact_inputs_only(make, value):

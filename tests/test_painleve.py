@@ -81,44 +81,34 @@ def test_gh_y0_log_derivative_form():
         bot = hermite_wronskian(
             MayaDiagram(tuple(range(lam - 1, lam - 1 + mu)))
         ).poly
-        assert inst.u == log_derivative_ratio(top, bot)
-        assert inst.y_of_t() == inst.u  # c = 1 here
+        assert inst.y == log_derivative_ratio(top, bot)  # c = 1 here
 
 
 def test_piv_perturbation_detected():
     inst = piv_families(gh(1, 2))[0]
-    delta = 2 / inst.c_sq
-    bad = PIVInstance(u=inst.u, c_sq=inst.c_sq, a=inst.a, b=inst.b + 1)
-    assert piv_residual(bad) == -(delta * delta / 4) / inst.u
+    bad = PIVInstance(y=inst.y, c_sq=inst.c_sq, a=inst.a, b=inst.b + 1)
+    assert piv_residual(bad) == -1 / inst.y
 
 
 def test_piv_wrong_scaling_has_no_parameters():
-    # with the t-map printed the other way around (t = x sqrt(2/shift)),
-    # no (a, b) make the Okamoto residual vanish: the equation itself
-    # pins the corrected map
+    # with the t map the other way around, y = c u(t/c), which is y(t/c**2)
+    # for the printed y = c u(c t), no (a, b) make the Okamoto residual
+    # vanish: the equation itself pins the map
     inst = piv_families(okamoto(1, 1))[0]
-    u, c2 = inst.u, inst.c_sq
-    x = RationalFunction(Polynomial.x())
-    c4 = c2 * c2
-    du = u.derivative()
-    base = (
-        du.derivative()
-        - du * du / (2 * u)
-        - F(3, 2) * c4 * (u * u * u)
-        - 4 * c4 * x * (u * u)
-        - 2 * c4 * (x * x) * u
-    )
-    # residual(a, b) = base + 2 c2 a u - b/u; solve the 2x2 linear system
-    # from two sample points and check it fails elsewhere
-    pts = [F(1), F(2)]
-    rows = [
-        (-2 * c2 * u.eval_at(t), (1 / u).eval_at(t), base.eval_at(t)) for t in pts
-    ]
-    det = rows[0][0] * rows[1][1] - rows[1][0] * rows[0][1]
-    a = (rows[0][2] * rows[1][1] - rows[1][2] * rows[0][1]) / det
-    b = (rows[0][0] * rows[1][2] - rows[1][0] * rows[0][2]) / det
-    resid = base + 2 * c2 * a * u - b / u
-    assert not resid.is_zero
+    k = Polynomial((0, 1 / inst.c_sq))
+    wrong = RationalFunction(inst.y.num.compose(k), inst.y.den.compose(k))
+
+    def fit(y):
+        # the residual is base + 2 a y - b/y; solve for (a, b) at two points
+        base = piv_residual(replace(inst, y=y, a=F(0), b=F(0)))
+        (p1, q1, r1), (p2, q2, r2) = [
+            (2 * y.eval_at(t), -1 / y.eval_at(t), -base.eval_at(t)) for t in (F(1), F(2))
+        ]
+        det = p1 * q2 - p2 * q1
+        return replace(inst, y=y, a=(r1 * q2 - r2 * q1) / det, b=(p1 * r2 - p2 * r1) / det)
+
+    assert fit(inst.y) == inst
+    assert not piv_residual(fit(wrong)).is_zero
 
 
 def test_piv_wrong_period():
@@ -130,18 +120,16 @@ def test_piv_wrong_period():
 
 
 def test_piv_map_refuses_a_solution_not_odd_in_x():
-    # ladder entry 1 times z + 1 breaks the parity that y_of_t rescales by
+    # ladder entry 1 times z + 1 breaks the parity that the map rescales by
     sol = build_odd_chain(gh(1, 2))
     entry = replace(sol.ladder[1], prim=sol.ladder[1].prim * Polynomial((1, 1)))
-    inst = piv_from_chain(replace(sol, ladder=sol.ladder[:1] + (entry,) + sol.ladder[2:]))
-    for call in (inst.y_of_t, inst.to_json):
-        with pytest.raises(ValueError, match="solution is not odd in x"):
-            call()
+    with pytest.raises(ValueError, match="solution is not odd in x"):
+        piv_from_chain(replace(sol, ladder=sol.ladder[:1] + (entry,) + sol.ladder[2:]))
 
 
 def test_piv_zero_denominator():
     inst = piv_families(gh(1, 2))[0]
-    bad = PIVInstance(u=RationalFunction.zero(), c_sq=inst.c_sq, a=inst.a, b=inst.b)
+    bad = PIVInstance(y=RationalFunction.zero(), c_sq=inst.c_sq, a=inst.a, b=inst.b)
     with pytest.raises(ZeroDenominator):
         piv_residual(bad)
 
@@ -213,8 +201,8 @@ def test_perturbed_solutions_detected():
     one = RationalFunction(Polynomial.one())
     for inst in piv_families(gh(1, 2)) + piv_families(okamoto(1, 1)):
         assert piv_residual(inst).is_zero
-        for u in (inst.u + one, inst.u * 2):
-            bad = PIVInstance(u=u, c_sq=inst.c_sq, a=inst.a, b=inst.b)
+        for y in (inst.y + one, inst.y * 2):
+            bad = PIVInstance(y=y, c_sq=inst.c_sq, a=inst.a, b=inst.b)
             assert not piv_residual(bad).is_zero
     for inst in (pv_31(1, 1, ALPHA), pv_31(2, 1, ALPHA)):
         assert pv_residual(inst).is_zero
@@ -267,7 +255,7 @@ def perturbed(inst, field):
 def test_piv_residual_matches_oracle_on_criterion_5_box():
     for cs in PIV_BOX:
         for inst in piv_families(cs):
-            first, *bad = perturbed(inst, "u")
+            first, *bad = perturbed(inst, "y")
             assert piv_residual(first).is_zero and piv_residual_oracle(first).is_zero
             for other in bad:
                 fast = piv_residual(other)
@@ -297,10 +285,10 @@ small_params = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_polys, small_polys, small_params, small_params, small_params)
-def test_piv_residual_matches_oracle_property(n, d, c_sq, a, b):
-    assume(not n.is_zero and not d.is_zero and c_sq != 0)
-    inst = PIVInstance(u=RationalFunction(n, d), c_sq=c_sq, a=a, b=b)
+@given(small_polys, small_polys, small_params, small_params)
+def test_piv_residual_matches_oracle_property(n, d, a, b):
+    assume(not n.is_zero and not d.is_zero)
+    inst = PIVInstance(y=RationalFunction(n, d), c_sq=F(1), a=a, b=b)
     assert piv_residual(inst) == piv_residual_oracle(inst)
 
 
@@ -373,11 +361,10 @@ signed_params = st.fractions(min_value=-10 ** 4, max_value=10 ** 4, max_denomina
 
 
 @settings(max_examples=40, deadline=None)
-@given(adversarial_polys, adversarial_polys, signed_params, signed_params, signed_params)
-def test_piv_bound_covers_every_coefficient(n, d, c_sq, a, b):
-    assume(c_sq != 0)
-    inst = PIVInstance(u=RationalFunction(n, d), c_sq=c_sq, a=a, b=b)
-    _assert_bound_covers_numerator("_piv_numerator", inst, inst.u, piv_residual)
+@given(adversarial_polys, adversarial_polys, signed_params, signed_params)
+def test_piv_bound_covers_every_coefficient(n, d, a, b):
+    inst = PIVInstance(y=RationalFunction(n, d), c_sq=F(1), a=a, b=b)
+    _assert_bound_covers_numerator("_piv_numerator", inst, inst.y, piv_residual)
 
 
 @settings(max_examples=40, deadline=None)
