@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import Polynomial, RationalFunction, ZeroPolynomial, bits_above, frac_str, jet
 from .maya import (
@@ -38,7 +38,6 @@ from .maya import (
     CyclicStructure,
     DegenerateStructure,
     Flip,
-    FlipChain,
     MayaDiagram,
     UniversalCharacter,
     apply_uc_flip,
@@ -123,13 +122,15 @@ class ChainSolution:
     The ladder of p + 1 pseudo-Wronskians is the solution: every component
     is read off it (`span`), so dataclasses.replace(sol, ladder=...) has
     matching components.  Laguerre entries carry an alpha and Hermite
-    entries None, which fixes h.
+    entries None, which fixes h.  labels[i] indexes ladder[i]: a
+    MayaDiagram on an odd ladder, a UniversalCharacter on an even one.
+    The flips are read off consecutive labels (`flips`).
     """
 
     delta: Fraction
     expected_eps: Tuple[Fraction, ...]
     ladder: Tuple[PseudoWronskian, ...]
-    chain_labels: FlipChain
+    labels: Tuple[Union[MayaDiagram, UniversalCharacter], ...]
 
     @property
     def period(self) -> int:
@@ -138,6 +139,22 @@ class ChainSolution:
     @property
     def is_even(self) -> bool:
         return self.ladder[0].alpha is not None
+
+    @property
+    def flips(self) -> Tuple[Flip, ...]:
+        """The flip from each label to the next: the one level where they
+        differ, in the component (slot) that changed, POSITIVE when the
+        earlier label held it.  Inside a degenerate layout a level flips
+        twice, once each way, whatever signs the static chain gave."""
+        out = []
+        for prev, cur in zip(self.labels, self.labels[1:]):
+            pairs = (zip((prev.first, prev.second), (cur.first, cur.second))
+                     if self.is_even else [(prev, cur)])
+            for slot, (a, b) in enumerate(pairs, start=1):
+                if a != b:
+                    (level,) = set(a.entries) ^ set(b.entries)
+                    out.append(Flip(level, POSITIVE if level in a else NEGATIVE, slot))
+        return tuple(out)
 
     def span(self, i: int, j: int) -> RationalFunction:
         """v_{i+1} + ... + v_j, with each component v = x**h w rewritten in
@@ -161,37 +178,14 @@ class ChainSolution:
         return RationalFunction(Polynomial((inv, lin)) * PQ + W, PQ)
 
 
-def _dynamic_signs(chain: FlipChain, start_states) -> FlipChain:
-    """Re-tag each flip with the sign it actually had when applied.
-
-    For a non-degenerate layout this equals the static assignment; inside
-    a degenerate one, colliding flips swap signs pairwise depending on the
-    order, and the replayed state is the ground truth.
-    """
-    flips = []
-    for f, state in zip(chain.flips, start_states):
-        d = state if isinstance(state, MayaDiagram) else state[f.slot - 1]
-        sign = POSITIVE if f.level in d.entries else NEGATIVE
-        flips.append(Flip(f.level, sign, f.slot))
-    return FlipChain(tuple(flips))
-
-
-def _assemble(
-    chain: FlipChain,
-    states: Sequence,
-    ladder: Sequence[PseudoWronskian],
-    seeds: Sequence[Fraction],
-    delta: Fraction,
-) -> ChainSolution:
-    """The solution of a replayed chain: its ladder, the energy differences
-    of consecutive seeds (the last one less the shift), and the flips
-    re-tagged with their dynamic signs."""
+def _assemble(labels: Sequence, ladder: Sequence[PseudoWronskian],
+              seeds: Sequence[Fraction], delta: Fraction) -> ChainSolution:
+    """The solution of a replayed chain: its labels and ladder, and the
+    energy differences of consecutive seeds (the last one less the
+    shift)."""
     eps = [a - b for a, b in zip(seeds, seeds[1:])] + [seeds[-1] - seeds[0] - delta]
     return ChainSolution(
-        delta=delta,
-        expected_eps=tuple(eps),
-        ladder=tuple(ladder),
-        chain_labels=_dynamic_signs(chain, states[:-1]),
+        delta=delta, expected_eps=tuple(eps), ladder=tuple(ladder), labels=tuple(labels)
     )
 
 
@@ -203,8 +197,8 @@ def build_odd_chain(
     """Chain solution from a harmonic-oscillator Wronskian ladder.
 
     The flips of the structure's chain (optionally permuted) are replayed
-    on its diagram; each intermediate diagram contributes one Hermite
-    Wronskian to the ladder.  Seed energies are level * omega.
+    on its diagram; each intermediate diagram labels one Hermite
+    Wronskian of the ladder.  Seed energies are level * omega.
 
     Degenerate layouts are refused unless allow_degenerate is set; the
     replayed chain still closes for them, so the solution verifies, but
@@ -218,10 +212,10 @@ def build_odd_chain(
     chain = static_flip_chain(cs)
     if perm is not None:
         chain = chain.permuted(perm)
-    states = chain.states(start)
-    ladder = [hermite_wronskian(s) for s in states]
+    labels = chain.states(start)
+    ladder = [hermite_wronskian(d) for d in labels]
     seeds = [f.level * OMEGA for f in chain.flips]
-    return _assemble(chain, states, ladder, seeds, cs.k * OMEGA)
+    return _assemble(labels, ladder, seeds, cs.k * OMEGA)
 
 
 def build_even_chain(
@@ -240,19 +234,16 @@ def build_even_chain(
     if perm is not None:
         chain = chain.permuted(perm)
     state = (uc.first, uc.second)
-    states = [state]
+    labels = [uc]
     for f in chain.flips:
         state = apply_uc_flip(state, f)
-        states.append(state)
-    ladder = [
-        laguerre_pseudo_wronskian(UniversalCharacter(n, l), alpha)
-        for n, l in states
-    ]
+        labels.append(UniversalCharacter(*state))
+    ladder = [laguerre_pseudo_wronskian(c, alpha) for c in labels]
     seeds = [
         2 * (f.level - (alpha.value if f.slot == 2 else 0)) * OMEGA
         for f in chain.flips
     ]
-    return _assemble(chain, states, ladder, seeds, 2 * cs1.k * OMEGA)
+    return _assemble(labels, ladder, seeds, 2 * cs1.k * OMEGA)
 
 
 # ---------------------------------------------------------------------------

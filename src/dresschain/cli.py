@@ -139,7 +139,7 @@ def _solution_json(sol) -> dict:
         "period": sol.period,
         "delta": frac_str(sol.delta),
         "omega": frac_str(OMEGA),
-        "flips": [[f.level, f.sign, f.slot] for f in sol.chain_labels.flips],
+        "flips": [[f.level, f.sign, f.slot] for f in sol.flips],
         "expected_eps": [frac_str(e) for e in sol.expected_eps],
         "ladder": [pw.to_json() for pw in sol.ladder],
     }

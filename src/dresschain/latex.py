@@ -53,7 +53,7 @@ def structure_latex(cs: CyclicStructure) -> str:
 
 
 def chain_latex(sol: ChainSolution) -> str:
-    flips = sol.chain_labels.flips
+    flips = sol.flips
     if sol.is_even:
         first = ",".join(str(f.level) for f in flips if f.slot == 1)
         second = ",".join(str(f.level) for f in flips if f.slot == 2)

@@ -17,6 +17,7 @@ structures inside a parameter box.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
@@ -46,14 +47,15 @@ NEGATIVE = -1  # flip fills an empty level
 class MayaDiagram:
     """Finite integer tuple encoding of a Maya diagram.
 
-    Entries are strictly increasing and pairwise distinct.  A canonical
+    Entries are integers (operator.index: a float or a str is a
+    TypeError), strictly increasing and pairwise distinct.  A canonical
     diagram additionally has all entries >= 1 (level 0 empty).
     """
 
     entries: Tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(int(n) for n in self.entries)
+        entries = tuple(map(operator.index, self.entries))
         object.__setattr__(self, "entries", entries)
         for a, b in zip(entries, entries[1:]):
             if a >= b:
@@ -137,6 +139,7 @@ def conjugate(d: MayaDiagram) -> MayaDiagram:
 
 def flip_at(d: MayaDiagram, level: int) -> MayaDiagram:
     """Toggle one level (>= 0): remove it if present, insert it if absent."""
+    level = operator.index(level)
     if level < 0:
         raise ValueError("flips act on non-negative levels")
     entries = set(d.entries)
@@ -163,6 +166,8 @@ class Flip:
     slot: int = 1  # universal characters tag flips with their component
 
     def __post_init__(self):
+        for name in ("level", "sign", "slot"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.sign not in (POSITIVE, NEGATIVE):
             raise ValueError("sign must be +1 or -1")
         if self.level < 0:
@@ -221,10 +226,12 @@ class CyclicStructure:
     second_type: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "okamoto", tuple(int(a) for a in self.okamoto))
+        # operator.index: a float or a str is a TypeError, not truncated
+        object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "okamoto", tuple(map(operator.index, self.okamoto)))
         object.__setattr__(
             self, "second_type",
-            tuple((int(l), int(m)) for l, m in self.second_type),
+            tuple((operator.index(l), operator.index(m)) for l, m in self.second_type),
         )
         if self.k < 1:
             raise ValueError("k must be >= 1")
@@ -260,11 +267,7 @@ class CyclicStructure:
 
     @classmethod
     def from_json(cls, data: dict) -> "CyclicStructure":
-        return cls(
-            k=int(data["k"]),
-            okamoto=tuple(data.get("okamoto", ())),
-            second_type=tuple(tuple(b) for b in data.get("blocks", ())),
-        )
+        return cls(data["k"], data.get("okamoto", ()), data.get("blocks", ()))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from math import factorial, prod
 from typing import Optional, Tuple
 
 from .exact import Polynomial, det_poly_matrix, frac_str
-from .exact import _iexact_quo, _imul, _isub
+from .exact import _iexact_quo
 from .maya import MayaDiagram, UniversalCharacter, conjugate
 from .orthopoly import AlphaParam, falling_factorial, hermite, laguerre
 
@@ -156,14 +156,15 @@ def _sylvester(w, seeds: tuple, s: int, t: int) -> Tuple[int, list]:
     one 2 x 2 Wronskian and one exact division by W(S).  As
     s W(z**(a/s), z**(b/s)) = (b - a) z**((a+b-s)/s), the step on (A, P),
     (B, Q) is sum (b_j - a_i) P_i Q_j u**(i+j), u = z**t, a_i = A + s t i,
-    b_j = B + s t j; its low zeros go into the exponent.
+    b_j = B + s t j, in one pass; its low zeros go into the exponent.
     """
     head = seeds[:-2]
     (a, f), (b, g), (prev_e, prev) = w(seeds[:-1]), w(head + seeds[-1:]), w(head)
     st = s * t
-    fa = [(a + st * i) * x for i, x in enumerate(f)]
-    gb = [(b + st * j) * y for j, y in enumerate(g)]
-    r = _isub(_imul(f, gb), _imul(fa, g))
+    r = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            r[i + j] += (b - a + st * (j - i)) * x * y
     v = next(i for i, x in enumerate(r) if x)
     return a + b - s + st * v - prev_e, _iexact_quo(r[v:], prev)
 

@@ -27,19 +27,24 @@ from dresschain.maya import (
     MayaDiagram,
     UniversalCharacter,
     apply_uc_flip,
-    build_diagram,
     enumerate_structures,
-    static_flip_chain,
-    uc_flip_chain,
+    flip_at,
 )
 from dresschain.orthopoly import AlphaParam
 from dresschain.painleve import piv_from_chain, pv_from_chain
-from dresschain.selftest import _odd_parameter_grid, _odd_table_rows, even_cells
+from dresschain.selftest import (
+    ALPHA_TRIPLE,
+    _odd_parameter_grid,
+    _odd_table_rows,
+    even_cells,
+)
 from dresschain.wronskian import (
     PseudoWronskian,
     _hermite_matrix_det,
     _laguerre_matrix_det,
     _untranslate,
+    hermite_wronskian,
+    laguerre_pseudo_wronskian,
 )
 
 from oracles import _residual_rf, clear_ladder_memos, log_derivative_ratio
@@ -106,7 +111,7 @@ def test_inverse_x_coefficients_follow_flip_signs():
     # first-slot flips: positive gives lin = -omega/2, negative +omega/2
     cs1 = CyclicStructure(k=1, second_type=((1, 2),))
     sol = build_even_chain(cs1, CyclicStructure(k=1), ALPHA)
-    for i, flip in enumerate(sol.chain_labels.flips):
+    for i, flip in enumerate(sol.flips):
         lin, _ = _gauge(sol.ladder[i], sol.ladder[i + 1])
         assert lin == -flip.sign * OMEGA / 2
 
@@ -119,7 +124,7 @@ def test_degenerate_structure_refused_then_allowed():
     assert sol.period == 5
     assert verify_chain(sol).ok
     # the colliding level-4 flips carry opposite dynamic signs
-    signs = [f.sign for f in sol.chain_labels.flips if f.level == 4]
+    signs = [f.sign for f in sol.flips if f.level == 4]
     assert sorted(signs) == [-1, 1]
 
 
@@ -512,7 +517,7 @@ def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
             assert len(values) == chain.period
             for i, (value, eq) in enumerate(zip(values, report.equations), 1):
                 assert value == _residual_rf(chain, i).constant_value(), (
-                    chain.chain_labels, i)
+                    chain.labels, i)
                 assert eq.value == value and eq.match == (value == eq.expected)
                 failures += not eq.match
                 unread += value is None
@@ -526,6 +531,13 @@ def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
             assert eq.residual_constant and eq.value == true_eps and not eq.match
     assert parities == {0, 1} and failures > 0 and unread > 0
     assert set(strides) == {1, 2}
+
+
+def _criterion_4_chains():
+    """Every criterion-4 odd chain: the p <= 5 grid at bound 3, degenerate
+    layouts included, and the period-5 table rows."""
+    odd = [build_odd_chain(cs, allow_degenerate=True) for cs in _odd_parameter_grid(3)]
+    return odd + [build() for _, build, _ in _odd_table_rows()]
 
 
 def _proven_stride(sol):
@@ -558,13 +570,12 @@ def test_odd_chains_are_packed_at_half_the_bits(monkeypatch):
     # each parity-definite: its K is ceil(full / 2).  Even chains, and an
     # odd chain with an odd-degree entry bumped to mixed parity, keep the
     # full K
-    odd = [build_odd_chain(cs, allow_degenerate=True) for cs in _odd_parameter_grid(3)]
-    odd += [build() for _, build, _ in _odd_table_rows()]
+    odd = _criterion_4_chains()
     assert len(odd) > 400
     for sol in odd:
         assert _proven_stride(sol) == 2
         k, full = _chain_ks(sol, monkeypatch)
-        assert k == -(-full // 2), sol.chain_labels
+        assert k == -(-full // 2), sol.labels
     # ladder degrees 2, 0, 1, 2: the bumped entry, of degree 1, becomes
     # z + 1 up to a constant
     mixed = _bumped(build_odd_chain(CyclicStructure(k=1, second_type=((1, 2),))))
@@ -594,17 +605,53 @@ def test_odd_ladders_match_raw_determinants():
     # equality is on exact coefficients, so content and sign are covered
     for p, k in ((1, 1), (3, 1), (3, 3)):
         for cs in enumerate_structures(p, k, 3):
-            start, _ = build_diagram(cs)
             for perm in itertools.permutations(range(p)):
                 sol = build_odd_chain(cs, perm=perm, allow_degenerate=True)
-                states = static_flip_chain(cs).permuted(perm).states(start)
                 raw = [
-                    _as_entry(pw, _hermite_matrix_det(s.entries))
-                    for pw, s in zip(sol.ladder, states)
+                    _as_entry(pw, _hermite_matrix_det(d.entries))
+                    for pw, d in zip(sol.ladder, sol.labels)
                 ]
                 assert [pw.poly for pw in sol.ladder] == [pw.poly for pw in raw]
                 rebuilt = dataclasses.replace(sol, ladder=tuple(raw))
                 assert verify_chain(rebuilt).to_json() == verify_chain(sol).to_json()
+
+
+def test_labels_index_the_ladder_and_replay_their_flips():
+    # labels[i] is the diagram or character of ladder[i], on every
+    # criterion-4 chain and every criterion-6 cell; the flips read off the
+    # labels replay labels[0] into each of them, also where a degenerate
+    # layout flips one level twice, and each component's signs count its
+    # translation k
+    odd = _criterion_4_chains()
+    even = [
+        (build_even_chain(cs1, cs2, AlphaParam(a), perm=perm), AlphaParam(a))
+        for cs1, cs2, perm, _ in even_cells() for a in ALPHA_TRIPLE
+    ]
+    twice = 0
+    for sol, alpha in [(sol, None) for sol in odd] + even:
+        assert len(sol.labels) == len(sol.flips) + 1 == sol.period + 1
+        if alpha is None:
+            assert list(sol.ladder) == [hermite_wronskian(d) for d in sol.labels]
+            state, replay = sol.labels[0], [sol.labels[0]]
+            for f in sol.flips:
+                state = flip_at(state, f.level)
+                replay.append(state)
+        else:
+            assert list(sol.ladder) == [
+                laguerre_pseudo_wronskian(uc, alpha) for uc in sol.labels
+            ]
+            state = (sol.labels[0].first, sol.labels[0].second)
+            replay = [sol.labels[0]]
+            for f in sol.flips:
+                state = apply_uc_flip(state, f)
+                replay.append(UniversalCharacter(*state))
+        assert replay == list(sol.labels)
+        k = sol.delta / (2 * OMEGA if sol.is_even else OMEGA)
+        for slot in {f.slot for f in sol.flips}:
+            assert sum(-f.sign for f in sol.flips if f.slot == slot) == k
+        keys = [(f.level, f.slot) for f in sol.flips]
+        twice += len(set(keys)) < len(keys)
+    assert len(odd) > 500 and len(even) == 3 * 145 and twice > 0
 
 
 ODD_BOXES = [
@@ -621,18 +668,7 @@ def test_random_odd_chains_verify_against_raw_ladders(data):
     perm = data.draw(st.permutations(range(p)))
     sol = build_odd_chain(cs, perm=perm, allow_degenerate=True)
     assert verify_chain(sol).ok
-    states = static_flip_chain(cs).permuted(perm).states(build_diagram(cs)[0])
-    assert [pw.poly for pw in sol.ladder] == [_hermite_matrix_det(s.entries) for s in states]
-
-
-def _ladder_states(cs1, cs2, sol):
-    uc, _ = uc_flip_chain(cs1, cs2)
-    state = (uc.first, uc.second)
-    states = [state]
-    for f in sol.chain_labels.flips:
-        state = apply_uc_flip(state, f)
-        states.append(state)
-    return states
+    assert [pw.poly for pw in sol.ladder] == [_hermite_matrix_det(d.entries) for d in sol.labels]
 
 
 def _check_even_ladders_against_raw(alphas):
@@ -644,16 +680,15 @@ def _check_even_ladders_against_raw(alphas):
         for cs1, cs2, _ in PERIOD4_CELLS:
             for perm in itertools.permutations(range(4)):
                 sol = build_even_chain(cs1, cs2, alpha, perm=perm)
-                states = _ladder_states(cs1, cs2, sol)
                 raw = [
-                    _as_entry(pw, _laguerre_matrix_det(UniversalCharacter(*s), alpha.value))
-                    for pw, s in zip(sol.ladder, states)
+                    _as_entry(pw, _laguerre_matrix_det(uc, alpha.value))
+                    for pw, uc in zip(sol.ladder, sol.labels)
                 ]
                 assert len(raw) == len(sol.ladder) == 5
                 assert [pw.poly for pw in sol.ladder] == [pw.poly for pw in raw]
                 translated += sum(
-                    bool(_untranslate(n.entries)[0] or _untranslate(l.entries)[0])
-                    for n, l in states
+                    bool(_untranslate(uc.first.entries)[0] or _untranslate(uc.second.entries)[0])
+                    for uc in sol.labels
                 )
                 rebuilt = dataclasses.replace(sol, ladder=tuple(raw))
                 assert verify_chain(rebuilt).to_json() == verify_chain(sol).to_json()
@@ -683,9 +718,8 @@ def test_random_even_chains_verify_against_raw_ladders(cell, alpha):
     (cs1, cs2), perm = cell
     sol = build_even_chain(cs1, cs2, AlphaParam(alpha), perm=perm)
     assert verify_chain(sol).ok
-    states = _ladder_states(cs1, cs2, sol)
     assert [pw.poly for pw in sol.ladder] == [
-        _laguerre_matrix_det(UniversalCharacter(*s), alpha) for s in states
+        _laguerre_matrix_det(uc, alpha) for uc in sol.labels
     ]
 
 

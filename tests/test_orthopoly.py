@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from dresschain.exact import Polynomial, RationalFunction
+from dresschain.maya import POSITIVE, CyclicStructure, Flip, MayaDiagram, flip_at
 from dresschain.orthopoly import (
     AlphaParam,
     IntegerAlpha,
@@ -105,11 +106,22 @@ def _warm_laguerre(v):
         lambda v: RationalFunction(Polynomial.one(), Z + 1).eval_at(v),
         _warm_laguerre,
         lambda v: falling_factorial(v, 2),
+        lambda v: MayaDiagram((1, v)),
+        lambda v: Flip(v, POSITIVE),
+        lambda v: Flip(1, v),
+        lambda v: Flip(1, POSITIVE, v),
+        lambda v: flip_at(MayaDiagram((1, 2, 3)), v),
+        lambda v: CyclicStructure(k=v, okamoto=(0,)),
+        lambda v: CyclicStructure(k=2, okamoto=(v,)),
+        lambda v: CyclicStructure(k=1, second_type=((1, v),)),
+        lambda v: CyclicStructure.from_json({"k": v, "okamoto": [0], "blocks": [[1, 2]]}),
     ),
     ids=("Polynomial", "AlphaParam", "Polynomial.eval_at", "RationalFunction.eval_at",
-         "laguerre", "falling_factorial"),
+         "laguerre", "falling_factorial", "MayaDiagram", "Flip.level", "Flip.sign",
+         "Flip.slot", "flip_at", "CyclicStructure.k", "CyclicStructure.okamoto",
+         "CyclicStructure.second_type", "CyclicStructure.from_json"),
 )
-@pytest.mark.parametrize("value", (0.1, "1/3"), ids=("float", "str"))
+@pytest.mark.parametrize("value", (0.1, 2.0, "1/3"), ids=("float", "whole-float", "str"))
 def test_exact_inputs_only(make, value):
     with pytest.raises(TypeError):
         make(value)
