@@ -50,7 +50,6 @@ from .wronskian import (
     PseudoWronskian,
     hermite_wronskian,
     laguerre_pseudo_wronskian,
-    translation_power,
 )
 
 
@@ -120,17 +119,15 @@ class ChainSolution:
     """Verified-form data of a period-p dressing chain solution.
 
     The ladder of p + 1 pseudo-Wronskians is the solution: every component
-    is read off it (`span`), so dataclasses.replace(sol, ladder=...) has
-    matching components.  Laguerre entries carry an alpha and Hermite
-    entries None, which fixes h.  labels[i] indexes ladder[i]: a
-    MayaDiagram on an odd ladder, a UniversalCharacter on an even one.
-    The flips are read off consecutive labels (`flips`).
+    is read off it (`span`), and so are the labels and the flips, so
+    dataclasses.replace(sol, ladder=...) has matching components, labels
+    and flips.  Laguerre entries carry an alpha and Hermite entries None,
+    which fixes h.
     """
 
     delta: Fraction
     expected_eps: Tuple[Fraction, ...]
     ladder: Tuple[PseudoWronskian, ...]
-    labels: Tuple[Union[MayaDiagram, UniversalCharacter], ...]
 
     @property
     def period(self) -> int:
@@ -141,13 +138,19 @@ class ChainSolution:
         return self.ladder[0].alpha is not None
 
     @property
+    def labels(self) -> Tuple[Union[MayaDiagram, UniversalCharacter], ...]:
+        """The index of each ladder entry: a MayaDiagram on an odd ladder,
+        a UniversalCharacter on an even one."""
+        return tuple(pw.label for pw in self.ladder)
+
+    @property
     def flips(self) -> Tuple[Flip, ...]:
         """The flip from each label to the next: the one level where they
         differ, in the component (slot) that changed, POSITIVE when the
         earlier label held it.  Inside a degenerate layout a level flips
         twice, once each way, whatever signs the static chain gave."""
-        out = []
-        for prev, cur in zip(self.labels, self.labels[1:]):
+        out, labels = [], self.labels
+        for prev, cur in zip(labels, labels[1:]):
             pairs = (zip((prev.first, prev.second), (cur.first, cur.second))
                      if self.is_even else [(prev, cur)])
             for slot, (a, b) in enumerate(pairs, start=1):
@@ -178,15 +181,17 @@ class ChainSolution:
         return RationalFunction(Polynomial((inv, lin)) * PQ + W, PQ)
 
 
-def _assemble(labels: Sequence, ladder: Sequence[PseudoWronskian],
-              seeds: Sequence[Fraction], delta: Fraction) -> ChainSolution:
-    """The solution of a replayed chain: its labels and ladder, and the
-    energy differences of consecutive seeds (the last one less the
-    shift)."""
+def _assemble(ladder: Sequence[PseudoWronskian], flips: Sequence[Flip],
+              delta: Fraction) -> ChainSolution:
+    """The solution of a replayed ladder.  The seed of a flip at level n
+    has energy (1 + h)(n - alpha [slot 2]) omega, and the energy
+    differences are those of consecutive seeds, the last one less the
+    shift."""
+    alpha = ladder[0].alpha
+    h = int(alpha is not None)
+    seeds = [(1 + h) * (f.level - (alpha if f.slot == 2 else 0)) * OMEGA for f in flips]
     eps = [a - b for a, b in zip(seeds, seeds[1:])] + [seeds[-1] - seeds[0] - delta]
-    return ChainSolution(
-        delta=delta, expected_eps=tuple(eps), ladder=tuple(ladder), labels=tuple(labels)
-    )
+    return ChainSolution(delta=delta, expected_eps=tuple(eps), ladder=tuple(ladder))
 
 
 def build_odd_chain(
@@ -212,10 +217,8 @@ def build_odd_chain(
     chain = static_flip_chain(cs)
     if perm is not None:
         chain = chain.permuted(perm)
-    labels = chain.states(start)
-    ladder = [hermite_wronskian(d) for d in labels]
-    seeds = [f.level * OMEGA for f in chain.flips]
-    return _assemble(labels, ladder, seeds, cs.k * OMEGA)
+    ladder = [hermite_wronskian(d) for d in chain.states(start)]
+    return _assemble(ladder, chain.flips, cs.k * OMEGA)
 
 
 def build_even_chain(
@@ -233,17 +236,11 @@ def build_even_chain(
     uc, chain = uc_flip_chain(cs1, cs2)
     if perm is not None:
         chain = chain.permuted(perm)
-    state = (uc.first, uc.second)
-    labels = [uc]
+    ladder = [laguerre_pseudo_wronskian(uc, alpha)]
     for f in chain.flips:
-        state = apply_uc_flip(state, f)
-        labels.append(UniversalCharacter(*state))
-    ladder = [laguerre_pseudo_wronskian(c, alpha) for c in labels]
-    seeds = [
-        2 * (f.level - (alpha.value if f.slot == 2 else 0)) * OMEGA
-        for f in chain.flips
-    ]
-    return _assemble(labels, ladder, seeds, 2 * cs1.k * OMEGA)
+        uc = UniversalCharacter(*apply_uc_flip((uc.first, uc.second), f))
+        ladder.append(laguerre_pseudo_wronskian(uc, alpha))
+    return _assemble(ladder, chain.flips, 2 * cs1.k * OMEGA)
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +249,14 @@ def build_even_chain(
 # value at z = 2**K.  No polynomial products and no gcds.
 
 
-def _closure_exponent(sol: ChainSolution) -> int:
-    if not sol.is_even:
-        return 0
-    # an even chain realizes the diagram translation k = delta / (2 omega)
-    return translation_power(sol.ladder[0].r, int(sol.delta / (2 * OMEGA)))
-
-
-def _closure_holds(sol: ChainSolution) -> bool:
-    """Ladder closure: last determinant == const * z**e * first one, that
-    is, equal primitive polynomials."""
-    return sol.ladder[-1].prim == sol.ladder[0].prim.shifted(_closure_exponent(sol))
+def _closure(sol: ChainSolution) -> Optional[int]:
+    """The e >= 0, read off the degrees, with last determinant == const *
+    z**e * first one (equal primitive polynomials up to z**e), or None
+    when the ladder does not close.  An odd ladder closes with e = 0, an
+    even one with the z power of its diagram translation."""
+    first, last = sol.ladder[0].prim, sol.ladder[-1].prim
+    e = last.degree - first.degree
+    return e if e >= 0 and last == first.shifted(e) else None
 
 
 class _Equation(NamedTuple):
@@ -444,8 +438,8 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
     parity-definite entries at half the bits (`_stride`).
     """
     p = sol.period
-    closed = _closure_holds(sol)
-    e = _closure_exponent(sol)
+    e = _closure(sol)
+    closed = e is not None
 
     # every check is homogeneous in each ladder entry, so it reads the
     # primitive integer polynomials: small and exact arithmetic

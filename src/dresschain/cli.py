@@ -27,7 +27,6 @@ from .maya import (
 )
 from .orthopoly import AlphaParam
 from .painleve import (
-    PIV_ROTATIONS,
     WrongPeriod,
     piv_families,
     piv_from_chain,
@@ -146,19 +145,26 @@ def _solution_json(sol) -> dict:
 
 
 def _build_solutions(args):
-    """Construct the chain(s) a job describes; even jobs sweep alphas."""
+    """Construct the chain(s) a job describes; even jobs sweep alphas,
+    which each chain carries on its ladder."""
     perm = None if args.perm is None else _parse_int_list(args.perm)
     if args.period % 2:
         _refuse_unread(args, "alpha", "case")
         (cs,) = _structures(args)
-        return [(None, build_odd_chain(cs, perm=perm, allow_degenerate=args.allow_degenerate))]
+        return [build_odd_chain(cs, perm=perm, allow_degenerate=args.allow_degenerate)]
     _refuse_unread(args, "allow_degenerate")
     alphas = ([AlphaParam(Fraction(1, 3))] if args.alpha is None
               else _parse_alpha_list(args.alpha))
     if len({a.value for a in alphas}) != len(alphas):
         raise UsageError("alpha samples must be distinct")
     cs1, cs2 = _structures(args)
-    return [(a, build_even_chain(cs1, cs2, a, perm=perm)) for a in alphas]
+    return [build_even_chain(cs1, cs2, a, perm=perm) for a in alphas]
+
+
+def _with_alpha(entry: dict, sol) -> dict:
+    """entry, with the alpha an even chain's ladder carries."""
+    alpha = sol.ladder[0].alpha
+    return entry if alpha is None else dict(entry, alpha=frac_str(alpha))
 
 
 def cmd_enum(args) -> int:
@@ -202,15 +208,10 @@ def cmd_enum(args) -> int:
 
 def cmd_build(args) -> int:
     solutions = _build_solutions(args)
-    payload = []
-    for a, sol in solutions:
-        entry = _solution_json(sol)
-        if a is not None:
-            entry["alpha"] = frac_str(a.value)
-        payload.append(entry)
     if args.format == "latex":
-        _emit("\n".join(latex_mod.chain_latex(sol) for _, sol in solutions) + "\n", args.out)
+        _emit("\n".join(latex_mod.chain_latex(sol) for sol in solutions) + "\n", args.out)
     else:
+        payload = [_with_alpha(_solution_json(sol), sol) for sol in solutions]
         _emit(_dump({"command": "build", "chains": payload}), args.out)
     return 0
 
@@ -218,11 +219,9 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     entries = []
     oks = []
-    for a, sol in _build_solutions(args):
+    for sol in _build_solutions(args):
         report = verify_chain(sol)
-        entry = report.to_json()
-        if a is not None:
-            entry["alpha"] = frac_str(a.value)
+        entry = _with_alpha(report.to_json(), sol)
         ok = report.ok
         if sol.period == 3 and not sol.is_even:
             residual_zero = piv_residual(piv_from_chain(sol)).is_zero
@@ -258,27 +257,19 @@ def cmd_painleve(args) -> int:
         payload = [f.to_json() for f in fams]
         ok = all(p["residual_zero"] for p in payload)
         if args.format == "latex":
-            start, _ = build_diagram(cs)
-            lines = []
-            for i, (f, rot) in enumerate(zip(fams, PIV_ROTATIONS)):
-                states = static_flip_chain(cs).permuted(rot).states(start)
-                lines.append("y_{%d}: %s" % (
-                    i, latex_mod.piv_latex(f, states[0].entries, states[1].entries)))
-            _emit("\n".join(lines) + "\n", args.out)
+            _emit("".join("y_{%d}: %s\n" % (i, latex_mod.piv_latex(f))
+                          for i, f in enumerate(fams)), args.out)
         else:
             _emit(_dump({"command": "painleve", "equation": "PIV", "families": payload,
                          "ok": ok}), args.out)
         return 0 if ok else 1
     if args.period == 4:
-        instances = [(a, pv_from_chain(sol)) for a, sol in _build_solutions(args)]
-        payload = []
-        for a, inst in instances:
-            entry = inst.to_json()
-            entry["alpha"] = frac_str(a.value)
-            payload.append(entry)
+        solutions = _build_solutions(args)
+        instances = [pv_from_chain(sol) for sol in solutions]
+        payload = [_with_alpha(inst.to_json(), sol) for inst, sol in zip(instances, solutions)]
         ok = all(p["residual_zero"] for p in payload)
         if args.format == "latex":
-            _emit("\n".join(latex_mod.pv_latex(inst) for _, inst in instances) + "\n", args.out)
+            _emit("\n".join(latex_mod.pv_latex(inst) for inst in instances) + "\n", args.out)
         else:
             _emit(_dump({"command": "painleve", "equation": "PV", "solutions": payload,
                          "ok": ok}), args.out)

@@ -9,7 +9,6 @@ purely presentational; nothing here participates in verification.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .chain import ChainSolution
 from .exact import Polynomial, RationalFunction
@@ -35,8 +34,8 @@ def ratfunc_latex(r: RationalFunction, var: str = "x") -> str:
     return r"\frac{%s}{%s}" % (poly_latex(r.num, var), poly_latex(r.den, var))
 
 
-def diagram_latex(d: Union[MayaDiagram, Sequence[int]]) -> str:
-    """A diagram, or its entry tuple, as (n_1,...,n_m)."""
+def diagram_latex(d: MayaDiagram) -> str:
+    """A diagram as (n_1,...,n_m)."""
     return "(" + ",".join(map(str, d)) + ")" if len(d) else r"\varnothing"
 
 
@@ -65,18 +64,16 @@ def _wronskian_symbol(kind: str, label: str, arg: str) -> str:
     return r"\mathcal{%s}^{%s}(%s)" % (kind, label, arg)
 
 
-def piv_latex(
-    inst: PIVInstance, prev_diagram: Sequence[int], next_diagram: Sequence[int]
-) -> str:
-    """y(t) as the log-derivative of the two ladder diagrams' Wronskians,
-    with the conventional t/sqrt(k) arguments when the shift is 2k."""
+def piv_latex(inst: PIVInstance) -> str:
+    """y(t) as the log-derivative of the Wronskians of its two ladder
+    diagrams (inst.labels), with the conventional t/sqrt(k) arguments when
+    the shift is 2k."""
     k = int(1 / inst.c_sq)
     arg = "t" if k == 1 else r"t/\sqrt{%d}" % k
     # coefficient of t in y, whose denominator is monic
     lin_coeff = inst.y.num.coeff(inst.y.den.degree + 1)
     head = "" if lin_coeff == 0 else frac_latex(lin_coeff) + "t + "
-    top = _wronskian_symbol("H", diagram_latex(prev_diagram), arg)
-    bot = _wronskian_symbol("H", diagram_latex(next_diagram), arg)
+    top, bot = (_wronskian_symbol("H", diagram_latex(d), arg) for d in inst.labels)
     return r"y(t) = %s\frac{d}{dt}\log\frac{%s}{%s}" % (head, top, bot)
 
 

@@ -163,7 +163,7 @@ def spin_at(d: MayaDiagram, n: int) -> int:
 class Flip:
     level: int
     sign: int  # POSITIVE removes, NEGATIVE inserts
-    slot: int = 1  # universal characters tag flips with their component
+    slot: int = 1  # universal characters tag flips with their component, 1 or 2
 
     def __post_init__(self):
         for name in ("level", "sign", "slot"):
@@ -172,6 +172,8 @@ class Flip:
             raise ValueError("sign must be +1 or -1")
         if self.level < 0:
             raise ValueError("flip level must be non-negative")
+        if self.slot not in (1, 2):
+            raise ValueError("slot must be 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -277,6 +279,10 @@ class UniversalCharacter:
 
     first: MayaDiagram
     second: MayaDiagram
+
+    def __post_init__(self):
+        if not (isinstance(self.first, MayaDiagram) and isinstance(self.second, MayaDiagram)):
+            raise TypeError("a universal character holds two Maya diagrams")
 
 
 def build_diagram(cs: CyclicStructure) -> Tuple[MayaDiagram, bool]:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence, Tuple
 
 from .chain import ChainSolution, build_odd_chain
 from .exact import Polynomial, RationalFunction, bits_above, frac_str, jet
-from .maya import CyclicStructure
+from .maya import CyclicStructure, MayaDiagram
 
 
 class WrongPeriod(ValueError):
@@ -59,6 +59,8 @@ def _instance_json(equation: str, y: RationalFunction, residual: RationalFunctio
 class PIVInstance:
     """PIV data: y(t) solves the equation with parameters (a, b), and
     c_sq = c**2 = 2/shift is the scale of `piv_from_chain`'s y = c u(c t).
+    labels are the diagrams of the two ladder entries whose log-ratio y
+    is.
 
     The t map is the inverse of the y scaling (x = c t, not t = c x); the
     pair is pinned by the equation itself: under it the energy-difference
@@ -73,6 +75,7 @@ class PIVInstance:
     c_sq: Fraction
     a: Fraction
     b: Fraction
+    labels: Tuple[MayaDiagram, MayaDiagram]
 
     def to_json(self) -> dict:
         return _instance_json("PIV", self.y, piv_residual(self),
@@ -119,6 +122,7 @@ def piv_from_chain(sol: ChainSolution) -> PIVInstance:
         c_sq=c_sq,
         a=-(sol.delta + e23 + 2 * e12) / sol.delta,
         b=-2 * e23 * e23 / (sol.delta * sol.delta),
+        labels=sol.labels[:2],
     )
 
 
@@ -198,10 +202,6 @@ def piv_residual(inst: PIVInstance) -> RationalFunction:
     return _residual(_piv_numerator, lambda n, v, t: 2 * n * v * v * v, inst.y, consts)
 
 
-# the default chain order rotated to start at each of its three flips
-PIV_ROTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
-
 def piv_families(cs: CyclicStructure) -> Tuple[PIVInstance, PIVInstance, PIVInstance]:
     """The three PIV solutions of a 3-cyclic structure.
 
@@ -213,11 +213,8 @@ def piv_families(cs: CyclicStructure) -> Tuple[PIVInstance, PIVInstance, PIVInst
     """
     if cs.p != 3:
         raise WrongPeriod("three-member families need a period-3 structure")
-    out = []
-    for rot in PIV_ROTATIONS:
-        sol = build_odd_chain(cs, perm=rot)
-        out.append(piv_from_chain(sol))
-    return tuple(out)
+    rotations = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    return tuple(piv_from_chain(build_odd_chain(cs, perm=rot)) for rot in rotations)
 
 
 def pv_from_chain(sol: ChainSolution) -> PVInstance:

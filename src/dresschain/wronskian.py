@@ -9,12 +9,12 @@ column by column from the recurrence-defined polynomials of orthopoly
 (_hermite_column, _laguerre_column) and eliminate them in full.
 
 A ladder entry is stored as its primitive integer polynomial `prim`
-(coprime coefficients, positive leading one) and the determinant's
-leading coefficient `lead`, taken from a closed form: 2**deg V(entries)
-for a Hermite diagram, _laguerre_top for a character.  Every chain
-identity is homogeneous in each entry, so the chain reads `prim` only;
-the determinant itself, `poly`, is derived when output reads it.  Each
-result derives, from its sizes m, r and its alpha, the gauge exponents
+(coprime coefficients, positive leading one), its label (the diagram or
+character that indexes it) and its alpha.  Every chain identity is
+homogeneous in each entry, so the chain reads `prim` only; the
+determinant, `poly`, and its leading coefficient `lead`, a closed form of
+the label, are derived when output reads them.  Each result derives,
+from its label's sizes m, r and its alpha, the gauge exponents
 (z_power, exp_coeff) of the prefactor
 
     z**z_power * exp(exp_coeff * w),   w = omega * x**2 / 2,
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from .exact import Polynomial, det_poly_matrix, frac_str
 from .exact import _iexact_quo
@@ -46,20 +46,35 @@ class PseudoWronskian:
     """Polynomial part of a seed-function Wronskian plus its gauge
     z**z_power * exp(exp_coeff * omega x**2 / 2).
 
-    The determinant is `lead / prim.leading` times `prim`, a primitive
-    integer polynomial with a positive leading coefficient; `lead`, its
-    leading coefficient, is never zero.  m and r are the component sizes
-    of the labeling index tuples (r = 0 and alpha = None for the
-    harmonic-oscillator case), and they fix the gauge: exp_coeff is
-    -(m + r)/2, and z_power is 0 for a Hermite entry and
-    (m - r)**2/4 - r (r - 1) + alpha (m - r)/2 for a Laguerre one.
+    `label` indexes the determinant: a MayaDiagram for a Hermite entry
+    (alpha None), a UniversalCharacter for a Laguerre one.  The determinant
+    is `lead / prim.leading` times `prim`, a primitive integer polynomial
+    with a positive leading coefficient; `lead`, its leading coefficient,
+    is a closed form of the label and is never zero.  m and r are the
+    sizes of the label's components (r = 0 for a diagram), and they fix
+    the gauge: exp_coeff is -(m + r)/2, and z_power is 0 for a Hermite
+    entry and (m - r)**2/4 - r (r - 1) + alpha (m - r)/2 for a Laguerre one.
     """
 
     prim: Polynomial
-    lead: Fraction
-    m: int
-    r: int
+    label: Union[MayaDiagram, UniversalCharacter]
     alpha: Optional[Fraction]
+
+    @property
+    def m(self) -> int:
+        return len(self.label if self.alpha is None else self.label.first)
+
+    @property
+    def r(self) -> int:
+        return 0 if self.alpha is None else len(self.label.second)
+
+    @property
+    def lead(self) -> Fraction:
+        """2**deg V(entries) for a diagram (hermite_wronskian),
+        _laguerre_top for a character."""
+        if self.alpha is None:
+            return Fraction(2 ** self.prim.degree * _vandermonde(self.label.entries))
+        return _laguerre_top(self.label, self.alpha)
 
     @property
     def poly(self) -> Polynomial:
@@ -205,8 +220,7 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
         through = bool(entries) and entries[-1] - m + 1 < m
         e, ys = _hermite_kernel(conjugate(d).entries if through else entries)
         prim = Polynomial(ys).of_square(e, negate=through).primitive()
-    lead = Fraction(2 ** prim.degree * _vandermonde(entries))
-    return PseudoWronskian(prim, lead, m, 0, None)
+    return PseudoWronskian(prim, d, None)
 
 
 def _laguerre_ints(n: int, p: int, q: int) -> list:
@@ -317,4 +331,4 @@ def laguerre_pseudo_wronskian(
         seeds = tuple((0, n) for n in uc.first.entries)
         e, d = _laguerre_kernel(p, q, seeds + tuple((1, l) for l in uc.second.entries))
         prim = Polynomial(d).shifted(r * (m + r - 1) + (r * p + e) // q).primitive()
-    return PseudoWronskian(prim, _laguerre_top(uc, a), m, r, a)
+    return PseudoWronskian(prim, uc, a)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import dresschain.chain
 import dresschain.exact
+import dresschain.wronskian
 from dresschain.chain import (
     OMEGA,
     OddPeriodRequired,
@@ -179,8 +180,8 @@ def test_broken_ladder_fails_sum_rule():
 
 
 def _as_entry(pw, poly):
-    """pw with the determinant poly, in the ladder-entry format."""
-    return dataclasses.replace(pw, prim=poly.primitive(), lead=poly.leading)
+    """pw with the primitive polynomial of poly."""
+    return dataclasses.replace(pw, prim=poly.primitive())
 
 
 def _with_ladder_entry(sol, index, poly):
@@ -189,21 +190,22 @@ def _with_ladder_entry(sol, index, poly):
     return dataclasses.replace(sol, ladder=tuple(ladder))
 
 
-SAMPLE_CHAINS = {
-    "odd": build_odd_chain(CyclicStructure(k=3, okamoto=(1, 2)), perm=(2, 0, 1)),
-    "even-31": build_even_chain(
+SAMPLE_BUILDS = {
+    "odd": lambda: build_odd_chain(CyclicStructure(k=3, okamoto=(1, 2)), perm=(2, 0, 1)),
+    "even-31": lambda: build_even_chain(
         CyclicStructure(k=1, second_type=((1, 1),)),
         CyclicStructure(k=1),
         ALPHA,
         perm=(1, 2, 0, 3),
     ),
-    "even-22": build_even_chain(
+    "even-22": lambda: build_even_chain(
         CyclicStructure(k=2, okamoto=(1,)),
         CyclicStructure(k=2, okamoto=(2,)),
         ALPHA,
         perm=(1, 0, 3, 2),
     ),
 }
+SAMPLE_CHAINS = {name: build() for name, build in SAMPLE_BUILDS.items()}
 
 
 @pytest.mark.parametrize("sol", SAMPLE_CHAINS.values(), ids=SAMPLE_CHAINS.keys())
@@ -271,33 +273,43 @@ def test_verify_chain_makes_no_polynomial_product(name, monkeypatch):
 
 
 def test_chain_layers_never_read_the_ladder_constant(monkeypatch):
-    # every chain identity is homogeneous in each ladder entry: building,
-    # verifying and the Painleve reductions read the primitive polynomials,
-    # and an entry's constant is applied only when output reads `poly`
+    # every chain identity is homogeneous in each ladder entry: on cold
+    # memos, building, verifying and the Painleve reductions read the
+    # primitive polynomials; an entry neither applies its constant (`poly`)
+    # nor evaluates its closed-form lead until output reads `poly`
     def run():
-        odd = build_odd_chain(CyclicStructure(k=3, okamoto=(1, 2)), perm=(2, 0, 1))
-        even = build_even_chain(
-            CyclicStructure(k=2, okamoto=(1,)),
-            CyclicStructure(k=2, okamoto=(2,)),
-            ALPHA,
-            perm=(1, 0, 3, 2),
-        )
-        return (
-            verify_chain(odd).to_json(),
-            verify_chain(even).to_json(),
-            piv_from_chain(odd),
-            pv_from_chain(even),
-            potential_of(MayaDiagram((1, 2, 5))),
-        )
+        out = []
+        for build in SAMPLE_BUILDS.values():
+            sol = build()
+            to_painleve = pv_from_chain if sol.is_even else piv_from_chain
+            out.append((sol, verify_chain(sol).to_json(), to_painleve(sol)))
+        return out, potential_of(MayaDiagram((1, 2, 5)))
 
     expected = run()
 
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("a chain layer read a ladder entry's constant")
 
     monkeypatch.setattr(PseudoWronskian, "poly", property(refuse))
+    monkeypatch.setattr(dresschain.wronskian, "_laguerre_top", refuse)
+    monkeypatch.setattr(dresschain.wronskian, "_vandermonde", refuse)
     clear_ladder_memos()
     assert run() == expected
+
+
+def test_replaced_ladder_carries_its_labels_and_flips():
+    # the labels and the flips are read off the ladder entries, so a ladder
+    # taken from another flip order brings its own
+    odd = CyclicStructure(k=3, okamoto=(1, 2))
+    cell = (CyclicStructure(k=2, okamoto=(1,)), CyclicStructure(k=2, okamoto=(2,)))
+    pairs = (
+        [build_odd_chain(odd, perm=perm) for perm in (None, (2, 0, 1))],
+        [build_even_chain(*cell, ALPHA, perm=perm) for perm in (None, (1, 0, 3, 2))],
+    )
+    for a, b in pairs:
+        assert a.labels != b.labels and a.flips != b.flips
+        mixed = dataclasses.replace(a, ladder=b.ladder)
+        assert mixed.labels == b.labels and mixed.flips == b.flips
 
 
 @pytest.mark.parametrize(
@@ -324,7 +336,7 @@ def test_wrap_form_with_distinct_middle_entries(monkeypatch):
     # does close, up to z**e, goes through the form for two distinct middle
     # entries P_0 and z**e P_0 whenever e > 0 (e = 10 on the even-22 sample),
     # and still reads off eps on every even cell; only the sum rule fails
-    monkeypatch.setattr(dresschain.chain, "_closure_holds", lambda sol: False)
+    monkeypatch.setattr(dresschain.chain, "_closure", lambda sol: None)
     cells = list(even_cells())
     assert len(cells) == 145
     for cs1, cs2, perm, _ in cells:
@@ -607,11 +619,9 @@ def test_odd_ladders_match_raw_determinants():
         for cs in enumerate_structures(p, k, 3):
             for perm in itertools.permutations(range(p)):
                 sol = build_odd_chain(cs, perm=perm, allow_degenerate=True)
-                raw = [
-                    _as_entry(pw, _hermite_matrix_det(d.entries))
-                    for pw, d in zip(sol.ladder, sol.labels)
-                ]
-                assert [pw.poly for pw in sol.ladder] == [pw.poly for pw in raw]
+                dets = [_hermite_matrix_det(d.entries) for d in sol.labels]
+                assert [pw.poly for pw in sol.ladder] == dets
+                raw = [_as_entry(pw, det) for pw, det in zip(sol.ladder, dets)]
                 rebuilt = dataclasses.replace(sol, ladder=tuple(raw))
                 assert verify_chain(rebuilt).to_json() == verify_chain(sol).to_json()
 
@@ -680,12 +690,10 @@ def _check_even_ladders_against_raw(alphas):
         for cs1, cs2, _ in PERIOD4_CELLS:
             for perm in itertools.permutations(range(4)):
                 sol = build_even_chain(cs1, cs2, alpha, perm=perm)
-                raw = [
-                    _as_entry(pw, _laguerre_matrix_det(uc, alpha.value))
-                    for pw, uc in zip(sol.ladder, sol.labels)
-                ]
-                assert len(raw) == len(sol.ladder) == 5
-                assert [pw.poly for pw in sol.ladder] == [pw.poly for pw in raw]
+                dets = [_laguerre_matrix_det(uc, alpha.value) for uc in sol.labels]
+                assert len(dets) == len(sol.ladder) == 5
+                assert [pw.poly for pw in sol.ladder] == dets
+                raw = [_as_entry(pw, det) for pw, det in zip(sol.ladder, dets)]
                 translated += sum(
                     bool(_untranslate(uc.first.entries)[0] or _untranslate(uc.second.entries)[0])
                     for uc in sol.labels

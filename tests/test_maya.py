@@ -11,6 +11,7 @@ from dresschain.maya import (
     ENUM_BUDGET,
     DegenerateStructure,
     EnumerationTooLarge,
+    Flip,
     InvalidParity,
     MayaDiagram,
     _box_size_capped,
@@ -142,6 +143,17 @@ def test_diagram_validation():
         MayaDiagram((1, 1))
     with pytest.raises(ValueError):
         flip_at(EMPTY, -1)
+
+
+@pytest.mark.parametrize(
+    "args", ((0, NEGATIVE, 0), (0, NEGATIVE, 3), (1, 0, 1), (1, 2, 1), (-1, POSITIVE, 1)),
+    ids=("slot-0", "slot-3", "sign-0", "sign-2", "level--1"),
+)
+def test_flip_validation(args):
+    # a flip toggles a non-negative level, removing (+1) or inserting (-1)
+    # it, in the spectrum (slot 1) or shadow (slot 2) component
+    with pytest.raises(ValueError):
+        Flip(*args)
 
 
 # -- block structures -----------------------------------------------------------

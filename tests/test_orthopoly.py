@@ -3,7 +3,14 @@ from fractions import Fraction as F
 import pytest
 
 from dresschain.exact import Polynomial, RationalFunction
-from dresschain.maya import POSITIVE, CyclicStructure, Flip, MayaDiagram, flip_at
+from dresschain.maya import (
+    POSITIVE,
+    CyclicStructure,
+    Flip,
+    MayaDiagram,
+    UniversalCharacter,
+    flip_at,
+)
 from dresschain.orthopoly import (
     AlphaParam,
     IntegerAlpha,
@@ -115,11 +122,14 @@ def _warm_laguerre(v):
         lambda v: CyclicStructure(k=2, okamoto=(v,)),
         lambda v: CyclicStructure(k=1, second_type=((1, v),)),
         lambda v: CyclicStructure.from_json({"k": v, "okamoto": [0], "blocks": [[1, 2]]}),
+        lambda v: UniversalCharacter(MayaDiagram((1,)), v),
+        lambda v: UniversalCharacter((1, v), MayaDiagram(())),
     ),
     ids=("Polynomial", "AlphaParam", "Polynomial.eval_at", "RationalFunction.eval_at",
          "laguerre", "falling_factorial", "MayaDiagram", "Flip.level", "Flip.sign",
          "Flip.slot", "flip_at", "CyclicStructure.k", "CyclicStructure.okamoto",
-         "CyclicStructure.second_type", "CyclicStructure.from_json"),
+         "CyclicStructure.second_type", "CyclicStructure.from_json", "UniversalCharacter",
+         "UniversalCharacter.tuple"),
 )
 @pytest.mark.parametrize("value", (0.1, 2.0, "1/3"), ids=("float", "whole-float", "str"))
 def test_exact_inputs_only(make, value):

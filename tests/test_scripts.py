@@ -1,6 +1,8 @@
-"""The scripts under scripts/ run end to end against the library."""
+"""The scripts under scripts/ and README's library example run end to end
+against the library."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +39,10 @@ def test_fit_pv_parameters():
         for line in lines
     )
     assert sum(line.endswith("== implemented map") for line in lines) == 24
+
+
+def test_readme_library_example():
+    # the python block of README's Library section, as written
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
