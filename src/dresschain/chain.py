@@ -11,10 +11,10 @@ increment), integers over one denominator 2q for alpha = p/q (`_gauge`).
 Verification substitutes these exact rational functions into the
 first-order cyclic system and checks every residual against the seed
 energy differences.  Cleared of denominators, each equation is one identity
-between integer polynomials, and it is tested as one integer: its value at
-z = 2**K, where 2**K exceeds a proven bound on its coefficients.  On an odd
-ladder whose entries are each parity-definite, as Hermite Wronskians are,
-every identity is parity-definite too, and z = 2**ceil(K/2) suffices
+between integer polynomials, written once (`_sides`) and tested as one
+integer, its value at z = 2**K (`exact.Point`).  On an odd ladder whose
+entries are each parity-definite, as Hermite Wronskians are, every
+identity is parity-definite too, and z = 2**ceil(K/2) suffices
 (`_stride`, `exact.bits_above`).
 
 The builders fix omega = OMEGA = 2: it makes z = x**(1+h) with parity
@@ -25,13 +25,13 @@ function field, and one parity-generic check serves both.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
-from .exact import Polynomial, RationalFunction, ZeroPolynomial, bits_above, frac_str, jet
+from .exact import (BOUND, Point, Polynomial, RationalFunction, ZeroPolynomial,
+                    bits_above, frac_str)
 from .maya import (
     NEGATIVE,
     POSITIVE,
@@ -246,7 +246,8 @@ def build_even_chain(
 # ---------------------------------------------------------------------------
 # Verification.  Every equation is one identity between integer-coefficient
 # polynomials, whether or not it holds, and it is tested as one integer: its
-# value at z = 2**K.  No polynomial products and no gcds.
+# value at z = 2**K, with K from its value at `exact.BOUND`.  No polynomial
+# products and no gcds.
 
 
 def _closure(sol: ChainSolution) -> Optional[int]:
@@ -271,13 +272,6 @@ class _Equation(NamedTuple):
     d0: int
     lines: Tuple[Tuple[int, int], ...]
     expected: Fraction
-
-    def bounds(self, norms: Sequence) -> tuple:
-        """l1 bounds of L and R (`_sides`), from the l1 norm jets of the
-        ladder entries: the sides at z = 1 with every coefficient made
-        nonnegative and every subtraction an addition."""
-        lines = tuple((abs(g0), abs(g1)) for g0, g1 in self.lines)
-        return _sides(self._replace(lines=lines), norms, lambda v: v, operator.add)
 
 
 def _equation(
@@ -324,9 +318,9 @@ def _lhs_part(n, dn, e, V, zh, cd, sub):
     return v * sub(e * n, zh(cd * dn)) + zh(2 * cd * v1 * n)
 
 
-def _sides(eq: _Equation, jets, times_z, sub) -> tuple:
-    """(L, R) at the point z that times_z multiplies by, from the
-    ladder-entry jets there: the residual
+def _sides(eq: _Equation, jets, pt: Point) -> tuple:
+    """(L, R) at the point pt (`exact.Point`), from the ladder-entry jets
+    there: the residual
     rho = -(w_a + w_b)' + w_b**2 - w_a**2 of eq is constant exactly when
     L / R is, and then equals it.
 
@@ -341,15 +335,13 @@ def _sides(eq: _Equation, jets, times_z, sub) -> tuple:
     stay: z**h rho = F(v_a) + G(v_b) with F, G = -c z**h v' + h v -+ v**2,
     where d0**2 B Pa**2 F(v_a) = `_lhs_part`(Na, h d0 - a0, Pa) and
     d0**2 C Pb**2 G(v_b) = `_lhs_part`(Nb, h d0 + b0, Pb).
-
-    The same arithmetic bounds the coefficients (`_Equation.bounds`), by
-    |f + g| <= |f| + |g|, |fg| <= |f| |g| and z**h free.
     """
     h, d0 = eq.h, eq.d0
     cd = (1 + h) * d0
-    zh = times_z if h else (lambda v: v)
+    times, sub, const = pt.times, pt.sub, pt.const
+    zh = times if h else (lambda v: v)
     B, Pa, Pb, C = (jets[j] for j in eq.entries)
-    lines = [(g0 + times_z(g1), g1) for g0, g1 in eq.lines]
+    lines = [(const(g0) + times(const(g1)), const(g1)) for g0, g1 in eq.lines]
     if len(lines) == 2:
         (s, ds), (e, _) = lines
         n, dn, bc = _numerator(s, ds, B, C, h, zh, cd, sub)
@@ -369,9 +361,8 @@ def _bits(value: Fraction, bounds: tuple, stride: int) -> int:
     """The least K with 2**(stride K) above the l1 bounds of R and of
     den(value) L - num(value) R, given those of L and R."""
     lb, rb = bounds
-    return bits_above(
-        max(value.denominator * lb + abs(value.numerator) * rb, rb), stride
-    )
+    diff = BOUND.sub(value.denominator * lb, BOUND.const(value.numerator) * rb)
+    return bits_above(max(diff, rb), stride)
 
 
 def _stride(equations: Sequence[_Equation], coeffs: Sequence) -> int:
@@ -410,8 +401,7 @@ def _check_equation(
     by its own bound, or by the entries repacked at _bits(q, bounds,
     stride) when that exceeds k.
     """
-    sub = operator.sub
-    lhs, rhs = _sides(eq, jets, lambda v: v << k, sub)
+    lhs, rhs = _sides(eq, jets, Point.at(k))
     e = eq.expected
     if e.denominator * lhs == e.numerator * rhs:
         return e
@@ -420,8 +410,9 @@ def _check_equation(
         return None
     k2 = _bits(value, bounds, stride)
     if k2 > k:
-        jets = {j: jet(coeffs[j], k2) for j in set(eq.entries)}
-        lhs, rhs = _sides(eq, jets, lambda v: v << k2, sub)
+        pt = Point.at(k2)
+        jets = {j: pt.jets(coeffs[j]) for j in set(eq.entries)}
+        lhs, rhs = _sides(eq, jets, pt)
         if value.denominator * lhs != value.numerator * rhs:
             return None
     return value
@@ -461,10 +452,10 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
             entries, same, h, den, gauge_a, gauge_b, sol.expected_eps[i - 1]
         ))
     stride = _stride(equations, coeffs)
-    norms = [jet([abs(c) for c in cs], 0) for cs in coeffs]
-    bounds = [eq.bounds(norms) for eq in equations]
+    norms = [BOUND.jets(cs) for cs in coeffs]
+    bounds = [_sides(eq, norms, BOUND) for eq in equations]
     k = max(_bits(eq.expected, bound, stride) for eq, bound in zip(equations, bounds))
-    jets = [jet(cs, k) for cs in coeffs]
+    jets = list(map(Point.at(k).jets, coeffs))
     checks = [
         EquationCheck(_check_equation(eq, coeffs, jets, k, bound, stride), eq.expected)
         for eq, bound in zip(equations, bounds)

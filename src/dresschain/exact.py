@@ -15,16 +15,17 @@ so structural equality coincides with mathematical equality.  Gcds are
 taken by a primitive pseudo-remainder sequence, and general determinants,
 of a matrix given by rows or by columns, by Bareiss elimination over Z[x],
 the oracle of the ladder recursion in `wronskian`; all of them share the
-integer kernel below.  `jet` and `bits_above` test an identity between
-integer polynomials as one integer, for the chain and Painleve checks, at
-half the bits when it is parity-definite.
+integer kernel below.  A `Point` tests an identity between integer
+polynomials as one integer, for the chain and Painleve checks, at half the
+bits when it is parity-definite (`bits_above`).
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd as _gcd, lcm as _lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 
 class ZeroPolynomial(ValueError):
@@ -457,11 +458,15 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 # integer polynomial F does not vanish at x = 2**K once 2**K exceeds its l1
 # norm |F|_1: its lowest nonzero coefficient f_j has 0 < |f_j| < 2**K, so
 # F(2**K) = 2**(jK) (f_j + 2**K m) for an integer m, and f_j + 2**K m != 0.
-# Whoever evaluates F from the jets of its ingredients bounds |F|_1 by the
-# same arithmetic at x = 1 on their l1 norms (their jets at k = 0 with every
-# coefficient in absolute value), with every constant in absolute value and
-# every subtraction an addition: |f + g| <= |f| + |g|, |fg| <= |f| |g|, and
-# a power of x is free.
+# A formula that evaluates F from the jets of its ingredients bounds |F|_1
+# by the same arithmetic at x = 1 on their l1 norms (their jets at k = 0
+# with every coefficient in absolute value), with every constant in
+# absolute value and every subtraction an addition: |f + g| <= |f| + |g|,
+# |fg| <= |f| |g|, and a power of x is free.  So the formula is written
+# once, over a `Point`: it reads its ingredients through pt.jets, multiplies
+# by x through pt.times, subtracts through pt.sub and passes each of its
+# integer constants through pt.const.  At `BOUND` it is that l1 bound, at
+# Point.at(K) its value at x = 2**K, and at `VARIABLE` the polynomial F.
 #
 # A parity-definite F needs half the bits.  F = x**f G(x**2) with f in
 # {0, 1} and |G|_1 = |F|_1, so F(2**J) = 2**(fJ) G(2**(2J)) vanishes exactly
@@ -494,6 +499,36 @@ def bits_above(bound: int, stride: int = 1) -> int:
     value at 2**J is (stride 1: any polynomial; stride 2: a parity-definite
     one)."""
     return -(-bound.bit_length() // stride)
+
+
+def _same(v):
+    return v
+
+
+def _poly_jets(coeffs: Sequence[int]) -> tuple:
+    p = Polynomial(coeffs)
+    return p, p.derivative(), p.derivative().derivative()
+
+
+class Point(NamedTuple):
+    """Where a formula over integer polynomial jets runs (comment above `jet`)."""
+
+    jets: Callable
+    times: Callable
+    sub: Callable
+    const: Callable
+
+    @classmethod
+    def at(cls, k: int) -> "Point":
+        """x = 2**k: a formula is its value there, one integer."""
+        return cls(lambda cs: jet(cs, k), lambda v: v << k, operator.sub, _same)
+
+
+# x = 1 on the l1 norms, every subtraction an addition and every constant in
+# absolute value: a formula is its own l1 bound
+BOUND = Point(lambda cs: jet([abs(c) for c in cs], 0), _same, operator.add, abs)
+# x itself: a formula is the polynomial it evaluates
+VARIABLE = Point(_poly_jets, lambda v: Polynomial.x() * v, operator.sub, _same)
 
 
 def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:

@@ -35,6 +35,10 @@ class EnumerationTooLarge(ValueError):
     """The structure box exceeds ENUM_BUDGET (`enumerate_structures`)."""
 
 
+class DiagramTooLarge(ValueError):
+    """The structure has more than DIAGRAM_BUDGET block indices (`build_diagram`)."""
+
+
 class AmplitudeMismatch(ValueError):
     """The two components of a universal character must share the same k."""
 
@@ -285,13 +289,21 @@ class UniversalCharacter:
             raise TypeError("a universal character holds two Maya diagrams")
 
 
+DIAGRAM_BUDGET = 1000
+
+
 def build_diagram(cs: CyclicStructure) -> Tuple[MayaDiagram, bool]:
     """Expand the block data; repeated indices cancel pairwise.
 
     The degenerate flag is set when two blocks overlap (share an index) or
     merge (are adjacent on the same stride-k support, including a free
-    block continuing an Okamoto block, even one of length 0).
+    block continuing an Okamoto block, even one of length 0).  More than
+    DIAGRAM_BUDGET block indices, the sum of the block lengths, are
+    refused before any is expanded.
     """
+    size = sum(cs.okamoto) + sum(m for _, m in cs.second_type)
+    if size > DIAGRAM_BUDGET:
+        raise DiagramTooLarge("%d block indices, over %d" % (size, DIAGRAM_BUDGET))
     counts = {}
     for b in cs.blocks():
         for idx in b:

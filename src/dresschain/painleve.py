@@ -5,8 +5,8 @@ are printed in (`piv_from_chain`, `pv_from_chain`).
 
 Each residual is R / S, with R an integer polynomial in the solution's
 numerator and denominator and their derivatives.  R is checked as one
-integer, its value at 2**K (`_residual`); only a failing instance builds
-R / S by polynomial products, with one gcd, to report it.
+integer, its value at 2**K (`_residual`, `exact.Point`); only a failing
+instance builds R / S by polynomial products, with one gcd, to report it.
 
 The PV parameter map (a, b, c, d) =
 (e12**2/(2 D**2), -e34**2/(2 D**2), (D - e41 + e23)/4, -D**2/32)
@@ -17,14 +17,14 @@ these values and no others (see scripts/fit_pv_parameters.py).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence, Tuple
 
 from .chain import ChainSolution, build_odd_chain
-from .exact import Polynomial, RationalFunction, bits_above, frac_str, jet
+from .exact import (BOUND, VARIABLE, Point, Polynomial, RationalFunction, bits_above,
+                    frac_str)
 from .maya import CyclicStructure, MayaDiagram
 
 
@@ -126,13 +126,6 @@ def piv_from_chain(sol: ChainSolution) -> PIVInstance:
     )
 
 
-def _quotient_derivatives(*coeff_lists: Sequence[int]) -> tuple:
-    """(P, P', P'') as polynomials for each integer coefficient list: the
-    jets of N and V, f = N/V, that a failing residual is built from."""
-    polys = [Polynomial(cs) for cs in coeff_lists]
-    return tuple((p, p.derivative(), p.derivative().derivative()) for p in polys)
-
-
 def _quotient_jets(N, V, sub) -> tuple:
     """(M, K) from the jets of N and V, with f = N/V, f' = M/V**2 and
     f'' = K/V**3."""
@@ -148,40 +141,38 @@ def _residual(
 ) -> RationalFunction:
     """The residual numerator / (L denominator) of f = N/V, in Q(t).
 
-    numerator(N, V, t, ints, sub) is homogeneous in (N, V), of the degree
-    of denominator(N, V, t), so N and V may be the integer polynomials of
-    `integer_pair`; it reads their jets at a point t, and the constants
-    times their common denominator L.  At t = 1 on the l1 norms, with the
-    constants in absolute value and sub the addition, it bounds its own l1
-    norm, so its value at 2**bits_above(bound) is 0 exactly when it is the
-    zero polynomial.  Only a nonzero one is built by polynomial products.
+    numerator(N, V, pt, ints) is homogeneous in (N, V), of the degree of
+    denominator(N, V), so N and V may be the integer polynomials of
+    `integer_pair`; it reads their jets at the point pt (`exact.Point`),
+    and the constants times their common denominator L.  Its value at
+    BOUND is its l1 bound, so at 2**bits_above(bound) it is 0 exactly when
+    it is the zero polynomial.  Only a nonzero one is built, at VARIABLE.
     """
     cs, vs = f.integer_pair()
     scale = lcm(*(q.denominator for q in consts))
     ints = [q.numerator * (scale // q.denominator) for q in consts]
-    bound = numerator(
-        jet([abs(c) for c in cs], 0), jet([abs(c) for c in vs], 0), 1,
-        [abs(c) for c in ints], operator.add,
-    )
-    k = bits_above(bound)
-    if numerator(jet(cs, k), jet(vs, k), 1 << k, ints, operator.sub) == 0:
+
+    def at(pt):
+        return numerator(pt.jets(cs), pt.jets(vs), pt, ints)
+
+    if at(Point.at(bits_above(at(BOUND)))) == 0:
         return RationalFunction.zero()
-    N, V = _quotient_derivatives(cs, vs)
-    t = Polynomial.x()
+    N, V = VARIABLE.jets(cs), VARIABLE.jets(vs)
     return RationalFunction(
-        numerator(N, V, t, ints, operator.sub), scale * denominator(N[0], V[0], t)
+        numerator(N, V, VARIABLE, ints), scale * denominator(N[0], V[0])
     )
 
 
-def _piv_numerator(N, V, t, consts, sub):
-    """L R of `piv_residual`, with consts = L (1, 8, 4, 4a, 2b)."""
-    s, c1, c2, c3, c4 = consts
+def _piv_numerator(N, V, pt, consts):
+    """L R of `piv_residual` at pt, with consts = L (1, 8, 4, 4a, 2b)."""
+    s, c1, c2, c3, c4 = map(pt.const, consts)
     n, v = N[0], V[0]
-    m, k = _quotient_jets(N, V, sub)
+    m, k = _quotient_jets(N, V, pt.sub)
     n2, v2 = n * n, v * v
-    return sub(
+    return pt.sub(
         2 * s * n * k + c3 * n2 * v2,
-        s * m * m + n2 * (3 * s * n2 + c1 * t * n * v + c2 * t * t * v2) + c4 * v2 * v2,
+        s * m * m + n2 * (3 * s * n2 + pt.times(c1 * n * v + pt.times(c2 * v2)))
+        + c4 * v2 * v2,
     )
 
 
@@ -199,7 +190,7 @@ def piv_residual(inst: PIVInstance) -> RationalFunction:
     if inst.y.is_zero:
         raise ZeroDenominator("candidate PIV solution is identically zero")
     consts = (1, 8, 4, 4 * inst.a, 2 * inst.b)
-    return _residual(_piv_numerator, lambda n, v, t: 2 * n * v * v * v, inst.y, consts)
+    return _residual(_piv_numerator, lambda n, v: 2 * n * v * v * v, inst.y, consts)
 
 
 def piv_families(cs: CyclicStructure) -> Tuple[PIVInstance, PIVInstance, PIVInstance]:
@@ -261,16 +252,17 @@ def pv_pieces(y: RationalFunction) -> tuple:
     return base, y1sq * y / (t * t), y1sq / (y * t * t), y / t, y * (y + 1) / (y - 1)
 
 
-def _pv_numerator(N, V, t, consts, sub):
-    """L R of `pv_residual`, with consts = L (1, 2a, 2b, 2c, 2d)."""
-    s, ca, cb, cc, cd = consts
+def _pv_numerator(N, V, pt, consts):
+    """L R of `pv_residual` at pt, with consts = L (1, 2a, 2b, 2c, 2d)."""
+    s, ca, cb, cc, cd = map(pt.const, consts)
+    sub = pt.sub
     n, v = N[0], V[0]
     m, k = _quotient_jets(N, V, sub)
     e, nv = sub(n, v), n * v
     ne = n * e
     inner = sub(2 * s * ne * k, s * (e + 2 * n) * m * m + cd * nv * nv * (n + v))
-    mid = sub(t * inner + 2 * s * ne * v * m, cc * ne * v * nv)
-    return sub(t * mid, e * e * e * (ca * n * n + cb * v * v))
+    mid = sub(pt.times(inner) + 2 * s * ne * v * m, cc * ne * v * nv)
+    return sub(pt.times(mid), e * e * e * (ca * n * n + cb * v * v))
 
 
 def pv_residual(inst: PVInstance) -> RationalFunction:
@@ -287,5 +279,5 @@ def pv_residual(inst: PVInstance) -> RationalFunction:
         raise ZeroDenominator("candidate PV solution is identically 0 or 1")
     consts = (Fraction(1), 2 * inst.a, 2 * inst.b, 2 * inst.c, 2 * inst.d)
     return _residual(
-        _pv_numerator, lambda n, v, t: 2 * t * t * n * (n - v) * v * v * v, inst.y, consts
+        _pv_numerator, lambda n, v: (2 * n * (n - v) * v * v * v).shifted(2), inst.y, consts
     )

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import operator
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -20,7 +19,7 @@ from dresschain.chain import (
     potential_of,
     verify_chain,
 )
-from dresschain.exact import Polynomial, RationalFunction
+from dresschain.exact import BOUND, VARIABLE, Point, Polynomial, RationalFunction
 from dresschain.maya import (
     AmplitudeMismatch,
     CyclicStructure,
@@ -368,13 +367,13 @@ def test_read_off_constant_confirmed_by_repacking(monkeypatch):
     sol = SAMPLE_CHAINS["even-22"]
     p = sol.period
     ks = []
-    jet = dresschain.chain.jet
+    jet = dresschain.exact.jet
 
     def recorder(coeffs, k):
         ks.append(k)
         return jet(coeffs, k)
 
-    monkeypatch.setattr(dresschain.chain, "jet", recorder)
+    monkeypatch.setattr(dresschain.exact, "jet", recorder)
     zero = dataclasses.replace(sol, expected_eps=(F(0),) * p)
     report = verify_chain(zero)
     # p + 1 norms at k = 0, p + 1 packings at the chain's K, then repacks
@@ -397,10 +396,10 @@ def test_read_off_candidate_refuted_by_repacking():
     coeffs = [(1,)] * 3
     eq = chain._equation((0, 1, 1, 2), True, 1, 2, (-1, 4), (0, -4), F(0))
     assert (eq.d0, eq.lines) == (1, ((0, -1), (-3, 1)))
-    bounds = eq.bounds([chain.jet((1,), 0)] * 3)
+    bounds = chain._sides(eq, [BOUND.jets((1,))] * 3, BOUND)
     assert bounds == (6, 1) and chain._bits(F(0), bounds, 1) == 3
-    jets = [chain.jet(cs, 3) for cs in coeffs]
-    assert chain._sides(eq, jets, lambda v: v << 3, operator.sub) == (-24, 8)
+    jets = [Point.at(3).jets(cs) for cs in coeffs]
+    assert chain._sides(eq, jets, Point.at(3)) == (-24, 8)
     assert chain._check_equation(eq, coeffs, jets, 3, bounds, 1) is None
 
 
@@ -451,8 +450,8 @@ def test_evaluation_bound_covers_every_coefficient(polys, h, q, gauges, eps, odd
             return
     coeffs = [P.int_coeffs for P in polys]
     den = 2 * q
-    norms = [chain.jet([abs(c) for c in cs], 0) for cs in coeffs]
-    poly_jets = [(P, P.derivative(), P.derivative().derivative()) for P in polys]
+    norms = [BOUND.jets(cs) for cs in coeffs]
+    poly_jets = [VARIABLE.jets(cs) for cs in coeffs]
     for entries in ((0, 1, 1, 3), (0, 1, 2, 3)):
         same = entries[1] == entries[2]
         eq = chain._equation(entries, same, h, den, *gauges, eps)
@@ -461,17 +460,17 @@ def test_evaluation_bound_covers_every_coefficient(polys, h, q, gauges, eps, odd
             assert stride == 2
         else:
             assert stride == 1 or all(map(_parity_definite, polys))
-        bounds = eq.bounds(norms)
+        bounds = chain._sides(eq, norms, BOUND)
         K = chain._bits(eps, bounds, stride)
-        L, R = chain._sides(eq, poly_jets, lambda v: X * v, operator.sub)
+        L, R = chain._sides(eq, poly_jets, VARIABLE)
         diff = L * eps.denominator - R * eps.numerator
         assert max(_l1(diff), _l1(R)) < 2 ** (stride * K)
         if stride == 2:
             assert _parity_definite(diff) and _parity_definite(R)
             assert (diff.degree - R.degree) % 2 == 0 or diff.is_zero
-        jets = [chain.jet(cs, K) for cs in coeffs]
-        assert chain._sides(eq, jets, lambda v: v << K, operator.sub) == (
-            L.eval_at(2 ** K), R.eval_at(2 ** K))
+        pt = Point.at(K)
+        jets = [pt.jets(cs) for cs in coeffs]
+        assert chain._sides(eq, jets, pt) == (L.eval_at(2 ** K), R.eval_at(2 ** K))
 
 
 def test_evaluation_bound_must_be_strict():
@@ -479,9 +478,9 @@ def test_evaluation_bound_must_be_strict():
     # 2**K reaches the evaluation point.  An l1 bound of 2**K therefore
     # asks for K + 1, where the value no longer vanishes
     K = 40
-    assert dresschain.chain.jet([2 ** K, -1], K)[0] == 0
+    assert dresschain.exact.jet([2 ** K, -1], K)[0] == 0
     assert dresschain.chain._bits(F(0), (2 ** K, 1), 1) == K + 1
-    assert dresschain.chain.jet([2 ** K, -1], K + 1)[0] != 0
+    assert dresschain.exact.jet([2 ** K, -1], K + 1)[0] != 0
 
 
 def _chains_for_fast_check_oracle():

@@ -376,6 +376,11 @@ def test_selftest_single_criterion(capsys):
         ["enum", "--period", "5", "--shift", "1", "--bound", "1" + "0" * 40],
         # few structures, but each with a diagram of up to 362 entries
         ["enum", "--period", "3", "--shift", "3", "--bound", "181"],
+        # diagrams over maya.DIAGRAM_BUDGET, refused before any work
+        ["verify", "--period", "3", "--shift", "1", "--params", "1,99999999"],
+        ["verify", "--period", "4", "--case", "3,1", "--params", "1,99999999",
+         "--alpha", "1/3"],
+        ["painleve", "--period", "3", "--shift", "1", "--params", "1,99999999"],
         # an empty list is not the default
         ["verify", "--period", "4", "--case", "2,2", "--params", "0,0", "--alpha="],
         ["verify", "--period", "3", "--shift", "1", "--params", "1,2", "--perm="],
@@ -398,6 +403,8 @@ def test_selftest_single_criterion(capsys):
          "case-2-2-shift-1", "case-0-4", "huge-case", "huge-case-shift-2",
          "seed-tuple-too-long", "huge-enum-period", "enum-box-over-budget",
          "huge-enum-bound", "enum-diagrams-over-budget",
+         "odd-diagram-over-budget", "even-diagram-over-budget",
+         "piv-diagram-over-budget",
          "empty-alpha", "empty-perm", "pv-empty-alpha",
          "integer-alpha", "zero-denominator-alpha", "malformed-alpha",
          "trailing-empty-alpha", "pv-zero-denominator-alpha"],

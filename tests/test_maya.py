@@ -8,8 +8,10 @@ from dresschain.maya import (
     POSITIVE,
     AmplitudeMismatch,
     CyclicStructure,
+    DIAGRAM_BUDGET,
     ENUM_BUDGET,
     DegenerateStructure,
+    DiagramTooLarge,
     EnumerationTooLarge,
     Flip,
     InvalidParity,
@@ -166,6 +168,19 @@ def test_build_diagram_gh_block():
 def test_build_diagram_okamoto():
     d, degenerate = build_diagram(CyclicStructure(k=3, okamoto=(1, 1)))
     assert d.entries == (1, 2) and not degenerate
+
+
+def test_build_diagram_budget_counts_every_block_index():
+    # Okamoto and free blocks both count; one index past the budget is
+    # refused, whatever its length would cost
+    assert DIAGRAM_BUDGET == 1000
+    d, _ = build_diagram(CyclicStructure(k=3, okamoto=(400, 0), second_type=((3, 600),)))
+    assert len(d.entries) == 1000
+    for cs in (CyclicStructure(k=3, okamoto=(401, 0), second_type=((3, 600),)),
+               CyclicStructure(k=3, okamoto=(400, 0), second_type=((3, 601),)),
+               CyclicStructure(k=1, second_type=((1, 10 ** 30),))):
+        with pytest.raises(DiagramTooLarge):
+            build_diagram(cs)
 
 
 def test_build_diagram_overlap_cancels_pairwise():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dresschain import painleve
 from dresschain.chain import build_even_chain, build_odd_chain
-from dresschain.exact import Polynomial, RationalFunction
+from dresschain.exact import BOUND, VARIABLE, Polynomial, RationalFunction
 from dresschain.maya import CyclicStructure, MayaDiagram
 from dresschain.orthopoly import AlphaParam
 from dresschain.painleve import (
@@ -308,10 +308,10 @@ def test_pv_residual_matches_oracle_property(n, d, a, b, c, e):
 def test_passing_instances_take_the_check_at_a_power_of_two(monkeypatch):
     # every PIV family of the criterion-5 box and every criterion-7 PV cell
     # is accepted without building R by polynomial products
-    def refuse(*coeff_lists):
+    def refuse(coeffs):
         raise AssertionError("polynomial residual built for a solution")
 
-    monkeypatch.setattr(painleve, "_quotient_derivatives", refuse)
+    monkeypatch.setattr(painleve, "VARIABLE", painleve.VARIABLE._replace(jets=refuse))
     instances = [inst for cs in PIV_BOX for inst in piv_families(cs)]
     for cs1, cs2, perm, _ in even_cells():
         if cs1.p + cs2.p == 4:
@@ -344,11 +344,12 @@ def _assert_bound_covers_numerator(name, inst, f, residual):
     # 2**K exceeds it, and the value at 2**K is the numerator's
     calls = _recorded_numerator(name, inst, residual)
     (bound_args, bound), (value_args, value) = calls[:2]
-    assert bound_args[2] == 1 and bound_args[4] is operator.add
-    _, _, x, ints, sub = value_args
-    N, V = painleve._quotient_derivatives(*f.integer_pair())
-    expanded = getattr(painleve, name)(N, V, Polynomial.x(), ints, operator.sub)
-    assert sub is operator.sub
+    assert bound_args[2] is BOUND
+    _, _, pt, ints = value_args
+    x = pt.times(1)
+    cs, vs = f.integer_pair()
+    expanded = getattr(painleve, name)(VARIABLE.jets(cs), VARIABLE.jets(vs), VARIABLE, ints)
+    assert pt.sub is operator.sub
     assert sum(abs(c) for c in expanded.coeffs) <= bound < x
     assert expanded.eval_at(x) == value
 
