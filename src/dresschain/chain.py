@@ -236,10 +236,7 @@ def build_even_chain(
     uc, chain = uc_flip_chain(cs1, cs2)
     if perm is not None:
         chain = chain.permuted(perm)
-    ladder = [laguerre_pseudo_wronskian(uc, alpha)]
-    for f in chain.flips:
-        uc = UniversalCharacter(*apply_uc_flip((uc.first, uc.second), f))
-        ladder.append(laguerre_pseudo_wronskian(uc, alpha))
+    ladder = [laguerre_pseudo_wronskian(c, alpha) for c in chain.states(uc, apply_uc_flip)]
     return _assemble(ladder, chain.flips, 2 * cs1.k * OMEGA)
 
 

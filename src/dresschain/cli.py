@@ -19,7 +19,6 @@ from .chain import OMEGA, build_even_chain, build_odd_chain, verify_chain
 from .exact import frac_str, parse_frac
 from .maya import (
     CyclicStructure,
-    DegenerateStructure,
     admitted_shifts,
     build_diagram,
     enumerate_structures,
@@ -27,7 +26,6 @@ from .maya import (
 )
 from .orthopoly import AlphaParam
 from .painleve import (
-    WrongPeriod,
     piv_families,
     piv_from_chain,
     piv_residual,
@@ -250,10 +248,7 @@ def cmd_painleve(args) -> int:
     if args.period == 3:
         _refuse_unread(args, "case", "alpha", "perm", "allow_degenerate")
         (cs,) = _structures(args)
-        try:
-            fams = piv_families(cs)
-        except (WrongPeriod, DegenerateStructure) as exc:
-            raise UsageError(str(exc))
+        fams = piv_families(cs)
         payload = [f.to_json() for f in fams]
         ok = all(p["residual_zero"] for p in payload)
         if args.format == "latex":

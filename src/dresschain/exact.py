@@ -12,10 +12,11 @@ arithmetic; the Fraction coefficients of the public interface (`coeffs`,
 
 Rational functions keep a monic denominator and a gcd-reduced numerator,
 so structural equality coincides with mathematical equality.  Gcds are
-taken by a primitive pseudo-remainder sequence, and general determinants,
-of a matrix given by rows or by columns, by Bareiss elimination over Z[x],
-the oracle of the ladder recursion in `wronskian`; all of them share the
-integer kernel below.  A `Point` tests an identity between integer
+taken by a primitive pseudo-remainder sequence, on the one integer
+pseudo-division (`_ipdivmod`) that `Polynomial` division also runs, and
+general determinants, of a matrix given by rows or by columns, by Bareiss
+elimination over Z[x], the oracle of the ladder recursion in `wronskian`;
+all of them share the integer kernel below.  A `Point` tests an identity between integer
 polynomials as one integer, for the chain and Painleve checks, at half the
 bits when it is parity-definite (`bits_above`).
 """
@@ -120,17 +121,20 @@ def _iexact_quo(a: Sequence[int], b: Sequence[int]) -> list:
     return q
 
 
-def _iprem(a: list, b: list) -> list:
-    """Pseudo-remainder of a by b over Z (content growth handled by caller)."""
+def _ipdivmod(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """Pseudo-division over Z: (s, q, r) with s*a == q*b + r and
+    deg r < deg b, where s is b's leading coefficient to the power
+    deg a - deg b + 1, or s = 1, q = [] and r = a when deg a < deg b.
+    Content growth is left to the caller."""
     e = len(a) - len(b) + 1
     if e <= 0:
-        return a
+        return 1, [], a
     s = b[-1] ** e
-    return _idivmod([s * x for x in a], b)[1]
+    return (s,) + _idivmod([s * x for x in a], b)
 
 
-def _icontent(a: Sequence[int]) -> int:
-    g = 0
+def _icontent(a: Sequence[int], g: int = 0) -> int:
+    """gcd(g, a_0, a_1, ...): the content of a for g = 0."""
     for x in a:
         g = _gcd(g, x)
         if g == 1:
@@ -152,11 +156,7 @@ def _poly(num: list, den: int = 1) -> "Polynomial":
         if den < 0:
             num = [-x for x in num]
             den = -den
-        g = den
-        for x in num:
-            g = _gcd(g, x)
-            if g == 1:
-                break
+        g = _icontent(num, den)
         if g != 1:
             num = [x // g for x in num]
             den //= g
@@ -308,24 +308,16 @@ class Polynomial:
         return result
 
     def __divmod__(self, other: "Polynomial"):
-        """Division over Q, run as an integer pseudo-division: with s the
-        divisor's leading integer coefficient to the power deg - deg' + 1,
-        s * num(self) == q * num(other) + r over Z."""
+        """Division over Q, run as the integer pseudo-division
+        s * num(self) == q * num(other) + r of `_ipdivmod`."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        e = len(self._n) - len(other._n) + 1
-        if e <= 0:
-            return Polynomial(), self
-        s = other._n[-1] ** e
-        q, r = _idivmod([s * x for x in self._n], other._n)
+        s, q, r = _ipdivmod(self._n, other._n)
         den = s * self._d
         return _poly([other._d * x for x in q], den), _poly(r, den)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
@@ -449,7 +441,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     ia = _iprim(list(a._n))
     ib = _iprim(list(b._n))
     while ib:
-        ia, ib = ib, _iprim(_iprem(ia, ib))
+        ia, ib = ib, _iprim(_ipdivmod(ia, ib)[2])
     return _poly(ia, ia[-1])
 
 
@@ -538,10 +530,10 @@ def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     eliminated fraction-free (Bareiss) over Z[x], every pivot division
     exact.  When a pivot column vanishes from the pivot row down, the
     trailing block has a zero first column, so by Sylvester's identity
-    the determinant is zero."""
+    the determinant is zero.  The 0 x 0 matrix has determinant 1."""
     n = len(rows)
     if n == 0:
-        raise ValueError("determinant of an empty matrix is not defined")
+        return Polynomial.one()
     for r in rows:
         if len(r) != n:
             raise ValueError("matrix is not square")
@@ -733,9 +725,3 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return "RationalFunction(%r, %r)" % (self._n, self._d)
-
-    def format(self, var: str = "x") -> str:
-        if self._d == Polynomial.one():
-            return self._n.format(var)
-        return "(%s)/(%s)" % (self._n.format(var), self._d.format(var))
-

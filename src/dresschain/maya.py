@@ -20,7 +20,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 
 class InvalidParity(ValueError):
@@ -201,11 +201,14 @@ class FlipChain:
     def apply(self, d: MayaDiagram) -> MayaDiagram:
         return self.states(d)[-1]
 
-    def states(self, d: MayaDiagram) -> List[MayaDiagram]:
-        out = [d]
+    def states(self, start, step: Callable = lambda d, f: flip_at(d, f.level)) -> list:
+        """start and the label after each flip, step(label, flip) applying
+        one: by default a diagram flipped at f.level, and with
+        `apply_uc_flip` a universal character flipped in component f.slot."""
+        out = [start]
         for f in self.flips:
-            d = flip_at(d, f.level)
-            out.append(d)
+            start = step(start, f)
+            out.append(start)
         return out
 
     def permuted(self, order: Sequence[int]) -> "FlipChain":
@@ -432,7 +435,9 @@ def uc_flip_chain(
     cs1: CyclicStructure, cs2: CyclicStructure
 ) -> Tuple[UniversalCharacter, FlipChain]:
     """Universal character and slot-tagged chain for a zero balanced
-    translation amplitude (both components share the same k)."""
+    translation amplitude (both components share the same k): the flips
+    of cs1's static chain, which carry slot 1, then those of cs2's,
+    tagged with slot 2."""
     if cs1.k != cs2.k:
         raise AmplitudeMismatch(
             "balanced translation amplitude must vanish: k1=%d k2=%d"
@@ -440,17 +445,14 @@ def uc_flip_chain(
         )
     d1, _ = build_diagram(cs1)
     d2, _ = build_diagram(cs2)
-    first = static_flip_chain(cs1)
-    second = static_flip_chain(cs2)
-    tagged = tuple(
-        Flip(f.level, f.sign, slot=1) for f in first.flips
-    ) + tuple(Flip(f.level, f.sign, slot=2) for f in second.flips)
-    return UniversalCharacter(d1, d2), FlipChain(tagged)
+    second = tuple(Flip(f.level, f.sign, slot=2) for f in static_flip_chain(cs2).flips)
+    return UniversalCharacter(d1, d2), FlipChain(static_flip_chain(cs1).flips + second)
 
 
-def apply_uc_flip(
-    state: Tuple[MayaDiagram, MayaDiagram], f: Flip
-) -> Tuple[MayaDiagram, MayaDiagram]:
+def apply_uc_flip(uc: UniversalCharacter, f: Flip) -> UniversalCharacter:
+    """uc with level f.level flipped in its spectrum component (slot 1,
+    `first`) or its shadow component (slot 2, `second`): the step of
+    `FlipChain.states` on universal characters."""
     if f.slot == 1:
-        return flip_at(state[0], f.level), state[1]
-    return state[0], flip_at(state[1], f.level)
+        return UniversalCharacter(flip_at(uc.first, f.level), uc.second)
+    return UniversalCharacter(uc.first, flip_at(uc.second, f.level))

@@ -132,14 +132,6 @@ def _vandermonde(entries: Tuple[int, ...]) -> int:
     return prod(nj - ni for j, nj in enumerate(entries) for ni in entries[:j])
 
 
-def _matrix_det(columns: list) -> Polynomial:
-    """Determinant of the square matrix with these columns, eliminated in
-    full; no columns give 1."""
-    if not columns:
-        return Polynomial.one()
-    return det_poly_matrix(columns)
-
-
 @lru_cache(maxsize=None)
 def _hermite_column(n: int, size: int) -> Tuple[Polynomial, ...]:
     """Rows 0..size-1 of the Hermite Wronskian column of n: (n)_i H_{n-i}(z)."""
@@ -150,7 +142,7 @@ def _hermite_column(n: int, size: int) -> Tuple[Polynomial, ...]:
 def _hermite_matrix_det(entries: Tuple[int, ...]) -> Polynomial:
     """Determinant with (i, j) entry (n_j)_i H_{n_j - i}(z); the oracle of
     hermite_wronskian."""
-    return _matrix_det([_hermite_column(n, len(entries)) for n in entries])
+    return det_poly_matrix([_hermite_column(n, len(entries)) for n in entries])
 
 
 def _hermite_ys(n: int) -> list:
@@ -265,8 +257,8 @@ def _laguerre_matrix_det(uc: UniversalCharacter, a: Fraction) -> Polynomial:
     """Determinant of the _laguerre_column matrix, spectrum columns first;
     the oracle of laguerre_pseudo_wronskian."""
     size = len(uc.first.entries) + len(uc.second.entries)
-    return _matrix_det([_laguerre_column(n, False, a, size) for n in uc.first.entries]
-                       + [_laguerre_column(l, True, a, size) for l in uc.second.entries])
+    return det_poly_matrix([_laguerre_column(n, False, a, size) for n in uc.first.entries]
+                           + [_laguerre_column(l, True, a, size) for l in uc.second.entries])
 
 
 def _laguerre_top(uc: UniversalCharacter, a: Fraction) -> Fraction:

@@ -13,13 +13,12 @@ which corrupts a ladder leaks into no later one.
 from fractions import Fraction
 from functools import lru_cache
 
-from dresschain.exact import Polynomial, RationalFunction, ZeroPolynomial
+from dresschain.exact import Polynomial, RationalFunction, ZeroPolynomial, det_poly_matrix
 from dresschain.painleve import pv_pieces
 from dresschain.wronskian import (
     _hermite_kernel,
     _laguerre_column,
     _laguerre_kernel,
-    _matrix_det,
     hermite_wronskian,
     laguerre_pseudo_wronskian,
 )
@@ -34,15 +33,14 @@ def clear_ladder_memos():
 
 
 def det_poly_matrix_cofactor(rows):
-    """Naive cofactor-expansion determinant; the oracle for det_poly_matrix."""
+    """Naive cofactor-expansion determinant; the oracle for det_poly_matrix.
+    The 0 x 0 matrix, the base case of the expansion, has determinant 1."""
     n = len(rows)
-    if n == 0:
-        raise ValueError("determinant of an empty matrix is not defined")
     for r in rows:
         if len(r) != n:
             raise ValueError("matrix is not square")
-    if n == 1:
-        return rows[0][0]
+    if n == 0:
+        return Polynomial.one()
     acc = Polynomial()
     sign = 1
     for j in range(n):
@@ -60,7 +58,7 @@ def top_coefficient_oracle(uc, a):
     size = len(uc.first.entries) + len(uc.second.entries)
     columns = [(n, _laguerre_column(n, False, a, size)) for n in uc.first.entries]
     columns += [(l + size - 1, _laguerre_column(l, True, a, size)) for l in uc.second.entries]
-    return _matrix_det([
+    return det_poly_matrix([
         [Polynomial.constant(col[i].coeff(c - i)) for i in range(size)] for c, col in columns
     ]).coeff(0)
 

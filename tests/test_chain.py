@@ -25,7 +25,6 @@ from dresschain.maya import (
     CyclicStructure,
     DegenerateStructure,
     MayaDiagram,
-    UniversalCharacter,
     apply_uc_flip,
     enumerate_structures,
     flip_at,
@@ -649,11 +648,10 @@ def test_labels_index_the_ladder_and_replay_their_flips():
             assert list(sol.ladder) == [
                 laguerre_pseudo_wronskian(uc, alpha) for uc in sol.labels
             ]
-            state = (sol.labels[0].first, sol.labels[0].second)
-            replay = [sol.labels[0]]
+            state, replay = sol.labels[0], [sol.labels[0]]
             for f in sol.flips:
                 state = apply_uc_flip(state, f)
-                replay.append(UniversalCharacter(*state))
+                replay.append(state)
         assert replay == list(sol.labels)
         k = sol.delta / (2 * OMEGA if sol.is_even else OMEGA)
         for slot in {f.slot for f in sol.flips}:

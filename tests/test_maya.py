@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -291,8 +293,11 @@ def test_lemma_counts_on_enumerated_chains():
 
 def test_degenerate_exactly_when_minimal_chain_differs():
     # the converse of criterion 2, which compares the two multisets only
-    # on non-degenerate structures: every period up to 9, bounds 4, 2, 1
-    degenerate = 0
+    # on non-degenerate structures: every period up to 9, bounds 4, 2, 1.
+    # Period 3 has none (k = 1: one free block and no Okamoto block;
+    # k = 3: one Okamoto block per residue), which `dresschain painleve
+    # --period 3` relies on
+    degenerate = Counter()
     for p in range(1, 10):
         bound = 4 if p <= 5 else 2 if p <= 7 else 1
         for k in admitted_shifts(p):
@@ -300,8 +305,8 @@ def test_degenerate_exactly_when_minimal_chain_differs():
                 d, flagged = build_diagram(cs)
                 minimal = minimal_flip_chain(d, k).multiset()
                 assert flagged == (minimal != static_flip_chain(cs).multiset()), cs
-                degenerate += flagged
-    assert degenerate == 1355
+                degenerate[p] += flagged
+    assert sum(degenerate.values()) == 1355 and degenerate[3] == 0
 
 
 # -- enumeration ------------------------------------------------------------------
