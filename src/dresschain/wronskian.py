@@ -32,7 +32,7 @@ from math import factorial, prod
 from typing import Optional, Tuple, Union
 
 from .exact import Polynomial, det_poly_matrix, frac_str
-from .exact import _iexact_quo
+from .exact import _iexact_quo, _iprim
 from .maya import MayaDiagram, UniversalCharacter, conjugate
 from .orthopoly import AlphaParam, falling_factorial, hermite, laguerre
 
@@ -155,15 +155,18 @@ def _hermite_ys(n: int) -> list:
 
 
 def _sylvester(w, seeds: tuple, s: int, t: int) -> Tuple[int, list]:
-    """(E, D) with s**(m (m-1) / 2) W(f_1, ..., f_m) = z**(E/s) D(z**t),
-    D(0) != 0, for the m >= 2 independent f_j = z**(A_j/s) P_j(z**t) of a
-    sorted seed tuple S + (g, h), where w gives (E, D) of shorter tuples.
+    """(E, D) with W(f_1, ..., f_m) = const * z**(E/s) D(z**t), D(0) != 0
+    and D primitive up to sign, for the m >= 2 independent
+    f_j = z**(A_j/s) P_j(z**t) of a sorted seed tuple S + (g, h), where w
+    gives (E, D) of shorter tuples, each primitive up to sign.
 
     By Sylvester's identity W(W(S, g), W(S, h)) = W(S) W(S, g, h), this is
     one 2 x 2 Wronskian and one exact division by W(S).  As
     s W(z**(a/s), z**(b/s)) = (b - a) z**((a+b-s)/s), the step on (A, P),
     (B, Q) is sum (b_j - a_i) P_i Q_j u**(i+j), u = z**t, a_i = A + s t i,
-    b_j = B + s t j, in one pass; its low zeros go into the exponent.
+    b_j = B + s t j, in one pass; its low zeros go into the exponent.  It
+    is a constant times D(S) D(S, g, h), primitive by Gauss's lemma, so
+    less its content it divides by D(S) exactly.
     """
     head = seeds[:-2]
     (a, f), (b, g), (prev_e, prev) = w(seeds[:-1]), w(head + seeds[-1:]), w(head)
@@ -173,16 +176,17 @@ def _sylvester(w, seeds: tuple, s: int, t: int) -> Tuple[int, list]:
         for j, y in enumerate(g):
             r[i + j] += (b - a + st * (j - i)) * x * y
     v = next(i for i, x in enumerate(r) if x)
-    return a + b - s + st * v - prev_e, _iexact_quo(r[v:], prev)
+    return a + b - s + st * v - prev_e, _iexact_quo(_iprim(r[v:]), prev)
 
 
 @lru_cache(maxsize=None)
 def _hermite_kernel(seeds: Tuple[int, ...]) -> Tuple[int, list]:
     """_sylvester's (E, D) for the H_n(z), n in seeds, each z**(n%2) times
-    integers in y = z**2 (s = 1, t = 2)."""
+    integers in y = z**2 (s = 1, t = 2): D is the Wronskian up to a
+    constant, primitive up to sign."""
     if len(seeds) > 1:
         return _sylvester(_hermite_kernel, seeds, 1, 2)
-    return (seeds[0] % 2, _hermite_ys(seeds[0])) if seeds else (0, [1])
+    return (seeds[0] % 2, _iprim(_hermite_ys(seeds[0]))) if seeds else (0, [1])
 
 
 @lru_cache(maxsize=None)
@@ -234,11 +238,12 @@ def _laguerre_ints(n: int, p: int, q: int) -> list:
 @lru_cache(maxsize=None)
 def _laguerre_kernel(p: int, q: int, seeds: tuple) -> Tuple[int, list]:
     """_sylvester's (E, D) at alpha = p/q (s = q, t = 1) for the seeds
-    (0, n), L_n^alpha, and (1, l), z**-alpha L_l^-alpha: spectrum first."""
+    (0, n), L_n^alpha, and (1, l), z**-alpha L_l^-alpha: spectrum first.
+    D is the Wronskian up to a constant, primitive up to sign."""
     if len(seeds) > 1:
         return _sylvester(lambda sub: _laguerre_kernel(p, q, sub), seeds, q, 1)
     shadow, n = seeds[0] if seeds else (0, 0)  # L_0 = 1 for no seeds
-    return -p * shadow, _laguerre_ints(n, -p if shadow else p, q)
+    return -p * shadow, _iprim(_laguerre_ints(n, -p if shadow else p, q))
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,8 @@ import dresschain.wronskian
 from dresschain.chain import (
     OMEGA,
     OddPeriodRequired,
+    _closure,
+    _core,
     _gauge,
     build_even_chain,
     build_odd_chain,
@@ -330,11 +332,13 @@ def test_unclosed_ladder_wrap_equation(sol):
 
 
 def test_wrap_form_with_distinct_middle_entries(monkeypatch):
-    # with the closure test forced off, the wrap equation of a ladder that
-    # does close, up to z**e, goes through the form for two distinct middle
-    # entries P_0 and z**e P_0 whenever e > 0 (e = 10 on the even-22 sample),
-    # and still reads off eps on every even cell; only the sum rule fails
+    # with the closure test forced off and the z powers left in the entries
+    # (whole cores), the wrap equation of a ladder that does close, up to
+    # z**e, goes through the form for two distinct middle entries P_0 and
+    # z**e P_0 whenever e > 0 (e = 10 on the even-22 sample), and still
+    # reads off eps on every even cell; only the sum rule fails
     monkeypatch.setattr(dresschain.chain, "_closure", lambda sol: None)
+    monkeypatch.setattr(dresschain.chain, "_core", lambda pw: (0, pw.prim))
     cells = list(even_cells())
     assert len(cells) == 145
     for cs1, cs2, perm, _ in cells:
@@ -342,6 +346,74 @@ def test_wrap_form_with_distinct_middle_entries(monkeypatch):
         report = verify_chain(sol)
         assert [eq.value for eq in report.equations] == list(sol.expected_eps), (cs1, cs2)
         assert all(eq.match for eq in report.equations) and not report.sum_rule
+
+
+def test_core_splits_off_the_z_power_of_laguerre_entries_only():
+    # prim == z**s D: an even entry's D has a nonzero constant term, and a
+    # Hermite entry stays whole even when it is divisible by x
+    odd, even = SAMPLE_CHAINS["odd"], SAMPLE_CHAINS["even-22"]
+    assert any(pw.prim.coeff(0) == 0 for pw in odd.ladder)
+    for pw in odd.ladder:
+        assert _core(pw) == (0, pw.prim)
+    powers = set()
+    for cs1, cs2, perm, _ in even_cells():
+        for pw in build_even_chain(cs1, cs2, ALPHA, perm=perm).ladder:
+            s, core = _core(pw)
+            assert core.shifted(s) == pw.prim and core.coeff(0) != 0
+            powers.add(s)
+    assert max(powers) >= 10 and _core(even.ladder[-1])[0] - _core(even.ladder[0])[0] == 10
+
+
+def test_even_chain_layers_read_cores(monkeypatch):
+    # verify_chain packs, and span differentiates, only the cores of an even
+    # ladder: no polynomial there has a zero constant term
+    sols = [build_even_chain(cs1, cs2, ALPHA, perm=perm) for cs1, cs2, perm in PERIOD4_CELLS]
+    sols += [SAMPLE_CHAINS["even-31"], _bumped(SAMPLE_CHAINS["even-22"])]
+    assert any(pw.prim.coeff(0) == 0 for sol in sols for pw in sol.ladder)
+    expected = [(verify_chain(sol).to_json(), sol.span(0, 2)) for sol in sols]
+    seen = []
+    jet, derivative = dresschain.exact.jet, Polynomial.derivative
+
+    def checked_jet(coeffs, k):
+        seen.append(coeffs[0])
+        return jet(coeffs, k)
+
+    def checked_derivative(poly):
+        seen.append(poly.coeff(0))
+        return derivative(poly)
+
+    monkeypatch.setattr(dresschain.exact, "jet", checked_jet)
+    monkeypatch.setattr(Polynomial, "derivative", checked_derivative)
+    assert [(verify_chain(sol).to_json(), sol.span(0, 2)) for sol in sols] == expected
+    assert len(seen) > 100 and all(seen)
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_odd_ladder_closed_up_to_a_power_of_x_is_not_closed(e):
+    # an odd ladder whose last entry is x**e times its first does not close:
+    # the wrap equation would need an e/x term, which no gauge line carries,
+    # so the sum rule fails and every equation reads the oracle's constant
+    sol = SAMPLE_CHAINS["odd"]
+    p = sol.period
+    shifted = _with_ladder_entry(sol, p, sol.ladder[0].prim.shifted(e))
+    assert shifted.ladder[p].prim == sol.ladder[0].prim.shifted(e)
+    report = verify_chain(shifted)
+    assert not _closure(shifted) and not report.sum_rule and not report.ok
+    for i, eq in enumerate(report.equations, 1):
+        assert eq.value == _residual_rf(shifted, i).constant_value()
+
+
+def test_closure_needs_a_nonnegative_z_power():
+    # even-22 closes with last = z**10 first; with its end entries swapped,
+    # the last is z**-10 times the first, and the ladder does not close
+    sol = SAMPLE_CHAINS["even-22"]
+    p = sol.period
+    first, last = sol.ladder[0].prim, sol.ladder[p].prim
+    assert _closure(sol) and last == first.shifted(10)
+    swapped = _with_ladder_entry(_with_ladder_entry(sol, 0, last), p, first)
+    assert not _closure(swapped)
+    report = verify_chain(swapped)
+    assert not report.sum_rule and not report.ok
 
 
 @pytest.mark.parametrize("sol", SAMPLE_CHAINS.values(), ids=SAMPLE_CHAINS.keys())

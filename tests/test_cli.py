@@ -188,6 +188,15 @@ def test_build_emits_ladder(capsys):
             "fd381b48edfc4f0b02b948f1b1aa3fa3c40622ad10e16969967f82a50c4bb9ed",
         ),
         (
+            # even ladders carrying z**12 to z**30 on degrees 28 to 50
+            "verify --period 4 --case 2,2 --shift 2 --params 4,4 --alpha 1/3,-2/5 --format json",
+            "1e9d73bac0bb1152c0fe7cf1ce39a6bc6a0d2bef88c1a141d4a177bf06b4b4cc",
+        ),
+        (
+            "painleve --period 4 --case 2,2 --params 4,4 --perm 1,0,3,2 --alpha 1/3,-2/5",
+            "635bbb0268d0d6043b5e289c4c55bd86ebc6e0c4290ad70640dd7a8174a8237f",
+        ),
+        (
             # all eight criteria; criterion 8 compares ladders in z**2
             "selftest --format json",
             "b7482a22b4cabcb4942b74d867e07a2a06535502cb207563f3ee0ded25e7cc87",

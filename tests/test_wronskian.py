@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from itertools import combinations, product
-from math import factorial
+from math import factorial, gcd
 from unittest import mock
 
 import pytest
@@ -18,7 +18,13 @@ from dresschain.maya import (
     translate,
 )
 from dresschain.orthopoly import AlphaParam, hermite, laguerre
-from dresschain.selftest import check_wronskian_equivalences
+from dresschain.selftest import (
+    ALPHA_TRIPLE,
+    _odd_parameter_grid,
+    _odd_table_rows,
+    check_wronskian_equivalences,
+    even_cells,
+)
 from dresschain.wronskian import (
     NegativeIndex,
     _hermite_kernel,
@@ -462,6 +468,32 @@ def test_kernel_memo_holds_each_needed_sub_tuple_once(fresh_memos):
         hermite_wronskian(MayaDiagram(entries))
     info = _hermite_kernel.cache_info()
     assert info.misses == info.currsize == len(needed)
+
+
+def test_kernel_values_are_primitive(monkeypatch, fresh_memos):
+    # every Sylvester step divides out its content, and the leaves are
+    # primitive, so no kernel value reached by the criterion-4 chains or the
+    # criterion-6 cells carries an integer factor
+    values = []
+
+    def recording(kernel):
+        def wrapped(*args):
+            values.append(kernel(*args))
+            return values[-1]
+        return wrapped
+
+    for name in ("_hermite_kernel", "_laguerre_kernel"):
+        monkeypatch.setattr(dresschain.wronskian, name,
+                            recording(getattr(dresschain.wronskian, name)))
+    for cs in _odd_parameter_grid(3):
+        build_odd_chain(cs, allow_degenerate=True)
+    for _, build, _ in _odd_table_rows():
+        build()
+    for cs1, cs2, perm, _ in even_cells():
+        for a in ALPHA_TRIPLE:
+            build_even_chain(cs1, cs2, AlphaParam(a), perm=perm)
+    assert len(values) > 1000 and max(len(d) for _, d in values) > 10
+    assert all(gcd(*d) == 1 for _, d in values)
 
 
 def test_ladders_run_no_elimination(monkeypatch, fresh_memos):
