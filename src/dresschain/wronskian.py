@@ -164,9 +164,9 @@ def _sylvester(w, seeds: tuple, s: int, t: int) -> Tuple[int, list]:
     one 2 x 2 Wronskian and one exact division by W(S).  As
     s W(z**(a/s), z**(b/s)) = (b - a) z**((a+b-s)/s), the step on (A, P),
     (B, Q) is sum (b_j - a_i) P_i Q_j u**(i+j), u = z**t, a_i = A + s t i,
-    b_j = B + s t j, in one pass; its low zeros go into the exponent.  It
-    is a constant times D(S) D(S, g, h), primitive by Gauss's lemma, so
-    less its content it divides by D(S) exactly.
+    b_j = B + s t j, in one pass; its low zeros go into the exponent.  The
+    step is a constant times D(S) D(S, g, h), primitive by Gauss's lemma,
+    so less its content it divides by D(S) exactly.
     """
     head = seeds[:-2]
     (a, f), (b, g), (prev_e, prev) = w(seeds[:-1]), w(head + seeds[-1:]), w(head)
