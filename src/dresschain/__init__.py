@@ -47,7 +47,6 @@ from .wronskian import (
     PseudoWronskian,
     hermite_wronskian,
     laguerre_pseudo_wronskian,
-    translation_power,
 )
 from .chain import (
     ChainSolution,

@@ -8,8 +8,8 @@ x-derivative of the full gauge-tracked ratio of consecutive ladder entries:
 
 with lin_i = -omega * (exp-gauge increment) and inv_i = -2 * (z-power
 increment), integers over one denominator 2q for alpha = p/q (`_gauge`).
-An even entry z**s D with D(0) != 0 is read as its core D (`_core`): its
-z**s is gauge too, adding (1 + h)(s_{i-1} - s_i) to inv_i.
+The P_i are the entries' `prim`; an even entry's power of z is part of
+its gauge, so P_i(0) != 0 there.
 Verification substitutes these exact rational functions into the
 first-order cyclic system and checks every residual against the seed
 energy differences.  Cleared of denominators, each equation is one identity
@@ -70,15 +70,6 @@ def _gauge(prev: PseudoWronskian, cur: PseudoWronskian) -> Tuple[int, int]:
     on an odd ladder.  Consecutive increments add, so a span of components
     has the gauge of its two end entries."""
     return cur.m + cur.r - prev.m - prev.r, prev.z_power_num - cur.z_power_num
-
-
-def _core(pw: PseudoWronskian) -> Tuple[int, Polynomial]:
-    """(s, D) with pw.prim == z**s D.  A Laguerre entry splits off all its
-    z, D(0) != 0: the components read z**s as (1 + h)(s_prev - s_cur) in
-    their 1/x coefficient, with the gauge.  A Hermite entry stays whole,
-    s = 0: at h = 0 its power of x would be an s/x term, which the lines
-    g0 + g1 z of the identity cannot carry."""
-    return (0, pw.prim) if pw.alpha is None else pw.prim.split_lowest()
 
 
 @dataclass(frozen=True)
@@ -173,18 +164,18 @@ class ChainSolution:
     def span(self, i: int, j: int) -> RationalFunction:
         """v_{i+1} + ... + v_j, with each component v = x**h w rewritten in
         z, as one reduced fraction.  The sum telescopes to ladder entries
-        i and j, with cores (`_core`) z**s P and z**t Q:
+        P = ladder[i].prim and Q = ladder[j].prim:
 
-            lin*z + inv + (1 + h)(s - t) + (1 + h) z**h (P'Q - PQ')/(PQ),
+            lin*z + inv + (1 + h) z**h (P'Q - PQ')/(PQ),
 
         with (lin, inv) = _gauge of the entries.  Odd ladders carry no
-        z-power, so inv = s = t = 0 there and v = w.
+        z-power, so inv = 0 there and v = w.
         """
         prev, cur = self.ladder[i], self.ladder[j]
         lin, inv = _gauge(prev, cur)
-        (s, P), (t, Q) = _core(prev), _core(cur)
+        inv = Fraction(inv, 2 * cur.gauge_den)
+        P, Q = prev.prim, cur.prim
         h = int(self.is_even)
-        inv = Fraction(inv, 2 * cur.gauge_den) + (1 + h) * (s - t)
         if P.is_zero or Q.is_zero:
             raise ZeroPolynomial("log-derivative of a zero polynomial")
         PQ = P * Q
@@ -259,12 +250,10 @@ def build_even_chain(
 
 
 def _closure(sol: ChainSolution) -> bool:
-    """Whether the last determinant is const * z**e * the first one, e >= 0:
-    the end cores (`_core`) are equal and e = s_last - s_first >= 0.  An
-    odd ladder closes with e = 0, an even one with the z power of its
-    diagram translation, which the core terms of the components absorb."""
-    (a, first), (b, last) = _core(sol.ladder[0]), _core(sol.ladder[-1])
-    return b >= a and last == first
+    """Whether the last entry's `prim` is the first one's.  On an even
+    ladder the determinants then differ by a constant and the z power of
+    the diagram translation, which the gauges of the entries carry."""
+    return sol.ladder[-1].prim == sol.ladder[0].prim
 
 
 class _Equation(NamedTuple):
@@ -431,21 +420,19 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
     Failures are report entries, not exceptions.  Each residual is read
     off as a constant, or found not to be one, by one cross-multiplied
     integer identity (`_check_equation`) and compared with the expected
-    energy difference.  Every ladder entry is packed once, as its core
-    (`_core`), at the one z = 2**K that the l1 bounds of all equations
-    admit; on an odd ladder of parity-definite entries at half the bits
-    (`_stride`); a closed ladder's last core is its first.
+    energy difference.  Every ladder entry is packed once, at the one
+    z = 2**K that the l1 bounds of all equations admit; on an odd ladder of
+    parity-definite entries at half the bits (`_stride`); a closed ladder's
+    last entry is its first.
     """
     p = sol.period
     h = int(sol.is_even)
     den = 2 * sol.ladder[0].gauge_den
 
-    # every check is homogeneous in each ladder entry, so it reads the cores
-    # of the primitive integer polynomials (`_core`): small, exact arithmetic
-    cores = [_core(pw) for pw in sol.ladder]
-    coeffs = [core.int_coeffs for _, core in cores]
-    gauges = [(lin, inv + (1 + h) * den * (s - t)) for (lin, inv), (s, _), (t, _)
-              in zip(map(_gauge, sol.ladder, sol.ladder[1:]), cores, cores[1:])]
+    # every check is homogeneous in each ladder entry, so it reads the
+    # primitive integer polynomials: small, exact arithmetic
+    coeffs = [pw.prim.int_coeffs for pw in sol.ladder]
+    gauges = list(map(_gauge, sol.ladder, sol.ladder[1:]))
     equations = []
     for i in range(1, p + 1):
         entries = (i - 1, i, i % p, i % p + 1)

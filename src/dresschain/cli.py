@@ -39,6 +39,13 @@ class UsageError(ValueError):
     """Invalid job description; surfaces as exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed command line as a UsageError, with exit code 2."""
+
+    def error(self, message):
+        raise UsageError("%s: %s" % (self.prog, message))
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -286,7 +293,7 @@ def cmd_selftest(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dresschain",
         description="Exact construction and verification of rational "
                     "dressing-chain and Painleve IV/V solutions.",
@@ -355,8 +362,8 @@ def _attach_list_values(argv: Sequence[str]) -> List[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
-    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
+        args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
     except UsageError as exc:
         sys.stdout.write(_dump({"error": str(exc)}))

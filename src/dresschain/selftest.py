@@ -491,10 +491,10 @@ def check_degenerations() -> CheckResult:
             even_part = tuple(n // 2 for n in d.entries if n % 2 == 0)
             uc = UniversalCharacter(MayaDiagram(odd_part), MayaDiagram(even_part))
             # primitive with positive leading coefficients: proportional
-            # polynomials are equal; the Laguerre one is taken at z**2
+            # polynomials are equal; the Laguerre one, free of z, is taken
+            # at z**2
             _, lhs = hermite_wronskian(d).prim.split_lowest()
-            _, rhs = laguerre_pseudo_wronskian(uc, half).prim.split_lowest()
-            if lhs != rhs.of_square():
+            if lhs != laguerre_pseudo_wronskian(uc, half).prim.of_square():
                 return False, "parity split fails at %r" % (d.entries,)
             split_cases += 1
         return True, "staircase, 1- and 2-step forms, %d parity splits" % split_cases

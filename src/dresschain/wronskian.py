@@ -10,17 +10,19 @@ column by column from the recurrence-defined polynomials of orthopoly
 
 A ladder entry is stored as its primitive integer polynomial `prim`
 (coprime coefficients, positive leading one), its label (the diagram or
-character that indexes it) and its alpha.  Every chain identity is
+character that indexes it) and its alpha; a Laguerre label also fixes
+the entry's power of z, which `prim` leaves out.  Every chain identity is
 homogeneous in each entry, so the chain reads `prim` only; the
 determinant, `poly`, and its leading coefficient `lead`, a closed form of
 the label, are derived when output reads them.  Each result derives,
 from its label's sizes m, r and its alpha, the gauge exponents
-(z_power, exp_coeff) of the prefactor
+(z_power_num / 4q, exp_coeff) of the prefactor
 
-    z**z_power * exp(exp_coeff * w),   w = omega * x**2 / 2,
+    z**(z_power_num / 4q) * exp(exp_coeff * w),   w = omega * x**2 / 2,
 
-of the full seed-function Wronskian it came from, so chain assembly can
-take exact log-derivatives of full ratios without re-deriving prefactors.
+of the full seed-function Wronskian `prim` came from, so chain assembly
+can take exact log-derivatives of full ratios without re-deriving
+prefactors.
 """
 
 from __future__ import annotations
@@ -47,13 +49,14 @@ class PseudoWronskian:
     z**z_power * exp(exp_coeff * omega x**2 / 2).
 
     `label` indexes the determinant: a MayaDiagram for a Hermite entry
-    (alpha None), a UniversalCharacter for a Laguerre one.  The determinant
-    is `lead / prim.leading` times `prim`, a primitive integer polynomial
-    with a positive leading coefficient; `lead`, its leading coefficient,
-    is a closed form of the label and is never zero.  m and r are the
-    sizes of the label's components (r = 0 for a diagram), and they fix
-    the gauge: exp_coeff is -(m + r)/2, and z_power is 0 for a Hermite
-    entry and (m - r)**2/4 - r (r - 1) + alpha (m - r)/2 for a Laguerre one.
+    (alpha None), a UniversalCharacter for a Laguerre one; m and r are
+    the sizes of its components (r = 0 for a diagram).  The determinant
+    is `lead / prim.leading` times z**(r (r - 1)) `prim`, a primitive
+    integer polynomial with a positive leading coefficient, and with a
+    nonzero constant term if Laguerre; `lead` is a closed form of the
+    label and is never zero.  The gauge of `prim` has exp_coeff
+    -(m + r)/2 and the z power z_power_num / 4q, 0 for a Hermite entry
+    and (m - r)**2/4 + alpha (m - r)/2 for a Laguerre one.
     """
 
     prim: Polynomial
@@ -78,8 +81,8 @@ class PseudoWronskian:
 
     @property
     def poly(self) -> Polynomial:
-        """The determinant, with its constant."""
-        return self.prim * (self.lead / self.prim.leading)
+        """The determinant, with its constant and its z**(r (r - 1))."""
+        return self.prim.shifted(self.r * (self.r - 1)) * (self.lead / self.prim.leading)
 
     @property
     def gauge_den(self) -> int:
@@ -89,17 +92,18 @@ class PseudoWronskian:
 
     @property
     def z_power_num(self) -> int:
-        """4 q z_power, q = gauge_den: q (m - r)**2 - 4 q r (r - 1) +
-        2 p (m - r) for alpha = p/q, and 0 for a Hermite entry."""
+        """4 q times the power of z in the gauge of `prim`, q = gauge_den:
+        q (m - r)**2 + 2 p (m - r) for alpha = p/q, and 0 for a Hermite
+        entry."""
         if self.alpha is None:
             return 0
-        p, q = self.alpha.numerator, self.alpha.denominator
         d = self.m - self.r
-        return q * (d * d - 4 * self.r * (self.r - 1)) + 2 * p * d
+        return d * (self.alpha.denominator * d + 2 * self.alpha.numerator)
 
     @property
     def z_power(self) -> Fraction:
-        return Fraction(self.z_power_num, 4 * self.gauge_den)
+        """The power of z in the gauge of the determinant `poly`."""
+        return Fraction(self.z_power_num, 4 * self.gauge_den) - self.r * (self.r - 1)
 
     @property
     def exp_coeff(self) -> Fraction:
@@ -288,12 +292,6 @@ def _laguerre_top(uc: UniversalCharacter, a: Fraction) -> Fraction:
     return Fraction(-v if sum(entries) % 2 else v, den)
 
 
-def translation_power(r: int, k: int) -> int:
-    """The power of z that a k-translate of a second component of size r
-    adds to a pseudo-Wronskian: 2 r k + k (k - 1)."""
-    return 2 * r * k + k * (k - 1)
-
-
 @lru_cache(maxsize=None)
 def laguerre_pseudo_wronskian(
     uc: UniversalCharacter, alpha: AlphaParam
@@ -307,25 +305,26 @@ def laguerre_pseudo_wronskian(
     functions, up to a constant.  A canonical character is
     z**(r (m + r - 1) + r alpha) times the Wronskian of the L_n^alpha and
     the z**-alpha L_l^-alpha (see _laguerre_top), which _laguerre_kernel
-    takes in powers of z**(1/q), alpha = p/q.  A character whose
-    components are the k1- and k2-translates of canonical ones is
-    z**translation_power(r, k2) times the determinant of those at
-    alpha + k1 - k2 (r the size of the canonical second one), from this
-    memo.  Either way the entry stores the primitive polynomial, and
-    _laguerre_top is its leading coefficient.
+    takes in powers of z**(1/q), alpha = p/q.  By _laguerre_top's argument
+    at the lowest term, that Wronskian starts at z**(-m r - r alpha): the
+    L_n^alpha span the valuations 0..m-1 (their low coefficients are V(n)
+    up to nonzero row and column factors), the z**-alpha L_l^-alpha span
+    -alpha + (0..r-1), and these exponents are distinct.  So the kernel's
+    exponent is -r (q m + p), and the determinant is z**(r (r - 1)) times
+    its polynomial, whose constant term is nonzero: the entry's `prim`.
+    A character whose components are the k1- and k2-translates of
+    canonical ones is a constant times a power of z times the determinant
+    of those at alpha + k1 - k2, so it takes their `prim` from this memo.
     """
     _check_entries(uc.first.entries + uc.second.entries)
-    a = alpha.value
-    m, r = len(uc.first.entries), len(uc.second.entries)
     k1, canon1 = _untranslate(uc.first.entries)
     k2, canon2 = _untranslate(uc.second.entries)
+    a = alpha.value
     if k1 or k2:
         canon = UniversalCharacter(MayaDiagram(canon1), MayaDiagram(canon2))
-        base = laguerre_pseudo_wronskian(canon, alpha.shifted(k1 - k2)).prim
-        prim = base.shifted(translation_power(len(canon2), k2))
+        prim = laguerre_pseudo_wronskian(canon, alpha.shifted(k1 - k2)).prim
     else:
-        p, q = a.numerator, a.denominator
         seeds = tuple((0, n) for n in uc.first.entries)
-        e, d = _laguerre_kernel(p, q, seeds + tuple((1, l) for l in uc.second.entries))
-        prim = Polynomial(d).shifted(r * (m + r - 1) + (r * p + e) // q).primitive()
+        seeds += tuple((1, l) for l in uc.second.entries)
+        prim = Polynomial(_laguerre_kernel(a.numerator, a.denominator, seeds)[1]).primitive()
     return PseudoWronskian(prim, uc, a)

@@ -14,7 +14,6 @@ from dresschain.chain import (
     OMEGA,
     OddPeriodRequired,
     _closure,
-    _core,
     _gauge,
     build_even_chain,
     build_odd_chain,
@@ -179,14 +178,18 @@ def test_broken_ladder_fails_sum_rule():
     assert not report.sum_rule and not report.ok
 
 
-def _as_entry(pw, poly):
-    """pw with the primitive polynomial of poly."""
-    return dataclasses.replace(pw, prim=poly.primitive())
+def _as_entry(pw, det):
+    """pw with the entry of the determinant det: its primitive polynomial
+    less the z**(r (r - 1)) that pw's label carries."""
+    core, rest = divmod(det, Polynomial.monomial(pw.r * (pw.r - 1)))
+    assert rest.is_zero
+    return dataclasses.replace(pw, prim=core.primitive())
 
 
 def _with_ladder_entry(sol, index, poly):
+    """sol with the primitive polynomial of poly as ladder entry index."""
     ladder = list(sol.ladder)
-    ladder[index] = _as_entry(ladder[index], poly)
+    ladder[index] = dataclasses.replace(ladder[index], prim=poly.primitive())
     return dataclasses.replace(sol, ladder=tuple(ladder))
 
 
@@ -332,44 +335,42 @@ def test_unclosed_ladder_wrap_equation(sol):
 
 
 def test_wrap_form_with_distinct_middle_entries(monkeypatch):
-    # with the closure test forced off and the z powers left in the entries
-    # (whole cores), the wrap equation of a ladder that does close, up to
-    # z**e, goes through the form for two distinct middle entries P_0 and
-    # z**e P_0 whenever e > 0 (e = 10 on the even-22 sample), and still
-    # reads off eps on every even cell; only the sum rule fails
-    monkeypatch.setattr(dresschain.chain, "_closure", lambda sol: None)
-    monkeypatch.setattr(dresschain.chain, "_core", lambda pw: (0, pw.prim))
+    # with the last entry of every even cell replaced by z P_0, the ladder
+    # does not close, and the wrap equation goes through the form for two
+    # distinct middle entries P_0 and z P_0.  The equations of the closed
+    # ladder still read off eps; the two that read the last entry give the
+    # oracle's value, None (the z adds a constant to v_p, whose z term is
+    # not 0).  The oracle runs on the cells of period at most 4: on the 131
+    # period-6 cells it takes about 20 s.  Forced on the closed ladders
+    # themselves, the distinct-entry form reads off eps on every cell
     cells = list(even_cells())
     assert len(cells) == 145
-    for cs1, cs2, perm, _ in cells:
-        sol = build_even_chain(cs1, cs2, ALPHA, perm=perm)
+    sols = [build_even_chain(cs1, cs2, ALPHA, perm=perm) for cs1, cs2, perm, _ in cells]
+    for sol in sols:
+        p = sol.period
+        wrapped = _with_ladder_entry(sol, p, X * sol.ladder[0].prim)
+        report = verify_chain(wrapped)
+        values = [eq.value for eq in report.equations]
+        assert values[: p - 2] == list(sol.expected_eps[: p - 2])
+        assert values[p - 2:] == [None, None] and not report.sum_rule
+        if p <= 4:
+            assert values == [_residual_rf(wrapped, i).constant_value() for i in range(1, p + 1)]
+    equation = dresschain.chain._equation
+    monkeypatch.setattr(dresschain.chain, "_equation",
+                        lambda entries, same, *rest: equation(entries, False, *rest))
+    for sol in sols:
         report = verify_chain(sol)
-        assert [eq.value for eq in report.equations] == list(sol.expected_eps), (cs1, cs2)
-        assert all(eq.match for eq in report.equations) and not report.sum_rule
-
-
-def test_core_splits_off_the_z_power_of_laguerre_entries_only():
-    # prim == z**s D: an even entry's D has a nonzero constant term, and a
-    # Hermite entry stays whole even when it is divisible by x
-    odd, even = SAMPLE_CHAINS["odd"], SAMPLE_CHAINS["even-22"]
-    assert any(pw.prim.coeff(0) == 0 for pw in odd.ladder)
-    for pw in odd.ladder:
-        assert _core(pw) == (0, pw.prim)
-    powers = set()
-    for cs1, cs2, perm, _ in even_cells():
-        for pw in build_even_chain(cs1, cs2, ALPHA, perm=perm).ladder:
-            s, core = _core(pw)
-            assert core.shifted(s) == pw.prim and core.coeff(0) != 0
-            powers.add(s)
-    assert max(powers) >= 10 and _core(even.ladder[-1])[0] - _core(even.ladder[0])[0] == 10
+        assert [eq.value for eq in report.equations] == list(sol.expected_eps)
+        assert report.ok
 
 
 def test_even_chain_layers_read_cores(monkeypatch):
-    # verify_chain packs, and span differentiates, only the cores of an even
-    # ladder: no polynomial there has a zero constant term
+    # verify_chain packs, and span differentiates, only the z-free entries
+    # of an even ladder: no polynomial there has a zero constant term,
+    # though the determinants do
     sols = [build_even_chain(cs1, cs2, ALPHA, perm=perm) for cs1, cs2, perm in PERIOD4_CELLS]
     sols += [SAMPLE_CHAINS["even-31"], _bumped(SAMPLE_CHAINS["even-22"])]
-    assert any(pw.prim.coeff(0) == 0 for sol in sols for pw in sol.ladder)
+    assert any(pw.poly.coeff(0) == 0 for sol in sols for pw in sol.ladder)
     expected = [(verify_chain(sol).to_json(), sol.span(0, 2)) for sol in sols]
     seen = []
     jet, derivative = dresschain.exact.jet, Polynomial.derivative
@@ -401,19 +402,6 @@ def test_odd_ladder_closed_up_to_a_power_of_x_is_not_closed(e):
     assert not _closure(shifted) and not report.sum_rule and not report.ok
     for i, eq in enumerate(report.equations, 1):
         assert eq.value == _residual_rf(shifted, i).constant_value()
-
-
-def test_closure_needs_a_nonnegative_z_power():
-    # even-22 closes with last = z**10 first; with its end entries swapped,
-    # the last is z**-10 times the first, and the ladder does not close
-    sol = SAMPLE_CHAINS["even-22"]
-    p = sol.period
-    first, last = sol.ladder[0].prim, sol.ladder[p].prim
-    assert _closure(sol) and last == first.shifted(10)
-    swapped = _with_ladder_entry(_with_ladder_entry(sol, 0, last), p, first)
-    assert not _closure(swapped)
-    report = verify_chain(swapped)
-    assert not report.sum_rule and not report.ok
 
 
 @pytest.mark.parametrize("sol", SAMPLE_CHAINS.values(), ids=SAMPLE_CHAINS.keys())

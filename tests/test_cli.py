@@ -197,6 +197,11 @@ def test_build_emits_ladder(capsys):
             "635bbb0268d0d6043b5e289c4c55bd86ebc6e0c4290ad70640dd7a8174a8237f",
         ),
         (
+            # every even entry's poly and z_power, z**12 to z**30
+            "build --period 4 --case 2,2 --shift 2 --params 4,4 --alpha 1/3,-2/5",
+            "9c6c45cf09facba395207ed5e411295478da62a57d235acf8d60b802c8c1d76f",
+        ),
+        (
             # all eight criteria; criterion 8 compares ladders in z**2
             "selftest --format json",
             "b7482a22b4cabcb4942b74d867e07a2a06535502cb207563f3ee0ded25e7cc87",
@@ -400,6 +405,12 @@ def test_selftest_single_criterion(capsys):
         ["verify", "--period", "4", "--case", "2,2", "--params", "0,0", "--alpha", "x"],
         ["verify", "--period", "4", "--case", "2,2", "--params", "0,0", "--alpha", "1/3,"],
         ["painleve", "--period", "4", "--case", "2,2", "--params", "1,0", "--alpha", "1/0"],
+        # command lines that argparse refuses
+        ["build", "--period", "3", "--shift", "1", "--params", "1,2", "--format", "text"],
+        ["verify", "--period", "x"],
+        ["enum", "--period", "3", "--alpha", "1/3"],
+        ["verify"],
+        ["frobnicate"],
     ],
     ids=["repeated-perm", "short-perm", "zero-bound", "duplicate-alpha",
          "out-is-directory", "out-parent-missing", "criterion-9", "criterion-0",
@@ -416,7 +427,9 @@ def test_selftest_single_criterion(capsys):
          "piv-diagram-over-budget",
          "empty-alpha", "empty-perm", "pv-empty-alpha",
          "integer-alpha", "zero-denominator-alpha", "malformed-alpha",
-         "trailing-empty-alpha", "pv-zero-denominator-alpha"],
+         "trailing-empty-alpha", "pv-zero-denominator-alpha",
+         "build-format-text", "non-integer-period", "enum-alpha", "missing-period",
+         "unknown-command"],
 )
 def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     # relative --out paths resolve in an empty directory
@@ -467,9 +480,18 @@ def test_out_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, fmt", [("build", "text"), ("verify", "latex"), ("painleve", "text")]
 )
-def test_format_refused_where_not_implemented(command, fmt):
-    # each command accepts only the formats it prints
+def test_format_refused_where_not_implemented(capsys, command, fmt):
+    # each command accepts only the formats it prints, and refuses the
+    # others as invalid input: exit 2 with one JSON error
     argv = [command, "--period", "3", "--shift", "1", "--params", "1,2"]
+    code, out = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_still_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--format", fmt])
-    assert exc.value.code == 2
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dresschain")

@@ -20,6 +20,7 @@ from dresschain.maya import (
 from dresschain.orthopoly import AlphaParam, hermite, laguerre
 from dresschain.selftest import (
     ALPHA_TRIPLE,
+    _canonical_diagrams,
     _odd_parameter_grid,
     _odd_table_rows,
     check_wronskian_equivalences,
@@ -31,11 +32,11 @@ from dresschain.wronskian import (
     _hermite_matrix_det,
     _hermite_ys,
     _laguerre_ints,
+    _laguerre_kernel,
     _laguerre_matrix_det,
     _laguerre_top,
     hermite_wronskian,
     laguerre_pseudo_wronskian,
-    translation_power,
 )
 
 from oracles import (
@@ -233,8 +234,6 @@ def test_laguerre_memo_keys_on_values():
 
 
 def test_translation_equivalence_laguerre_power():
-    assert translation_power(1, 1) == 2
-    assert translation_power(0, 1) == 0
     a = AlphaParam(F(7, 3))
     # (canonical character, k1, k2, z power): a translate is a constant
     # times z**power times its canonical determinant at alpha + k1 - k2
@@ -248,6 +247,29 @@ def test_translation_equivalence_laguerre_power():
         assert lhs == _laguerre_matrix_det(shifted, a.value)
         rhs = laguerre_pseudo_wronskian(uc, a.shifted(k1 - k2)).poly.shifted(power)
         assert lhs * rhs.leading == rhs * lhs.leading
+
+
+def test_laguerre_determinant_is_z_to_the_r_r_minus_1_times_prim():
+    # the lowest term of every pseudo-Wronskian is z**(r (r - 1)),
+    # r = len(second), so the entry stores the rest, and its constant term
+    # is not 0: on criterion 3's characters and translates, at five alphas
+    ucs = [UniversalCharacter(a, b)
+           for a in _canonical_diagrams(3, 2) for b in _canonical_diagrams(3, 2)]
+    alphas = ALPHA_TRIPLE + (F(-4, 3), F(5, 2))
+    for uc, k1, k2 in product(ucs, (0, 1, 2), (0, 1, 2)):
+        t = UniversalCharacter(translate(uc.first, k1), translate(uc.second, k2))
+        r = len(t.second.entries)
+        for a in alphas:
+            v, rest = _laguerre_matrix_det(t, a).split_lowest()
+            assert v == r * (r - 1) and rest.coeff(0) != 0, (t, a)
+            assert laguerre_pseudo_wronskian(t, AlphaParam(a)).prim.coeff(0) != 0
+    # the kernel's own exponent, in units of z**(1/q), is -r (q m + p)
+    for a, b in product(_canonical_diagrams(4, 3), repeat=2):
+        m, r = len(a.entries), len(b.entries)
+        seeds = tuple((0, n) for n in a.entries) + tuple((1, l) for l in b.entries)
+        for alpha in alphas:
+            p, q = alpha.numerator, alpha.denominator
+            assert _laguerre_kernel(p, q, seeds)[0] == -r * (q * m + p)
 
 
 def test_pseudo_wronskian_json():
