@@ -1,28 +1,26 @@
 """Dressing-chain assembly and exact verification.
 
 A period-p chain is a ladder of p+1 seed-function Wronskians, one per flip
-of the labeling diagram.  Each solution component is minus the logarithmic
-x-derivative of the full gauge-tracked ratio of consecutive ladder entries:
+of the labeling diagram.  Each solution component w_i is minus the
+logarithmic x-derivative of the full gauge-tracked ratio of consecutive
+ladder entries.  The builders fix omega = OMEGA = 2, and both families
+live in the one variable z = x**2: a Hermite (odd, harmonic-seed) entry
+is x**e times a polynomial in z, a Laguerre (even, isotonic-seed) one a
+power of z times one.  So every component is odd in x, and v_i = x w_i
+is the rational function of z
 
-    w_i = lin_i * x + inv_i / x + (dz/dx) d/dz log(P_{i-1} / P_i),
+    v_i = lin_i * z + inv_i + 2 z d/dz log(P_{i-1} / P_i),
 
 with lin_i = -omega * (exp-gauge increment) and inv_i = -2 * (z-power
 increment), integers over one denominator 2q for alpha = p/q (`_gauge`).
-The P_i are the entries' `prim`; an even entry's power of z is part of
-its gauge, so P_i(0) != 0 there.
+The P_i are the entries' `prim`, in z; an entry's power of z, a Hermite
+x**e = z**(e/2) included, is part of its gauge.
 Verification substitutes these exact rational functions into the
 first-order cyclic system and checks every residual against the seed
 energy differences.  Cleared of denominators, each equation is one identity
-between integer polynomials, written once (`_sides`) and tested as one
-integer, its value at z = 2**K (`exact.Point`).  On an odd ladder whose
-entries are each parity-definite, as Hermite Wronskians are, every
-identity is parity-definite too, and z = 2**ceil(K/2) suffices
-(`_stride`, `exact.bits_above`).
-
-The builders fix omega = OMEGA = 2: it makes z = x**(1+h) with parity
-h = 0 in the odd (harmonic-seed) case and h = 1 in the even
-(isotonic-seed) case, so every identity lives in a single rational
-function field, and one parity-generic check serves both.
+between integer polynomials in z, written once for both families
+(`_sides`) and tested as one integer, its value at z = 2**K
+(`exact.Point`).
 """
 
 from __future__ import annotations
@@ -66,9 +64,10 @@ def _gauge(prev: PseudoWronskian, cur: PseudoWronskian) -> Tuple[int, int]:
     """(lin, 2 q inv) of the components from ladder entry prev to cur, as
     integers, with q = cur.gauge_den (1 on an odd ladder).  lin is minus
     omega times the exp-gauge increment, Delta(m + r) at OMEGA = 2, and inv
-    is -2 times the z-power increment, -Delta(4 q z_power) / (2 q); it is 0
-    on an odd ladder.  Consecutive increments add, so a span of components
-    has the gauge of its two end entries."""
+    is -2 times the z-power increment, -Delta(4 q z_power) / (2 q); on an
+    odd ladder it is e_prev - e_cur, the x**e of the entries.  Consecutive
+    increments add, so a span of components has the gauge of its two end
+    entries."""
     return cur.m + cur.r - prev.m - prev.r, prev.z_power_num - cur.z_power_num
 
 
@@ -124,7 +123,7 @@ class ChainSolution:
     is read off it (`span`), and so are the labels and the flips, so
     dataclasses.replace(sol, ladder=...) has matching components, labels
     and flips.  Laguerre entries carry an alpha and Hermite entries None,
-    which fixes h.
+    which fixes the family.
     """
 
     delta: Fraction
@@ -162,33 +161,31 @@ class ChainSolution:
         return tuple(out)
 
     def span(self, i: int, j: int) -> RationalFunction:
-        """v_{i+1} + ... + v_j, with each component v = x**h w rewritten in
-        z, as one reduced fraction.  The sum telescopes to ladder entries
-        P = ladder[i].prim and Q = ladder[j].prim:
+        """v_{i+1} + ... + v_j, with each component v = x w rewritten in
+        z = x**2, as one reduced fraction.  The sum telescopes to ladder
+        entries P = ladder[i].prim and Q = ladder[j].prim:
 
-            lin*z + inv + (1 + h) z**h (P'Q - PQ')/(PQ),
+            lin*z + inv + 2 z (P'Q - PQ')/(PQ),
 
-        with (lin, inv) = _gauge of the entries.  Odd ladders carry no
-        z-power, so inv = 0 there and v = w.
+        with (lin, inv) = _gauge of the entries.
         """
         prev, cur = self.ladder[i], self.ladder[j]
         lin, inv = _gauge(prev, cur)
         inv = Fraction(inv, 2 * cur.gauge_den)
         P, Q = prev.prim, cur.prim
-        h = int(self.is_even)
         if P.is_zero or Q.is_zero:
             raise ZeroPolynomial("log-derivative of a zero polynomial")
         PQ = P * Q
-        W = (P.derivative() * Q - P * Q.derivative()).shifted(h) * (1 + h)
+        W = (P.derivative() * Q - P * Q.derivative()).shifted(1) * 2
         return RationalFunction(Polynomial((inv, lin)) * PQ + W, PQ)
 
 
 def _assemble(ladder: Sequence[PseudoWronskian], flips: Sequence[Flip],
               delta: Fraction) -> ChainSolution:
     """The solution of a replayed ladder.  The seed of a flip at level n
-    has energy (1 + h)(n - alpha [slot 2]) omega, and the energy
-    differences are those of consecutive seeds, the last one less the
-    shift."""
+    has energy (1 + h)(n - alpha [slot 2]) omega, h = 1 on an even ladder
+    and 0 on an odd one, and the energy differences are those of
+    consecutive seeds, the last one less the shift."""
     alpha = ladder[0].alpha
     h = int(alpha is not None)
     seeds = [(1 + h) * (f.level - (alpha if f.slot == 2 else 0)) * OMEGA for f in flips]
@@ -258,13 +255,11 @@ def _closure(sol: ChainSolution) -> bool:
 
 class _Equation(NamedTuple):
     """One chain equation for `_sides`: the ladder indices of B, Pa, Pb and
-    C, the parity h, the common denominator d0 of the gauge coefficients,
-    the integer coefficients (of 1 and z) of the identity's linear
-    polynomials, (S0, E) when Pa == Pb and (a0, Ea, b0, Eb) when not, and
-    the expected eps."""
+    C, the common denominator d0 of the gauge coefficients, the integer
+    coefficients (of 1 and z) of the identity's linear polynomials, (S0, E)
+    when Pa == Pb and (a0, Ea, b0, Eb) when not, and the expected eps."""
 
     entries: Tuple[int, int, int, int]
-    h: int
     d0: int
     lines: Tuple[Tuple[int, int], ...]
     expected: Fraction
@@ -273,7 +268,6 @@ class _Equation(NamedTuple):
 def _equation(
     entries: Tuple[int, int, int, int],
     same: bool,
-    h: int,
     den: int,
     gauge_a: Tuple[int, int],
     gauge_b: Tuple[int, int],
@@ -287,31 +281,31 @@ def _equation(
     t = _gcd(inv_a, inv_b, den)
     d0, a0, b0 = den // t, inv_a // t, inv_b // t
     a1, b1 = lin_a * d0, lin_b * d0
-    hd = h * d0
     if same:
-        lines = ((a0 + b0, a1 + b1), (b0 - a0 + hd, b1 - a1))
+        lines = ((a0 + b0, a1 + b1), (b0 - a0 + d0, b1 - a1))
     else:
-        lines = ((a0, a1), (hd - a0, -a1), (b0, b1), (b0 + hd, b1))
-    return _Equation(entries, h, d0, lines, expected)
+        lines = ((a0, a1), (d0 - a0, -a1), (b0, b1), (b0 + d0, b1))
+    return _Equation(entries, d0, lines, expected)
 
 
-def _numerator(g, dg, U, V, h, zh, cd, sub) -> tuple:
-    """(N, N', UV) at one point, where N = g UV + c d0 z**h (U'V - UV') is
-    d0 UV times the component g/d0 + c z**h (log U/V)'; cd = c d0, U and V
-    are jets, and zh multiplies by z**h."""
+def _numerator(g, dg, U, V, cd, pt) -> tuple:
+    """(N, N', UV) at the point pt, where N = g UV + 2 d0 z (U'V - UV') is
+    d0 UV times the component g/d0 + 2 z (log U/V)'; cd = 2 d0, and U and
+    V are jets."""
+    times, sub = pt.times, pt.sub
     u, u1, u2 = U
     v, v1, v2 = V
     uv, t1, t2 = u * v, u1 * v, u * v1
     w = sub(t1, t2)
-    n = g * uv + zh(cd * w)
-    dn = dg * uv + g * (t1 + t2) + cd * (h * w + zh(sub(u2 * v, u * v2)))
+    n = g * uv + times(cd * w)
+    dn = dg * uv + g * (t1 + t2) + cd * (w + times(sub(u2 * v, u * v2)))
     return n, dn, uv
 
 
-def _lhs_part(n, dn, e, V, zh, cd, sub):
-    """V (E N - c d0 z**h N') + 2 c d0 z**h V' N at one point."""
+def _lhs_part(n, dn, e, V, cd, pt):
+    """V (E N - 2 d0 z N') + 4 d0 z V' N at the point pt."""
     v, v1, _ = V
-    return v * sub(e * n, zh(cd * dn)) + zh(2 * cd * v1 * n)
+    return v * pt.sub(e * n, pt.times(cd * dn)) + pt.times(2 * cd * v1 * n)
 
 
 def _sides(eq: _Equation, jets, pt: Point) -> tuple:
@@ -320,82 +314,62 @@ def _sides(eq: _Equation, jets, pt: Point) -> tuple:
     rho = -(w_a + w_b)' + w_b**2 - w_a**2 of eq is constant exactly when
     L / R is, and then equals it.
 
-    With c = 1 + h, a0 and b0 as in `_equation`, the components are
-    v_a = a0/d0 + c z**h (log B/Pa)' and v_b = b0/d0 + c z**h (log Pb/C)',
-    and z**h rho = -c z**h S' + S (h + D) for S = v_a + v_b, D = v_b - v_a.
+    With a0 and b0 as in `_equation`, the components are
+    v_a = a0/d0 + 2 z (log B/Pa)' and v_b = b0/d0 + 2 z (log Pb/C)', and
+    z rho = -2 z S' + S (1 + D) for S = v_a + v_b, D = v_b - v_a.
     If Pa == Pb = P, write S = Sn / (d0 BC) (`_numerator`): the (BC)'/BC
-    parts of -c z**h S' and of S D cancel, squares of B'/B and C'/C
+    parts of -2 z S' and of S D cancel, squares of B'/B and C'/C
     included, as in the bilinear form of the chain, and
-    d0**2 z**h BCP rho = `_lhs_part`(Sn, b0 - a0 + h d0, P).  Otherwise (the
+    d0**2 z BCP rho = `_lhs_part`(Sn, b0 - a0 + d0, P).  Otherwise (the
     wrap equation of an unclosed ladder) the squares of Pa'/Pa and Pb'/Pb
-    stay: z**h rho = F(v_a) + G(v_b) with F, G = -c z**h v' + h v -+ v**2,
-    where d0**2 B Pa**2 F(v_a) = `_lhs_part`(Na, h d0 - a0, Pa) and
-    d0**2 C Pb**2 G(v_b) = `_lhs_part`(Nb, h d0 + b0, Pb).
+    stay: z rho = F(v_a) + G(v_b) with F, G = -2 z v' + v -+ v**2,
+    where d0**2 B Pa**2 F(v_a) = `_lhs_part`(Na, d0 - a0, Pa) and
+    d0**2 C Pb**2 G(v_b) = `_lhs_part`(Nb, d0 + b0, Pb).
     """
-    h, d0 = eq.h, eq.d0
-    cd = (1 + h) * d0
-    times, sub, const = pt.times, pt.sub, pt.const
-    zh = times if h else (lambda v: v)
+    d0 = eq.d0
+    cd = 2 * d0
+    times, const = pt.times, pt.const
     B, Pa, Pb, C = (jets[j] for j in eq.entries)
     lines = [(const(g0) + times(const(g1)), const(g1)) for g0, g1 in eq.lines]
     if len(lines) == 2:
         (s, ds), (e, _) = lines
-        n, dn, bc = _numerator(s, ds, B, C, h, zh, cd, sub)
-        return _lhs_part(n, dn, e, Pa, zh, cd, sub), zh(d0 * d0 * bc * Pa[0])
+        n, dn, bc = _numerator(s, ds, B, C, cd, pt)
+        return _lhs_part(n, dn, e, Pa, cd, pt), times(d0 * d0 * bc * Pa[0])
     (a, da), (ea, _), (b, db), (eb, _) = lines
-    na, dna, bpa = _numerator(a, da, B, Pa, h, zh, cd, sub)
-    nb, dnb, pbc = _numerator(b, db, Pb, C, h, zh, cd, sub)
+    na, dna, bpa = _numerator(a, da, B, Pa, cd, pt)
+    nb, dnb, pbc = _numerator(b, db, Pb, C, cd, pt)
     bpa2, cpb2 = bpa * Pa[0], pbc * Pb[0]
     lhs = (
-        _lhs_part(na, dna, ea, Pa, zh, cd, sub) * cpb2
-        + _lhs_part(nb, dnb, eb, Pb, zh, cd, sub) * bpa2
+        _lhs_part(na, dna, ea, Pa, cd, pt) * cpb2
+        + _lhs_part(nb, dnb, eb, Pb, cd, pt) * bpa2
     )
-    return lhs, zh(d0 * d0 * bpa2 * cpb2)
+    return lhs, times(d0 * d0 * bpa2 * cpb2)
 
 
-def _bits(value: Fraction, bounds: tuple, stride: int) -> int:
-    """The least K with 2**(stride K) above the l1 bounds of R and of
+def _bits(value: Fraction, bounds: tuple) -> int:
+    """The least K with 2**K above the l1 bounds of R and of
     den(value) L - num(value) R, given those of L and R."""
     lb, rb = bounds
     diff = BOUND.sub(value.denominator * lb, BOUND.const(value.numerator) * rb)
-    return bits_above(max(diff, rb), stride)
-
-
-def _stride(equations: Sequence[_Equation], coeffs: Sequence) -> int:
-    """2 when every identity of the chain is parity-definite in z, else 1.
-
-    That holds when every equation has h = 0 and gauge lines g1 z, as on
-    every odd ladder, and every ladder entry is parity-definite: every
-    other coefficient from the top is zero (`exact.bits_above`).  Mixed
-    parity keeps stride 1.
-    """
-    if any(eq.h or any(g0 for g0, _ in eq.lines) for eq in equations):
-        return 1
-    if any(any(cs[-2::-2]) for cs in coeffs):
-        return 1
-    return 2
+    return bits_above(max(diff, rb))
 
 
 def _check_equation(
     eq: _Equation, coeffs: Sequence, jets: Sequence, k: int, bounds: tuple,
-    stride: int,
 ) -> Optional[Fraction]:
     """The residual of eq if it is a constant, else None, from the jets of
-    the ladder entries at z = 2**k, where
-    k >= _bits(eq.expected, bounds, stride) and stride = _stride of the
-    chain.
+    the ladder entries at z = 2**k, where k >= _bits(eq.expected, bounds).
 
     rho is the constant q exactly when the integer polynomial
-    den(q) L - num(q) R is zero.  If 2**(stride k) exceeds its l1 bound, it
-    is zero exactly when its value at 2**k is: at stride 2 because L and R
-    are then parity-definite of one parity (`exact.bits_above`).  The same
-    bound on R makes R(2**k) nonzero.  So rho is eq.expected iff that value
-    is 0; otherwise the only candidate is q = L(2**k) / R(2**k), which the
-    value at 2**k cannot refute.  If L = q R, then q = L_j / R_j at a
-    nonzero coefficient R_j, so den(q) and |num(q)| are at most the l1
-    bounds of R and L; past them q is refuted.  Within them q is confirmed
-    by its own bound, or by the entries repacked at _bits(q, bounds,
-    stride) when that exceeds k.
+    den(q) L - num(q) R is zero.  If 2**k exceeds its l1 bound, it is zero
+    exactly when its value at 2**k is, and the same bound on R makes
+    R(2**k) nonzero.  So rho is eq.expected iff that value is 0; otherwise
+    the only candidate is q = L(2**k) / R(2**k), which the value at 2**k
+    cannot refute.  If L = q R, then q = L_j / R_j at a nonzero
+    coefficient R_j, so den(q) and |num(q)| are at most the l1 bounds of R
+    and L; past them q is refuted.  Within them q is confirmed by its own
+    bound, or by the entries repacked at _bits(q, bounds) when that
+    exceeds k.
     """
     lhs, rhs = _sides(eq, jets, Point.at(k))
     e = eq.expected
@@ -404,7 +378,7 @@ def _check_equation(
     value = Fraction(lhs, rhs)
     if value.denominator > bounds[1] or abs(value.numerator) > bounds[0]:
         return None
-    k2 = _bits(value, bounds, stride)
+    k2 = _bits(value, bounds)
     if k2 > k:
         pt = Point.at(k2)
         jets = {j: pt.jets(coeffs[j]) for j in set(eq.entries)}
@@ -421,12 +395,10 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
     off as a constant, or found not to be one, by one cross-multiplied
     integer identity (`_check_equation`) and compared with the expected
     energy difference.  Every ladder entry is packed once, at the one
-    z = 2**K that the l1 bounds of all equations admit; on an odd ladder of
-    parity-definite entries at half the bits (`_stride`); a closed ladder's
+    z = 2**K that the l1 bounds of all equations admit; a closed ladder's
     last entry is its first.
     """
     p = sol.period
-    h = int(sol.is_even)
     den = 2 * sol.ladder[0].gauge_den
 
     # every check is homogeneous in each ladder entry, so it reads the
@@ -438,15 +410,14 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
         entries = (i - 1, i, i % p, i % p + 1)
         same = coeffs[i] == coeffs[i % p]
         equations.append(_equation(
-            entries, same, h, den, gauges[i - 1], gauges[i % p], sol.expected_eps[i - 1]
+            entries, same, den, gauges[i - 1], gauges[i % p], sol.expected_eps[i - 1]
         ))
-    stride = _stride(equations, coeffs)
     norms = [BOUND.jets(cs) for cs in coeffs]
     bounds = [_sides(eq, norms, BOUND) for eq in equations]
-    k = max(_bits(eq.expected, bound, stride) for eq, bound in zip(equations, bounds))
+    k = max(_bits(eq.expected, bound) for eq, bound in zip(equations, bounds))
     jets = list(map(Point.at(k).jets, coeffs))
     checks = [
-        EquationCheck(_check_equation(eq, coeffs, jets, k, bound, stride), eq.expected)
+        EquationCheck(_check_equation(eq, coeffs, jets, k, bound), eq.expected)
         for eq, bound in zip(equations, bounds)
     ]
 
@@ -480,7 +451,8 @@ def potential_of(d: MayaDiagram) -> PotentialParts:
     """
     if not d.is_canonical:
         raise ValueError("potential_of expects a canonical diagram")
-    h = hermite_wronskian(d).prim
+    pw = hermite_wronskian(d)
+    h = pw.prim.of_square(pw.parity)
     m = len(d.entries)
     constant = m * OMEGA - OMEGA / 2
     num = h.derivative().derivative() * h - h.derivative() * h.derivative()

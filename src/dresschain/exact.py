@@ -17,8 +17,7 @@ pseudo-division (`_ipdivmod`) that `Polynomial` division also runs, and
 general determinants, of a matrix given by rows or by columns, by Bareiss
 elimination over Z[x], the oracle of the ladder recursion in `wronskian`;
 all of them share the integer kernel below.  A `Point` tests an identity between integer
-polynomials as one integer, for the chain and Painleve checks, at half the
-bits when it is parity-definite (`bits_above`).
+polynomials as one integer, for the chain and Painleve checks.
 """
 
 from __future__ import annotations
@@ -319,9 +318,6 @@ class Polynomial:
         den = s * self._d
         return _poly([other._d * x for x in q], den), _poly(r, den)
 
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
     @staticmethod
     def _coerce(value) -> Optional["Polynomial"]:
         """value as a Polynomial if it is one, an int or a Fraction; else
@@ -376,13 +372,11 @@ class Polynomial:
             v += 1
         return v, _poly(list(self._n[v:]), self._d)
 
-    def of_square(self, shift: int = 0, negate: bool = False) -> "Polynomial":
-        """x**shift * self(x**2), or x**shift * self(-x**2) when negate."""
+    def of_square(self, shift: int = 0) -> "Polynomial":
+        """x**shift * self(x**2)."""
         if shift < 0:
             raise ValueError("negative shift")
-        n = list(self._n)
-        if negate:
-            n[1::2] = [-x for x in n[1::2]]
+        n = self._n
         out = [0] * (2 * len(n) - 1) if n else []
         out[0::2] = n
         return _poly([0] * shift + out, self._d)
@@ -459,18 +453,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 # by x through pt.times, subtracts through pt.sub and passes each of its
 # integer constants through pt.const.  At `BOUND` it is that l1 bound, at
 # Point.at(K) its value at x = 2**K, and at `VARIABLE` the polynomial F.
-#
-# A parity-definite F needs half the bits.  F = x**f G(x**2) with f in
-# {0, 1} and |G|_1 = |F|_1, so F(2**J) = 2**(fJ) G(2**(2J)) vanishes exactly
-# when G does, once 2**(2J) > |F|_1: bits_above(bound, 2).  The chain
-# identities of an odd ladder are such (`chain._stride`).  Let each entry be
-# parity-definite, B(-z) = (-1)**sB B(z) and so on, and each gauge line be
-# g1 z (g0 = 0: odd ladders carry no z power).  A derivative or a factor z
-# flips a parity, so every term of `chain._sides` has one parity: L and R
-# both have parity sB + sC + sP in the form with Pa == Pb = P, and sB + sC
-# in the wrap form.  So den(q) L - num(q) R = z**f G(z**2), with
-# |G|_1 = |F|_1 <= bound < 2**(2J).  Mixed parity must keep the full K:
-# P = x - 2**J has l1 norm 2**J + 1 < 2**(2J), yet P(2**J) = 0.
 
 
 def jet(coeffs: Sequence[int], k: int) -> tuple:
@@ -485,12 +467,10 @@ def jet(coeffs: Sequence[int], k: int) -> tuple:
     return v, d1, 2 * d2
 
 
-def bits_above(bound: int, stride: int = 1) -> int:
-    """The least J with 2**(stride J) > bound: an integer polynomial
-    x**f G(x**stride) of l1 norm at most bound is zero exactly when its
-    value at 2**J is (stride 1: any polynomial; stride 2: a parity-definite
-    one)."""
-    return -(-bound.bit_length() // stride)
+def bits_above(bound: int) -> int:
+    """The least K with 2**K > bound: an integer polynomial of l1 norm at
+    most bound is zero exactly when its value at 2**K is."""
+    return bound.bit_length()
 
 
 def _same(v):

@@ -99,26 +99,29 @@ class PVInstance:
 
 def piv_from_chain(sol: ChainSolution) -> PIVInstance:
     """Map a period-3 chain to its PIV instance: y(t) = c u(c t), with
-    u = w_1 - (shift/2) x and c**2 = 2/shift.  u is odd (log-derivatives of
-    fixed-parity polynomials), so y lies in Q(t) even when c is irrational."""
+    u = w_1 - (shift/2) x and c**2 = 2/shift.
+
+    With v = x w_1 = `span`(0, 1) = A(z)/B(z) in z = x**2 and
+    (shift/2) c**2 = 1, y = (A(c**2 t**2) - t**2 B(c**2 t**2)) /
+    (t B(c**2 t**2)), in Q(t) even when c is irrational.  A and B are
+    coprime, so t is the only possible common factor, and only when
+    A(0) = 0 (then B(0) != 0): y takes no gcd.
+    """
     if sol.period != 3 or sol.is_even:
         raise WrongPeriod("PIV needs an odd chain of period 3")
     c_sq = 2 / sol.delta
-    u = sol.span(0, 1) - Polynomial((0, sol.delta / 2))
-
-    def rescale(p: Polynomial, shift: int) -> Polynomial:
-        # the coefficient of x**i moves with c**(shift + i), an even power
-        if any(coeff and (shift + i) % 2 for i, coeff in enumerate(p.coeffs)):
-            raise ValueError("solution is not odd in x")
-        return Polynomial([
-            coeff * c_sq ** ((shift + i) // 2) for i, coeff in enumerate(p.coeffs)
-        ])
-
-    # x -> c x keeps num and den coprime: no gcd
-    sigma = u.den.degree % 2
+    v = sol.span(0, 1)
+    # A(c**2 t**2) and B(c**2 t**2)
+    a, b = (Polynomial([coeff * c_sq ** i for i, coeff in enumerate(p.coeffs)]).of_square()
+            for p in (v.num, v.den))
+    low, rest = a.split_lowest()
+    if low:
+        num, den = rest.shifted(low - 1) - b.shifted(1), b
+    else:
+        num, den = a - b.shifted(2), b.shifted(1)
     e12, e23 = sol.expected_eps[0], sol.expected_eps[1]
     return PIVInstance(
-        y=RationalFunction.from_coprime(rescale(u.num, 1 + sigma), rescale(u.den, sigma)),
+        y=RationalFunction.from_coprime(num, den),
         c_sq=c_sq,
         a=-(sol.delta + e23 + 2 * e12) / sol.delta,
         b=-2 * e23 * e23 / (sol.delta * sol.delta),

@@ -9,13 +9,15 @@ column by column from the recurrence-defined polynomials of orthopoly
 (_hermite_column, _laguerre_column) and eliminate them in full.
 
 A ladder entry is stored as its primitive integer polynomial `prim`
-(coprime coefficients, positive leading one), its label (the diagram or
-character that indexes it) and its alpha; a Laguerre label also fixes
-the entry's power of z, which `prim` leaves out.  Every chain identity is
-homogeneous in each entry, so the chain reads `prim` only; the
-determinant, `poly`, and its leading coefficient `lead`, a closed form of
-the label, are derived when output reads them.  Each result derives,
-from its label's sizes m, r and its alpha, the gauge exponents
+(coprime coefficients, positive leading one) in the chain variable
+z = x**2, its label (the diagram or character that indexes it) and its
+alpha.  The label also fixes what `prim` leaves out: a Laguerre entry's
+power of z, and a Hermite entry's x**e, e the parity of its degree.
+Every chain identity is homogeneous in each entry, so the chain reads
+`prim` only; the determinant, `poly`, and its leading coefficient
+`lead`, a closed form of the label, are derived when output reads them.
+Each result derives, from its label's sizes m, r and its alpha, the
+gauge exponents
 (z_power_num / 4q, exp_coeff) of the prefactor
 
     z**(z_power_num / 4q) * exp(exp_coeff * w),   w = omega * x**2 / 2,
@@ -50,12 +52,14 @@ class PseudoWronskian:
 
     `label` indexes the determinant: a MayaDiagram for a Hermite entry
     (alpha None), a UniversalCharacter for a Laguerre one; m and r are
-    the sizes of its components (r = 0 for a diagram).  The determinant
-    is `lead / prim.leading` times z**(r (r - 1)) `prim`, a primitive
-    integer polynomial with a positive leading coefficient, and with a
-    nonzero constant term if Laguerre; `lead` is a closed form of the
-    label and is never zero.  The gauge of `prim` has exp_coeff
-    -(m + r)/2 and the z power z_power_num / 4q, 0 for a Hermite entry
+    the sizes of its components (r = 0 for a diagram).  `prim` is a
+    primitive integer polynomial in z = x**2 with a positive leading
+    coefficient, and with a nonzero constant term if Laguerre.  The
+    determinant is `lead / prim.leading` times z**(r (r - 1)) `prim`(z)
+    for a Laguerre entry, in z, and times x**e `prim`(x**2) for a
+    Hermite one, in x, with e its `parity`; `lead` is a closed form of
+    the label and is never zero.  The gauge of `prim` has exp_coeff
+    -(m + r)/2 and the z power z_power_num / 4q, e/2 for a Hermite entry
     and (m - r)**2/4 + alpha (m - r)/2 for a Laguerre one.
     """
 
@@ -72,17 +76,31 @@ class PseudoWronskian:
         return 0 if self.alpha is None else len(self.label.second)
 
     @property
+    def parity(self) -> int:
+        """e with a Hermite determinant x**e times a polynomial in x**2:
+        the parity of its degree sum(entries) - m (m - 1) / 2.  0 for a
+        Laguerre entry."""
+        if self.alpha is not None:
+            return 0
+        return (sum(self.label.entries) - self.m * (self.m - 1) // 2) % 2
+
+    @property
     def lead(self) -> Fraction:
-        """2**deg V(entries) for a diagram (hermite_wronskian),
-        _laguerre_top for a character."""
+        """2**deg V(entries) for a diagram (hermite_wronskian), with
+        deg = 2 deg prim + e; _laguerre_top for a character."""
         if self.alpha is None:
-            return Fraction(2 ** self.prim.degree * _vandermonde(self.label.entries))
+            deg = 2 * self.prim.degree + self.parity
+            return Fraction(2 ** deg * _vandermonde(self.label.entries))
         return _laguerre_top(self.label, self.alpha)
 
     @property
     def poly(self) -> Polynomial:
-        """The determinant, with its constant and its z**(r (r - 1))."""
-        return self.prim.shifted(self.r * (self.r - 1)) * (self.lead / self.prim.leading)
+        """The determinant, with its constant and its x**e or z**(r (r - 1))."""
+        if self.alpha is None:
+            core = self.prim.of_square(self.parity)
+        else:
+            core = self.prim.shifted(self.r * (self.r - 1))
+        return core * (self.lead / self.prim.leading)
 
     @property
     def gauge_den(self) -> int:
@@ -93,17 +111,20 @@ class PseudoWronskian:
     @property
     def z_power_num(self) -> int:
         """4 q times the power of z in the gauge of `prim`, q = gauge_den:
-        q (m - r)**2 + 2 p (m - r) for alpha = p/q, and 0 for a Hermite
-        entry."""
+        q (m - r)**2 + 2 p (m - r) for alpha = p/q, and 2e for a Hermite
+        entry: x**e = z**(e/2)."""
         if self.alpha is None:
-            return 0
+            return 2 * self.parity
         d = self.m - self.r
         return d * (self.alpha.denominator * d + 2 * self.alpha.numerator)
 
     @property
     def z_power(self) -> Fraction:
-        """The power of z in the gauge of the determinant `poly`."""
-        return Fraction(self.z_power_num, 4 * self.gauge_den) - self.r * (self.r - 1)
+        """The power of z in the gauge of the determinant `poly`: that of
+        `prim` less the z**(r (r - 1)) or x**e that `poly` puts back, so 0
+        for a Hermite entry."""
+        back = Fraction(self.parity, 2) + self.r * (self.r - 1)
+        return Fraction(self.z_power_num, 4 * self.gauge_den) - back
 
     @property
     def exp_coeff(self) -> Fraction:
@@ -207,8 +228,10 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
     polynomials of c or of its conjugate c' (the diagram of the conjugate
     partition), whichever has fewer, min(m, c_m - m + 1): H_c(z) is
     proportional to H_c'(i z) / i**deg (Felder, Hemery and Veselov 2012),
-    so through c' the result is taken at y -> -y.  The leading coefficient
-    of either is 2**deg V(entries), deg = sum(entries) - m (m - 1) / 2.
+    so through c' the result is taken at y -> -y.  Either is
+    z**E D(y) up to a constant, and `prim` is y**(E // 2) D(y), primitive;
+    E % 2 is the parity e of the degree deg = sum(entries) - m (m - 1) / 2.
+    The leading coefficient of either is 2**deg V(entries).
     """
     entries = d.entries
     _check_entries(entries)
@@ -218,8 +241,10 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
         prim = hermite_wronskian(MayaDiagram(canon)).prim
     else:
         through = bool(entries) and entries[-1] - m + 1 < m
-        e, ys = _hermite_kernel(conjugate(d).entries if through else entries)
-        prim = Polynomial(ys).of_square(e, negate=through).primitive()
+        power, ys = _hermite_kernel(conjugate(d).entries if through else entries)
+        if through:
+            ys = [-c if i % 2 else c for i, c in enumerate(ys)]
+        prim = Polynomial([0] * (power // 2) + ys).primitive()
     return PseudoWronskian(prim, d, None)
 
 

@@ -72,12 +72,12 @@ def log_derivative_ratio(p, q):
 
 def _residual_rf(sol, i):
     """Residual of chain equation i (1-based) of sol, the oracle for
-    chain._check_equation: -(1+h) s' + s (h + v_b - v_a) / z**h with
-    s = v_a + v_b, the components i and i + 1 (mod p)."""
-    j, h = i % sol.period, int(sol.is_even)
+    chain._check_equation: -2 s' + s (1 + v_b - v_a) / z with s = v_a + v_b,
+    the components i and i + 1 (mod p) in z = x**2 (`span`)."""
+    j = i % sol.period
     va, vb = sol.span(i - 1, i), sol.span(j, j + 1)
     s = va + vb
-    return -(1 + h) * s.derivative() + s * ((h + vb - va) / Polynomial.monomial(h))
+    return -2 * s.derivative() + s * ((1 + vb - va) / Polynomial.x())
 
 
 def piv_residual_oracle(inst):

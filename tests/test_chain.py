@@ -180,14 +180,21 @@ def test_broken_ladder_fails_sum_rule():
 
 def _as_entry(pw, det):
     """pw with the entry of the determinant det: its primitive polynomial
-    less the z**(r (r - 1)) that pw's label carries."""
-    core, rest = divmod(det, Polynomial.monomial(pw.r * (pw.r - 1)))
-    assert rest.is_zero
+    in z, less the z**(r (r - 1)) that pw's label carries; a Hermite det
+    x**e G(x**2), e the parity of its degree, gives G."""
+    if pw.alpha is None:
+        e = det.degree % 2
+        assert not any(det.coeffs[1 - e::2])
+        core = Polynomial(det.coeffs[e::2])
+    else:
+        core, rest = divmod(det, Polynomial.monomial(pw.r * (pw.r - 1)))
+        assert rest.is_zero
     return dataclasses.replace(pw, prim=core.primitive())
 
 
 def _with_ladder_entry(sol, index, poly):
-    """sol with the primitive polynomial of poly as ladder entry index."""
+    """sol with the primitive polynomial of poly, in z, as ladder entry
+    index."""
     ladder = list(sol.ladder)
     ladder[index] = dataclasses.replace(ladder[index], prim=poly.primitive())
     return dataclasses.replace(sol, ladder=tuple(ladder))
@@ -221,17 +228,18 @@ def test_fast_checks_agree_with_residual_oracle(sol):
 
 
 def _unclosed(sol):
-    """sol with its last ladder entry bumped: the closure and the sum rule
-    fail, and the wrap equation has two distinct middle entries."""
+    """sol with its last ladder entry's `prim` bumped by 1: the closure and
+    the sum rule fail, and the wrap equation has two distinct middle
+    entries."""
     last = len(sol.ladder) - 1
-    return _with_ladder_entry(sol, last, sol.ladder[last].poly + Polynomial.one())
+    return _with_ladder_entry(sol, last, sol.ladder[last].prim + Polynomial.one())
 
 
 def _bumped(sol):
-    """sol with its highest interior ladder entry bumped by 1 (the closure
-    is unaffected)."""
+    """sol with the `prim` of its highest interior ladder entry bumped by 1
+    (the closure is unaffected)."""
     index = max(range(1, sol.period), key=lambda j: sol.ladder[j].poly.degree)
-    return _with_ladder_entry(sol, index, sol.ladder[index].poly + Polynomial.one())
+    return _with_ladder_entry(sol, index, sol.ladder[index].prim + Polynomial.one())
 
 
 STRUCTURAL_CHAINS = {
@@ -342,7 +350,9 @@ def test_wrap_form_with_distinct_middle_entries(monkeypatch):
     # oracle's value, None (the z adds a constant to v_p, whose z term is
     # not 0).  The oracle runs on the cells of period at most 4: on the 131
     # period-6 cells it takes about 20 s.  Forced on the closed ladders
-    # themselves, the distinct-entry form reads off eps on every cell
+    # themselves, the distinct-entry form reads off eps on every cell and
+    # on every criterion-4 odd chain, whose gauge lines carry the x**e of
+    # their entries
     cells = list(even_cells())
     assert len(cells) == 145
     sols = [build_even_chain(cs1, cs2, ALPHA, perm=perm) for cs1, cs2, perm, _ in cells]
@@ -358,7 +368,10 @@ def test_wrap_form_with_distinct_middle_entries(monkeypatch):
     equation = dresschain.chain._equation
     monkeypatch.setattr(dresschain.chain, "_equation",
                         lambda entries, same, *rest: equation(entries, False, *rest))
-    for sol in sols:
+    odd = _criterion_4_chains()
+    assert len(odd) == 558
+    assert any(any(_gauge(a, b)[1] for a, b in zip(sol.ladder, sol.ladder[1:])) for sol in odd)
+    for sol in sols + odd:
         report = verify_chain(sol)
         assert [eq.value for eq in report.equations] == list(sol.expected_eps)
         assert report.ok
@@ -391,9 +404,10 @@ def test_even_chain_layers_read_cores(monkeypatch):
 
 @pytest.mark.parametrize("e", [1, 2])
 def test_odd_ladder_closed_up_to_a_power_of_x_is_not_closed(e):
-    # an odd ladder whose last entry is x**e times its first does not close:
-    # the wrap equation would need an e/x term, which no gauge line carries,
-    # so the sum rule fails and every equation reads the oracle's constant
+    # an odd ladder whose last entry is z**e = x**(2e) times its first does
+    # not close: v_p gains the constant -2e, which the gauges of the labels
+    # do not carry, so the sum rule fails and every equation reads the
+    # oracle's constant
     sol = SAMPLE_CHAINS["odd"]
     p = sol.period
     shifted = _with_ladder_entry(sol, p, sol.ladder[0].prim.shifted(e))
@@ -410,10 +424,10 @@ def test_corrupted_ladder_entry_fails(sol):
     assert verify_chain(sol).ok
     mutated = 0
     for index, pw in enumerate(sol.ladder):
-        if pw.poly.degree < 1:
+        if pw.prim.degree < 1:
             continue
-        for power in (0, pw.poly.degree):
-            bumped = pw.poly + Polynomial.monomial(power)
+        for power in (0, pw.prim.degree):
+            bumped = pw.prim + Polynomial.monomial(power)
             assert not verify_chain(_with_ladder_entry(sol, index, bumped)).ok
             mutated += 1
     assert mutated >= 4
@@ -446,25 +460,20 @@ def test_read_off_constant_confirmed_by_repacking(monkeypatch):
 
 
 def test_read_off_candidate_refuted_by_repacking():
-    # unit ladder entries, h = 1, v_a = 2 - z and v_b = -2: the residual is
+    # unit ladder entries, v_a = 2 - z and v_b = -2 in z: the residual is
     # 5 - z, so L = 5z - z**2 and R = z.  At the chain's z = 2**3 it reads
     # -3, within the heights a constant could have (|L|_1 = 6, |R|_1 = 1);
     # only the confirmation at z = 2**4 shows that it is not a constant.
     # The gauges are (lin, 2 q inv) with q = 1
     chain = dresschain.chain
     coeffs = [(1,)] * 3
-    eq = chain._equation((0, 1, 1, 2), True, 1, 2, (-1, 4), (0, -4), F(0))
+    eq = chain._equation((0, 1, 1, 2), True, 2, (-1, 4), (0, -4), F(0))
     assert (eq.d0, eq.lines) == (1, ((0, -1), (-3, 1)))
     bounds = chain._sides(eq, [BOUND.jets((1,))] * 3, BOUND)
-    assert bounds == (6, 1) and chain._bits(F(0), bounds, 1) == 3
+    assert bounds == (6, 1) and chain._bits(F(0), bounds) == 3
     jets = [Point.at(3).jets(cs) for cs in coeffs]
     assert chain._sides(eq, jets, Point.at(3)) == (-24, 8)
-    assert chain._check_equation(eq, coeffs, jets, 3, bounds, 1) is None
-
-
-def _parity_definite(poly):
-    """poly(-z) = +-poly(z), by composition: no coefficient slices."""
-    return poly.compose(-X) in (poly, -poly)
+    assert chain._check_equation(eq, coeffs, jets, 3, bounds) is None
 
 
 def _l1(poly):
@@ -484,49 +493,28 @@ gauge_ints = st.tuples(st.integers(-50, 50), st.integers(-1200, 1200))
 @settings(max_examples=40, deadline=None)
 @given(
     st.tuples(*[adversarial_polys] * 4).filter(lambda polys: polys[1] != polys[2]),
-    st.integers(0, 1),
     st.integers(1, 12),
     st.tuples(gauge_ints, gauge_ints),
     st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4),
-    st.booleans(),
 )
-def test_evaluation_bound_covers_every_coefficient(polys, h, q, gauges, eps, odd):
-    # both forms (Pa == Pb, and the distinct pair): 2**(stride K) exceeds
-    # the l1 norms of diff = den(eps) L - num(eps) R and of R, so diff is 0
+def test_evaluation_bound_covers_every_coefficient(polys, q, gauges, eps):
+    # both forms (Pa == Pb, and the distinct pair): 2**K exceeds the l1
+    # norms of diff = den(eps) L - num(eps) R and of R, so diff is 0
     # exactly when diff(2**K) is; and the packed sides are L and R at 2**K.
-    # L and R are chain._sides itself, at the polynomial variable z.
-    # An odd ladder (h = 0, inv = 0) of parity-definite entries has stride
-    # 2: there diff and R are parity-definite, of one parity
+    # L and R are chain._sides itself, at the polynomial variable z
     chain = dresschain.chain
-    if odd:
-        # every other coefficient from the top dropped; no 1/z part
-        polys = tuple(
-            Polynomial(c if (P.degree - i) % 2 == 0 else 0 for i, c in enumerate(P.coeffs))
-            for P in polys
-        )
-        h, q, gauges = 0, 1, tuple((lin, 0) for lin, _ in gauges)
-        if polys[1] == polys[2]:
-            return
     coeffs = [P.int_coeffs for P in polys]
     den = 2 * q
     norms = [BOUND.jets(cs) for cs in coeffs]
     poly_jets = [VARIABLE.jets(cs) for cs in coeffs]
     for entries in ((0, 1, 1, 3), (0, 1, 2, 3)):
         same = entries[1] == entries[2]
-        eq = chain._equation(entries, same, h, den, *gauges, eps)
-        stride = chain._stride([eq], coeffs)
-        if odd:
-            assert stride == 2
-        else:
-            assert stride == 1 or all(map(_parity_definite, polys))
+        eq = chain._equation(entries, same, den, *gauges, eps)
         bounds = chain._sides(eq, norms, BOUND)
-        K = chain._bits(eps, bounds, stride)
+        K = chain._bits(eps, bounds)
         L, R = chain._sides(eq, poly_jets, VARIABLE)
         diff = L * eps.denominator - R * eps.numerator
-        assert max(_l1(diff), _l1(R)) < 2 ** (stride * K)
-        if stride == 2:
-            assert _parity_definite(diff) and _parity_definite(R)
-            assert (diff.degree - R.degree) % 2 == 0 or diff.is_zero
+        assert max(_l1(diff), _l1(R)) < 2 ** K
         pt = Point.at(K)
         jets = [pt.jets(cs) for cs in coeffs]
         assert chain._sides(eq, jets, pt) == (L.eval_at(2 ** K), R.eval_at(2 ** K))
@@ -538,7 +526,7 @@ def test_evaluation_bound_must_be_strict():
     # asks for K + 1, where the value no longer vanishes
     K = 40
     assert dresschain.exact.jet([2 ** K, -1], K)[0] == 0
-    assert dresschain.chain._bits(F(0), (2 ** K, 1), 1) == K + 1
+    assert dresschain.chain._bits(F(0), (2 ** K, 1)) == K + 1
     assert dresschain.exact.jet([2 ** K, -1], K + 1)[0] != 0
 
 
@@ -562,17 +550,14 @@ def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
     # highest interior ladder entry bumped (the closure is unaffected);
     # with one expected eps raised by 1, that equation fails and reports
     # the true eps
-    values, strides = [], []
+    values = []
     check = dresschain.chain._check_equation
 
     def recorder(*args):
-        # the chain's one K covers the bound of every equation, at the
-        # stride its parity proves: half the bits only on an odd ladder of
-        # parity-definite entries
-        eq, _, _, k, (lb, rb), stride = args
+        # the chain's one K covers the bound of every equation
+        eq, _, _, k, (lb, rb) = args
         e = eq.expected
-        assert stride == strides[-1]
-        assert 2 ** (stride * k) > max(e.denominator * lb + abs(e.numerator) * rb, rb)
+        assert 2 ** k > max(e.denominator * lb + abs(e.numerator) * rb, rb)
         values.append(check(*args))
         return values[-1]
 
@@ -582,7 +567,6 @@ def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
         variants = [sol, _bumped(sol)] if bump and sol.period > 1 else [sol]
         for chain in variants:
             values.clear()
-            strides.append(_proven_stride(chain))
             report = verify_chain(chain)
             assert len(values) == chain.period
             for i, (value, eq) in enumerate(zip(values, report.equations), 1):
@@ -592,7 +576,6 @@ def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
                 failures += not eq.match
                 unread += value is None
             parities.add(chain.is_even)
-        strides.append(_proven_stride(sol))
         for i, true_eps in enumerate(sol.expected_eps):
             eps = sol.expected_eps[:i] + (true_eps + 1,) + sol.expected_eps[i + 1:]
             values.clear()
@@ -600,7 +583,6 @@ def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
             assert values[i] == true_eps
             assert eq.residual_constant and eq.value == true_eps and not eq.match
     assert parities == {0, 1} and failures > 0 and unread > 0
-    assert set(strides) == {1, 2}
 
 
 def _criterion_4_chains():
@@ -608,66 +590,6 @@ def _criterion_4_chains():
     layouts included, and the period-5 table rows."""
     odd = [build_odd_chain(cs, allow_degenerate=True) for cs in _odd_parameter_grid(3)]
     return odd + [build() for _, build, _ in _odd_table_rows()]
-
-
-def _proven_stride(sol):
-    """2 for an odd ladder of parity-definite entries, else 1."""
-    odd = not sol.is_even and all(_parity_definite(pw.prim) for pw in sol.ladder)
-    return 2 if odd else 1
-
-
-def _chain_ks(sol, monkeypatch):
-    """(K that verify_chain packs sol at, the full K of stride 1)."""
-    chain = dresschain.chain
-    check = chain._check_equation
-    seen = []
-
-    def recorder(eq, coeffs, jets, k, bounds, stride):
-        seen.append((k, chain._bits(eq.expected, bounds, 1)))
-        return check(eq, coeffs, jets, k, bounds, stride)
-
-    monkeypatch.setattr(chain, "_check_equation", recorder)
-    try:
-        verify_chain(sol)
-    finally:
-        monkeypatch.undo()
-    assert len({k for k, _ in seen}) == 1
-    return seen[0][0], max(full for _, full in seen)
-
-
-def test_odd_chains_are_packed_at_half_the_bits(monkeypatch):
-    # every criterion-4 odd chain is an odd ladder of Hermite Wronskians,
-    # each parity-definite: its K is ceil(full / 2).  Even chains, and an
-    # odd chain with an odd-degree entry bumped to mixed parity, keep the
-    # full K
-    odd = _criterion_4_chains()
-    assert len(odd) > 400
-    for sol in odd:
-        assert _proven_stride(sol) == 2
-        k, full = _chain_ks(sol, monkeypatch)
-        assert k == -(-full // 2), sol.labels
-    # ladder degrees 2, 0, 1, 2: the bumped entry, of degree 1, becomes
-    # z + 1 up to a constant
-    mixed = _bumped(build_odd_chain(CyclicStructure(k=1, second_type=((1, 2),))))
-    assert any(not _parity_definite(pw.prim) for pw in mixed.ladder)
-    evens = [build_even_chain(cs1, cs2, ALPHA, perm=perm) for cs1, cs2, perm in PERIOD4_CELLS]
-    for sol in [mixed] + evens:
-        k, full = _chain_ks(sol, monkeypatch)
-        assert k == full
-
-
-def test_mixed_parity_ladder_keeps_the_full_bits(monkeypatch):
-    # entry 2 of a period-3 odd ladder, z, replaced by (z - 1)(z - 2): no
-    # residual is a constant, as the oracle says.  Packed at the half-bit
-    # point 2**5 instead of 2**9, equation 1 would read off the constant
-    # 1/5, which is why mixed parity keeps the full K
-    sol = build_odd_chain(CyclicStructure(k=1, second_type=((1, 2),)))
-    mixed = _with_ladder_entry(sol, 2, Polynomial((2, -3, 1)))
-    values = [eq.value for eq in verify_chain(mixed).equations]
-    assert values == [_residual_rf(mixed, i).constant_value() for i in (1, 2, 3)]
-    assert values == [None] * 3
-    monkeypatch.setattr(dresschain.chain, "_stride", lambda equations, coeffs: 2)
-    assert verify_chain(mixed).equations[0].value == F(1, 5)
 
 
 def test_odd_ladders_match_raw_determinants():
@@ -820,13 +742,18 @@ def test_potential_of_examples():
 
 
 def test_gauge_invariants():
-    # odd components carry no 1/x part and lin = -+omega/2; even ones live
-    # in z = x**2 (h = 1)
+    # odd components have lin = -+omega/2, and their 1/x part is
+    # e_prev - e_cur, from the x**e of the entries: the second gauge
+    # component is 2 (e_prev - e_cur), with e the parity of the raw
+    # determinant's degree
     sol = build_odd_chain(CyclicStructure(k=1, second_type=((1, 2),)))
     assert not sol.is_even
-    for prev, cur in zip(sol.ladder, sol.ladder[1:]):
+    parities = [_hermite_matrix_det(d.entries).degree % 2 for d in sol.labels]
+    assert len(set(parities)) == 2
+    for (prev, cur), e_prev, e_cur in zip(zip(sol.ladder, sol.ladder[1:]), parities,
+                                         parities[1:]):
         lin, inv = _gauge(prev, cur)
-        assert inv == 0 and lin in (F(1), F(-1))
+        assert inv == 2 * (e_prev - e_cur) and lin in (F(1), F(-1))
     sol = build_even_chain(CyclicStructure(k=1), CyclicStructure(k=1), ALPHA)
     assert sol.is_even
 
@@ -836,18 +763,15 @@ def _span_oracle(sol, i, j):
     end entries' primitive polynomials."""
     lin, inv = _gauge(sol.ladder[i], sol.ladder[j])
     inv = F(inv, 2 * sol.ladder[j].gauge_den)
-    h = int(sol.is_even)
     log_ratio = log_derivative_ratio(sol.ladder[i].prim, sol.ladder[j].prim)
-    return RationalFunction(Polynomial((inv, lin))) + (1 + h) * (
-        log_ratio * Polynomial.monomial(h)
-    )
+    return RationalFunction(Polynomial((inv, lin))) + 2 * (log_ratio * X)
 
 
 @pytest.mark.parametrize("sol", SAMPLE_CHAINS.values(), ids=SAMPLE_CHAINS.keys())
 def test_replaced_ladder_carries_its_own_terms(sol):
     # the components are derived from the ladder, so replacing the ladder
     # replaces the two spans that touch the bumped entry, and no gauge data
-    bumped = sol.ladder[2].poly + Polynomial.one()
+    bumped = sol.ladder[2].prim + Polynomial.one()
     new = _with_ladder_entry(sol, 2, bumped)
     assert new.ladder[2].prim == bumped.primitive() != sol.ladder[2].prim
     for i in (1, 2):

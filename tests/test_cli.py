@@ -182,7 +182,7 @@ def test_build_emits_ladder(capsys):
             "ba62a0c5f2ea2d6820a93bb7936dafa2ea3d2adac245de642c1fa6a41296acc2",
         ),
         (
-            # a deep odd ladder, checked at half the bits
+            # a deep odd ladder
             "verify --period 9 --shift 9 --params 2,1,2,0,2,1,2,1 --perm 3,7,0,5,1,8,2,6,4"
             " --format json",
             "fd381b48edfc4f0b02b948f1b1aa3fa3c40622ad10e16969967f82a50c4bb9ed",
@@ -200,6 +200,12 @@ def test_build_emits_ladder(capsys):
             # every even entry's poly and z_power, z**12 to z**30
             "build --period 4 --case 2,2 --shift 2 --params 4,4 --alpha 1/3,-2/5",
             "9c6c45cf09facba395207ed5e411295478da62a57d235acf8d60b802c8c1d76f",
+        ),
+        (
+            # odd ladder entries 16x**3, 12x, -6+12x**2, 12+24x**2, 4x and
+            # 128x**3: both parities, and a power of z inside `prim`
+            "build --period 5 --shift 1 --params 1,1,3,1",
+            "3e6cf4b0811768e67d6f7ea7cb41aa917678efd9e0aa5b22704addc11de09508",
         ),
         (
             # all eight criteria; criterion 8 compares ladders in z**2

@@ -59,8 +59,7 @@ def test_of_square():
     q = P(F(1, 2), -3, 5)
     assert q.of_square() == P(F(1, 2), 0, -3, 0, 5)
     assert q.of_square() == q.compose(Z * Z)
-    assert q.of_square(1, negate=True) == q.compose(-Z * Z) * Z
-    assert q.of_square(1, negate=True) == P(0, F(1, 2), 0, 3, 0, 5)
+    assert q.of_square(1) == q.compose(Z * Z) * Z
     assert Polynomial.zero().of_square(3) == Polynomial.zero()
     with pytest.raises(ValueError):
         P(0, 7).of_square(-1)
@@ -390,7 +389,7 @@ def test_scalar_operations_match_constant_operand(a, b, c):
 @given(nonzero_polys, nonzero_polys)
 def test_gcd_divides_both(a, b):
     g = poly_gcd(a, b)
-    assert (a % g).is_zero and (b % g).is_zero
+    assert divmod(a, g)[1].is_zero and divmod(b, g)[1].is_zero
     assert g.leading == 1
 
 
@@ -429,32 +428,6 @@ def test_bits_above_is_strict(j):
     assert bound == 2 ** j + 1 and K == j + 1
     assert jet(coeffs, K)[0] != 0
     assert jet(coeffs, K - 1)[0] == 0
-
-
-@pytest.mark.parametrize("f", (0, 1))
-@pytest.mark.parametrize("j", (1, 5, 64))
-def test_bits_above_is_strict_at_stride_2(j, f):
-    # the parity-definite x**f (x**2 - 4**j) has l1 norm 4**j + 1 and
-    # vanishes at 2**j: the J for that bound at stride 2 is j + 1, where it
-    # does not, and one less accepts it as 0
-    coeffs = (0,) * f + (-(4 ** j), 0, 1)
-    bound = jet([abs(c) for c in coeffs], 0)[0]
-    J = bits_above(bound, 2)
-    assert bound == 4 ** j + 1 and J == j + 1
-    assert jet(coeffs, J)[0] != 0
-    assert jet(coeffs, J - 1)[0] == 0
-
-
-@pytest.mark.parametrize("j", (2, 5, 64))
-def test_mixed_parity_needs_the_full_bits(j):
-    # x - 2**j is nonzero with l1 norm 2**j + 1 < 4**j, which stride 2
-    # would accept at 2**j, yet it vanishes there: half the bits hold only
-    # for parity-definite polynomials
-    coeffs = (-(2 ** j), 1)
-    bound = jet([abs(c) for c in coeffs], 0)[0]
-    assert bound < 4 ** j and bits_above(bound, 2) <= j
-    assert jet(coeffs, j)[0] == 0
-    assert jet(coeffs, bits_above(bound))[0] != 0
 
 
 def test_jet_values_and_l1_norms():
