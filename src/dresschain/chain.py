@@ -20,7 +20,8 @@ first-order cyclic system and checks every residual against the seed
 energy differences.  Cleared of denominators, each equation is one identity
 between integer polynomials in z, written once for both families
 (`_sides`) and tested as one integer, its value at z = 2**K
-(`exact.Point`).
+(`exact.Point`); an equation that fails there is expanded in z to tell
+which constant, if any, its residual is.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from fractions import Fraction
 from math import gcd as _gcd
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
-from .exact import (BOUND, Point, Polynomial, RationalFunction, ZeroPolynomial,
-                    bits_above, frac_str)
+from .exact import (BOUND, VARIABLE, Point, Polynomial, RationalFunction,
+                    ZeroPolynomial, bits_above, frac_str)
 from .maya import (
     NEGATIVE,
     POSITIVE,
@@ -241,9 +242,9 @@ def build_even_chain(
 
 # ---------------------------------------------------------------------------
 # Verification.  Every equation is one identity between integer-coefficient
-# polynomials, whether or not it holds, and it is tested as one integer: its
-# value at z = 2**K, with K from its value at `exact.BOUND`.  No polynomial
-# products and no gcds.
+# polynomials, and whether it holds is one integer: its value at z = 2**K,
+# with K from its value at `exact.BOUND`.  Only an equation that fails is
+# expanded in z (`exact.VARIABLE`).  No gcds.
 
 
 def _closure(sol: ChainSolution) -> bool:
@@ -355,48 +356,37 @@ def _bits(value: Fraction, bounds: tuple) -> int:
 
 
 def _check_equation(
-    eq: _Equation, coeffs: Sequence, jets: Sequence, k: int, bounds: tuple,
+    eq: _Equation, coeffs: Sequence, jets: Sequence, k: int,
 ) -> Optional[Fraction]:
-    """The residual of eq if it is a constant, else None, from the jets of
-    the ladder entries at z = 2**k, where k >= _bits(eq.expected, bounds).
+    """The residual of eq if it is a constant, else None.
 
-    rho is the constant q exactly when the integer polynomial
-    den(q) L - num(q) R is zero.  If 2**k exceeds its l1 bound, it is zero
-    exactly when its value at 2**k is, and the same bound on R makes
-    R(2**k) nonzero.  So rho is eq.expected iff that value is 0; otherwise
-    the only candidate is q = L(2**k) / R(2**k), which the value at 2**k
-    cannot refute.  If L = q R, then q = L_j / R_j at a nonzero
-    coefficient R_j, so den(q) and |num(q)| are at most the l1 bounds of R
-    and L; past them q is refuted.  Within them q is confirmed by its own
-    bound, or by the entries repacked at _bits(q, bounds) when that
-    exceeds k.
+    jets are the ladder entries' at z = 2**k, where 2**k exceeds the l1
+    bounds of R and of den(e) L - num(e) R, e = eq.expected (`_bits`), so
+    rho = L / R is e exactly when that value at 2**k is 0.  Otherwise L
+    and R are expanded in z from eq's own entries (`exact.VARIABLE`), as a
+    failing Painleve instance is: rho is c = lead(L) / lead(R) if L = c R,
+    and no constant if not.
     """
     lhs, rhs = _sides(eq, jets, Point.at(k))
     e = eq.expected
     if e.denominator * lhs == e.numerator * rhs:
         return e
-    value = Fraction(lhs, rhs)
-    if value.denominator > bounds[1] or abs(value.numerator) > bounds[0]:
-        return None
-    k2 = _bits(value, bounds)
-    if k2 > k:
-        pt = Point.at(k2)
-        jets = {j: pt.jets(coeffs[j]) for j in set(eq.entries)}
-        lhs, rhs = _sides(eq, jets, pt)
-        if value.denominator * lhs != value.numerator * rhs:
-            return None
-    return value
+    poly_jets = {j: VARIABLE.jets(coeffs[j]) for j in set(eq.entries)}
+    lhs, rhs = _sides(eq, poly_jets, VARIABLE)
+    c = Fraction(0) if lhs.is_zero else lhs.leading / rhs.leading
+    return c if lhs == rhs * c else None
 
 
 def verify_chain(sol: ChainSolution) -> VerificationReport:
     """Check every chain equation and the sum rule, exactly.
 
-    Failures are report entries, not exceptions.  Each residual is read
-    off as a constant, or found not to be one, by one cross-multiplied
-    integer identity (`_check_equation`) and compared with the expected
-    energy difference.  Every ladder entry is packed once, at the one
-    z = 2**K that the l1 bounds of all equations admit; a closed ladder's
-    last entry is its first.
+    Failures are report entries, not exceptions; a zero ladder entry, which
+    has no log-derivative, raises ZeroPolynomial, as `span` does.  Each
+    residual is read off as a constant, or found not to be one, by one
+    cross-multiplied integer identity (`_check_equation`) and compared with
+    the expected energy difference.  Every ladder entry is packed once, at
+    the one z = 2**K that the l1 bounds of all equations admit; a closed
+    ladder's last entry is its first.
     """
     p = sol.period
     den = 2 * sol.ladder[0].gauge_den
@@ -404,27 +394,27 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
     # every check is homogeneous in each ladder entry, so it reads the
     # primitive integer polynomials: small, exact arithmetic
     coeffs = [pw.prim.int_coeffs for pw in sol.ladder]
+    if not all(coeffs):
+        raise ZeroPolynomial("log-derivative of a zero polynomial")
+    closed = _closure(sol)
     gauges = list(map(_gauge, sol.ladder, sol.ladder[1:]))
-    equations = []
-    for i in range(1, p + 1):
-        entries = (i - 1, i, i % p, i % p + 1)
-        same = coeffs[i] == coeffs[i % p]
-        equations.append(_equation(
-            entries, same, den, gauges[i - 1], gauges[i % p], sol.expected_eps[i - 1]
-        ))
+    equations = [
+        _equation((i - 1, i, i % p, i % p + 1), i < p or closed, den,
+                  gauges[i - 1], gauges[i % p], sol.expected_eps[i - 1])
+        for i in range(1, p + 1)
+    ]
     norms = [BOUND.jets(cs) for cs in coeffs]
-    bounds = [_sides(eq, norms, BOUND) for eq in equations]
-    k = max(_bits(eq.expected, bound) for eq, bound in zip(equations, bounds))
+    k = max(_bits(eq.expected, _sides(eq, norms, BOUND)) for eq in equations)
     jets = list(map(Point.at(k).jets, coeffs))
     checks = [
-        EquationCheck(_check_equation(eq, coeffs, jets, k, bound), eq.expected)
-        for eq, bound in zip(equations, bounds)
+        EquationCheck(_check_equation(eq, coeffs, jets, k), eq.expected)
+        for eq in equations
     ]
 
     # sum rule: on a closed ladder the components add up to their gauges;
     # the total lin must be delta/2, and the total 1/x part 0
     lin, inv = map(sum, zip(*gauges))
-    sum_rule = _closure(sol) and 2 * lin == sol.delta and inv == 0
+    sum_rule = closed and 2 * lin == sol.delta and inv == 0
     return VerificationReport(
         period=p, delta=sol.delta, equations=tuple(checks), sum_rule=sum_rule
     )

@@ -4,7 +4,8 @@ Each one computes the same value as a function in dresschain the direct
 way: a determinant by cofactor expansion, the top coefficient of a
 Laguerre pseudo-Wronskian from the top coefficients of its textbook matrix
 entries, and the chain, PIV and PV residuals as chains of reduced
-RationalFunction operations (one gcd per operation).
+RationalFunction operations (one gcd per operation); a chain residual also
+at a rational point, from the values of the ladder entries there.
 
 clear_ladder_memos empties the library's ladder memos, so that a test
 which corrupts a ladder leaks into no later one.
@@ -13,6 +14,7 @@ which corrupts a ladder leaks into no later one.
 from fractions import Fraction
 from functools import lru_cache
 
+from dresschain.chain import _gauge
 from dresschain.exact import Polynomial, RationalFunction, ZeroPolynomial, det_poly_matrix
 from dresschain.painleve import pv_pieces
 from dresschain.wronskian import (
@@ -78,6 +80,34 @@ def _residual_rf(sol, i):
     va, vb = sol.span(i - 1, i), sol.span(j, j + 1)
     s = va + vb
     return -2 * s.derivative() + s * ((1 + vb - va) / Polynomial.x())
+
+
+def _component_at(prev, cur, z):
+    """(v, v') at the point z of the component from ladder entry prev to
+    cur, v = lin z + inv + 2 z (P'/P - Q'/Q) with P, Q their `prim`s."""
+    lin, inv = _gauge(prev, cur)
+    inv = Fraction(inv, 2 * cur.gauge_den)
+    logs = []
+    for poly in (prev.prim, cur.prim):
+        d1 = poly.derivative()
+        p0, p1, p2 = (q.eval_at(z) for q in (poly, d1, d1.derivative()))
+        logs.append((p1 / p0, p2 / p0 - (p1 / p0) ** 2))
+    (a1, a2), (b1, b2) = logs
+    return lin * z + inv + 2 * z * (a1 - b1), lin + 2 * (a1 - b1) + 2 * z * (a2 - b2)
+
+
+def residual_at(sol, i, z):
+    """Residual of chain equation i (1-based) of sol at the rational point
+    z: `_residual_rf`'s -2 s' + s (1 + v_b - v_a) / z from P, P' and P'' of
+    each entry's `prim` at z, with no gcd.  Where some entry vanishes, the
+    point moves up by 1 until none does."""
+    z = Fraction(z)
+    while any(pw.prim.eval_at(z) == 0 for pw in sol.ladder):
+        z += 1
+    j = i % sol.period
+    va, da = _component_at(*sol.ladder[i - 1:i + 1], z)
+    vb, db = _component_at(*sol.ladder[j:j + 2], z)
+    return -2 * (da + db) + (va + vb) * (1 + vb - va) / z
 
 
 def piv_residual_oracle(inst):

@@ -20,7 +20,8 @@ from dresschain.chain import (
     potential_of,
     verify_chain,
 )
-from dresschain.exact import BOUND, VARIABLE, Point, Polynomial, RationalFunction
+from dresschain.exact import (BOUND, VARIABLE, Point, Polynomial, RationalFunction,
+                              ZeroPolynomial)
 from dresschain.maya import (
     AmplitudeMismatch,
     CyclicStructure,
@@ -47,7 +48,7 @@ from dresschain.wronskian import (
     laguerre_pseudo_wronskian,
 )
 
-from oracles import _residual_rf, clear_ladder_memos, log_derivative_ratio
+from oracles import _residual_rf, clear_ladder_memos, log_derivative_ratio, residual_at
 
 EMPTY = MayaDiagram(())
 X = Polynomial.x()
@@ -227,6 +228,17 @@ def test_fast_checks_agree_with_residual_oracle(sol):
     assert verify_chain(sol).ok
 
 
+@pytest.mark.parametrize("sol", SAMPLE_CHAINS.values(), ids=SAMPLE_CHAINS.keys())
+def test_zero_ladder_entry_raises(sol):
+    # a zero entry has no log-derivative: both sides of its equations read
+    # 0 at any point, so verify_chain refuses it, as span does
+    for index in range(sol.period + 1):
+        ladder = list(sol.ladder)
+        ladder[index] = dataclasses.replace(ladder[index], prim=Polynomial.zero())
+        with pytest.raises(ZeroPolynomial):
+            verify_chain(dataclasses.replace(sol, ladder=tuple(ladder)))
+
+
 def _unclosed(sol):
     """sol with its last ladder entry's `prim` bumped by 1: the closure and
     the sum rule fail, and the wrap equation has two distinct middle
@@ -268,10 +280,13 @@ def test_verify_chain_builds_no_rational_function(name, monkeypatch):
     assert verify_chain(sol).to_json() == expected
 
 
-@pytest.mark.parametrize("name", STRUCTURAL_CHAINS)
+@pytest.mark.parametrize("name", ["odd", "even"])
 def test_verify_chain_makes_no_polynomial_product(name, monkeypatch):
-    # the chains are built with real products; verifying them evaluates
-    # every identity at one integer point and multiplies no polynomials
+    # the chains are built with real products; verifying a chain that holds
+    # evaluates every identity at one integer point and multiplies no
+    # polynomials.  A failing equation is expanded in z, and its value is
+    # checked against the oracle (test_unclosed_ladder_wrap_equation and
+    # test_parity_generic_check_agrees_with_residual_oracle)
     sol = STRUCTURAL_CHAINS[name]
     expected = verify_chain(sol).to_json()
 
@@ -326,13 +341,26 @@ def test_replaced_ladder_carries_its_labels_and_flips():
 @pytest.mark.parametrize(
     "sol", [SAMPLE_CHAINS["odd"], SAMPLE_CHAINS["even-22"]], ids=["odd", "even"]
 )
-def test_unclosed_ladder_wrap_equation(sol):
+def test_unclosed_ladder_wrap_equation(sol, monkeypatch):
     # equations away from the replaced last entry still hold; the two that
     # touch it, the wrap equation with its distinct middle entries among
-    # them, report the oracle's value
+    # them, report the oracle's value.  Only the wrap equation of the
+    # unclosed ladder takes the distinct-entry form
+    forms = []
+    equation = dresschain.chain._equation
+
+    def recorder(entries, same, *rest):
+        forms.append(same)
+        return equation(entries, same, *rest)
+
+    monkeypatch.setattr(dresschain.chain, "_equation", recorder)
     broken = _unclosed(sol)
     report = verify_chain(broken)
     p = sol.period
+    assert forms == [True] * (p - 1) + [False]
+    forms.clear()
+    verify_chain(sol)
+    assert forms == [True] * p
     assert not report.sum_rule and not report.ok
     assert all(eq.match for eq in report.equations[: p - 2])
     for i in (p - 1, p):
@@ -348,11 +376,13 @@ def test_wrap_form_with_distinct_middle_entries(monkeypatch):
     # distinct middle entries P_0 and z P_0.  The equations of the closed
     # ladder still read off eps; the two that read the last entry give the
     # oracle's value, None (the z adds a constant to v_p, whose z term is
-    # not 0).  The oracle runs on the cells of period at most 4: on the 131
-    # period-6 cells it takes about 20 s.  Forced on the closed ladders
-    # themselves, the distinct-entry form reads off eps on every cell and
-    # on every criterion-4 odd chain, whose gauge lines carry the x**e of
-    # their entries
+    # not 0).  On every cell the point oracle reads eps at z = 1/3 and at
+    # z = 2/7 on the closed part, and two different values on each of the
+    # two others; the reduced oracle runs on the cells of period at most 4
+    # (on the 131 period-6 cells it takes about 20 s).  Forced on the
+    # closed ladders themselves, the distinct-entry form reads off eps on
+    # every cell and on every criterion-4 odd chain, whose gauge lines
+    # carry the x**e of their entries
     cells = list(even_cells())
     assert len(cells) == 145
     sols = [build_even_chain(cs1, cs2, ALPHA, perm=perm) for cs1, cs2, perm, _ in cells]
@@ -363,6 +393,11 @@ def test_wrap_form_with_distinct_middle_entries(monkeypatch):
         values = [eq.value for eq in report.equations]
         assert values[: p - 2] == list(sol.expected_eps[: p - 2])
         assert values[p - 2:] == [None, None] and not report.sum_rule
+        first, second = (
+            [residual_at(wrapped, i, z) for i in range(1, p + 1)] for z in (F(1, 3), F(2, 7))
+        )
+        assert first[: p - 2] == second[: p - 2] == list(sol.expected_eps[: p - 2])
+        assert all(a != b for a, b in zip(first[p - 2:], second[p - 2:]))
         if p <= 4:
             assert values == [_residual_rf(wrapped, i).constant_value() for i in range(1, p + 1)]
     equation = dresschain.chain._equation
@@ -380,11 +415,14 @@ def test_wrap_form_with_distinct_middle_entries(monkeypatch):
 def test_even_chain_layers_read_cores(monkeypatch):
     # verify_chain packs, and span differentiates, only the z-free entries
     # of an even ladder: no polynomial there has a zero constant term,
-    # though the determinants do
+    # though the determinants do.  The failing equations of the bumped
+    # chain expand in z and differentiate P' too, so only the derivatives
+    # of ladder entries are recorded
     sols = [build_even_chain(cs1, cs2, ALPHA, perm=perm) for cs1, cs2, perm in PERIOD4_CELLS]
     sols += [SAMPLE_CHAINS["even-31"], _bumped(SAMPLE_CHAINS["even-22"])]
     assert any(pw.poly.coeff(0) == 0 for sol in sols for pw in sol.ladder)
     expected = [(verify_chain(sol).to_json(), sol.span(0, 2)) for sol in sols]
+    prims = {pw.prim for sol in sols for pw in sol.ladder}
     seen = []
     jet, derivative = dresschain.exact.jet, Polynomial.derivative
 
@@ -393,7 +431,8 @@ def test_even_chain_layers_read_cores(monkeypatch):
         return jet(coeffs, k)
 
     def checked_derivative(poly):
-        seen.append(poly.coeff(0))
+        if poly in prims:
+            seen.append(poly.coeff(0))
         return derivative(poly)
 
     monkeypatch.setattr(dresschain.exact, "jet", checked_jet)
@@ -433,26 +472,14 @@ def test_corrupted_ladder_entry_fails(sol):
     assert mutated >= 4
 
 
-def test_read_off_constant_confirmed_by_repacking(monkeypatch):
-    # with every expected eps set to 0, the chain's K covers the left
-    # sides only; confirming the true eps needs a larger K', so the entries
-    # of those equations are packed again, and the oracle's value comes out
+def test_failing_equations_read_their_true_eps():
+    # with every expected eps set to 0, every equation fails at the chain's
+    # 2**K, which covers the left sides only; expanded in z, each reads off
+    # the oracle's value, the true eps
     sol = SAMPLE_CHAINS["even-22"]
     p = sol.period
-    ks = []
-    jet = dresschain.exact.jet
-
-    def recorder(coeffs, k):
-        ks.append(k)
-        return jet(coeffs, k)
-
-    monkeypatch.setattr(dresschain.exact, "jet", recorder)
     zero = dataclasses.replace(sol, expected_eps=(F(0),) * p)
     report = verify_chain(zero)
-    # p + 1 norms at k = 0, p + 1 packings at the chain's K, then repacks
-    K = ks[p + 1]
-    assert ks[: 2 * (p + 1)] == [0] * (p + 1) + [K] * (p + 1)
-    assert ks[2 * (p + 1):] and min(ks[2 * (p + 1):]) > K
     for i, eq in enumerate(report.equations, 1):
         assert eq.value == _residual_rf(zero, i).constant_value()
         assert eq.value == sol.expected_eps[i - 1]
@@ -462,9 +489,9 @@ def test_read_off_constant_confirmed_by_repacking(monkeypatch):
 def test_read_off_candidate_refuted_by_repacking():
     # unit ladder entries, v_a = 2 - z and v_b = -2 in z: the residual is
     # 5 - z, so L = 5z - z**2 and R = z.  At the chain's z = 2**3 it reads
-    # -3, within the heights a constant could have (|L|_1 = 6, |R|_1 = 1);
-    # only the confirmation at z = 2**4 shows that it is not a constant.
-    # The gauges are (lin, 2 q inv) with q = 1
+    # -3, within the heights a constant could have (|L|_1 = 6, |R|_1 = 1),
+    # and not the expected 0; only L expanded in z shows that it is not a
+    # constant.  The gauges are (lin, 2 q inv) with q = 1
     chain = dresschain.chain
     coeffs = [(1,)] * 3
     eq = chain._equation((0, 1, 1, 2), True, 2, (-1, 4), (0, -4), F(0))
@@ -473,7 +500,7 @@ def test_read_off_candidate_refuted_by_repacking():
     assert bounds == (6, 1) and chain._bits(F(0), bounds) == 3
     jets = [Point.at(3).jets(cs) for cs in coeffs]
     assert chain._sides(eq, jets, Point.at(3)) == (-24, 8)
-    assert chain._check_equation(eq, coeffs, jets, 3, bounds) is None
+    assert chain._check_equation(eq, coeffs, jets, 3) is None
 
 
 def _l1(poly):
@@ -555,7 +582,8 @@ def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
 
     def recorder(*args):
         # the chain's one K covers the bound of every equation
-        eq, _, _, k, (lb, rb) = args
+        eq, coeffs, _, k = args
+        lb, rb = dresschain.chain._sides(eq, [BOUND.jets(c) for c in coeffs], BOUND)
         e = eq.expected
         assert 2 ** k > max(e.denominator * lb + abs(e.numerator) * rb, rb)
         values.append(check(*args))
@@ -593,17 +621,28 @@ def _criterion_4_chains():
 
 
 def test_odd_ladders_match_raw_determinants():
-    # every state of every flip order in the p, k <= 3 box; Polynomial
-    # equality is on exact coefficients, so content and sign are covered
-    for p, k in ((1, 1), (3, 1), (3, 3)):
-        for cs in enumerate_structures(p, k, 3):
-            for perm in itertools.permutations(range(p)):
-                sol = build_odd_chain(cs, perm=perm, allow_degenerate=True)
-                dets = [_hermite_matrix_det(d.entries) for d in sol.labels]
-                assert [pw.poly for pw in sol.ladder] == dets
-                raw = [_as_entry(pw, det) for pw, det in zip(sol.ladder, dets)]
-                rebuilt = dataclasses.replace(sol, ladder=tuple(raw))
-                assert verify_chain(rebuilt).to_json() == verify_chain(sol).to_json()
+    # every state of every flip order in the p, k <= 3 box, and the 174
+    # criterion-4 chains with an entry whose `prim` keeps a power of z
+    # (none in the box has one); Polynomial equality is on exact
+    # coefficients, so content, sign and the power of z are covered
+    box = [
+        build_odd_chain(cs, perm=perm, allow_degenerate=True)
+        for p, k in ((1, 1), (3, 1), (3, 3))
+        for cs in enumerate_structures(p, k, 3)
+        for perm in itertools.permutations(range(p))
+    ]
+    powers = [
+        sol for sol in _criterion_4_chains()
+        if any(pw.prim.coeff(0) == 0 for pw in sol.ladder)
+    ]
+    assert len(powers) == 174
+    for sol in box + powers:
+        dets = [_hermite_matrix_det(d.entries) for d in sol.labels]
+        assert [pw.poly for pw in sol.ladder] == dets
+        raw = [_as_entry(pw, det) for pw, det in zip(sol.ladder, dets)]
+        assert raw == list(sol.ladder)
+        rebuilt = dataclasses.replace(sol, ladder=tuple(raw))
+        assert verify_chain(rebuilt).to_json() == verify_chain(sol).to_json()
 
 
 def test_labels_index_the_ladder_and_replay_their_flips():
