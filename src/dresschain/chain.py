@@ -5,16 +5,17 @@ of the labeling diagram.  Each solution component w_i is minus the
 logarithmic x-derivative of the full gauge-tracked ratio of consecutive
 ladder entries.  The builders fix omega = OMEGA = 2, and both families
 live in the one variable z = x**2: a Hermite (odd, harmonic-seed) entry
-is x**e times a polynomial in z, a Laguerre (even, isotonic-seed) one a
-power of z times one.  So every component is odd in x, and v_i = x w_i
-is the rational function of z
+is x**v times a polynomial in z, v the `low` of its label, a Laguerre
+(even, isotonic-seed) one a power of z times one.  So every component is
+odd in x, and v_i = x w_i is the rational function of z
 
     v_i = lin_i * z + inv_i + 2 z d/dz log(P_{i-1} / P_i),
 
 with lin_i = -omega * (exp-gauge increment) and inv_i = -2 * (z-power
 increment), integers over one denominator 2q for alpha = p/q (`_gauge`).
-The P_i are the entries' `prim`, in z; an entry's power of z, a Hermite
-x**e = z**(e/2) included, is part of its gauge.
+The P_i are the entries' `prim`, in z, each with a nonzero constant
+term; an entry's power of z, a Hermite x**v = z**(v/2) included, is part
+of its gauge.
 Verification substitutes these exact rational functions into the
 first-order cyclic system and checks every residual against the seed
 energy differences.  Cleared of denominators, each equation is one identity
@@ -66,7 +67,7 @@ def _gauge(prev: PseudoWronskian, cur: PseudoWronskian) -> Tuple[int, int]:
     integers, with q = cur.gauge_den (1 on an odd ladder).  lin is minus
     omega times the exp-gauge increment, Delta(m + r) at OMEGA = 2, and inv
     is -2 times the z-power increment, -Delta(4 q z_power) / (2 q); on an
-    odd ladder it is e_prev - e_cur, the x**e of the entries.  Consecutive
+    odd ladder it is v_prev - v_cur, the x**v of the entries.  Consecutive
     increments add, so a span of components has the gauge of its two end
     entries."""
     return cur.m + cur.r - prev.m - prev.r, prev.z_power_num - cur.z_power_num
@@ -441,8 +442,7 @@ def potential_of(d: MayaDiagram) -> PotentialParts:
     """
     if not d.is_canonical:
         raise ValueError("potential_of expects a canonical diagram")
-    pw = hermite_wronskian(d)
-    h = pw.prim.of_square(pw.parity)
+    h = hermite_wronskian(d).core
     m = len(d.entries)
     constant = m * OMEGA - OMEGA / 2
     num = h.derivative().derivative() * h - h.derivative() * h.derivative()

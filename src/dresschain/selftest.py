@@ -490,11 +490,10 @@ def check_degenerations() -> CheckResult:
             odd_part = tuple((n - 1) // 2 for n in d.entries if n % 2 == 1)
             even_part = tuple(n // 2 for n in d.entries if n % 2 == 0)
             uc = UniversalCharacter(MayaDiagram(odd_part), MayaDiagram(even_part))
-            # primitive with positive leading coefficients, both in
-            # z = x**2: proportional polynomials are equal, once the
-            # Hermite one is free of z like the Laguerre one
-            _, lhs = hermite_wronskian(d).prim.split_lowest()
-            if lhs != laguerre_pseudo_wronskian(uc, half).prim:
+            # primitive with positive leading coefficients and nonzero
+            # constant terms, both in z = x**2: proportional polynomials
+            # are equal
+            if hermite_wronskian(d).prim != laguerre_pseudo_wronskian(uc, half).prim:
                 return False, "parity split fails at %r" % (d.entries,)
             split_cases += 1
         return True, "staircase, 1- and 2-step forms, %d parity splits" % split_cases

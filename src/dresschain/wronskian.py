@@ -9,15 +9,17 @@ column by column from the recurrence-defined polynomials of orthopoly
 (_hermite_column, _laguerre_column) and eliminate them in full.
 
 A ladder entry is stored as its primitive integer polynomial `prim`
-(coprime coefficients, positive leading one) in the chain variable
-z = x**2, its label (the diagram or character that indexes it) and its
-alpha.  The label also fixes what `prim` leaves out: a Laguerre entry's
-power of z, and a Hermite entry's x**e, e the parity of its degree.
-Every chain identity is homogeneous in each entry, so the chain reads
-`prim` only; the determinant, `poly`, and its leading coefficient
+(coprime coefficients, positive leading one, nonzero constant term) in
+the chain variable z = x**2, its label (the diagram or character that
+indexes it) and its alpha.  The label also fixes what `prim` leaves out,
+the lowest power of the determinant's variable (`low`): z**(r (r - 1))
+for a Laguerre entry and x**v for a Hermite one, v = u (u + 1) / 2 with
+u = #odd - #even entries.  This module alone knows that layout.  Every
+chain identity is homogeneous in each entry, so the chain reads `prim`
+only; `core`, the determinant up to its constant, is `prim` with that
+power put back, and the determinant, `poly`, and its leading coefficient
 `lead`, a closed form of the label, are derived when output reads them.
-Each result derives, from its label's sizes m, r and its alpha, the
-gauge exponents
+Each result derives, from its label and its alpha, the gauge exponents
 (z_power_num / 4q, exp_coeff) of the prefactor
 
     z**(z_power_num / 4q) * exp(exp_coeff * w),   w = omega * x**2 / 2,
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, prod
 from typing import Optional, Tuple, Union
 
@@ -54,13 +56,13 @@ class PseudoWronskian:
     (alpha None), a UniversalCharacter for a Laguerre one; m and r are
     the sizes of its components (r = 0 for a diagram).  `prim` is a
     primitive integer polynomial in z = x**2 with a positive leading
-    coefficient, and with a nonzero constant term if Laguerre.  The
-    determinant is `lead / prim.leading` times z**(r (r - 1)) `prim`(z)
-    for a Laguerre entry, in z, and times x**e `prim`(x**2) for a
-    Hermite one, in x, with e its `parity`; `lead` is a closed form of
-    the label and is never zero.  The gauge of `prim` has exp_coeff
-    -(m + r)/2 and the z power z_power_num / 4q, e/2 for a Hermite entry
-    and (m - r)**2/4 + alpha (m - r)/2 for a Laguerre one.
+    coefficient and a nonzero constant term.  The determinant is
+    `lead / prim.leading` times `core`: z**low `prim`(z) for a Laguerre
+    entry, in z, and x**low `prim`(x**2) for a Hermite one, in x.  `low`
+    and `lead` are closed forms of the label, and `lead` is never zero.
+    The gauge of `prim` has exp_coeff -(m + r)/2 and the z power
+    z_power_num / 4q, low/2 for a Hermite entry and
+    (m - r)**2/4 + alpha (m - r)/2 for a Laguerre one.
     """
 
     prim: Polynomial
@@ -75,32 +77,40 @@ class PseudoWronskian:
     def r(self) -> int:
         return 0 if self.alpha is None else len(self.label.second)
 
+    @cached_property
+    def low(self) -> int:
+        """The lowest power of the determinant's variable: v = u (u + 1) / 2
+        of x for a diagram, u = #odd - #even entries (hermite_wronskian),
+        and r (r - 1) of z for a character (laguerre_pseudo_wronskian).
+        Cached: the gauge of every chain that the memoised entry joins
+        reads it."""
+        if self.alpha is None:
+            u = 2 * sum(n % 2 for n in self.label.entries) - self.m
+            return u * (u + 1) // 2
+        return self.r * (self.r - 1)
+
     @property
-    def parity(self) -> int:
-        """e with a Hermite determinant x**e times a polynomial in x**2:
-        the parity of its degree sum(entries) - m (m - 1) / 2.  0 for a
-        Laguerre entry."""
-        if self.alpha is not None:
-            return 0
-        return (sum(self.label.entries) - self.m * (self.m - 1) // 2) % 2
+    def core(self) -> Polynomial:
+        """The determinant up to its constant: `prim` with x**low or
+        z**low put back."""
+        if self.alpha is None:
+            return self.prim.of_square(self.low)
+        return self.prim.shifted(self.low)
 
     @property
     def lead(self) -> Fraction:
         """2**deg V(entries) for a diagram (hermite_wronskian), with
-        deg = 2 deg prim + e; _laguerre_top for a character."""
+        deg = sum(entries) - m (m - 1) / 2; _laguerre_top for a
+        character."""
         if self.alpha is None:
-            deg = 2 * self.prim.degree + self.parity
+            deg = sum(self.label.entries) - self.m * (self.m - 1) // 2
             return Fraction(2 ** deg * _vandermonde(self.label.entries))
         return _laguerre_top(self.label, self.alpha)
 
     @property
     def poly(self) -> Polynomial:
-        """The determinant, with its constant and its x**e or z**(r (r - 1))."""
-        if self.alpha is None:
-            core = self.prim.of_square(self.parity)
-        else:
-            core = self.prim.shifted(self.r * (self.r - 1))
-        return core * (self.lead / self.prim.leading)
+        """The determinant: `core` with its constant."""
+        return self.core * (self.lead / self.prim.leading)
 
     @property
     def gauge_den(self) -> int:
@@ -111,19 +121,19 @@ class PseudoWronskian:
     @property
     def z_power_num(self) -> int:
         """4 q times the power of z in the gauge of `prim`, q = gauge_den:
-        q (m - r)**2 + 2 p (m - r) for alpha = p/q, and 2e for a Hermite
-        entry: x**e = z**(e/2)."""
+        q (m - r)**2 + 2 p (m - r) for alpha = p/q, and 2 low for a
+        Hermite entry: x**low = z**(low/2)."""
         if self.alpha is None:
-            return 2 * self.parity
+            return 2 * self.low
         d = self.m - self.r
         return d * (self.alpha.denominator * d + 2 * self.alpha.numerator)
 
     @property
     def z_power(self) -> Fraction:
         """The power of z in the gauge of the determinant `poly`: that of
-        `prim` less the z**(r (r - 1)) or x**e that `poly` puts back, so 0
-        for a Hermite entry."""
-        back = Fraction(self.parity, 2) + self.r * (self.r - 1)
+        `prim` less the power `core` puts back, so 0 for a Hermite
+        entry."""
+        back = Fraction(self.low, 2) if self.alpha is None else self.low
         return Fraction(self.z_power_num, 4 * self.gauge_den) - back
 
     @property
@@ -229,9 +239,18 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
     partition), whichever has fewer, min(m, c_m - m + 1): H_c(z) is
     proportional to H_c'(i z) / i**deg (Felder, Hemery and Veselov 2012),
     so through c' the result is taken at y -> -y.  Either is
-    z**E D(y) up to a constant, and `prim` is y**(E // 2) D(y), primitive;
-    E % 2 is the parity e of the degree deg = sum(entries) - m (m - 1) / 2.
-    The leading coefficient of either is 2**deg V(entries).
+    z**E D(y) up to a constant, D(0) != 0, and `prim` is D, primitive.
+    The leading coefficient of either is 2**deg V(entries),
+    deg = sum(entries) - m (m - 1) / 2.
+
+    E is v = u (u + 1) / 2, the entry's `low`, with u = b - a for a even
+    and b odd entries.  The coefficient of z**(2i) in H_{2k} is a factor
+    of i times one of k times the falling factorial (k)_i, and
+    det((k_j)_i) = V(k) != 0, so the a even H_n span a basis with
+    valuations 0, 2, ..., 2a - 2; likewise (z**(2i+1) in H_{2k+1}) the b
+    odd ones 1, 3, ..., 2b - 1.  These are distinct, so as at
+    _laguerre_top's lowest term the Wronskian starts at z**E with
+    E = a (a - 1) + b**2 - m (m - 1) / 2 = v.
     """
     entries = d.entries
     _check_entries(entries)
@@ -241,10 +260,10 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
         prim = hermite_wronskian(MayaDiagram(canon)).prim
     else:
         through = bool(entries) and entries[-1] - m + 1 < m
-        power, ys = _hermite_kernel(conjugate(d).entries if through else entries)
+        _, ys = _hermite_kernel(conjugate(d).entries if through else entries)
         if through:
             ys = [-c if i % 2 else c for i, c in enumerate(ys)]
-        prim = Polynomial([0] * (power // 2) + ys).primitive()
+        prim = Polynomial(ys).primitive()
     return PseudoWronskian(prim, d, None)
 
 

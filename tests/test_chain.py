@@ -181,15 +181,13 @@ def test_broken_ladder_fails_sum_rule():
 
 def _as_entry(pw, det):
     """pw with the entry of the determinant det: its primitive polynomial
-    in z, less the z**(r (r - 1)) that pw's label carries; a Hermite det
-    x**e G(x**2), e the parity of its degree, gives G."""
+    in z, less its lowest power, which must be the `low` that pw's label
+    carries; a Hermite det x**v G(x**2) gives G."""
+    low, core = det.split_lowest()
+    assert low == pw.low
     if pw.alpha is None:
-        e = det.degree % 2
-        assert not any(det.coeffs[1 - e::2])
-        core = Polynomial(det.coeffs[e::2])
-    else:
-        core, rest = divmod(det, Polynomial.monomial(pw.r * (pw.r - 1)))
-        assert rest.is_zero
+        assert not any(core.coeffs[1::2])
+        core = Polynomial(core.coeffs[::2])
     return dataclasses.replace(pw, prim=core.primitive())
 
 
@@ -382,7 +380,7 @@ def test_wrap_form_with_distinct_middle_entries(monkeypatch):
     # (on the 131 period-6 cells it takes about 20 s).  Forced on the
     # closed ladders themselves, the distinct-entry form reads off eps on
     # every cell and on every criterion-4 odd chain, whose gauge lines
-    # carry the x**e of their entries
+    # carry the x**v of their entries
     cells = list(even_cells())
     assert len(cells) == 145
     sols = [build_even_chain(cs1, cs2, ALPHA, perm=perm) for cs1, cs2, perm, _ in cells]
@@ -622,19 +620,16 @@ def _criterion_4_chains():
 
 def test_odd_ladders_match_raw_determinants():
     # every state of every flip order in the p, k <= 3 box, and the 174
-    # criterion-4 chains with an entry whose `prim` keeps a power of z
-    # (none in the box has one); Polynomial equality is on exact
-    # coefficients, so content, sign and the power of z are covered
+    # criterion-4 chains with an entry whose determinant has a power of z
+    # (x**v, v >= 2; none in the box has one); Polynomial equality is on
+    # exact coefficients, so content, sign and the power of z are covered
     box = [
         build_odd_chain(cs, perm=perm, allow_degenerate=True)
         for p, k in ((1, 1), (3, 1), (3, 3))
         for cs in enumerate_structures(p, k, 3)
         for perm in itertools.permutations(range(p))
     ]
-    powers = [
-        sol for sol in _criterion_4_chains()
-        if any(pw.prim.coeff(0) == 0 for pw in sol.ladder)
-    ]
+    powers = [sol for sol in _criterion_4_chains() if any(pw.low >= 2 for pw in sol.ladder)]
     assert len(powers) == 174
     for sol in box + powers:
         dets = [_hermite_matrix_det(d.entries) for d in sol.labels]
@@ -782,17 +777,21 @@ def test_potential_of_examples():
 
 def test_gauge_invariants():
     # odd components have lin = -+omega/2, and their 1/x part is
-    # e_prev - e_cur, from the x**e of the entries: the second gauge
-    # component is 2 (e_prev - e_cur), with e the parity of the raw
-    # determinant's degree
-    sol = build_odd_chain(CyclicStructure(k=1, second_type=((1, 2),)))
-    assert not sol.is_even
-    parities = [_hermite_matrix_det(d.entries).degree % 2 for d in sol.labels]
-    assert len(set(parities)) == 2
-    for (prev, cur), e_prev, e_cur in zip(zip(sol.ladder, sol.ladder[1:]), parities,
-                                         parities[1:]):
-        lin, inv = _gauge(prev, cur)
-        assert inv == 2 * (e_prev - e_cur) and lin in (F(1), F(-1))
+    # v_prev - v_cur, from the x**v of the entries: the second gauge
+    # component is 2 (v_prev - v_cur), with v the lowest power of x of the
+    # raw determinant.  The second ladder has entries with v = 3, whose
+    # parity is that of v = 1
+    lows = set()
+    for cs in (CyclicStructure(k=1, second_type=((1, 2),)),
+               CyclicStructure(k=5, okamoto=(1, 0, 1, 0))):
+        sol = build_odd_chain(cs)
+        assert not sol.is_even
+        vs = [_hermite_matrix_det(d.entries).split_lowest()[0] for d in sol.labels]
+        lows.update(vs)
+        for (prev, cur), v_prev, v_cur in zip(zip(sol.ladder, sol.ladder[1:]), vs, vs[1:]):
+            lin, inv = _gauge(prev, cur)
+            assert inv == 2 * (v_prev - v_cur) and lin in (F(1), F(-1))
+    assert lows == {0, 1, 3}
     sol = build_even_chain(CyclicStructure(k=1), CyclicStructure(k=1), ALPHA)
     assert sol.is_even
 

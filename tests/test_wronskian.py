@@ -1,6 +1,8 @@
+import ast
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import factorial, gcd
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -25,9 +27,11 @@ from dresschain.selftest import (
     _odd_table_rows,
     check_wronskian_equivalences,
     even_cells,
+    run_all,
 )
 from dresschain.wronskian import (
     NegativeIndex,
+    PseudoWronskian,
     _hermite_kernel,
     _hermite_matrix_det,
     _hermite_ys,
@@ -270,6 +274,69 @@ def test_laguerre_determinant_is_z_to_the_r_r_minus_1_times_prim():
         for alpha in alphas:
             p, q = alpha.numerator, alpha.denominator
             assert _laguerre_kernel(p, q, seeds)[0] == -r * (q * m + p)
+
+
+def _entries_built_by(criterion, monkeypatch):
+    """Every ladder entry that selftest criterion builds from cold memos."""
+    built = []
+
+    def record(*args):
+        built.append(PseudoWronskian(*args))
+        return built[-1]
+
+    clear_ladder_memos()
+    with monkeypatch.context() as patch:
+        patch.setattr(dresschain.wronskian, "PseudoWronskian", record)
+        (result,) = run_all([criterion])
+    assert result.ok, result.detail
+    return built
+
+
+def test_every_entry_keeps_a_constant_term_and_low_is_its_lowest_power(
+        monkeypatch, fresh_memos):
+    # every `prim` that criteria 3-7 build has a nonzero constant term, and
+    # `low`, read off the label, is the lowest power of the raw determinant
+    # of every diagram of criteria 3-5 and every character of criterion 3;
+    # hermite_wronskian proves v = u (u + 1) / 2, and this guards the code
+    built = {c: _entries_built_by(c, monkeypatch) for c in (3, 4, 5, 6, 7)}
+    assert all(pw.prim.coeff(0) != 0 for entries in built.values() for pw in entries)
+    diagrams = {pw.label: pw.low for c in (3, 4, 5) for pw in built[c] if pw.alpha is None}
+    characters = {(pw.label, pw.alpha): pw.low for pw in built[3] if pw.alpha is not None}
+    assert len(diagrams) == 1353 and len(characters) == 1764
+    assert set(diagrams.values()) == {0, 1, 3, 6, 10}
+    assert set(characters.values()) == {0, 2, 6, 12}
+    for d, low in diagrams.items():
+        assert _hermite_matrix_det(d.entries).split_lowest()[0] == low, d
+    for (uc, a), low in characters.items():
+        assert _laguerre_matrix_det(uc, a).split_lowest()[0] == low, (uc, a)
+
+
+def test_hermite_kernel_exponent_is_low():
+    # the direct route's kernel gives each canonical diagram's Wronskian as
+    # z**E D(z**2) with D(0) != 0, and E is the closed form `low`
+    diagrams = _canonical_diagrams(10, 6)
+    assert len(diagrams) == 848
+    for d in diagrams:
+        assert _hermite_kernel(d.entries)[0] == hermite_wronskian(d).low, d
+
+
+LAYOUT_CALLS = {"of_square", "shifted", "split_lowest"}
+
+
+def test_only_wronskian_reads_the_entry_layout():
+    # the power of an entry's variable that `prim` leaves out is put back
+    # or split off in wronskian alone: every other module reads `core` or
+    # `poly`.  Read from the sources with ast, importing nothing
+    src = Path(__file__).resolve().parents[1] / "src" / "dresschain"
+    readers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in LAYOUT_CALLS
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "prim"):
+                readers.add("%s:%d" % (path.name, node.lineno))
+    assert readers and all(r.startswith("wronskian.py:") for r in readers), readers
 
 
 def test_pseudo_wronskian_json():
