@@ -162,24 +162,26 @@ class ChainSolution:
                     out.append(Flip(level, POSITIVE if level in a else NEGATIVE, slot))
         return tuple(out)
 
-    def span(self, i: int, j: int) -> RationalFunction:
-        """v_{i+1} + ... + v_j, with each component v = x w rewritten in
-        z = x**2, as one reduced fraction.  The sum telescopes to ladder
-        entries P = ladder[i].prim and Q = ladder[j].prim:
-
-            lin*z + inv + 2 z (P'Q - PQ')/(PQ),
-
-        with (lin, inv) = _gauge of the entries.
+    def span_pair(self, i: int, j: int) -> Tuple[Polynomial, Polynomial]:
+        """v_{i+1} + ... + v_j, each component v = x w in z = x**2, as the
+        integer polynomials (A, B) of A / B, unreduced.  The sum telescopes
+        to ladder entries P = ladder[i].prim and Q = ladder[j].prim: it is
+        lin z + inv + 2z (P'Q - PQ')/(PQ), with (lin, 2q inv) = _gauge of the
+        entries, so B = 2q PQ and A = (2q inv + 2q lin z) PQ + 4q z (P'Q - PQ').
         """
         prev, cur = self.ladder[i], self.ladder[j]
         lin, inv = _gauge(prev, cur)
-        inv = Fraction(inv, 2 * cur.gauge_den)
+        q2 = 2 * cur.gauge_den
         P, Q = prev.prim, cur.prim
         if P.is_zero or Q.is_zero:
             raise ZeroPolynomial("log-derivative of a zero polynomial")
         PQ = P * Q
-        W = (P.derivative() * Q - P * Q.derivative()).shifted(1) * 2
-        return RationalFunction(Polynomial((inv, lin)) * PQ + W, PQ)
+        W = (P.derivative() * Q - P * Q.derivative()).shifted(1) * (2 * q2)
+        return Polynomial((inv, q2 * lin)) * PQ + W, q2 * PQ
+
+    def span(self, i: int, j: int) -> RationalFunction:
+        """`span_pair` as one reduced fraction."""
+        return RationalFunction(*self.span_pair(i, j))
 
 
 def _assemble(ladder: Sequence[PseudoWronskian], flips: Sequence[Flip],

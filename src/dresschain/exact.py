@@ -598,12 +598,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self._n.is_zero
 
-    def integer_pair(self) -> tuple:
-        """(N, V): integer coefficient tuples (ascending) with N / V = self,
-        each of num and den scaled by the other's denominator."""
-        n, d = self._n, self._d
-        return tuple(d._d * c for c in n._n), tuple(n._d * c for c in d._n)
-
     def constant_value(self) -> Optional[Fraction]:
         """The value as a Fraction if this is a constant, else None."""
         if self._d.degree == 0 and self._n.degree <= 0:

@@ -1,12 +1,11 @@
 """Reduction of period-3 and period-4 chains to the PIV and PV equations.
 
-Both equations are verified in Q(t), with t the variable their solutions
-are printed in (`piv_from_chain`, `pv_from_chain`).
-
-Each residual is R / S, with R an integer polynomial in the solution's
-numerator and denominator and their derivatives.  R is checked as one
-integer, its value at 2**K (`_residual`, `exact.Point`); only a failing
-instance builds R / S by polynomial products, with one gcd, to report it.
+Each solution is stored as integer polynomials N, V in z = x**2, read off
+two ladder entries (`ChainSolution.span_pair`) and unreduced; only the
+printed y(t) is reduced, with one gcd.  Each residual is R / S, with R an
+integer polynomial in N, V and their z-derivatives, homogeneous in (N, V).
+R is checked as one integer, its value at z = 2**K (`_residual`,
+`exact.Point`); only a failing instance builds R / S in t, with one gcd.
 
 The PV parameter map (a, b, c, d) =
 (e12**2/(2 D**2), -e34**2/(2 D**2), (D - e41 + e23)/4, -D**2/32)
@@ -19,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Sequence, Tuple
 
@@ -55,12 +55,18 @@ def _instance_json(equation: str, y: RationalFunction, residual: RationalFunctio
     }
 
 
+def _in_t(p: Polynomial, c_sq: Fraction) -> Polynomial:
+    """p(c**2 t**2), a polynomial in t."""
+    return Polynomial([coeff * c_sq ** i for i, coeff in enumerate(p.coeffs)]).of_square()
+
+
 @dataclass(frozen=True)
 class PIVInstance:
-    """PIV data: y(t) solves the equation with parameters (a, b), and
-    c_sq = c**2 = 2/shift is the scale of `piv_from_chain`'s y = c u(c t).
-    labels are the diagrams of the two ladder entries whose log-ratio y
-    is.
+    """PIV data: y(t) = G(c**2 t**2) / t, G = num/den in z, solves the
+    equation with parameters (a, b), and c_sq = c**2 = 2/shift is the
+    scale of `piv_from_chain`'s y = c u(c t).  num and den are integer
+    polynomials, unreduced.  labels are the diagrams of the two ladder
+    entries whose log-ratio y is.
 
     The t map is the inverse of the y scaling (x = c t, not t = c x); the
     pair is pinned by the equation itself: under it the energy-difference
@@ -71,11 +77,23 @@ class PIVInstance:
     test suite).
     """
 
-    y: RationalFunction
+    num: Polynomial
+    den: Polynomial
     c_sq: Fraction
     a: Fraction
     b: Fraction
     labels: Tuple[MayaDiagram, MayaDiagram]
+
+    @cached_property
+    def y(self) -> RationalFunction:
+        """y(t) in lowest terms: G reduced in z and mapped to t, where its
+        numerator and t times its denominator share t when G(0) = 0."""
+        g = RationalFunction(self.num, self.den)
+        num, den = (_in_t(p, self.c_sq) for p in (g.num, g.den))
+        low, rest = num.split_lowest()
+        if low:
+            return RationalFunction.from_coprime(rest.shifted(low - 1), den)
+        return RationalFunction.from_coprime(num, den.shifted(1))
 
     def to_json(self) -> dict:
         return _instance_json("PIV", self.y, piv_residual(self),
@@ -84,13 +102,19 @@ class PIVInstance:
 
 @dataclass(frozen=True)
 class PVInstance:
-    """PV data: y(t) solves the equation with parameters (a, b, c, d)."""
+    """PV data: y(t) = num/den, t = z, solves the equation with parameters
+    (a, b, c, d); num and den are integer polynomials, unreduced."""
 
-    y: RationalFunction
+    num: Polynomial
+    den: Polynomial
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
+
+    @cached_property
+    def y(self) -> RationalFunction:
+        return RationalFunction(self.num, self.den)
 
     def to_json(self) -> dict:
         return _instance_json("PV", self.y, pv_residual(self),
@@ -101,28 +125,17 @@ def piv_from_chain(sol: ChainSolution) -> PIVInstance:
     """Map a period-3 chain to its PIV instance: y(t) = c u(c t), with
     u = w_1 - (shift/2) x and c**2 = 2/shift.
 
-    With v = x w_1 = `span`(0, 1) = A(z)/B(z) in z = x**2 and
-    (shift/2) c**2 = 1, y = (A(c**2 t**2) - t**2 B(c**2 t**2)) /
-    (t B(c**2 t**2)), in Q(t) even when c is irrational.  A and B are
-    coprime, so t is the only possible common factor, and only when
-    A(0) = 0 (then B(0) != 0): y takes no gcd.
+    With v = x w_1 = A(z)/B(z) (`span_pair`(0, 1)), x u = G(z) with
+    G = (A - (shift/2) z B) / B, and y = G(c**2 t**2) / t.
     """
     if sol.period != 3 or sol.is_even:
         raise WrongPeriod("PIV needs an odd chain of period 3")
-    c_sq = 2 / sol.delta
-    v = sol.span(0, 1)
-    # A(c**2 t**2) and B(c**2 t**2)
-    a, b = (Polynomial([coeff * c_sq ** i for i, coeff in enumerate(p.coeffs)]).of_square()
-            for p in (v.num, v.den))
-    low, rest = a.split_lowest()
-    if low:
-        num, den = rest.shifted(low - 1) - b.shifted(1), b
-    else:
-        num, den = a - b.shifted(2), b.shifted(1)
+    a, b = sol.span_pair(0, 1)
     e12, e23 = sol.expected_eps[0], sol.expected_eps[1]
     return PIVInstance(
-        y=RationalFunction.from_coprime(num, den),
-        c_sq=c_sq,
+        num=a - b.shifted(1) * (sol.delta / 2),
+        den=b,
+        c_sq=2 / sol.delta,
         a=-(sol.delta + e23 + 2 * e12) / sol.delta,
         b=-2 * e23 * e23 / (sol.delta * sol.delta),
         labels=sol.labels[:2],
@@ -138,20 +151,19 @@ def _quotient_jets(N, V, sub) -> tuple:
     return m, sub(sub(n2 * v, n * v2) * v, 2 * m * v1)
 
 
-def _residual(
-    numerator: Callable, denominator: Callable, f: RationalFunction,
-    consts: Sequence[Fraction],
-) -> RationalFunction:
-    """The residual numerator / (L denominator) of f = N/V, in Q(t).
+def _residual(numerator: Callable, denominator: Callable, inst, consts: Sequence[Fraction],
+              in_t: Callable) -> RationalFunction:
+    """The residual numerator / (L denominator) of the instance's pair
+    (N, V), in Q(t).
 
     numerator(N, V, pt, ints) is homogeneous in (N, V), of the degree of
-    denominator(N, V), so N and V may be the integer polynomials of
-    `integer_pair`; it reads their jets at the point pt (`exact.Point`),
-    and the constants times their common denominator L.  Its value at
-    BOUND is its l1 bound, so at 2**bits_above(bound) it is 0 exactly when
-    it is the zero polynomial.  Only a nonzero one is built, at VARIABLE.
+    denominator(N, V); it reads their jets in z at the point pt
+    (`exact.Point`), and the constants times their common denominator L.
+    Its value at BOUND is its l1 bound, so at 2**bits_above(bound) it is 0
+    exactly when it is the zero polynomial.  Only a nonzero one is built,
+    at VARIABLE, and in_t(R, L S) is the residual as a function of t.
     """
-    cs, vs = f.integer_pair()
+    cs, vs = inst.num.int_coeffs, inst.den.int_coeffs
     scale = lcm(*(q.denominator for q in consts))
     ints = [q.numerator * (scale // q.denominator) for q in consts]
 
@@ -161,22 +173,19 @@ def _residual(
     if at(Point.at(bits_above(at(BOUND)))) == 0:
         return RationalFunction.zero()
     N, V = VARIABLE.jets(cs), VARIABLE.jets(vs)
-    return RationalFunction(
-        numerator(N, V, VARIABLE, ints), scale * denominator(N[0], V[0])
-    )
+    return in_t(numerator(N, V, VARIABLE, ints), scale * denominator(N[0], V[0]))
 
 
 def _piv_numerator(N, V, pt, consts):
-    """L R of `piv_residual` at pt, with consts = L (1, 8, 4, 4a, 2b)."""
+    """L R of `piv_residual` at pt, with consts = L (1, k, k**2, 4ak, 2bk**2)."""
     s, c1, c2, c3, c4 = map(pt.const, consts)
+    times = pt.times
     n, v = N[0], V[0]
     m, k = _quotient_jets(N, V, pt.sub)
     n2, v2 = n * n, v * v
-    return pt.sub(
-        2 * s * n * k + c3 * n2 * v2,
-        s * m * m + n2 * (3 * s * n2 + pt.times(c1 * n * v + pt.times(c2 * v2)))
-        + c4 * v2 * v2,
-    )
+    return pt.sub(3 * s * n2 * v2 + times(c3 * n2 * v2 + times(8 * s * n * k)),
+                  3 * s * n2 * n2 + times(8 * c1 * n2 * n * v + times(
+                      4 * s * m * m + 4 * c2 * n2 * v2 + c4 * v2 * v2)))
 
 
 def piv_residual(inst: PIVInstance) -> RationalFunction:
@@ -184,16 +193,21 @@ def piv_residual(inst: PIVInstance) -> RationalFunction:
 
         y'' = y'**2/(2y) + (3/2) y**3 + 4t y**2 + 2(t**2 - a) y + b/y.
 
-    The returned residual is lhs - rhs, which is R / (2 N V**3) with
-    y = N/V, y' = M/V**2, y'' = K/V**3; multiplying the equation by
-    2 y V**4 gives R = 2NK - M**2 - 3N**4 - 8tN**3 V - (4t**2 - 4a) N**2 V**2
-    - 2b V**4.  R is checked at t = 2**K (`_residual`); only a nonzero R is
-    built by polynomial products and reduced, with one gcd.
+    The returned residual is lhs - rhs.  With y = G(z)/t, z = c**2 t**2,
+    G = N/V in z, G' = M/V**2 and G'' = K/V**3, it is R / (2 t**3 N V**3)
+    with k = 1/c**2 and R = 3N**2 V**2 + 8z**2 NK - 4z**2 M**2 - 3N**4
+    - 8kz N**3 V - 4k**2 z**2 N**2 V**2 + 4akz N**2 V**2 - 2bk**2 z**2 V**4.
+    R is checked at z = 2**K (`_residual`); only a nonzero R is built by
+    polynomial products, mapped to t and reduced, with one gcd.
     """
-    if inst.y.is_zero:
+    if inst.num.is_zero:
         raise ZeroDenominator("candidate PIV solution is identically zero")
-    consts = (1, 8, 4, 4 * inst.a, 2 * inst.b)
-    return _residual(_piv_numerator, lambda n, v: 2 * n * v * v * v, inst.y, consts)
+    k = 1 / inst.c_sq
+    consts = (Fraction(1), k, k * k, 4 * inst.a * k, 2 * inst.b * k * k)
+    return _residual(
+        _piv_numerator, lambda n, v: 2 * n * v * v * v, inst, consts,
+        lambda r, s: RationalFunction(_in_t(r, inst.c_sq), _in_t(s, inst.c_sq).shifted(3)),
+    )
 
 
 def piv_families(cs: CyclicStructure) -> Tuple[PIVInstance, PIVInstance, PIVInstance]:
@@ -214,30 +228,22 @@ def piv_families(cs: CyclicStructure) -> Tuple[PIVInstance, PIVInstance, PIVInst
 def pv_from_chain(sol: ChainSolution) -> PVInstance:
     """Map a period-4 chain to its PV instance.
 
-    w_1 + w_2 = v(z)/x with v = `span`(0, 2) rational in z, so
-    y = 1 - shift*z/(2 v(z)) is an exact rational function of t = z = x**2.
-    With v = A/B, y = (2A - shift z B) / (2A); a common factor of the two
-    divides z B and A, which is coprime to B, so it is z, and only when
-    A(0) = 0 (then B(0) != 0): y takes no gcd.
+    w_1 + w_2 = v(z)/x with v = A/B (`span_pair`(0, 2)) rational in z, so
+    y = 1 - shift*z/(2 v(z)) = (2A - shift z B) / (2A) is an exact
+    rational function of t = z = x**2.
     """
     if sol.period != 4 or not sol.is_even:
         raise WrongPeriod("PV needs an even chain of period 4")
     delta = sol.delta
-    v = sol.span(0, 2)
-    if v.is_zero:
+    a, b = sol.span_pair(0, 2)
+    num = 2 * a - b.shifted(1) * delta
+    if a.is_zero or num.is_zero:  # v is 0 or the line shift*z/2
         raise DegenerateDenominator("w_1 + w_2 degenerates; PV map undefined")
-    a, zb = v.num, v.den.shifted(1)
-    low, rest = a.split_lowest()
-    if low:
-        a, zb = rest.shifted(low - 1), v.den
-    num = 2 * a - delta * zb
-    if num.is_zero:  # v is the line shift*z/2
-        raise DegenerateDenominator("w_1 + w_2 degenerates; PV map undefined")
-    y = RationalFunction.from_coprime(num, 2 * a)
     e12, e23, e34 = sol.expected_eps[0], sol.expected_eps[1], sol.expected_eps[2]
     e41 = sol.expected_eps[3] + delta
     return PVInstance(
-        y=y,
+        num=num,
+        den=2 * a,
         a=e12 * e12 / (2 * delta * delta),
         b=-e34 * e34 / (2 * delta * delta),
         c=(delta - e41 + e23) / 4,
@@ -278,9 +284,8 @@ def pv_residual(inst: PVInstance) -> RationalFunction:
     R is checked at t = 2**K (`_residual`); only a nonzero R is built by
     polynomial products and reduced, with one gcd.
     """
-    if inst.y.is_zero or inst.y == 1:
+    if inst.num.is_zero or inst.num == inst.den:
         raise ZeroDenominator("candidate PV solution is identically 0 or 1")
     consts = (Fraction(1), 2 * inst.a, 2 * inst.b, 2 * inst.c, 2 * inst.d)
-    return _residual(
-        _pv_numerator, lambda n, v: (2 * n * (n - v) * v * v * v).shifted(2), inst.y, consts
-    )
+    return _residual(_pv_numerator, lambda n, v: (2 * n * (n - v) * v * v * v).shifted(2),
+                     inst, consts, RationalFunction)

@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction as F
 
 import pytest
 
 import dresschain.cli
+import dresschain.exact
 import dresschain.painleve
 from dresschain.chain import build_even_chain, verify_chain
 from dresschain.cli import main
@@ -208,6 +210,16 @@ def test_build_emits_ladder(capsys):
             "3e6cf4b0811768e67d6f7ea7cb41aa917678efd9e0aa5b22704addc11de09508",
         ),
         (
+            # deep jobs, about a second each: ladder degrees in z 55, 45, 50
+            # and 55, and an even ladder of poly degree 49
+            "verify --period 3 --shift 3 --params 10,10 --format json",
+            "881ad37ab5ea02fd3e672798d958b0012bebbb24211239d9f09a36668c120306",
+        ),
+        (
+            "verify --period 4 --case 3,1 --params 7,7 --alpha 1/3 --format json",
+            "fe0e7368003c74936f943360bb9558b285e0aee524c206f023ddf1b57b3fab92",
+        ),
+        (
             # all eight criteria; criterion 8 compares ladders in z**2
             "selftest --format json",
             "b7482a22b4cabcb4942b74d867e07a2a06535502cb207563f3ee0ded25e7cc87",
@@ -326,6 +338,28 @@ def test_every_admitted_even_split_matches_the_library(capsys):
         if p1 + p2 == 4:
             want["pv_residual_zero"] = True
         assert report == want
+
+
+def test_verify_takes_no_gcd(capsys, monkeypatch):
+    # verify never reads a printed y: the chain equations and the PIV and PV
+    # residuals are checked on integer polynomials, on every criterion-5
+    # structure and every criterion-7 PV cell
+    def refuse(a, b):
+        raise AssertionError("verify took a gcd")
+
+    monkeypatch.setattr(dresschain.exact, "poly_gcd", refuse)
+    jobs = [["--period", "3", "--shift", str(k), "--params", "%d,%d" % pair]
+            for k, box in ((1, (1, 2, 3)), (3, (0, 1, 2)))
+            for pair in itertools.product(box, repeat=2)]
+    jobs += [
+        ["--period", "4", "--case", "%d,%d" % (cs1.p, cs2.p), "--shift", str(cs1.k),
+         "--params", ",".join(map(str, _params(cs1) + _params(cs2))),
+         "--perm", ",".join(map(str, perm)), "--alpha", "1/3"]
+        for cs1, cs2, perm, _ in even_cells() if cs1.p + cs2.p == 4
+    ]
+    assert len(jobs) == 18 + 13
+    for argv in jobs:
+        assert run_cli(capsys, "verify", *argv)[0] == 0, argv
 
 
 def test_selftest_single_criterion(capsys):

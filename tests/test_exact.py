@@ -407,15 +407,12 @@ def test_polynomial_operand_matches_rational_function(a, b, q):
 
 @settings(max_examples=60, deadline=None)
 @given(small_polys, nonzero_polys, scalars, scalars)
-def test_from_coprime_and_integer_pair(a, b, c, d):
+def test_from_coprime(a, b, c, d):
     r = RationalFunction(a, b)
     if c and d:
         # scaling a coprime pair keeps it coprime: only the monic step remains
         assert RationalFunction.from_coprime(r.num * c, r.den * d) == RationalFunction(
             r.num * c, r.den * d)
-    n, v = r.integer_pair()
-    assert all(isinstance(x, int) for x in n + v)
-    assert RationalFunction(Polynomial(n), Polynomial(v)) == r
 
 
 @pytest.mark.parametrize("j", (1, 5, 64))

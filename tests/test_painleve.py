@@ -91,23 +91,25 @@ def test_piv_perturbation_detected():
 
 def test_piv_wrong_scaling_has_no_parameters():
     # with the t map the other way around, y = c u(t/c), which is y(t/c**2)
-    # for the printed y = c u(c t), no (a, b) make the Okamoto residual
-    # vanish: the equation itself pins the map
+    # for the printed y = c u(c t): in z the pair (N(k**2 z), k V(k**2 z)),
+    # k = 1/c**2.  No (a, b) make the Okamoto residual vanish: the equation
+    # itself pins the map
     inst = piv_families(okamoto(1, 1))[0]
-    k = Polynomial((0, 1 / inst.c_sq))
-    wrong = RationalFunction(inst.y.num.compose(k), inst.y.den.compose(k))
+    k = 1 / inst.c_sq
+    k2z = Polynomial((0, k * k))
 
-    def fit(y):
+    def fit(num, den):
         # the residual is base + 2 a y - b/y; solve for (a, b) at two points
-        base = piv_residual(replace(inst, y=y, a=F(0), b=F(0)))
+        trial = replace(inst, num=num, den=den, a=F(0), b=F(0))
+        y, base = trial.y, piv_residual(trial)
         (p1, q1, r1), (p2, q2, r2) = [
             (2 * y.eval_at(t), -1 / y.eval_at(t), -base.eval_at(t)) for t in (F(1), F(2))
         ]
         det = p1 * q2 - p2 * q1
-        return replace(inst, y=y, a=(r1 * q2 - r2 * q1) / det, b=(p1 * r2 - p2 * r1) / det)
+        return replace(trial, a=(r1 * q2 - r2 * q1) / det, b=(p1 * r2 - p2 * r1) / det)
 
-    assert fit(inst.y) == inst
-    assert not piv_residual(fit(wrong)).is_zero
+    assert fit(inst.num, inst.den) == inst
+    assert not piv_residual(fit(inst.num.compose(k2z), k * inst.den.compose(k2z))).is_zero
 
 
 def test_piv_wrong_period():
@@ -120,7 +122,7 @@ def test_piv_wrong_period():
 
 def test_piv_zero_denominator():
     inst = piv_families(gh(1, 2))[0]
-    bad = replace(inst, y=RationalFunction.zero())
+    bad = replace(inst, num=Polynomial.zero())
     with pytest.raises(ZeroDenominator):
         piv_residual(bad)
 
@@ -184,21 +186,21 @@ def test_pv_sweep_residuals():
 
 def test_pv_perturbation_detected():
     inst = pv_31(1, 1, ALPHA)
-    bad = PVInstance(y=inst.y, a=inst.a, b=inst.b, c=inst.c + 1, d=inst.d)
+    bad = PVInstance(num=inst.num, den=inst.den, a=inst.a, b=inst.b, c=inst.c + 1, d=inst.d)
     assert not pv_residual(bad).is_zero
 
 
 def test_perturbed_solutions_detected():
-    one = RationalFunction(Polynomial.one())
+    # on the pair (N, V): y + t and 2y for PIV, y + 1 and 2y for PV
     for inst in piv_families(gh(1, 2)) + piv_families(okamoto(1, 1)):
         assert piv_residual(inst).is_zero
-        for y in (inst.y + one, inst.y * 2):
-            bad = replace(inst, y=y)
+        for num in (inst.num + piv_t(inst) * inst.den, inst.num * 2):
+            bad = replace(inst, num=num)
             assert not piv_residual(bad).is_zero
     for inst in (pv_31(1, 1, ALPHA), pv_31(2, 1, ALPHA)):
         assert pv_residual(inst).is_zero
-        for y in (inst.y + one, inst.y * 2):
-            bad = PVInstance(y=y, a=inst.a, b=inst.b, c=inst.c, d=inst.d)
+        for num in (inst.num + inst.den, inst.num * 2):
+            bad = PVInstance(num=num, den=inst.den, a=inst.a, b=inst.b, c=inst.c, d=inst.d)
             assert not pv_residual(bad).is_zero
 
 
@@ -214,8 +216,10 @@ def test_pv_wrong_period():
 def test_pv_zero_solution_rejected():
     inst = pv_31(1, 1, ALPHA)
     with pytest.raises(ZeroDenominator):
-        pv_residual(PVInstance(y=RationalFunction.zero(), a=inst.a, b=inst.b,
+        pv_residual(PVInstance(num=Polynomial.zero(), den=inst.den, a=inst.a, b=inst.b,
                                c=inst.c, d=inst.d))
+    with pytest.raises(ZeroDenominator):
+        pv_residual(replace(inst, num=inst.den))
 
 
 def test_pv_json():
@@ -233,20 +237,26 @@ PIV_BOX = [gh(lam, mu) for lam, mu in itertools.product((1, 2, 3), repeat=2)] + 
 ]
 
 
-def perturbed(inst, field):
-    """The instance itself, then its solution plus 1 and times 2, then each
-    parameter plus 1."""
-    sol = getattr(inst, field)
+def piv_t(inst):
+    """k z, k = 1/c**2 = shift/2: N + k z V is the pair of PIV's y + t."""
+    return Polynomial((0, 1 / inst.c_sq))
+
+
+def perturbed(inst, shift):
+    """The instance itself, then its pair (N, V) with N + shift V and 2N,
+    then each parameter plus 1, then b plus 1/3."""
     params = [name for name in ("a", "b", "c", "d") if hasattr(inst, name)]
-    return [inst, replace(inst, **{field: sol + 1}), replace(inst, **{field: sol * 2})] + [
-        replace(inst, **{name: getattr(inst, name) + 1}) for name in params
+    return [
+        inst, replace(inst, num=inst.num + shift * inst.den), replace(inst, num=2 * inst.num)
+    ] + [replace(inst, **{name: getattr(inst, name) + 1}) for name in params] + [
+        replace(inst, b=inst.b + F(1, 3))
     ]
 
 
 def test_piv_residual_matches_oracle_on_criterion_5_box():
     for cs in PIV_BOX:
         for inst in piv_families(cs):
-            first, *bad = perturbed(inst, "y")
+            first, *bad = perturbed(inst, piv_t(inst))
             assert piv_residual(first).is_zero and piv_residual_oracle(first).is_zero
             for other in bad:
                 fast = piv_residual(other)
@@ -261,7 +271,7 @@ def test_pv_residual_matches_oracle_on_pv_cells(alpha_value):
     cells = [pv_31(lam, mu, alpha) for lam, mu in itertools.product((1, 2), repeat=2)]
     cells += [pv_22(a1, b1, alpha) for a1, b1 in itertools.product((0, 1, 2), repeat=2)]
     for inst in cells:
-        first, *bad = perturbed(inst, "y")
+        first, *bad = perturbed(inst, 1)
         assert pv_residual(first).is_zero and pv_residual_oracle(first).is_zero
         for other in bad:
             fast = pv_residual(other)
@@ -269,20 +279,20 @@ def test_pv_residual_matches_oracle_on_pv_cells(alpha_value):
             assert fast == pv_residual_oracle(other)
 
 
-# the property tests put a random y and (a, b) into this family member
+# the property tests put a random pair (N, V), c**2 and (a, b) into this
+# family member
 PIV_MEMBER = piv_families(gh(1, 1))[0]
 
-small_polys = st.lists(
-    st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=4
-).map(Polynomial)
+# integer pairs (N, V) in z
+small_polys = st.lists(st.integers(-3, 3), max_size=4).map(Polynomial)
 small_params = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_polys, small_polys, small_params, small_params)
-def test_piv_residual_matches_oracle_property(n, d, a, b):
+@given(small_polys, small_polys, st.integers(1, 3), small_params, small_params)
+def test_piv_residual_matches_oracle_property(n, d, k, a, b):
     assume(not n.is_zero and not d.is_zero)
-    inst = replace(PIV_MEMBER, y=RationalFunction(n, d), c_sq=F(1), a=a, b=b)
+    inst = replace(PIV_MEMBER, num=n, den=d, c_sq=F(1, k), a=a, b=b)
     assert piv_residual(inst) == piv_residual_oracle(inst)
 
 
@@ -290,7 +300,7 @@ def test_piv_residual_matches_oracle_property(n, d, a, b):
 @given(small_polys, small_polys, small_params, small_params, small_params, small_params)
 def test_pv_residual_matches_oracle_property(n, d, a, b, c, e):
     assume(not n.is_zero and not d.is_zero and n != d)
-    inst = PVInstance(y=RationalFunction(n, d), a=a, b=b, c=c, d=e)
+    inst = PVInstance(num=n, den=d, a=a, b=b, c=c, d=e)
     assert pv_residual(inst) == pv_residual_oracle(inst)
 
 
@@ -334,7 +344,7 @@ def _recorded_numerator(name, inst, residual):
     return calls
 
 
-def _assert_bound_covers_numerator(name, inst, f, residual):
+def _assert_bound_covers_numerator(name, inst, residual):
     # the bound is at least the l1 norm of the expanded integer numerator,
     # 2**K exceeds it, and the value at 2**K is the numerator's
     calls = _recorded_numerator(name, inst, residual)
@@ -342,7 +352,7 @@ def _assert_bound_covers_numerator(name, inst, f, residual):
     assert bound_args[2] is BOUND
     _, _, pt, ints = value_args
     x = pt.times(1)
-    cs, vs = f.integer_pair()
+    cs, vs = inst.num.int_coeffs, inst.den.int_coeffs
     expanded = getattr(painleve, name)(VARIABLE.jets(cs), VARIABLE.jets(vs), VARIABLE, ints)
     assert pt.sub is operator.sub
     assert sum(abs(c) for c in expanded.coeffs) <= bound < x
@@ -359,15 +369,15 @@ signed_params = st.fractions(min_value=-10 ** 4, max_value=10 ** 4, max_denomina
 
 
 @settings(max_examples=40, deadline=None)
-@given(adversarial_polys, adversarial_polys, signed_params, signed_params)
-def test_piv_bound_covers_every_coefficient(n, d, a, b):
-    inst = replace(PIV_MEMBER, y=RationalFunction(n, d), c_sq=F(1), a=a, b=b)
-    _assert_bound_covers_numerator("_piv_numerator", inst, inst.y, piv_residual)
+@given(adversarial_polys, adversarial_polys, st.integers(1, 5), signed_params, signed_params)
+def test_piv_bound_covers_every_coefficient(n, d, k, a, b):
+    inst = replace(PIV_MEMBER, num=n, den=d, c_sq=F(1, k), a=a, b=b)
+    _assert_bound_covers_numerator("_piv_numerator", inst, piv_residual)
 
 
 @settings(max_examples=40, deadline=None)
 @given(adversarial_polys, adversarial_polys, *[signed_params] * 4)
 def test_pv_bound_covers_every_coefficient(n, d, a, b, c, e):
     assume(n != d)
-    inst = PVInstance(y=RationalFunction(n, d), a=a, b=b, c=c, d=e)
-    _assert_bound_covers_numerator("_pv_numerator", inst, inst.y, pv_residual)
+    inst = PVInstance(num=n, den=d, a=a, b=b, c=c, d=e)
+    _assert_bound_covers_numerator("_pv_numerator", inst, pv_residual)
