@@ -20,9 +20,9 @@ Verification substitutes these exact rational functions into the
 first-order cyclic system and checks every residual against the seed
 energy differences.  Cleared of denominators, each equation is one identity
 between integer polynomials in z, written once for both families
-(`_sides`) and tested as one integer, its value at z = 2**K
-(`exact.Point`); an equation that fails there is expanded in z to tell
-which constant, if any, its residual is.
+(`_sides`) and tested as one integer by `exact.vanishes`, which picks
+the one point z = 2**K of the chain; an equation that fails there is
+expanded in z to tell which constant, if any, its residual is.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from fractions import Fraction
 from math import gcd as _gcd
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
-from .exact import (BOUND, VARIABLE, Point, Polynomial, RationalFunction,
-                    ZeroPolynomial, bits_above, frac_str)
+from .exact import (VARIABLE, Point, Polynomial, RationalFunction, ZeroPolynomial,
+                    frac_str, vanishes)
 from .maya import (
     NEGATIVE,
     POSITIVE,
@@ -245,9 +245,8 @@ def build_even_chain(
 
 # ---------------------------------------------------------------------------
 # Verification.  Every equation is one identity between integer-coefficient
-# polynomials, and whether it holds is one integer: its value at z = 2**K,
-# with K from its value at `exact.BOUND`.  Only an equation that fails is
-# expanded in z (`exact.VARIABLE`).  No gcds.
+# polynomials, and `exact.vanishes` tells whether it holds.  Only an
+# equation that fails is expanded in z (`exact.VARIABLE`).  No gcds.
 
 
 def _closure(sol: ChainSolution) -> bool:
@@ -350,30 +349,25 @@ def _sides(eq: _Equation, jets, pt: Point) -> tuple:
     return lhs, times(d0 * d0 * bpa2 * cpb2)
 
 
-def _bits(value: Fraction, bounds: tuple) -> int:
-    """The least K with 2**K above the l1 bounds of R and of
-    den(value) L - num(value) R, given those of L and R."""
-    lb, rb = bounds
-    diff = BOUND.sub(value.denominator * lb, BOUND.const(value.numerator) * rb)
-    return bits_above(max(diff, rb))
-
-
-def _check_equation(
-    eq: _Equation, coeffs: Sequence, jets: Sequence, k: int,
-) -> Optional[Fraction]:
-    """The residual of eq if it is a constant, else None.
-
-    jets are the ladder entries' at z = 2**k, where 2**k exceeds the l1
-    bounds of R and of den(e) L - num(e) R, e = eq.expected (`_bits`), so
-    rho = L / R is e exactly when that value at 2**k is 0.  Otherwise L
-    and R are expanded in z from eq's own entries (`exact.VARIABLE`), as a
-    failing Painleve instance is: rho is c = lead(L) / lead(R) if L = c R,
-    and no constant if not.
-    """
-    lhs, rhs = _sides(eq, jets, Point.at(k))
+def _formula(eq: _Equation):
+    """den(e) L - num(e) R at the point pt, e = eq.expected: the residual
+    rho = L / R of eq is e exactly when this is the zero polynomial, as R
+    is never zero."""
     e = eq.expected
-    if e.denominator * lhs == e.numerator * rhs:
-        return e
+
+    def f(jets, pt):
+        lhs, rhs = _sides(eq, jets, pt)
+        return pt.sub(e.denominator * lhs, pt.const(e.numerator) * rhs)
+
+    return f
+
+
+def _read_off(eq: _Equation, coeffs: Sequence) -> Optional[Fraction]:
+    """The residual of an equation that is not its expected eps: L and R
+    are expanded in z from eq's own entries (`exact.VARIABLE`), as a
+    failing Painleve instance is, and rho is c = lead(L) / lead(R) if
+    L = c R, no constant (None) if not.
+    """
     poly_jets = {j: VARIABLE.jets(coeffs[j]) for j in set(eq.entries)}
     lhs, rhs = _sides(eq, poly_jets, VARIABLE)
     c = Fraction(0) if lhs.is_zero else lhs.leading / rhs.leading
@@ -385,11 +379,11 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
 
     Failures are report entries, not exceptions; a zero ladder entry, which
     has no log-derivative, raises ZeroPolynomial, as `span` does.  Each
-    residual is read off as a constant, or found not to be one, by one
-    cross-multiplied integer identity (`_check_equation`) and compared with
-    the expected energy difference.  Every ladder entry is packed once, at
-    the one z = 2**K that the l1 bounds of all equations admit; a closed
-    ladder's last entry is its first.
+    equation says, as one cross-multiplied integer identity (`_formula`),
+    that its residual is the expected energy difference.  One call of
+    `exact.vanishes` tests them all and packs every ladder entry once; a
+    closed ladder's last entry is its first.  An equation that fails reads
+    its residual off in z (`_read_off`).
     """
     p = sol.period
     den = 2 * sol.ladder[0].gauge_den
@@ -406,12 +400,10 @@ def verify_chain(sol: ChainSolution) -> VerificationReport:
                   gauges[i - 1], gauges[i % p], sol.expected_eps[i - 1])
         for i in range(1, p + 1)
     ]
-    norms = [BOUND.jets(cs) for cs in coeffs]
-    k = max(_bits(eq.expected, _sides(eq, norms, BOUND)) for eq in equations)
-    jets = list(map(Point.at(k).jets, coeffs))
+    holds = vanishes(list(map(_formula, equations)), coeffs)
     checks = [
-        EquationCheck(_check_equation(eq, coeffs, jets, k), eq.expected)
-        for eq in equations
+        EquationCheck(eq.expected if ok else _read_off(eq, coeffs), eq.expected)
+        for eq, ok in zip(equations, holds)
     ]
 
     # sum rule: on a closed ladder the components add up to their gauges;

@@ -16,8 +16,9 @@ taken by a primitive pseudo-remainder sequence, on the one integer
 pseudo-division (`_ipdivmod`) that `Polynomial` division also runs, and
 general determinants, of a matrix given by rows or by columns, by Bareiss
 elimination over Z[x], the oracle of the ladder recursion in `wronskian`;
-all of them share the integer kernel below.  A `Point` tests an identity between integer
-polynomials as one integer, for the chain and Painleve checks.
+all of them share the integer kernel below.  `vanishes`, the zero test
+of the chain and Painleve checks, picks one x = 2**K for a set of integer
+polynomial identities and tests each as one integer there.
 """
 
 from __future__ import annotations
@@ -453,6 +454,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 # by x through pt.times, subtracts through pt.sub and passes each of its
 # integer constants through pt.const.  At `BOUND` it is that l1 bound, at
 # Point.at(K) its value at x = 2**K, and at `VARIABLE` the polynomial F.
+# `vanishes` alone runs formulas at BOUND and Point.at.
 
 
 def jet(coeffs: Sequence[int], k: int) -> tuple:
@@ -465,12 +467,6 @@ def jet(coeffs: Sequence[int], k: int) -> tuple:
         d1 = (d1 << k) + v
         v = (v << k) + c
     return v, d1, 2 * d2
-
-
-def bits_above(bound: int) -> int:
-    """The least K with 2**K > bound: an integer polynomial of l1 norm at
-    most bound is zero exactly when its value at 2**K is."""
-    return bound.bit_length()
 
 
 def _same(v):
@@ -501,6 +497,19 @@ class Point(NamedTuple):
 BOUND = Point(lambda cs: jet([abs(c) for c in cs], 0), _same, operator.add, abs)
 # x itself: a formula is the polynomial it evaluates
 VARIABLE = Point(_poly_jets, lambda v: Polynomial.x() * v, operator.sub, _same)
+
+
+def vanishes(formulas: Sequence[Callable], polys: Sequence[Sequence[int]]) -> list:
+    """Whether each formula f(jets, pt) is the zero polynomial, where jets
+    are those of the integer polynomials polys (coefficients ascending) at
+    the point pt.  Each formula runs at `BOUND`, the largest of those l1
+    bounds fixes the one K with 2**K above all of them, and every
+    polynomial is packed once at Point.at(K): there a formula is 0 exactly
+    when it is the zero polynomial."""
+    norms = list(map(BOUND.jets, polys))
+    pt = Point.at(max(f(norms, BOUND) for f in formulas).bit_length())
+    jets = list(map(pt.jets, polys))
+    return [f(jets, pt) == 0 for f in formulas]
 
 
 def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:

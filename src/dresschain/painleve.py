@@ -4,8 +4,8 @@ Each solution is stored as integer polynomials N, V in z = x**2, read off
 two ladder entries (`ChainSolution.span_pair`) and unreduced; only the
 printed y(t) is reduced, with one gcd.  Each residual is R / S, with R an
 integer polynomial in N, V and their z-derivatives, homogeneous in (N, V).
-R is checked as one integer, its value at z = 2**K (`_residual`,
-`exact.Point`); only a failing instance builds R / S in t, with one gcd.
+Whether R is zero is told by `exact.vanishes` (`_residual`); only a
+failing instance builds R / S in t, with one gcd.
 
 The PV parameter map (a, b, c, d) =
 (e12**2/(2 D**2), -e34**2/(2 D**2), (D - e41 + e23)/4, -D**2/32)
@@ -23,8 +23,7 @@ from math import lcm
 from typing import Callable, Sequence, Tuple
 
 from .chain import ChainSolution, build_odd_chain
-from .exact import (BOUND, VARIABLE, Point, Polynomial, RationalFunction, bits_above,
-                    frac_str)
+from .exact import VARIABLE, Polynomial, RationalFunction, frac_str, vanishes
 from .maya import CyclicStructure, MayaDiagram
 
 
@@ -159,18 +158,14 @@ def _residual(numerator: Callable, denominator: Callable, inst, consts: Sequence
     numerator(N, V, pt, ints) is homogeneous in (N, V), of the degree of
     denominator(N, V); it reads their jets in z at the point pt
     (`exact.Point`), and the constants times their common denominator L.
-    Its value at BOUND is its l1 bound, so at 2**bits_above(bound) it is 0
-    exactly when it is the zero polynomial.  Only a nonzero one is built,
-    at VARIABLE, and in_t(R, L S) is the residual as a function of t.
+    `exact.vanishes` tells whether it is the zero polynomial.  Only a
+    nonzero one is built, at VARIABLE, and in_t(R, L S) is the residual as
+    a function of t.
     """
     cs, vs = inst.num.int_coeffs, inst.den.int_coeffs
     scale = lcm(*(q.denominator for q in consts))
     ints = [q.numerator * (scale // q.denominator) for q in consts]
-
-    def at(pt):
-        return numerator(pt.jets(cs), pt.jets(vs), pt, ints)
-
-    if at(Point.at(bits_above(at(BOUND)))) == 0:
+    if vanishes([lambda jets, pt: numerator(*jets, pt, ints)], (cs, vs))[0]:
         return RationalFunction.zero()
     N, V = VARIABLE.jets(cs), VARIABLE.jets(vs)
     return in_t(numerator(N, V, VARIABLE, ints), scale * denominator(N[0], V[0]))
@@ -197,7 +192,7 @@ def piv_residual(inst: PIVInstance) -> RationalFunction:
     G = N/V in z, G' = M/V**2 and G'' = K/V**3, it is R / (2 t**3 N V**3)
     with k = 1/c**2 and R = 3N**2 V**2 + 8z**2 NK - 4z**2 M**2 - 3N**4
     - 8kz N**3 V - 4k**2 z**2 N**2 V**2 + 4akz N**2 V**2 - 2bk**2 z**2 V**4.
-    R is checked at z = 2**K (`_residual`); only a nonzero R is built by
+    R is tested by `_residual`; only a nonzero R is built by
     polynomial products, mapped to t and reduced, with one gcd.
     """
     if inst.num.is_zero:
@@ -281,7 +276,7 @@ def pv_residual(inst: PVInstance) -> RationalFunction:
     R / (2 t**2 N E V**3) with y = N/V, E = N - V, y' = M/V**2 and
     y'' = K/V**3: R = 2t**2 NEK - t**2 (E + 2N) M**2 + 2tNEVM
     - 2E**3 (aN**2 + bV**2) - 2ctN**2 E V**2 - 2d t**2 N**2 (N + V) V**2.
-    R is checked at t = 2**K (`_residual`); only a nonzero R is built by
+    R is tested by `_residual`; only a nonzero R is built by
     polynomial products and reduced, with one gcd.
     """
     if inst.num.is_zero or inst.num == inst.den:

@@ -74,7 +74,7 @@ def log_derivative_ratio(p, q):
 
 def _residual_rf(sol, i):
     """Residual of chain equation i (1-based) of sol, the oracle for
-    chain._check_equation: -2 s' + s (1 + v_b - v_a) / z with s = v_a + v_b,
+    chain.verify_chain: -2 s' + s (1 + v_b - v_a) / z with s = v_a + v_b,
     the components i and i + 1 (mod p) in z = x**2 (`span`)."""
     j = i % sol.period
     va, vb = sol.span(i - 1, i), sol.span(j, j + 1)

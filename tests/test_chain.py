@@ -21,7 +21,7 @@ from dresschain.chain import (
     verify_chain,
 )
 from dresschain.exact import (BOUND, VARIABLE, Point, Polynomial, RationalFunction,
-                              ZeroPolynomial)
+                              ZeroPolynomial, vanishes)
 from dresschain.maya import (
     AmplitudeMismatch,
     CyclicStructure,
@@ -489,16 +489,19 @@ def test_read_off_candidate_refuted_by_repacking():
     # 5 - z, so L = 5z - z**2 and R = z.  At the chain's z = 2**3 it reads
     # -3, within the heights a constant could have (|L|_1 = 6, |R|_1 = 1),
     # and not the expected 0; only L expanded in z shows that it is not a
-    # constant.  The gauges are (lin, 2 q inv) with q = 1
+    # constant.  The gauges are (lin, 2 q inv) with q = 1.  With e = 0 the
+    # formula is L itself, of bound 6, so K = 3
     chain = dresschain.chain
     coeffs = [(1,)] * 3
     eq = chain._equation((0, 1, 1, 2), True, 2, (-1, 4), (0, -4), F(0))
     assert (eq.d0, eq.lines) == (1, ((0, -1), (-3, 1)))
-    bounds = chain._sides(eq, [BOUND.jets((1,))] * 3, BOUND)
-    assert bounds == (6, 1) and chain._bits(F(0), bounds) == 3
+    norms = [BOUND.jets((1,))] * 3
+    assert chain._sides(eq, norms, BOUND) == (6, 1)
+    assert chain._formula(eq)(norms, BOUND).bit_length() == 3
     jets = [Point.at(3).jets(cs) for cs in coeffs]
     assert chain._sides(eq, jets, Point.at(3)) == (-24, 8)
-    assert chain._check_equation(eq, coeffs, jets, 3) is None
+    assert vanishes([chain._formula(eq)], coeffs) == [False]
+    assert chain._read_off(eq, coeffs) is None
 
 
 def _l1(poly):
@@ -523,10 +526,12 @@ gauge_ints = st.tuples(st.integers(-50, 50), st.integers(-1200, 1200))
     st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4),
 )
 def test_evaluation_bound_covers_every_coefficient(polys, q, gauges, eps):
-    # both forms (Pa == Pb, and the distinct pair): 2**K exceeds the l1
-    # norms of diff = den(eps) L - num(eps) R and of R, so diff is 0
-    # exactly when diff(2**K) is; and the packed sides are L and R at 2**K.
-    # L and R are chain._sides itself, at the polynomial variable z
+    # both forms (Pa == Pb, and the distinct pair): 2**K, from the bound
+    # of the equation's formula, exceeds the l1 norm of the formula
+    # diff = den(eps) L - num(eps) R, so diff is 0 exactly when diff(2**K)
+    # is; and the packed sides are L and R at 2**K.  R is never the zero
+    # polynomial, so diff = 0 says L / R = eps.  L and R are chain._sides
+    # itself, at the polynomial variable z
     chain = dresschain.chain
     coeffs = [P.int_coeffs for P in polys]
     den = 2 * q
@@ -535,23 +540,32 @@ def test_evaluation_bound_covers_every_coefficient(polys, q, gauges, eps):
     for entries in ((0, 1, 1, 3), (0, 1, 2, 3)):
         same = entries[1] == entries[2]
         eq = chain._equation(entries, same, den, *gauges, eps)
-        bounds = chain._sides(eq, norms, BOUND)
-        K = chain._bits(eps, bounds)
+        formula = chain._formula(eq)
+        K = formula(norms, BOUND).bit_length()
         L, R = chain._sides(eq, poly_jets, VARIABLE)
         diff = L * eps.denominator - R * eps.numerator
-        assert max(_l1(diff), _l1(R)) < 2 ** K
+        assert formula(poly_jets, VARIABLE) == diff
+        assert _l1(diff) < 2 ** K and not R.is_zero
         pt = Point.at(K)
         jets = [pt.jets(cs) for cs in coeffs]
         assert chain._sides(eq, jets, pt) == (L.eval_at(2 ** K), R.eval_at(2 ** K))
+        assert vanishes([formula], coeffs) == [diff.is_zero]
 
 
 def test_evaluation_bound_must_be_strict():
     # 2**K - z is not zero, but it vanishes at z = 2**K: its coefficient
-    # 2**K reaches the evaluation point.  An l1 bound of 2**K therefore
+    # 2**K reaches the evaluation point.  Its l1 bound 2**K + 1 therefore
     # asks for K + 1, where the value no longer vanishes
     K = 40
+    points = []
+
+    def formula(jets, pt):
+        points.append(pt.times(1))
+        return jets[0][0]
+
     assert dresschain.exact.jet([2 ** K, -1], K)[0] == 0
-    assert dresschain.chain._bits(F(0), (2 ** K, 1)) == K + 1
+    assert vanishes([formula], [(2 ** K, -1)]) == [False]
+    assert points == [1, 2 ** (K + 1)]
     assert dresschain.exact.jet([2 ** K, -1], K + 1)[0] != 0
 
 
@@ -575,38 +589,61 @@ def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
     # highest interior ladder entry bumped (the closure is unaffected);
     # with one expected eps raised by 1, that equation fails and reports
     # the true eps
-    values = []
-    check = dresschain.chain._check_equation
+    chain = dresschain.chain
+    formula, read_off = chain._formula, chain._read_off
+    bounds, packed, read = [], [], []
 
-    def recorder(*args):
-        # the chain's one K covers the bound of every equation
-        eq, coeffs, _, k = args
-        lb, rb = dresschain.chain._sides(eq, [BOUND.jets(c) for c in coeffs], BOUND)
-        e = eq.expected
-        assert 2 ** k > max(e.denominator * lb + abs(e.numerator) * rb, rb)
-        values.append(check(*args))
-        return values[-1]
+    def record_formula(eq):
+        # each formula's l1 bound den(e) |L|_1 + |num(e)| |R|_1, and its
+        # value at the packed point
+        f = formula(eq)
 
-    monkeypatch.setattr(dresschain.chain, "_check_equation", recorder)
+        def recorded(jets, pt):
+            value = f(jets, pt)
+            if pt is BOUND:
+                lb, rb = chain._sides(eq, jets, BOUND)
+                e = eq.expected
+                bounds.append(e.denominator * lb + abs(e.numerator) * rb)
+            else:
+                packed.append((pt.times(1), value))
+            return value
+
+        return recorded
+
+    def record_read_off(*args):
+        read.append(read_off(*args))
+        return read[-1]
+
+    def verify(sol):
+        for log in (bounds, packed, read):
+            log.clear()
+        report = verify_chain(sol)
+        # the chain's one point is above the bound of every equation; an
+        # equation holds exactly when its formula is 0 there, and only the
+        # others are read off in z
+        (x,) = {x for x, _ in packed}
+        assert len(bounds) == len(packed) == sol.period and x > max(bounds)
+        assert [eq.match for eq in report.equations] == [v == 0 for _, v in packed]
+        assert [eq.value for eq in report.equations if not eq.match] == read
+        return report
+
+    monkeypatch.setattr(chain, "_formula", record_formula)
+    monkeypatch.setattr(chain, "_read_off", record_read_off)
     parities, failures, unread = set(), 0, 0
     for sol, bump in _chains_for_fast_check_oracle():
         variants = [sol, _bumped(sol)] if bump and sol.period > 1 else [sol]
-        for chain in variants:
-            values.clear()
-            report = verify_chain(chain)
-            assert len(values) == chain.period
-            for i, (value, eq) in enumerate(zip(values, report.equations), 1):
-                assert value == _residual_rf(chain, i).constant_value(), (
-                    chain.labels, i)
-                assert eq.value == value and eq.match == (value == eq.expected)
+        for variant in variants:
+            report = verify(variant)
+            for i, eq in enumerate(report.equations, 1):
+                assert eq.value == _residual_rf(variant, i).constant_value(), (
+                    variant.labels, i)
                 failures += not eq.match
-                unread += value is None
-            parities.add(chain.is_even)
+                unread += eq.value is None
+            parities.add(variant.is_even)
         for i, true_eps in enumerate(sol.expected_eps):
             eps = sol.expected_eps[:i] + (true_eps + 1,) + sol.expected_eps[i + 1:]
-            values.clear()
-            eq = verify_chain(dataclasses.replace(sol, expected_eps=eps)).equations[i]
-            assert values[i] == true_eps
+            eq = verify(dataclasses.replace(sol, expected_eps=eps)).equations[i]
+            assert true_eps in read
             assert eq.residual_constant and eq.value == true_eps and not eq.match
     assert parities == {0, 1} and failures > 0 and unread > 0
 

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dresschain.cli
 import dresschain.exact
@@ -535,3 +537,76 @@ def test_help_still_exits_0(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: dresschain")
+
+
+# -- the exit-code contract over an argv grammar --------------------------------
+
+_ints = st.integers(-1, 6).map(str)
+_int_lists = st.lists(st.integers(-1, 3).map(str), max_size=6).map(",".join)
+# 0, -1, an integer, 1/0, empty items and duplicates among valid samples
+_alpha_pool = ("0", "-1", "2", "1/0", "", "1/3", "1/3", "-4/3", "2/5")
+_option_values = {
+    "--period": st.one_of(_ints, st.just("x")),
+    "--shift": _ints,
+    "--bound": st.integers(0, 3).map(str),
+    "--case": st.lists(st.integers(0, 6).map(str), min_size=1, max_size=3).map(",".join),
+    "--params": _int_lists,
+    "--alpha": st.lists(st.sampled_from(_alpha_pool), min_size=1, max_size=3).map(",".join),
+    "--perm": st.lists(st.integers(-1, 5).map(str), max_size=6).map(",".join),
+    # invalid lists, or the fast criteria
+    "--criteria": st.sampled_from(("", "0", "9", "-1", "x", "5,5", "1,1", "5", "7", "5,7")),
+    "--format": st.sampled_from(("json", "text", "latex", "xml")),
+    "--out": st.sampled_from(("file", "dir")),
+    "--allow-degenerate": st.none(),
+}
+
+
+@st.composite
+def _job(draw):
+    """--period, with a --case split when it is even, an admitted --shift
+    and as many --params as the structures read: mostly a valid job."""
+    period = draw(st.integers(1, 6))
+    periods = [period]
+    argv = ["--period", str(period)]
+    if period % 2 == 0:
+        first = draw(st.integers(1, period - 1))
+        periods = [first, period - first]
+        argv += ["--case", "%d,%d" % tuple(periods)]
+    shifts = admitted_shifts(*periods)
+    if shifts:
+        argv += ["--shift", str(draw(st.sampled_from(shifts)))]
+    params = draw(st.lists(st.integers(1, 3).map(str), min_size=sum(periods) - len(periods),
+                           max_size=sum(periods) - len(periods)))
+    return argv + ["--params", ",".join(params)]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(("enum", "build", "verify", "painleve", "selftest",
+                                    "frobnicate")))
+    argv = [command]
+    if command == "selftest":
+        argv += ["--criteria", draw(_option_values["--criteria"])]
+    elif draw(st.booleans()):
+        argv += draw(_job())
+    names = sorted(_option_values)
+    for name in draw(st.lists(st.sampled_from(names), unique=True, max_size=3)):
+        value = draw(_option_values[name])
+        argv += [name] if value is None else [name, value]
+    return argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+def test_every_command_line_exits_0_1_or_2(capsys, tmp_path, argv):
+    # main never raises: it returns 0, 1 or 2, and an exit 2 prints exactly
+    # one {"error": ...} object.  --out is a file under tmp_path, or a
+    # directory
+    argv = [{"file": str(tmp_path / "out.txt"), "dir": str(tmp_path)}.get(tok, tok)
+            if prev == "--out" else tok for prev, tok in zip([None] + argv, argv)]
+    code, out = run_cli(capsys, *argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        assert list(json.loads(out)) == ["error"], argv

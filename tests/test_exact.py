@@ -1,18 +1,22 @@
+import ast
 from fractions import Fraction as F
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dresschain.exact import (
+    VARIABLE,
+    Point,
     Polynomial,
     RationalFunction,
     ZeroPolynomial,
-    bits_above,
     det_poly_matrix,
     jet,
     poly_gcd,
+    vanishes,
 )
 
 from dresschain.latex import poly_latex
@@ -415,16 +419,140 @@ def test_from_coprime(a, b, c, d):
             r.num * c, r.den * d)
 
 
+def _recording(points):
+    """The formula P of the first polynomial, recording each point it runs
+    at as pt.times(1): 1 at BOUND, 2**K at Point.at(K)."""
+    def formula(jets, pt):
+        points.append(pt.times(1))
+        return jets[0][0]
+
+    return formula
+
+
 @pytest.mark.parametrize("j", (1, 5, 64))
 def test_bits_above_is_strict(j):
-    # x - 2**j has l1 norm 2**j + 1 and vanishes at 2**j: the K for that
-    # bound is j + 1, where it does not, and one bit less accepts it as 0
+    # x - 2**j has l1 norm 2**j + 1 and vanishes at 2**j: `vanishes` takes
+    # K = j + 1 for that bound, where it does not, and one bit less would
+    # accept it as 0
     coeffs = (-(2 ** j), 1)
     bound = jet([abs(c) for c in coeffs], 0)[0]
-    K = bits_above(bound)
-    assert bound == 2 ** j + 1 and K == j + 1
+    points = []
+    assert vanishes([_recording(points)], [coeffs]) == [False]
+    K = j + 1
+    assert bound == 2 ** j + 1 and points == [1, 2 ** K]
     assert jet(coeffs, K)[0] != 0
     assert jet(coeffs, K - 1)[0] == 0
+
+
+# -- exact.vanishes: one point for a set of formulas -------------------------
+
+# degree <= 30, every coefficient 0 or +-2**b with b <= 64
+adversarial_coeffs = st.lists(
+    st.one_of(st.just(0), st.builds(lambda s, b: s * 2 ** b, st.sampled_from((1, -1)),
+                                     st.integers(0, 64))),
+    min_size=1,
+    max_size=31,
+)
+signed_consts = st.builds(lambda s, b: s * 2 ** b, st.sampled_from((1, -1)), st.integers(0, 64))
+
+
+def _node(op, *parts):
+    """The formula op(pt, values of parts...) over `exact.Point` operations."""
+    return lambda jets, pt: op(pt, *(f(jets, pt) for f in parts))
+
+
+# a jet (P, P' or P'') of one of up to three polynomials, combined by +, the
+# point's subtraction, product, times x and a signed constant
+formulas = st.recursive(
+    st.builds(lambda i, d: lambda jets, pt: jets[i % len(jets)][d],
+              st.integers(0, 2), st.integers(0, 2)),
+    lambda inner: st.one_of(
+        st.builds(lambda f, g: _node(lambda pt, a, b: a + b, f, g), inner, inner),
+        st.builds(lambda f, g: _node(lambda pt, a, b: pt.sub(a, b), f, g), inner, inner),
+        st.builds(lambda f, g: _node(lambda pt, a, b: a * b, f, g), inner, inner),
+        st.builds(lambda f: _node(lambda pt, a: pt.times(a), f), inner),
+        st.builds(lambda c, f: _node(lambda pt, a: pt.const(c) * a, f), signed_consts, inner),
+    ),
+    max_leaves=6,
+)
+# identically zero: f - f, and f g - g f
+zero_formulas = st.one_of(
+    st.builds(lambda f: _node(lambda pt, a, b: pt.sub(a, b), f, f), formulas),
+    st.builds(lambda f, g: _node(lambda pt, a, b, c, d: pt.sub(a * b, c * d), f, g, g, f),
+              formulas, formulas),
+)
+
+
+def _near_miss(j, m, sign):
+    """sign x**m (x - 2**j), written x + (-2**j): it vanishes at 2**j, and
+    its bound 2**j + 1 takes K = j + 1, so at 2**(K - 1)."""
+    def formula(jets, pt):
+        v = pt.times(1) + pt.const(-(2 ** j))
+        for _ in range(m):
+            v = pt.times(v)
+        return pt.const(sign) * v
+
+    return formula
+
+
+near_misses = st.builds(_near_miss, st.integers(1, 64), st.integers(0, 3),
+                        st.sampled_from((1, -1)))
+# a near miss times a formula vanishes at 2**j too, and is 0 only with it
+scaled_near_misses = st.builds(lambda f, g: _node(lambda pt, a, b: a * b, f, g),
+                               near_misses, formulas)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(adversarial_coeffs, min_size=1, max_size=3),
+    st.lists(st.one_of(formulas, zero_formulas, near_misses, scaled_near_misses),
+             min_size=1, max_size=4),
+)
+def test_vanishes_agrees_with_the_expanded_formula(polys, fs):
+    # vanishes says 0 exactly when the formula, run at the polynomial
+    # variable, is the zero polynomial, whichever formula sets the point
+    poly_jets = list(map(VARIABLE.jets, polys))
+    assert vanishes(fs, polys) == [f(poly_jets, VARIABLE).is_zero for f in fs]
+
+
+@pytest.mark.parametrize("j", (1, 7, 64))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_vanishes_refutes_a_near_miss_one_bit_below_its_point(j, sign):
+    # x**2 (x - 2**j) is 0 at 2**j, one bit below the point 2**(j + 1) its
+    # bound takes, also next to a zero formula and a nonzero one of smaller
+    # bounds
+    near = _near_miss(j, 2, sign)
+    points = []
+    one = _recording(points)
+    fs = [near, _node(lambda pt, a, b: pt.sub(a, b), one, one), one]
+    assert vanishes(fs, [(1,)]) == [False, True, False]
+    assert points == [1] * 3 + [2 ** (j + 1)] * 3
+    assert near([], Point.at(j)) == 0
+
+
+def test_no_other_module_picks_the_point():
+    # BOUND and Point.at are named only inside exact: every other module
+    # hands its formulas to exact.vanishes
+    src = Path(__file__).resolve().parents[1] / "src" / "dresschain"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Name):
+                names.append(node.id)
+            elif isinstance(node, ast.alias):
+                names.append(node.asname or node.name)
+                names.append(node.name)
+            elif isinstance(node, ast.Attribute):
+                names.append(node.attr)
+                owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+                if node.attr == "at" and owner == "Point":
+                    names.append("Point.at")
+            if "BOUND" in names or "Point.at" in names:
+                offenders.append("%s:%d" % (path.name, node.lineno))
+    assert not offenders, offenders
 
 
 def test_jet_values_and_l1_norms():
