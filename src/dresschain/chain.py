@@ -73,7 +73,7 @@ def _gauge(prev: PseudoWronskian, cur: PseudoWronskian) -> Tuple[int, int]:
     return cur.m + cur.r - prev.m - prev.r, prev.z_power_num - cur.z_power_num
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquationCheck:
     """The constant an equation's residual reads off, None if it is not one."""
 
@@ -97,7 +97,7 @@ class EquationCheck:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     period: int
     delta: Fraction
@@ -117,7 +117,7 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainSolution:
     """Verified-form data of a period-p dressing chain solution.
 

@@ -4,6 +4,8 @@ export Painleve solutions, run the acceptance suite.
 All numbers cross the boundary as exact "p/q" strings; reports are
 deterministic byte-for-byte for a fixed invocation.  Exit codes: 0 all
 verifications passed, 1 at least one identity failed, 2 invalid input.
+The acceptance suite and the LaTeX writers are imported only by the
+commands that run them, so no other job loads or holds them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import latex as latex_mod
 from .chain import OMEGA, build_even_chain, build_odd_chain, verify_chain
 from .exact import frac_str, parse_frac
 from .maya import (
@@ -32,7 +33,6 @@ from .painleve import (
     pv_from_chain,
     pv_residual,
 )
-from .selftest import run_all
 
 
 class UsageError(ValueError):
@@ -190,10 +190,11 @@ def cmd_enum(args) -> int:
         _emit(_dump({"command": "enum", "period": args.period, "shift": shift,
                      "bound": args.bound, "structures": rows}), args.out)
     elif args.format == "latex":
+        from .latex import diagram_latex, structure_latex
         lines = [
             "%s & %s & %s \\\\" % (
-                latex_mod.structure_latex(cs),
-                latex_mod.diagram_latex(diagram),
+                structure_latex(cs),
+                diagram_latex(diagram),
                 "degenerate" if r["degenerate"] else ",".join(map(str, r["flip_levels"])),
             )
             for cs, diagram, r in zip(structures, diagrams, rows)
@@ -214,7 +215,8 @@ def cmd_enum(args) -> int:
 def cmd_build(args) -> int:
     solutions = _build_solutions(args)
     if args.format == "latex":
-        _emit("\n".join(latex_mod.chain_latex(sol) for sol in solutions) + "\n", args.out)
+        from .latex import chain_latex
+        _emit("\n".join(chain_latex(sol) for sol in solutions) + "\n", args.out)
     else:
         payload = [_with_alpha(_solution_json(sol), sol) for sol in solutions]
         _emit(_dump({"command": "build", "chains": payload}), args.out)
@@ -259,7 +261,8 @@ def cmd_painleve(args) -> int:
         payload = [f.to_json() for f in fams]
         ok = all(p["residual_zero"] for p in payload)
         if args.format == "latex":
-            _emit("".join("y_{%d}: %s\n" % (i, latex_mod.piv_latex(f))
+            from .latex import piv_latex
+            _emit("".join("y_{%d}: %s\n" % (i, piv_latex(f))
                           for i, f in enumerate(fams)), args.out)
         else:
             _emit(_dump({"command": "painleve", "equation": "PIV", "families": payload,
@@ -271,7 +274,8 @@ def cmd_painleve(args) -> int:
         payload = [_with_alpha(inst.to_json(), sol) for inst, sol in zip(instances, solutions)]
         ok = all(p["residual_zero"] for p in payload)
         if args.format == "latex":
-            _emit("\n".join(latex_mod.pv_latex(inst) for inst in instances) + "\n", args.out)
+            from .latex import pv_latex
+            _emit("\n".join(pv_latex(inst) for inst in instances) + "\n", args.out)
         else:
             _emit(_dump({"command": "painleve", "equation": "PV", "solutions": payload,
                          "ok": ok}), args.out)
@@ -281,6 +285,7 @@ def cmd_painleve(args) -> int:
 
 def cmd_selftest(args) -> int:
     criteria = None if args.criteria is None else _parse_int_list(args.criteria)
+    from .selftest import run_all
     results = run_all(criteria)
     ok = all(r.ok for r in results)
     if args.format == "json":

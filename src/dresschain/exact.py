@@ -182,7 +182,11 @@ class Polynomial:
     def __init__(self, coeffs: Iterable = ()):
         c = [_exact(x) for x in coeffs]
         den = _lcm(*(x.denominator for x in c))
-        p = _poly([x.numerator * (den // x.denominator) for x in c], den)
+        # over 1 the given ints are kept, not copied: a ladder entry's
+        # `prim` then shares the coefficients its kernel memo holds
+        num = ([x.numerator for x in c] if den == 1
+               else [x.numerator * (den // x.denominator) for x in c])
+        p = _poly(num, den)
         self._n = p._n
         self._d = p._d
 

@@ -47,7 +47,7 @@ POSITIVE = +1  # flip removes a particle (level was filled)
 NEGATIVE = -1  # flip fills an empty level
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MayaDiagram:
     """Finite integer tuple encoding of a Maya diagram.
 
@@ -163,7 +163,7 @@ def spin_at(d: MayaDiagram, n: int) -> int:
     return +1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flip:
     level: int
     sign: int  # POSITIVE removes, NEGATIVE inserts
@@ -180,7 +180,7 @@ class Flip:
             raise ValueError("slot must be 1 or 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlipChain:
     """Ordered flips realizing a diagram's k-translation."""
 
@@ -220,7 +220,7 @@ class FlipChain:
         return tuple(sorted((f.level, f.sign) for f in self.flips))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicStructure:
     """Block data (k | Okamoto lengths | free blocks) of a p-cyclic diagram.
 
@@ -279,7 +279,7 @@ class CyclicStructure:
         return cls(data["k"], data.get("okamoto", ()), data.get("blocks", ()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UniversalCharacter:
     """Pair of Maya diagrams; first indexes the extended spectrum seeds,
     second the shadow-spectrum seeds of an isotonic extension."""

@@ -20,7 +20,7 @@ class IntegerAlpha(ValueError):
     """The isotonic parameter was an integer (spectra would merge)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlphaParam:
     """Isotonic oscillator parameter; any rational that is not an integer.
 

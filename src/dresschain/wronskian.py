@@ -31,9 +31,9 @@ prefactors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial, prod
 from typing import Optional, Tuple, Union
 
@@ -47,7 +47,7 @@ class NegativeIndex(ValueError):
     """Wronskian seed tuples must have non-negative entries."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PseudoWronskian:
     """Polynomial part of a seed-function Wronskian plus its gauge
     z**z_power * exp(exp_coeff * omega x**2 / 2).
@@ -68,6 +68,7 @@ class PseudoWronskian:
     prim: Polynomial
     label: Union[MayaDiagram, UniversalCharacter]
     alpha: Optional[Fraction]
+    low: int = field(init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -77,17 +78,18 @@ class PseudoWronskian:
     def r(self) -> int:
         return 0 if self.alpha is None else len(self.label.second)
 
-    @cached_property
-    def low(self) -> int:
-        """The lowest power of the determinant's variable: v = u (u + 1) / 2
-        of x for a diagram, u = #odd - #even entries (hermite_wronskian),
-        and r (r - 1) of z for a character (laguerre_pseudo_wronskian).
-        Cached: the gauge of every chain that the memoised entry joins
-        reads it."""
+    def __post_init__(self):
+        # `low`, the lowest power of the determinant's variable: v = u (u + 1)
+        # / 2 of x for a diagram, u = #odd - #even entries (hermite_wronskian),
+        # and r (r - 1) of z for a character (laguerre_pseudo_wronskian).  A
+        # field, so the gauge of every chain that the memoised entry joins
+        # reads it without recounting, and `dataclasses.replace` recomputes it.
         if self.alpha is None:
             u = 2 * sum(n % 2 for n in self.label.entries) - self.m
-            return u * (u + 1) // 2
-        return self.r * (self.r - 1)
+            low = u * (u + 1) // 2
+        else:
+            low = self.r * (self.r - 1)
+        object.__setattr__(self, "low", low)
 
     @property
     def core(self) -> Polynomial:

@@ -30,6 +30,7 @@ from dresschain.maya import (
     apply_uc_flip,
     enumerate_structures,
     flip_at,
+    static_flip_chain,
 )
 from dresschain.orthopoly import AlphaParam
 from dresschain.painleve import piv_from_chain, pv_from_chain
@@ -878,3 +879,24 @@ def test_span_telescopes(name):
         assert step == _span_oracle(sol, k, k + 1)
     for i, j in itertools.combinations(range(sol.period + 1), 2):
         assert sol.span(i, j) == sum(steps[i + 1:j], steps[i]), (i, j)
+
+
+def test_bulk_records_hold_no_instance_dict():
+    # the records that the builders and verify_chain make in bulk are
+    # slotted, `low` among the entry's fields, and dataclasses.replace
+    # recomputes `low` from the new label
+    cs = CyclicStructure(k=1, second_type=((1, 2),))
+    odd = build_odd_chain(cs)
+    even = build_even_chain(cs, CyclicStructure(k=1), ALPHA)
+    report = verify_chain(odd)
+    records = [cs, static_flip_chain(cs), ALPHA, odd, even, report, report.equations[0]]
+    for sol in (odd, even):
+        records += list(sol.ladder) + list(sol.labels) + list(sol.flips)
+    kinds = {type(r).__name__ for r in records}
+    assert kinds == {"CyclicStructure", "FlipChain", "AlphaParam", "ChainSolution",
+                     "VerificationReport", "EquationCheck", "PseudoWronskian",
+                     "MayaDiagram", "UniversalCharacter", "Flip"}
+    assert not [r for r in records if hasattr(r, "__dict__")]
+    pw = hermite_wronskian(MayaDiagram((1, 2)))
+    moved = dataclasses.replace(pw, label=MayaDiagram((1,)))
+    assert pw.low == 0 and moved.low == hermite_wronskian(MayaDiagram((1,))).low == 1

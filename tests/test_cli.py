@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -220,6 +224,16 @@ def test_build_emits_ladder(capsys):
         (
             "verify --period 4 --case 3,1 --params 7,7 --alpha 1/3 --format json",
             "fe0e7368003c74936f943360bb9558b285e0aee524c206f023ddf1b57b3fab92",
+        ),
+        (
+            # under half a second each: ladder degrees in z 78, 66, 72 and
+            # 78, then 50, 49, 0 and 50
+            "verify --period 3 --shift 3 --params 12,12 --format json",
+            "d9f7255ff79865c9a149c28b1ccba4720e659478fabc887b4e69d6812fe0db27",
+        ),
+        (
+            "verify --period 3 --shift 1 --params 100,1 --format json",
+            "09d380ccceb38524e4469aa9c2424d62767699078cb48b8089f189afc3eed550",
         ),
         (
             # all eight criteria; criterion 8 compares ladders in z**2
@@ -610,3 +624,44 @@ def test_every_command_line_exits_0_1_or_2(capsys, tmp_path, argv):
     if code == 2:
         assert out.endswith("\n") and out.count("\n") == 1, argv
         assert list(json.loads(out)) == ["error"], argv
+
+
+ON_DEMAND = ("dresschain.latex", "dresschain.selftest")
+
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+from dresschain.cli import main
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(argv) if argv else 0
+print(json.dumps([code, sorted(set(json.loads(sys.argv[2])) & set(sys.modules))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        ("", []),
+        ("painleve --period 3 --shift 1 --params 1,2 --format json", []),
+        ("painleve --period 4 --case 2,2 --params 1,1 --alpha 1/3 --perm 1,0,3,2", []),
+        ("verify --period 3 --shift 1 --params 1,2 --format text", []),
+        ("enum --period 3 --shift 1 --bound 1 --format latex", ["dresschain.latex"]),
+        ("build --period 3 --shift 1 --params 1,2 --format latex", ["dresschain.latex"]),
+        ("painleve --period 3 --shift 1 --params 1,2 --format latex", ["dresschain.latex"]),
+        ("painleve --period 4 --case 2,2 --params 1,1 --alpha 1/3 --perm 1,0,3,2"
+         " --format latex", ["dresschain.latex"]),
+        ("selftest --criteria 5", ["dresschain.selftest"]),
+    ],
+)
+def test_latex_and_selftest_load_only_for_their_commands(argv, loaded):
+    # a fresh interpreter on the package this suite imports, so that no
+    # other test has loaded them; a job that renders no LaTeX and runs no
+    # acceptance suite holds neither
+    package_root = Path(dresschain.cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, json.dumps(argv.split()), json.dumps(ON_DEMAND)],
+        env=dict(os.environ, PYTHONPATH=str(package_root)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, loaded]

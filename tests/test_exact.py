@@ -33,6 +33,20 @@ def P(*coeffs):
 
 # -- polynomial basics --------------------------------------------------------
 
+def test_integer_coefficients_are_kept_not_copied():
+    # over the denominator 1 the given ints are stored as they are, so a
+    # primitive part shares the big integers of the list it came from;
+    # Fraction coefficients are brought over their common denominator
+    big = [3 ** 200 + k for k in (1, 0, 2)]
+    p = Polynomial(big)
+    assert all(a is b for a, b in zip(p.int_coeffs, big))
+    assert p.primitive() is p
+    assert Polynomial((F(4), 6, F(-8))).int_coeffs == (4, 6, -8)
+    q = Polynomial((F(1, 2), F(-2, 3), 5))
+    assert q.coeffs == (F(1, 2), F(-2, 3), F(5))
+    assert (6 * q).int_coeffs == (3, -4, 30)
+
+
 def test_normalization_strips_trailing_zeros():
     assert Polynomial((1, 2, 0, 0)).coeffs == (F(1), F(2))
     assert Polynomial((0, 0)).is_zero

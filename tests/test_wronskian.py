@@ -311,6 +311,28 @@ def test_every_entry_keeps_a_constant_term_and_low_is_its_lowest_power(
         assert _laguerre_matrix_det(uc, a).split_lowest()[0] == low, (uc, a)
 
 
+def test_entries_share_their_kernel_coefficients(fresh_memos):
+    # a memoised entry keeps the ints of its kernel memo, not copies of
+    # them, wherever the kernel's D is already `prim` (positive leading);
+    # a diagram built through its smaller conjugate is left out
+    shared = 0
+    for d in _canonical_diagrams(8, 5):
+        if d.entries and d.entries[-1] - len(d) + 1 < len(d):
+            continue
+        prim, ys = hermite_wronskian(d).prim, _hermite_kernel(d.entries)[1]
+        if list(prim.int_coeffs) == ys:
+            assert all(x is y for x, y in zip(prim.int_coeffs, ys)), d
+            shared += 1
+    for a, b in product(_canonical_diagrams(4, 3), repeat=2):
+        seeds = tuple((0, n) for n in a.entries) + tuple((1, l) for l in b.entries)
+        prim = laguerre_pseudo_wronskian(UniversalCharacter(a, b), AlphaParam(F(1, 3))).prim
+        ys = _laguerre_kernel(1, 3, seeds)[1]
+        if list(prim.int_coeffs) == ys:
+            assert all(x is y for x, y in zip(prim.int_coeffs, ys)), (a, b)
+            shared += 1
+    assert shared == 256
+
+
 def test_hermite_kernel_exponent_is_low():
     # the direct route's kernel gives each canonical diagram's Wronskian as
     # z**E D(z**2) with D(0) != 0, and E is the closed form `low`
