@@ -364,9 +364,8 @@ def _formula(eq: _Equation):
 
 def _read_off(eq: _Equation, coeffs: Sequence) -> Optional[Fraction]:
     """The residual of an equation that is not its expected eps: L and R
-    are expanded in z from eq's own entries (`exact.VARIABLE`), as a
-    failing Painleve instance is, and rho is c = lead(L) / lead(R) if
-    L = c R, no constant (None) if not.
+    are expanded in z from eq's own entries (`exact.VARIABLE`), and rho
+    is c = lead(L) / lead(R) if L = c R, no constant (None) if not.
     """
     poly_jets = {j: VARIABLE.jets(coeffs[j]) for j in set(eq.entries)}
     lhs, rhs = _sides(eq, poly_jets, VARIABLE)

@@ -231,11 +231,11 @@ def cmd_verify(args) -> int:
         entry = _with_alpha(report.to_json(), sol)
         ok = report.ok
         if sol.period == 3 and not sol.is_even:
-            residual_zero = piv_residual(piv_from_chain(sol)).is_zero
+            residual_zero = piv_residual(piv_from_chain(sol))
             entry["piv_residual_zero"] = residual_zero
             ok = ok and residual_zero
         if sol.period == 4 and sol.is_even:
-            residual_zero = pv_residual(pv_from_chain(sol)).is_zero
+            residual_zero = pv_residual(pv_from_chain(sol))
             entry["pv_residual_zero"] = residual_zero
             ok = ok and residual_zero
         entries.append(entry)

@@ -3,9 +3,10 @@
 Each solution is stored as integer polynomials N, V in z = x**2, read off
 two ladder entries (`ChainSolution.span_pair`) and unreduced; only the
 printed y(t) is reduced, with one gcd.  Each residual is R / S, with R an
-integer polynomial in N, V and their z-derivatives, homogeneous in (N, V).
-Whether R is zero is told by `exact.vanishes` (`_residual`); only a
-failing instance builds R / S in t, with one gcd.
+integer polynomial in N, V and their z-derivatives, homogeneous in (N, V),
+so the equation holds iff R is the zero polynomial.  `piv_residual` and
+`pv_residual` answer that with one `exact.vanishes` call (`_residual`),
+and build no polynomial product, failing instance or not.
 
 The PV parameter map (a, b, c, d) =
 (e12**2/(2 D**2), -e34**2/(2 D**2), (D - e41 + e23)/4, -D**2/32)
@@ -23,7 +24,7 @@ from math import lcm
 from typing import Callable, Sequence, Tuple
 
 from .chain import ChainSolution, build_odd_chain
-from .exact import VARIABLE, Polynomial, RationalFunction, frac_str, vanishes
+from .exact import Polynomial, RationalFunction, frac_str, vanishes
 from .maya import CyclicStructure, MayaDiagram
 
 
@@ -32,15 +33,16 @@ class WrongPeriod(ValueError):
 
 
 class ZeroDenominator(ValueError):
-    """The candidate solution is identically 0 (or 1 for PV): the equation
-    has poles there and the residual is undefined."""
+    """The candidate solution is identically 0 (or 1 for PV), or its
+    denominator is: the equation has poles there and the residual is
+    undefined."""
 
 
 class DegenerateDenominator(ValueError):
     """w_1 + w_2 collapsed onto the shift line; the PV map is undefined."""
 
 
-def _instance_json(equation: str, y: RationalFunction, residual: RationalFunction,
+def _instance_json(equation: str, y: RationalFunction, residual_zero: bool,
                    **params: Fraction) -> dict:
     """The JSON record of a solution y(t) of the equation with these
     parameters, and whether its residual vanishes."""
@@ -50,7 +52,7 @@ def _instance_json(equation: str, y: RationalFunction, residual: RationalFunctio
         "solution_num": y.num.to_strings(),
         "solution_den": y.den.to_strings(),
         "variable": "t",
-        "residual_zero": residual.is_zero,
+        "residual_zero": residual_zero,
     }
 
 
@@ -150,25 +152,18 @@ def _quotient_jets(N, V, sub) -> tuple:
     return m, sub(sub(n2 * v, n * v2) * v, 2 * m * v1)
 
 
-def _residual(numerator: Callable, denominator: Callable, inst, consts: Sequence[Fraction],
-              in_t: Callable) -> RationalFunction:
-    """The residual numerator / (L denominator) of the instance's pair
-    (N, V), in Q(t).
+def _residual(numerator: Callable, inst, consts: Sequence[Fraction]) -> bool:
+    """Whether the residual numerator of the instance's pair (N, V) is the
+    zero polynomial.
 
-    numerator(N, V, pt, ints) is homogeneous in (N, V), of the degree of
-    denominator(N, V); it reads their jets in z at the point pt
-    (`exact.Point`), and the constants times their common denominator L.
-    `exact.vanishes` tells whether it is the zero polynomial.  Only a
-    nonzero one is built, at VARIABLE, and in_t(R, L S) is the residual as
-    a function of t.
+    numerator(N, V, pt, ints) is homogeneous in (N, V); it reads their jets
+    in z at the point pt (`exact.Point`), and the constants times their
+    common denominator, as integers.  `exact.vanishes` tells whether it is 0.
     """
-    cs, vs = inst.num.int_coeffs, inst.den.int_coeffs
     scale = lcm(*(q.denominator for q in consts))
     ints = [q.numerator * (scale // q.denominator) for q in consts]
-    if vanishes([lambda jets, pt: numerator(*jets, pt, ints)], (cs, vs))[0]:
-        return RationalFunction.zero()
-    N, V = VARIABLE.jets(cs), VARIABLE.jets(vs)
-    return in_t(numerator(N, V, VARIABLE, ints), scale * denominator(N[0], V[0]))
+    return vanishes([lambda jets, pt: numerator(*jets, pt, ints)],
+                    (inst.num.int_coeffs, inst.den.int_coeffs))[0]
 
 
 def _piv_numerator(N, V, pt, consts):
@@ -183,26 +178,22 @@ def _piv_numerator(N, V, pt, consts):
                       4 * s * m * m + 4 * c2 * n2 * v2 + c4 * v2 * v2)))
 
 
-def piv_residual(inst: PIVInstance) -> RationalFunction:
-    """Exact PIV residual in Q(t); identically zero iff PIV holds:
+def piv_residual(inst: PIVInstance) -> bool:
+    """Whether y(t) solves PIV exactly:
 
         y'' = y'**2/(2y) + (3/2) y**3 + 4t y**2 + 2(t**2 - a) y + b/y.
 
-    The returned residual is lhs - rhs.  With y = G(z)/t, z = c**2 t**2,
-    G = N/V in z, G' = M/V**2 and G'' = K/V**3, it is R / (2 t**3 N V**3)
-    with k = 1/c**2 and R = 3N**2 V**2 + 8z**2 NK - 4z**2 M**2 - 3N**4
-    - 8kz N**3 V - 4k**2 z**2 N**2 V**2 + 4akz N**2 V**2 - 2bk**2 z**2 V**4.
-    R is tested by `_residual`; only a nonzero R is built by
-    polynomial products, mapped to t and reduced, with one gcd.
+    lhs - rhs, with y = G(z)/t, z = c**2 t**2, G = N/V in z, G' = M/V**2
+    and G'' = K/V**3, is R / (2 t**3 N V**3) with k = 1/c**2 and
+    R = 3N**2 V**2 + 8z**2 NK - 4z**2 M**2 - 3N**4 - 8kz N**3 V
+    - 4k**2 z**2 N**2 V**2 + 4akz N**2 V**2 - 2bk**2 z**2 V**4.
+    PIV holds iff R is the zero polynomial, which `_residual` tells.
     """
-    if inst.num.is_zero:
-        raise ZeroDenominator("candidate PIV solution is identically zero")
+    if inst.num.is_zero or inst.den.is_zero:
+        raise ZeroDenominator("candidate PIV solution or its denominator is identically zero")
     k = 1 / inst.c_sq
     consts = (Fraction(1), k, k * k, 4 * inst.a * k, 2 * inst.b * k * k)
-    return _residual(
-        _piv_numerator, lambda n, v: 2 * n * v * v * v, inst, consts,
-        lambda r, s: RationalFunction(_in_t(r, inst.c_sq), _in_t(s, inst.c_sq).shifted(3)),
-    )
+    return _residual(_piv_numerator, inst, consts)
 
 
 def piv_families(cs: CyclicStructure) -> Tuple[PIVInstance, PIVInstance, PIVInstance]:
@@ -269,18 +260,16 @@ def _pv_numerator(N, V, pt, consts):
     return sub(pt.times(mid), e * e * e * (ca * n * n + cb * v * v))
 
 
-def pv_residual(inst: PVInstance) -> RationalFunction:
-    """Exact PV residual in Q(t); identically zero iff PV holds.
+def pv_residual(inst: PVInstance) -> bool:
+    """Whether y(t) solves PV exactly.
 
-    The residual base - (a A + b B + c C + d E) of `pv_pieces`, which is
+    The residual base - (a A + b B + c C + d E) of `pv_pieces` is
     R / (2 t**2 N E V**3) with y = N/V, E = N - V, y' = M/V**2 and
     y'' = K/V**3: R = 2t**2 NEK - t**2 (E + 2N) M**2 + 2tNEVM
     - 2E**3 (aN**2 + bV**2) - 2ctN**2 E V**2 - 2d t**2 N**2 (N + V) V**2.
-    R is tested by `_residual`; only a nonzero R is built by
-    polynomial products and reduced, with one gcd.
+    PV holds iff R is the zero polynomial, which `_residual` tells.
     """
-    if inst.num.is_zero or inst.num == inst.den:
-        raise ZeroDenominator("candidate PV solution is identically 0 or 1")
+    if inst.num.is_zero or inst.den.is_zero or inst.num == inst.den:
+        raise ZeroDenominator("candidate PV solution is identically 0 or 1, or its denominator is")
     consts = (Fraction(1), 2 * inst.a, 2 * inst.b, 2 * inst.c, 2 * inst.d)
-    return _residual(_pv_numerator, lambda n, v: (2 * n * (n - v) * v * v * v).shifted(2),
-                     inst, consts, RationalFunction)
+    return _residual(_pv_numerator, inst, consts)

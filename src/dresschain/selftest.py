@@ -278,7 +278,7 @@ def check_piv() -> CheckResult:
             if (fams[0].a, fams[0].b) != (a, b):
                 return False, "closed-form parameters fail at %r" % (cs,)
             for inst in fams:
-                if not piv_residual(inst).is_zero:
+                if not piv_residual(inst):
                     return False, "residual nonzero at %r" % (cs,)
                 members += 1
         return True, "%d family members, all residuals zero" % members
@@ -445,7 +445,7 @@ def check_pv() -> CheckResult:
                 cell = "(%r, %r, alpha=%s)" % (cs1, cs2, a)
                 if (inst.a, inst.b, inst.c, inst.d) != want:
                     return False, "params mismatch at %s" % cell
-                if not pv_residual(inst).is_zero:
+                if not pv_residual(inst):
                     return False, "residual nonzero at %s" % cell
                 instances += 1
         return True, "%d PV instances, all residuals zero" % instances

@@ -5,7 +5,10 @@ way: a determinant by cofactor expansion, the top coefficient of a
 Laguerre pseudo-Wronskian from the top coefficients of its textbook matrix
 entries, and the chain, PIV and PV residuals as chains of reduced
 RationalFunction operations (one gcd per operation); a chain residual also
-at a rational point, from the values of the ladder entries there.
+at a rational point, from the values of the ladder entries there.  The PIV
+and PV residuals also as the library's numerator R, expanded at VARIABLE
+over its denominator and mapped to t: the residual whose zero test
+painleve.piv_residual and pv_residual run.
 
 clear_ladder_memos empties the library's ladder memos, so that a test
 which corrupts a ladder leaks into no later one.
@@ -13,10 +16,17 @@ which corrupts a ladder leaks into no later one.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from dresschain.chain import _gauge
-from dresschain.exact import Polynomial, RationalFunction, ZeroPolynomial, det_poly_matrix
-from dresschain.painleve import pv_pieces
+from dresschain.exact import (
+    VARIABLE,
+    Polynomial,
+    RationalFunction,
+    ZeroPolynomial,
+    det_poly_matrix,
+)
+from dresschain.painleve import _in_t, _piv_numerator, _pv_numerator, pv_pieces
 from dresschain.wronskian import (
     _hermite_kernel,
     _laguerre_column,
@@ -135,3 +145,31 @@ def pv_residual_oracle(inst):
     """base - (a A + b B + c C + d E) from painleve.pv_pieces."""
     base, fa, fb, fc, fe = _pv_pieces(inst.y)
     return base - (inst.a * fa + inst.b * fb + inst.c * fc + inst.d * fe)
+
+
+def _numerator_pair(numerator, inst, consts, denominator):
+    """(R, L S) in z for the instance's pair (N, V): R = numerator(N, V)
+    expanded at VARIABLE, with the constants times their common
+    denominator L, and S = denominator(N, V)."""
+    scale = lcm(*(q.denominator for q in consts))
+    ints = [q.numerator * (scale // q.denominator) for q in consts]
+    N, V = VARIABLE.jets(inst.num.int_coeffs), VARIABLE.jets(inst.den.int_coeffs)
+    return numerator(N, V, VARIABLE, ints), scale * denominator(N[0], V[0])
+
+
+def piv_numerator_residual(inst):
+    """lhs - rhs of PIV in t as R / (2 t**3 N V**3), the residual of
+    painleve.piv_residual's docstring: constants (1, k, k**2, 4ak, 2bk**2),
+    k = 1/c**2, and z = c**2 t**2."""
+    k = 1 / inst.c_sq
+    consts = (Fraction(1), k, k * k, 4 * inst.a * k, 2 * inst.b * k * k)
+    r, s = _numerator_pair(_piv_numerator, inst, consts, lambda n, v: 2 * n * v * v * v)
+    return RationalFunction(_in_t(r, inst.c_sq), _in_t(s, inst.c_sq).shifted(3))
+
+
+def pv_numerator_residual(inst):
+    """The PV residual as R / (2 t**2 N E V**3), E = N - V, the residual of
+    painleve.pv_residual's docstring: constants (1, 2a, 2b, 2c, 2d), t = z."""
+    consts = (Fraction(1), 2 * inst.a, 2 * inst.b, 2 * inst.c, 2 * inst.d)
+    return RationalFunction(*_numerator_pair(
+        _pv_numerator, inst, consts, lambda n, v: (2 * n * (n - v) * v * v * v).shifted(2)))

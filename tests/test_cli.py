@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import dresschain.exact
 import dresschain.painleve
 from dresschain.chain import build_even_chain, verify_chain
 from dresschain.cli import main
-from dresschain.exact import RationalFunction, frac_str
+from dresschain.exact import frac_str
 from dresschain.maya import CyclicStructure, admitted_shifts, enumerate_structures
 from dresschain.orthopoly import AlphaParam
 from dresschain.selftest import even_cells
@@ -291,8 +292,7 @@ def test_painleve_latex(capsys):
 def test_painleve_latex_exit_code_follows_residual(capsys, monkeypatch, name, argv):
     code, out = run_cli(capsys, *argv, "--format", "latex")
     assert code == 0 and out.startswith(("y_{0}: y(t) = ", "y(t) = "))
-    monkeypatch.setattr(dresschain.painleve, name,
-                        lambda inst: RationalFunction(1))
+    monkeypatch.setattr(dresschain.painleve, name, lambda inst: False)
     assert run_cli(capsys, *argv, "--format", "latex") == (1, out)
 
 
@@ -509,10 +509,27 @@ def test_verify_text_agrees_with_exit_code(capsys, monkeypatch):
     code, out = run_cli(capsys, *args)
     assert (code, out) == (0, "period=3 delta=2/1 OK\n")
     # the chain report still holds; only the PIV residual fails
-    monkeypatch.setattr(dresschain.cli, "piv_residual",
-                        lambda inst: RationalFunction(1))
+    monkeypatch.setattr(dresschain.cli, "piv_residual", lambda inst: False)
     code, out = run_cli(capsys, *args)
     assert (code, out) == (1, "period=3 delta=2/1 FAILED\n")
+
+
+def test_verify_reports_a_failing_deep_pv_instance(capsys, monkeypatch):
+    # the pinned deep PV job with b off by one: every chain equation holds,
+    # the PV check answers no and the job exits 1
+    real = dresschain.cli.pv_from_chain
+
+    def bumped(sol):
+        inst = real(sol)
+        return replace(inst, b=inst.b + 1)
+
+    monkeypatch.setattr(dresschain.cli, "pv_from_chain", bumped)
+    code, out = run_cli(capsys, "verify", "--period", "4", "--case", "3,1", "--params", "7,7",
+                        "--alpha", "1/3", "--format", "json")
+    assert code == 1
+    (report,) = json.loads(out)["reports"]
+    assert report["pv_residual_zero"] is False
+    assert all(eq["match"] for eq in report["equations"])
 
 
 def test_selftest_json_to_stdout(capsys):

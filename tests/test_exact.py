@@ -569,6 +569,21 @@ def test_no_other_module_picks_the_point():
     assert not offenders, offenders
 
 
+def test_only_exact_and_chain_name_the_variable():
+    # VARIABLE expands a formula into a polynomial: chain reads a failing
+    # equation there, and no other module expands an identity
+    src = Path(__file__).resolve().parents[1] / "src" / "dresschain"
+    naming = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.asname or node.name
+            if name == "VARIABLE":
+                naming.add(path.name)
+    assert naming == {"exact.py", "chain.py"}
+
+
 def test_jet_values_and_l1_norms():
     # P = 3 - 2x + x**3: P, P' = -2 + 3x**2 and P'' = 6x at 2**2, then the
     # l1 norms 6, 5 and 6
