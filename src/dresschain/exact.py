@@ -327,7 +327,7 @@ class Polynomial:
     def _coerce(value) -> Optional["Polynomial"]:
         """value as a Polynomial if it is one, an int or a Fraction; else
         None, and the operator returns NotImplemented, so that the other
-        operand's reflected method (a RationalFunction's) answers."""
+        operand's reflected method answers."""
         if isinstance(value, Polynomial):
             return value
         if isinstance(value, (int, Fraction)):
@@ -392,11 +392,9 @@ class Polynomial:
         return [frac_str(c) for c in self.coeffs]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self._d == other._d
-            and self._n == other._n
-        )
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self) -> int:
         return hash((self._n, self._d))
@@ -563,8 +561,11 @@ def det_poly_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
 class RationalFunction:
     """Quotient of polynomials in normal form: monic denominator, gcd 1.
 
-    With this normal form, == on the (num, den) pair is exactly equality in
-    the rational function field, so residual checks are plain comparisons.
+    The form in which a rational function is printed.  With it, == on the
+    (num, den) pair is exactly equality in the rational function field; a
+    RationalFunction equals only another one.  It has no arithmetic: the
+    checks run on integer polynomials, and the test oracles on fractions of
+    their own.
     """
 
     __slots__ = ("_n", "_d")
@@ -590,10 +591,6 @@ class RationalFunction:
         self._n, self._d = self._monic(num, den)
 
     @classmethod
-    def zero(cls) -> "RationalFunction":
-        return cls(Polynomial())
-
-    @classmethod
     def from_coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
         """num / den for coprime num and den: den is made monic, and no gcd
         is taken."""
@@ -606,16 +603,6 @@ class RationalFunction:
     @property
     def den(self) -> Polynomial:
         return self._d
-
-    @property
-    def is_zero(self) -> bool:
-        return self._n.is_zero
-
-    def constant_value(self) -> Optional[Fraction]:
-        """The value as a Fraction if this is a constant, else None."""
-        if self._d.degree == 0 and self._n.degree <= 0:
-            return self._n.coeff(0)
-        return None
 
     @staticmethod
     def _monic(num: Polynomial, den: Polynomial) -> tuple:
@@ -633,76 +620,7 @@ class RationalFunction:
         out._d = den
         return out
 
-    # A polynomial operand q keeps the normal form: gcd(num + q den, den) is
-    # gcd(num, den) = 1, and c num / den is reduced for a constant c != 0.
-
-    def __add__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return self._reduced(self._n + self._d * other, self._d)
-        other = self._coerce(other)
-        return RationalFunction(
-            self._n * other._d + other._n * self._d, self._d * other._d
-        )
-
-    def __radd__(self, other) -> "RationalFunction":
-        return self.__add__(other)
-
-    def __neg__(self) -> "RationalFunction":
-        return self._reduced(-self._n, self._d)
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self.__add__(-other)
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return self.__neg__().__add__(other)
-
-    def __mul__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return RationalFunction.zero()
-            return self._reduced(self._n * other, self._d)
-        other = self._coerce(other)
-        return RationalFunction(self._n * other._n, self._d * other._d)
-
-    def __rmul__(self, other) -> "RationalFunction":
-        return self.__mul__(other)
-
-    def __truediv__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division by the zero rational function")
-            return self.__mul__(1 / Fraction(other))
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self._n * other._d, self._d * other._n)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return self._coerce(other).__truediv__(self)
-
-    @staticmethod
-    def _coerce(value) -> "RationalFunction":
-        if isinstance(value, RationalFunction):
-            return value
-        if isinstance(value, Polynomial):
-            return RationalFunction(value)
-        return RationalFunction(Polynomial._coerce(value))
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self._n.derivative() * self._d - self._n * self._d.derivative(),
-            self._d * self._d,
-        )
-
-    def eval_at(self, x0) -> Fraction:
-        d = self._d.eval_at(x0)
-        if d == 0:
-            raise ZeroDivisionError("pole at evaluation point")
-        return self._n.eval_at(x0) / d
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = self._coerce(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self._n == other._n and self._d == other._d

@@ -12,7 +12,8 @@ The PV parameter map (a, b, c, d) =
 (e12**2/(2 D**2), -e34**2/(2 D**2), (D - e41 + e23)/4, -D**2/32)
 was cross-checked against the equation itself: solving the PV identity
 exactly for the parameters, given the constructed solutions, recovers
-these values and no others (see scripts/fit_pv_parameters.py).
+these values and no others (`test_pv_parameter_fit_recovers_the_map` in
+tests/test_painleve.py).
 """
 
 from __future__ import annotations
@@ -237,16 +238,6 @@ def pv_from_chain(sol: ChainSolution) -> PVInstance:
     )
 
 
-def pv_pieces(y: RationalFunction) -> tuple:
-    """The RationalFunction form of PV, linear in its parameters:
-    (base, A, B, C, E) with PV <=> base == a A + b B + c C + d E."""
-    t = RationalFunction(Polynomial.x())
-    dy = y.derivative()
-    base = dy.derivative() - (1 / (2 * y) + 1 / (y - 1)) * dy * dy + dy / t
-    y1sq = (y - 1) * (y - 1)
-    return base, y1sq * y / (t * t), y1sq / (y * t * t), y / t, y * (y + 1) / (y - 1)
-
-
 def _pv_numerator(N, V, pt, consts):
     """L R of `pv_residual` at pt, with consts = L (1, 2a, 2b, 2c, 2d)."""
     s, ca, cb, cc, cd = map(pt.const, consts)
@@ -261,11 +252,13 @@ def _pv_numerator(N, V, pt, consts):
 
 
 def pv_residual(inst: PVInstance) -> bool:
-    """Whether y(t) solves PV exactly.
+    """Whether y(t) solves PV exactly:
 
-    The residual base - (a A + b B + c C + d E) of `pv_pieces` is
-    R / (2 t**2 N E V**3) with y = N/V, E = N - V, y' = M/V**2 and
-    y'' = K/V**3: R = 2t**2 NEK - t**2 (E + 2N) M**2 + 2tNEVM
+        y'' = (1/(2y) + 1/(y - 1)) y'**2 - y'/t
+              + (y - 1)**2 (a y + b/y) / t**2 + c y/t + d y (y + 1)/(y - 1).
+
+    lhs - rhs is R / (2 t**2 N E V**3) with y = N/V, E = N - V,
+    y' = M/V**2 and y'' = K/V**3: R = 2t**2 NEK - t**2 (E + 2N) M**2 + 2tNEVM
     - 2E**3 (aN**2 + bV**2) - 2ctN**2 E V**2 - 2d t**2 N**2 (N + V) V**2.
     PV holds iff R is the zero polynomial, which `_residual` tells.
     """

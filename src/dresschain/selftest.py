@@ -423,8 +423,8 @@ def check_pv() -> CheckResult:
                 inst = pv_from_chain(build_even_chain(cs1, cs2, AlphaParam(a), perm=perm))
                 if cs1.k == 1:
                     # split (3,1): the equation-solved parameters (see
-                    # scripts/fit_pv_parameters.py); the printed (a, b, c)
-                    # are 4x these, the printed d agrees.
+                    # test_pv_parameter_fit_recovers_the_map); the printed
+                    # (a, b, c) are 4x these, the printed d agrees.
                     ((lam, mu),) = cs1.second_type
                     want = (
                         Fraction(2 * mu * mu, 4),

@@ -49,7 +49,7 @@ from dresschain.wronskian import (
     laguerre_pseudo_wronskian,
 )
 
-from oracles import _residual_rf, clear_ladder_memos, log_derivative_ratio, residual_at
+from oracles import Quotient, _residual_rf, clear_ladder_memos, log_derivative_ratio, residual_at
 
 EMPTY = MayaDiagram(())
 X = Polynomial.x()
@@ -796,7 +796,7 @@ def test_report_json_schema():
 
 def test_potential_of_examples():
     x_sq = Polynomial((0, 0, 1))
-    assert potential_of(EMPTY).rational.is_zero
+    assert potential_of(EMPTY).rational.num.is_zero
     assert potential_of(MayaDiagram((1,))).rational == RationalFunction(
         Polynomial.constant(2), x_sq
     )
@@ -835,12 +835,12 @@ def test_gauge_invariants():
 
 
 def _span_oracle(sol, i, j):
-    """span(i, j) from the gauge and the reduced log-derivative of the two
-    end entries' primitive polynomials."""
+    """span(i, j) from the gauge and the log-derivative of the two end
+    entries' primitive polynomials."""
     lin, inv = _gauge(sol.ladder[i], sol.ladder[j])
     inv = F(inv, 2 * sol.ladder[j].gauge_den)
     log_ratio = log_derivative_ratio(sol.ladder[i].prim, sol.ladder[j].prim)
-    return RationalFunction(Polynomial((inv, lin))) + 2 * (log_ratio * X)
+    return Quotient(Polynomial((inv, lin))) + 2 * (log_ratio * X)
 
 
 @pytest.mark.parametrize("sol", SAMPLE_CHAINS.values(), ids=SAMPLE_CHAINS.keys())
@@ -871,10 +871,10 @@ TELESCOPE_CHAINS = dict(
 
 @pytest.mark.parametrize("name", TELESCOPE_CHAINS)
 def test_span_telescopes(name):
-    # one normalisation of the two end entries equals the RationalFunction
-    # sum of the one-step spans in between, for every i < j
+    # one normalisation of the two end entries equals the Quotient sum of
+    # the one-step spans in between, for every i < j
     sol = TELESCOPE_CHAINS[name]
-    steps = [sol.span(k, k + 1) for k in range(sol.period)]
+    steps = [Quotient.of(sol.span(k, k + 1)) for k in range(sol.period)]
     for k, step in enumerate(steps):
         assert step == _span_oracle(sol, k, k + 1)
     for i, j in itertools.combinations(range(sol.period + 1), 2):

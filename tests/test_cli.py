@@ -237,6 +237,12 @@ def test_build_emits_ladder(capsys):
             "09d380ccceb38524e4469aa9c2424d62767699078cb48b8089f189afc3eed550",
         ),
         (
+            # a deep ladder above period 3, about a quarter second: the
+            # Okamoto (10, 10, 10, 10) chain, ladder degrees in z 90 to 110
+            "verify --period 5 --shift 5 --params 10,10,10,10 --format json",
+            "738ae991b5a2345d73f158388f5f6ebdaf338de8f1b928e17e56bc2f6ea94e01",
+        ),
+        (
             # all eight criteria; criterion 8 compares ladders in z**2
             "selftest --format json",
             "b7482a22b4cabcb4942b74d867e07a2a06535502cb207563f3ee0ded25e7cc87",

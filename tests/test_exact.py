@@ -1,12 +1,14 @@
 import ast
+import operator
 from fractions import Fraction as F
 from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dresschain import painleve
 from dresschain.exact import (
     VARIABLE,
     Point,
@@ -21,7 +23,7 @@ from dresschain.exact import (
 
 from dresschain.latex import poly_latex
 
-from oracles import det_poly_matrix_cofactor, log_derivative_ratio
+from oracles import Quotient, det_poly_matrix_cofactor, log_derivative_ratio
 
 Z = Polynomial.x()
 ONE = Polynomial.one()
@@ -340,10 +342,35 @@ def test_log_derivative_examples():
         log_derivative_ratio(Polynomial.zero(), Z)
 
 
+def test_equality_is_symmetric_and_agrees_with_hash():
+    # a RationalFunction equals only a RationalFunction and a Polynomial
+    # only a Polynomial, from either side, so equal values hash alike
+    r = RationalFunction(Z)
+    assert r != Z and Z != r
+    assert RationalFunction(P(3)) != 3 and 3 != RationalFunction(P(3))
+    assert r == RationalFunction(2 * Z, P(2)) and hash(r) == hash(RationalFunction(2 * Z, P(2)))
+    assert len({RationalFunction(P(3)), RationalFunction(P(6), P(2))}) == 1
+
+
+# -- the oracles' unreduced quotients -------------------------------------------
+
 def test_ratfunc_is_constant():
-    assert RationalFunction(P(3), P(2)).constant_value() == F(3, 2)
-    assert RationalFunction(Z).constant_value() is None
-    assert RationalFunction(2 * Z + 2, Z + 1).constant_value() == 2
+    # Quotient.constant_value reads the constant through the common factor
+    assert Quotient(P(3), P(2)).constant_value() == F(3, 2)
+    assert Quotient(Z).constant_value() is None
+    assert Quotient(2 * Z + 2, Z + 1).constant_value() == 2
+    assert Quotient(Z * Z, Z).constant_value() is None
+
+
+def test_quotient_keeps_its_denominator():
+    # no gcd is taken: z / z has a pole at 0 as stored, and equals 1
+    q = Quotient(Z, Z)
+    assert q.num == Z and q.den == Z and q == 1 and 1 == q
+    assert q.eval_at(2) == 1
+    with pytest.raises(ZeroDivisionError):
+        q.eval_at(0)
+    with pytest.raises(ZeroDivisionError):
+        q / 0
 
 
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
@@ -364,16 +391,16 @@ def test_log_derivative_gauge_cancellation(p, q, r):
 @settings(max_examples=40, deadline=None)
 @given(nonzero_polys, nonzero_polys)
 def test_field_inverse(a, b):
-    r = RationalFunction(a, b)
-    assert r * (RationalFunction(b, a)) == RationalFunction(ONE)
+    assert Quotient(a, b) * Quotient(b, a) == 1
+    assert 1 / Quotient(a, b) == Quotient(b, a)
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_polys, small_polys, small_polys, nonzero_polys)
 def test_addition_associative_commutative(a, b, c, d):
-    x = RationalFunction(a, d)
-    y = RationalFunction(b, d)
-    z = RationalFunction(c, d)
+    x = Quotient(a, d)
+    y = Quotient(b, d)
+    z = Quotient(c, d)
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
 
@@ -382,15 +409,44 @@ scalars = st.one_of(
     st.integers(min_value=-5, max_value=5),
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
 )
+points = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, nonzero_polys, nonzero_polys, nonzero_polys, points)
+def test_quotient_arithmetic_matches_fraction_values(a, b, c, d, t):
+    # each operation, with a Quotient, a Polynomial or a Fraction on either
+    # side, has at t the value of the operation on the values at t, where
+    # no denominator vanishes
+    assume(b.eval_at(t) and c.eval_at(t) and d.eval_at(t))
+    x = Quotient(a, b)
+    assert (-x).eval_at(t) == -x.eval_at(t)
+    for y in (Quotient(c, d), c, F(2, 3)):
+        u, v = x.eval_at(t), Quotient.of(y).eval_at(t)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            assert op(x, y).eval_at(t) == op(u, v)
+            if u or op is not operator.truediv:
+                assert op(y, x).eval_at(t) == op(v, u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, nonzero_polys, small_polys, nonzero_polys, nonzero_polys)
+def test_quotient_equality_matches_normal_form(a, b, c, d, r):
+    # cross-multiplication agrees with RationalFunction's normal form, on a
+    # random pair and on a pair made equal by a common factor
+    for (n1, d1), (n2, d2) in (((a, b), (c, d)), ((a, b), (a * r, b * r))):
+        same = RationalFunction(n1, d1) == RationalFunction(n2, d2)
+        assert (Quotient(n1, d1) == Quotient(n2, d2)) == same
+        assert (Quotient(n1, d1) == RationalFunction(n2, d2)) == same
+        assert (RationalFunction(n1, d1) == Quotient(n2, d2)) == same
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_polys, nonzero_polys, scalars)
 def test_scalar_operations_match_constant_operand(a, b, c):
-    # a constant operand skips the gcd; the result must be the same
-    # normal form as with the constant as a rational function
-    r = RationalFunction(a, b)
-    k = RationalFunction(c)
+    # a scalar operand, on either side, acts as the Quotient of that constant
+    r = Quotient(a, b)
+    k = Quotient(c)
     assert r + c == r + k and c + r == k + r
     assert r - c == r - k and c - r == k - r
     assert r * c == r * k and c * r == k * r
@@ -409,18 +465,6 @@ def test_gcd_divides_both(a, b):
     g = poly_gcd(a, b)
     assert divmod(a, g)[1].is_zero and divmod(b, g)[1].is_zero
     assert g.leading == 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_polys, nonzero_polys, small_polys)
-def test_polynomial_operand_matches_rational_function(a, b, q):
-    # a polynomial operand skips the gcd too, with the same normal form; on
-    # the left, the polynomial defers to the rational function's reflected
-    # operators
-    r = RationalFunction(a, b)
-    k = RationalFunction(q)
-    assert r + q == r + k and r - q == r - k and r * q == r * k
-    assert q + r == k + r and q - r == k - r and q * r == k * r
 
 
 @settings(max_examples=60, deadline=None)
@@ -582,6 +626,15 @@ def test_only_exact_and_chain_name_the_variable():
             if name == "VARIABLE":
                 naming.add(path.name)
     assert naming == {"exact.py", "chain.py"}
+
+
+def test_rational_function_is_only_a_normal_form():
+    # RationalFunction prints; the field arithmetic, and PV's pieces built
+    # on it, belong to the oracles' Quotient
+    arithmetic = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                  "__truediv__", "__rtruediv__", "__neg__", "derivative", "eval_at"}
+    assert not arithmetic & set(vars(RationalFunction))
+    assert not hasattr(painleve, "pv_pieces")
 
 
 def test_jet_values_and_l1_norms():

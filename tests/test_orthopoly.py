@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dresschain.exact import Polynomial, RationalFunction
+from dresschain.exact import Polynomial
 from dresschain.maya import (
     POSITIVE,
     CyclicStructure,
@@ -18,6 +18,8 @@ from dresschain.orthopoly import (
     hermite,
     laguerre,
 )
+
+from oracles import Quotient
 
 Z = Polynomial.x()
 
@@ -110,7 +112,7 @@ def _warm_laguerre(v):
         lambda v: Polynomial((1, v)),
         AlphaParam,
         lambda v: Polynomial((1, 2)).eval_at(v),
-        lambda v: RationalFunction(Polynomial.one(), Z + 1).eval_at(v),
+        lambda v: Quotient(Polynomial.one(), Z + 1).eval_at(v),
         _warm_laguerre,
         lambda v: falling_factorial(v, 2),
         lambda v: MayaDiagram((1, v)),
@@ -125,7 +127,7 @@ def _warm_laguerre(v):
         lambda v: UniversalCharacter(MayaDiagram((1,)), v),
         lambda v: UniversalCharacter((1, v), MayaDiagram(())),
     ),
-    ids=("Polynomial", "AlphaParam", "Polynomial.eval_at", "RationalFunction.eval_at",
+    ids=("Polynomial", "AlphaParam", "Polynomial.eval_at", "Quotient.eval_at",
          "laguerre", "falling_factorial", "MayaDiagram", "Flip.level", "Flip.sign",
          "Flip.slot", "flip_at", "CyclicStructure.k", "CyclicStructure.okamoto",
          "CyclicStructure.second_type", "CyclicStructure.from_json", "UniversalCharacter",

@@ -27,10 +27,12 @@ from dresschain.selftest import ALPHA_TRIPLE, even_cells
 from dresschain.wronskian import hermite_wronskian
 
 from oracles import (
+    Quotient,
     log_derivative_ratio,
     piv_numerator_residual,
     piv_residual_oracle,
     pv_numerator_residual,
+    pv_pieces,
     pv_residual_oracle,
 )
 
@@ -93,7 +95,7 @@ def test_piv_perturbation_detected():
     inst = piv_families(gh(1, 2))[0]
     bad = replace(inst, b=inst.b + 1)
     assert not piv_residual(bad)
-    assert piv_numerator_residual(bad) == -1 / inst.y == piv_residual_oracle(bad)
+    assert piv_numerator_residual(bad) == -1 / Quotient.of(inst.y) == piv_residual_oracle(bad)
 
 
 def test_piv_wrong_scaling_has_no_parameters():
@@ -108,7 +110,7 @@ def test_piv_wrong_scaling_has_no_parameters():
     def fit(num, den):
         # the residual is base + 2 a y - b/y; solve for (a, b) at two points
         trial = replace(inst, num=num, den=den, a=F(0), b=F(0))
-        y, base = trial.y, piv_numerator_residual(trial)
+        y, base = Quotient.of(trial.y), piv_numerator_residual(trial)
         assert piv_residual(trial) == base.is_zero
         (p1, q1, r1), (p2, q2, r2) = [
             (2 * y.eval_at(t), -1 / y.eval_at(t), -base.eval_at(t)) for t in (F(1), F(2))
@@ -254,7 +256,7 @@ def test_deep_failing_instances_are_refused():
     assert pv_residual(pv) and not pv_residual(replace(pv, b=pv.b + 1))
 
 
-# -- fast residuals against the RationalFunction oracles ----------------------
+# -- fast residuals against the Quotient oracles -------------------------------
 
 PIV_BOX = [gh(lam, mu) for lam, mu in itertools.product((1, 2, 3), repeat=2)] + [
     okamoto(a1, a2) for a1, a2 in itertools.product((0, 1, 2), repeat=2)
@@ -301,6 +303,53 @@ def test_pv_residual_matches_oracle_on_pv_cells(alpha_value):
             residual = pv_numerator_residual(other)
             assert not pv_residual(other) and not residual.is_zero
             assert residual == pv_residual_oracle(other)
+
+
+def fit_pv_parameters(y):
+    """The unique (a, b, c, d) with base == a A + b B + c C + d E for the
+    `pv_pieces` of y, solved at t = 2, 7/3, 8/3, ... (eight points, poles
+    skipped); None when A, B, C and E are linearly dependent there."""
+    base, *fs = pv_pieces(y)
+    rows, t = [], F(2)
+    while len(rows) < 8:
+        try:
+            rows.append([f.eval_at(t) for f in fs] + [base.eval_at(t)])
+        except ZeroDivisionError:
+            pass
+        t += F(1, 3)
+    used = []
+    for col in range(4):
+        pivot = next((i for i in range(8) if i not in used and rows[i][col]), None)
+        if pivot is None:
+            return None
+        used.append(pivot)
+        p = rows[pivot]
+        rows = [r if r is p else [x - r[col] / p[col] * v for x, v in zip(r, p)] for r in rows]
+    params = tuple(rows[i][4] / rows[i][col] for col, i in enumerate(used))
+    assert base == sum(p * f for p, f in zip(params, fs)), "the fit misses the equation"
+    return params
+
+
+def test_pv_parameter_fit_recovers_the_map():
+    # PV is linear in (a, b, c, d), so a solution y fixes them: on every
+    # period-4 cell of criterion 6 at alpha 1/3 and 2/5, the fit is the
+    # implemented map.  In two cases the solution is a Mobius function of
+    # t, the pieces are linearly dependent and the parameters lie on a
+    # line, which holds the map: the check accepts it
+    unique = underdetermined = 0
+    for cs1, cs2, perm, _ in even_cells():
+        if cs1.p + cs2.p != 4:
+            continue
+        for alpha_value in (F(1, 3), F(2, 5)):
+            inst = pv_from_chain(build_even_chain(cs1, cs2, AlphaParam(alpha_value), perm=perm))
+            assert pv_residual(inst)
+            fit = fit_pv_parameters(Quotient(inst.num, inst.den))
+            if fit is None:
+                underdetermined += 1
+            else:
+                assert fit == (inst.a, inst.b, inst.c, inst.d), (cs1, cs2, alpha_value)
+                unique += 1
+    assert (unique, underdetermined) == (24, 2)
 
 
 # the property tests put a random pair (N, V), c**2 and (a, b) into this

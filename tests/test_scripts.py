@@ -1,4 +1,4 @@
-"""The scripts under scripts/ and README's library example run end to end
+"""The script under scripts/ and README's library example run end to end
 against the library."""
 
 import os
@@ -26,19 +26,6 @@ def test_enumerate_cyclic():
         "36 structures (36 degenerate) for period 5, shift 3, bound 2"
     )
     assert len(lines) == 36 + 2
-
-
-def test_fit_pv_parameters():
-    # underdetermined cases admit a line of parameters; the script checks
-    # the implemented map on that line instead of a unique solution
-    lines = run_script("fit_pv_parameters.py")
-    assert len(lines) == 26
-    assert all(
-        line.endswith("== implemented map")
-        or line.endswith("(implemented map verified on the line)")
-        for line in lines
-    )
-    assert sum(line.endswith("== implemented map") for line in lines) == 24
 
 
 def test_readme_library_example():
