@@ -5,7 +5,8 @@ All numbers cross the boundary as exact "p/q" strings; reports are
 deterministic byte-for-byte for a fixed invocation.  Exit codes: 0 all
 verifications passed, 1 at least one identity failed, 2 invalid input.
 The acceptance suite and the LaTeX writers are imported only by the
-commands that run them, so no other job loads or holds them.
+commands that run them, so no other job loads or holds them; and each
+call builds the parser of its own command only.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from .chain import OMEGA, build_even_chain, build_odd_chain, verify_chain
@@ -297,55 +299,58 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def make_parser() -> argparse.ArgumentParser:
+def _enum_options(p) -> None:
+    p.add_argument("--period", type=int, required=True)
+    p.add_argument("--shift", type=int)
+    p.add_argument("--bound", type=int, default=1)
+    p.add_argument("--format", choices=("json", "text", "latex"), default="json")
+    p.add_argument("--out")
+
+
+def _job_options(formats, p) -> None:
+    p.add_argument("--period", type=int, required=True)
+    p.add_argument("--shift", type=int)
+    p.add_argument("--case", help="even-period split, e.g. 3,1")
+    p.add_argument("--params", help="comma list: Okamoto lengths then block pairs")
+    p.add_argument("--alpha", help="comma list of rational samples, e.g. 1/3,2/5")
+    p.add_argument("--perm", help="comma list: 0-based flip order")
+    p.add_argument("--allow-degenerate", action="store_true")
+    p.add_argument("--format", choices=formats, default="json")
+    p.add_argument("--out")
+
+
+def _selftest_options(p) -> None:
+    p.add_argument("--criteria", help="comma list of criterion numbers to run")
+    p.add_argument("--format", choices=("json", "text"), default="text")
+    p.add_argument("--out")
+
+
+# (name, help, option adder, handler) of each command, in the order --help lists them
+_COMMANDS = (
+    ("enum", "enumerate cyclic structures", _enum_options, cmd_enum),
+    ("build", "construct a chain solution", partial(_job_options, ("json", "latex")), cmd_build),
+    ("verify", "construct and verify a chain", partial(_job_options, ("json", "text")),
+     cmd_verify),
+    ("painleve", "export PIV/PV solutions", partial(_job_options, ("json", "latex")),
+     cmd_painleve),
+    ("selftest", "run the acceptance suite", _selftest_options, cmd_selftest),
+)
+
+
+def make_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone, or of every command when `command`
+    names none: --help and the invalid-choice error list them all."""
     parser = _Parser(
         prog="dresschain",
         description="Exact construction and verification of rational "
                     "dressing-chain and Painleve IV/V solutions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, formats):
-        p.add_argument("--period", type=int, required=True)
-        p.add_argument("--shift", type=int, default=None)
-        p.add_argument("--case", type=str, default=None,
-                       help="even-period split, e.g. 3,1")
-        p.add_argument("--params", type=str, default=None,
-                       help="comma list: Okamoto lengths then block pairs")
-        p.add_argument("--alpha", type=str, default=None,
-                       help="comma list of rational samples, e.g. 1/3,2/5")
-        p.add_argument("--perm", type=str, default=None,
-                       help="comma list: 0-based flip order")
-        p.add_argument("--allow-degenerate", action="store_true")
-        p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--out", type=str, default=None)
-
-    p_enum = sub.add_parser("enum", help="enumerate cyclic structures")
-    p_enum.add_argument("--period", type=int, required=True)
-    p_enum.add_argument("--shift", type=int, default=None)
-    p_enum.add_argument("--bound", type=int, default=1)
-    p_enum.add_argument("--format", choices=("json", "text", "latex"), default="json")
-    p_enum.add_argument("--out", type=str, default=None)
-    p_enum.set_defaults(fn=cmd_enum)
-
-    p_build = sub.add_parser("build", help="construct a chain solution")
-    common(p_build, ("json", "latex"))
-    p_build.set_defaults(fn=cmd_build)
-
-    p_verify = sub.add_parser("verify", help="construct and verify a chain")
-    common(p_verify, ("json", "text"))
-    p_verify.set_defaults(fn=cmd_verify)
-
-    p_pain = sub.add_parser("painleve", help="export PIV/PV solutions")
-    common(p_pain, ("json", "latex"))
-    p_pain.set_defaults(fn=cmd_painleve)
-
-    p_self = sub.add_parser("selftest", help="run the acceptance suite")
-    p_self.add_argument("--criteria", type=str, default=None,
-                        help="comma list of criterion numbers to run")
-    p_self.add_argument("--format", choices=("json", "text"), default="text")
-    p_self.add_argument("--out", type=str, default=None)
-    p_self.set_defaults(fn=cmd_selftest)
+    rows = [row for row in _COMMANDS if row[0] == command] or _COMMANDS
+    for name, help_text, add_options, fn in rows:
+        p = sub.add_parser(name, help=help_text)
+        add_options(p)
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -366,9 +371,9 @@ def _attach_list_values(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = make_parser()
+    argv = _attach_list_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
+        args = make_parser(argv[0] if argv else None).parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         sys.stdout.write(_dump({"error": str(exc)}))

@@ -377,11 +377,10 @@ def test_wrap_form_with_distinct_middle_entries(monkeypatch):
     # oracle's value, None (the z adds a constant to v_p, whose z term is
     # not 0).  On every cell the point oracle reads eps at z = 1/3 and at
     # z = 2/7 on the closed part, and two different values on each of the
-    # two others; the reduced oracle runs on the cells of period at most 4
-    # (on the 131 period-6 cells it takes about 20 s).  Forced on the
-    # closed ladders themselves, the distinct-entry form reads off eps on
-    # every cell and on every criterion-4 odd chain, whose gauge lines
-    # carry the x**v of their entries
+    # two others, and `_residual_rf` gives every value verify_chain
+    # reports.  Forced on the closed ladders themselves, the distinct-entry
+    # form reads off eps on every cell and on every criterion-4 odd chain,
+    # whose gauge lines carry the x**v of their entries
     cells = list(even_cells())
     assert len(cells) == 145
     sols = [build_even_chain(cs1, cs2, ALPHA, perm=perm) for cs1, cs2, perm, _ in cells]
@@ -397,8 +396,7 @@ def test_wrap_form_with_distinct_middle_entries(monkeypatch):
         )
         assert first[: p - 2] == second[: p - 2] == list(sol.expected_eps[: p - 2])
         assert all(a != b for a, b in zip(first[p - 2:], second[p - 2:]))
-        if p <= 4:
-            assert values == [_residual_rf(wrapped, i).constant_value() for i in range(1, p + 1)]
+        assert values == [_residual_rf(wrapped, i).constant_value() for i in range(1, p + 1)]
     equation = dresschain.chain._equation
     monkeypatch.setattr(dresschain.chain, "_equation",
                         lambda entries, same, *rest: equation(entries, False, *rest))
@@ -571,17 +569,14 @@ def test_evaluation_bound_must_be_strict():
 
 
 def _chains_for_fast_check_oracle():
-    """(chain, bump) pairs: the odd p, k <= 3 box under every flip order,
-    and the criterion-6 period-4 cells at alpha 1/3.  A bumped chain's
-    residuals cost seconds of gcds each under some flip orders, so odd
-    chains are bumped in their default order only."""
+    """The chains to check and bump: the odd p, k <= 3 box under every
+    flip order, and the criterion-6 period-4 cells at alpha 1/3."""
     for p, k in ((1, 1), (3, 1), (3, 3)):
         for cs in enumerate_structures(p, k, 3):
             for perm in itertools.permutations(range(p)):
-                sol = build_odd_chain(cs, perm=perm, allow_degenerate=True)
-                yield sol, perm == tuple(range(p))
+                yield build_odd_chain(cs, perm=perm, allow_degenerate=True)
     for cs1, cs2, perm in PERIOD4_CELLS:
-        yield build_even_chain(cs1, cs2, ALPHA, perm=perm), True
+        yield build_even_chain(cs1, cs2, ALPHA, perm=perm)
 
 
 def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
@@ -631,8 +626,8 @@ def test_parity_generic_check_agrees_with_residual_oracle(monkeypatch):
     monkeypatch.setattr(chain, "_formula", record_formula)
     monkeypatch.setattr(chain, "_read_off", record_read_off)
     parities, failures, unread = set(), 0, 0
-    for sol, bump in _chains_for_fast_check_oracle():
-        variants = [sol, _bumped(sol)] if bump and sol.period > 1 else [sol]
+    for sol in _chains_for_fast_check_oracle():
+        variants = [sol, _bumped(sol)] if sol.period > 1 else [sol]
         for variant in variants:
             report = verify(variant)
             for i, eq in enumerate(report.equations, 1):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -16,7 +17,7 @@ import dresschain.cli
 import dresschain.exact
 import dresschain.painleve
 from dresschain.chain import build_even_chain, verify_chain
-from dresschain.cli import main
+from dresschain.cli import UsageError, main, make_parser
 from dresschain.exact import frac_str
 from dresschain.maya import CyclicStructure, admitted_shifts, enumerate_structures
 from dresschain.orthopoly import AlphaParam
@@ -647,6 +648,63 @@ def test_every_command_line_exits_0_1_or_2(capsys, tmp_path, argv):
     if code == 2:
         assert out.endswith("\n") and out.count("\n") == 1, argv
         assert list(json.loads(out)) == ["error"], argv
+
+
+# -- the parser of one command parses as the parser of all five -----------------
+
+def _parsed(capsys, parser, argv):
+    """What parsing argv gives: a Namespace, a UsageError's text or a
+    SystemExit's code, with what was printed."""
+    try:
+        result = parser.parse_args(argv)
+    except UsageError as exc:
+        result = "UsageError: %s" % exc
+    except SystemExit as exc:
+        result = "SystemExit: %s" % exc.code
+    return result, capsys.readouterr()
+
+
+def _assert_one_command_parses_as_all(capsys, argv):
+    argv = dresschain.cli._attach_list_values(argv)
+    own = make_parser(argv[0] if argv else None)
+    assert _parsed(capsys, own, argv) == _parsed(capsys, make_parser(), argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    "", "-h", "--he", "-h verify", "-- verify --period 3", "verify --help", "VERIFY",
+    "verify enum", "verify --period 3 --shift 1 --params 1,2 --bogus",
+    "build --period 3 --shift 1 --params 1,2 --format text",
+    "painleve --period 4 --case 2,2 --params 0,0 --alpha -4/3",
+])
+def test_one_command_parses_as_all_five(capsys, argv):
+    # the same Namespace, UsageError or exit with the same output; only
+    # parsed, no job runs
+    _assert_one_command_parses_as_all(capsys, argv.split())
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+def test_one_command_parses_as_all_five_on_the_grammar(capsys, argv):
+    _assert_one_command_parses_as_all(capsys, argv)
+
+
+@pytest.mark.parametrize("argv, built", [
+    ("painleve --period 3 --shift 1 --params 1,2", ["painleve"]),
+    ("frobnicate", ["enum", "build", "verify", "painleve", "selftest"]),
+])
+def test_main_builds_the_subparser_of_its_command_only(capsys, monkeypatch, argv, built):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def recorded(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recorded)
+    main(argv.split())
+    capsys.readouterr()
+    assert names == built
 
 
 ON_DEMAND = ("dresschain.latex", "dresschain.selftest")
