@@ -148,7 +148,8 @@ def _iprim(a: list) -> list:
 
 
 def _poly(num: list, den: int = 1) -> "Polynomial":
-    """The Polynomial num / den, brought into canonical form."""
+    """The Polynomial num / den, brought into canonical form.  A tuple of
+    ints over 1 with no trailing zero is kept as given, not copied."""
     _itrim(num)
     if not num:
         den = 1
@@ -182,8 +183,7 @@ class Polynomial:
     def __init__(self, coeffs: Iterable = ()):
         c = [_exact(x) for x in coeffs]
         den = _lcm(*(x.denominator for x in c))
-        # over 1 the given ints are kept, not copied: a ladder entry's
-        # `prim` then shares the coefficients its kernel memo holds
+        # over 1 the given ints are kept, not copied
         num = ([x.numerator for x in c] if den == 1
                else [x.numerator * (den // x.denominator) for x in c])
         p = _poly(num, den)

@@ -3,7 +3,7 @@
 Both determinants are defined as the polynomial matrices below.  Each
 is an analytic Wronskian up to a constant and a power of z, so it is
 computed by the Wronskian recursion of Sylvester's identity, top down and
-memoised on sorted seed tuples (_hermite_kernel, _laguerre_kernel).  The
+memoised on seed tuples (_hermite_kernel, _laguerre_kernel).  The
 oracles (_hermite_matrix_det, _laguerre_matrix_det) build the matrices
 column by column from the recurrence-defined polynomials of orthopoly
 (_hermite_column, _laguerre_column) and eliminate them in full.
@@ -11,14 +11,17 @@ column by column from the recurrence-defined polynomials of orthopoly
 A ladder entry is stored as its primitive integer polynomial `prim`
 (coprime coefficients, positive leading one, nonzero constant term) in
 the chain variable z = x**2, its label (the diagram or character that
-indexes it) and its alpha.  The label also fixes what `prim` leaves out,
-the lowest power of the determinant's variable (`low`): z**(r (r - 1))
-for a Laguerre entry and x**v for a Hermite one, v = u (u + 1) / 2 with
-u = #odd - #even entries.  This module alone knows that layout.  Every
-chain identity is homogeneous in each entry, so the chain reads `prim`
-only; `core`, the determinant up to its constant, is `prim` with that
-power put back, and the determinant, `poly`, and its leading coefficient
-`lead`, a closed form of the label, are derived when output reads them.
+indexes it) and its alpha.  The kernels keep their values in that form,
+as tuples, so `prim` wraps the kernel's tuple itself, not a copy, except
+for a Hermite diagram taken through its conjugate.  The label also fixes
+what `prim` leaves out, the lowest power of the determinant's variable
+(`low`): z**(r (r - 1)) for a Laguerre entry and x**v for a Hermite one,
+v = u (u + 1) / 2 with u = #odd - #even entries.  This module alone
+knows that layout.  Every chain identity is homogeneous in each entry,
+so the chain reads `prim` only; `core`, the determinant up to its
+constant, is `prim` with that power put back, and the determinant,
+`poly`, and its leading coefficient `lead`, a closed form of the label,
+are derived when output reads them.
 Each result derives, from its label and its alpha, the gauge exponents
 (z_power_num / 4q, exp_coeff) of the prefactor
 
@@ -38,7 +41,7 @@ from math import factorial, prod
 from typing import Optional, Tuple, Union
 
 from .exact import Polynomial, det_poly_matrix, frac_str
-from .exact import _iexact_quo, _iprim
+from .exact import _iexact_quo, _iprim, _poly
 from .maya import MayaDiagram, UniversalCharacter, conjugate
 from .orthopoly import AlphaParam, falling_factorial, hermite, laguerre
 
@@ -191,11 +194,17 @@ def _hermite_ys(n: int) -> list:
     return ys[::-1]
 
 
-def _sylvester(w, seeds: tuple, s: int, t: int) -> Tuple[int, list]:
+def _canonical(d: list) -> tuple:
+    """The coefficients d, or -d when d leads negative, as a tuple: the
+    stored form of a kernel value."""
+    return tuple(d) if d[-1] > 0 else tuple(-x for x in d)
+
+
+def _sylvester(w, seeds: tuple, s: int, t: int) -> Tuple[int, tuple]:
     """(E, D) with W(f_1, ..., f_m) = const * z**(E/s) D(z**t), D(0) != 0
-    and D primitive up to sign, for the m >= 2 independent
-    f_j = z**(A_j/s) P_j(z**t) of a sorted seed tuple S + (g, h), where w
-    gives (E, D) of shorter tuples, each primitive up to sign.
+    and D a tuple of coprime integers with a positive leading one, for the
+    m >= 2 independent f_j = z**(A_j/s) P_j(z**t) of a seed tuple
+    S + (g, h), where w gives (E, D) of shorter tuples.
 
     By Sylvester's identity W(W(S, g), W(S, h)) = W(S) W(S, g, h), this is
     one 2 x 2 Wronskian and one exact division by W(S).  As
@@ -203,7 +212,8 @@ def _sylvester(w, seeds: tuple, s: int, t: int) -> Tuple[int, list]:
     (B, Q) is sum (b_j - a_i) P_i Q_j u**(i+j), u = z**t, a_i = A + s t i,
     b_j = B + s t j, in one pass; its low zeros go into the exponent.  The
     step is a constant times D(S) D(S, g, h), primitive by Gauss's lemma,
-    so less its content it divides by D(S) exactly.
+    so less its content it divides by D(S) exactly; the quotient's sign,
+    a constant, is dropped.
     """
     head = seeds[:-2]
     (a, f), (b, g), (prev_e, prev) = w(seeds[:-1]), w(head + seeds[-1:]), w(head)
@@ -213,17 +223,17 @@ def _sylvester(w, seeds: tuple, s: int, t: int) -> Tuple[int, list]:
         for j, y in enumerate(g):
             r[i + j] += (b - a + st * (j - i)) * x * y
     v = next(i for i, x in enumerate(r) if x)
-    return a + b - s + st * v - prev_e, _iexact_quo(_iprim(r[v:]), prev)
+    return a + b - s + st * v - prev_e, _canonical(_iexact_quo(_iprim(r[v:]), prev))
 
 
 @lru_cache(maxsize=None)
-def _hermite_kernel(seeds: Tuple[int, ...]) -> Tuple[int, list]:
-    """_sylvester's (E, D) for the H_n(z), n in seeds, each z**(n%2) times
-    integers in y = z**2 (s = 1, t = 2): D is the Wronskian up to a
-    constant, primitive up to sign."""
+def _hermite_kernel(seeds: Tuple[int, ...]) -> Tuple[int, tuple]:
+    """_sylvester's (E, D) for the H_n(z), n in sorted seeds, each
+    z**(n%2) times integers in y = z**2 (s = 1, t = 2): D is the Wronskian
+    up to a constant."""
     if len(seeds) > 1:
         return _sylvester(_hermite_kernel, seeds, 1, 2)
-    return (seeds[0] % 2, _iprim(_hermite_ys(seeds[0]))) if seeds else (0, [1])
+    return (seeds[0] % 2, _canonical(_iprim(_hermite_ys(seeds[0])))) if seeds else (0, (1,))
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +251,8 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
     partition), whichever has fewer, min(m, c_m - m + 1): H_c(z) is
     proportional to H_c'(i z) / i**deg (Felder, Hemery and Veselov 2012),
     so through c' the result is taken at y -> -y.  Either is
-    z**E D(y) up to a constant, D(0) != 0, and `prim` is D, primitive.
+    z**E D(y) up to a constant, D(0) != 0, and `prim` is D: the kernel's
+    tuple itself on the direct route, a copy through c'.
     The leading coefficient of either is 2**deg V(entries),
     deg = sum(entries) - m (m - 1) / 2.
 
@@ -264,8 +275,8 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
         through = bool(entries) and entries[-1] - m + 1 < m
         _, ys = _hermite_kernel(conjugate(d).entries if through else entries)
         if through:
-            ys = [-c if i % 2 else c for i, c in enumerate(ys)]
-        prim = Polynomial(ys).primitive()
+            ys = _canonical([-c if i % 2 else c for i, c in enumerate(ys)])
+        prim = _poly(ys)
     return PseudoWronskian(prim, d, None)
 
 
@@ -286,14 +297,16 @@ def _laguerre_ints(n: int, p: int, q: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _laguerre_kernel(p: int, q: int, seeds: tuple) -> Tuple[int, list]:
+def _laguerre_kernel(p: int, q: int, seeds: Tuple[int, ...]) -> Tuple[int, tuple]:
     """_sylvester's (E, D) at alpha = p/q (s = q, t = 1) for the seeds
-    (0, n), L_n^alpha, and (1, l), z**-alpha L_l^-alpha: spectrum first.
-    D is the Wronskian up to a constant, primitive up to sign."""
+    n >= 0, L_n^alpha, and ~l = -1 - l < 0, z**-alpha L_l^-alpha, spectrum
+    first: D is the Wronskian up to a constant."""
     if len(seeds) > 1:
         return _sylvester(lambda sub: _laguerre_kernel(p, q, sub), seeds, q, 1)
-    shadow, n = seeds[0] if seeds else (0, 0)  # L_0 = 1 for no seeds
-    return -p * shadow, _iprim(_laguerre_ints(n, -p if shadow else p, q))
+    n = seeds[0] if seeds else 0  # L_0 = 1 for no seeds
+    if n < 0:
+        return -p, _canonical(_iprim(_laguerre_ints(~n, -p, q)))
+    return 0, _canonical(_iprim(_laguerre_ints(n, p, q)))
 
 
 @lru_cache(maxsize=None)
@@ -357,7 +370,8 @@ def laguerre_pseudo_wronskian(
     up to nonzero row and column factors), the z**-alpha L_l^-alpha span
     -alpha + (0..r-1), and these exponents are distinct.  So the kernel's
     exponent is -r (q m + p), and the determinant is z**(r (r - 1)) times
-    its polynomial, whose constant term is nonzero: the entry's `prim`.
+    its polynomial, whose constant term is nonzero: the entry's `prim`, the
+    kernel's tuple itself.
     A character whose components are the k1- and k2-translates of
     canonical ones is a constant times a power of z times the determinant
     of those at alpha + k1 - k2, so it takes their `prim` from this memo.
@@ -370,7 +384,6 @@ def laguerre_pseudo_wronskian(
         canon = UniversalCharacter(MayaDiagram(canon1), MayaDiagram(canon2))
         prim = laguerre_pseudo_wronskian(canon, alpha.shifted(k1 - k2)).prim
     else:
-        seeds = tuple((0, n) for n in uc.first.entries)
-        seeds += tuple((1, l) for l in uc.second.entries)
-        prim = Polynomial(_laguerre_kernel(a.numerator, a.denominator, seeds)[1]).primitive()
+        seeds = uc.first.entries + tuple(~l for l in uc.second.entries)
+        prim = _poly(_laguerre_kernel(a.numerator, a.denominator, seeds)[1])
     return PseudoWronskian(prim, uc, a)

@@ -161,6 +161,11 @@ def test_build_emits_ladder(capsys):
             "4957a07554ce600ee949d93b1ae9e45584dab531a4d11b97315097e80eb29a87",
         ),
         (
+            # characters with equal spectrum and shadow blocks at q = 7
+            "build --period 6 --case 3,3 --shift 1 --params 1,2,1,2 --alpha 2/7 --format json",
+            "90e9a6717d978ca86abb0b7ab604f39a47e4d74f768808a2091f375fddb09b31",
+        ),
+        (
             "painleve --period 4 --case 3,1 --params 1,1 --alpha -2/5,7/3 --perm 1,2,0,3",
             "c08b14e6c8a1c62069c523933204afc0d04dda7b02276a6c10bd35734740f3f2",
         ),

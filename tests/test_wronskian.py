@@ -270,7 +270,7 @@ def test_laguerre_determinant_is_z_to_the_r_r_minus_1_times_prim():
     # the kernel's own exponent, in units of z**(1/q), is -r (q m + p)
     for a, b in product(_canonical_diagrams(4, 3), repeat=2):
         m, r = len(a.entries), len(b.entries)
-        seeds = tuple((0, n) for n in a.entries) + tuple((1, l) for l in b.entries)
+        seeds = a.entries + tuple(~l for l in b.entries)
         for alpha in alphas:
             p, q = alpha.numerator, alpha.denominator
             assert _laguerre_kernel(p, q, seeds)[0] == -r * (q * m + p)
@@ -312,25 +312,19 @@ def test_every_entry_keeps_a_constant_term_and_low_is_its_lowest_power(
 
 
 def test_entries_share_their_kernel_coefficients(fresh_memos):
-    # a memoised entry keeps the ints of its kernel memo, not copies of
-    # them, wherever the kernel's D is already `prim` (positive leading);
-    # a diagram built through its smaller conjugate is left out
-    shared = 0
-    for d in _canonical_diagrams(8, 5):
-        if d.entries and d.entries[-1] - len(d) + 1 < len(d):
-            continue
-        prim, ys = hermite_wronskian(d).prim, _hermite_kernel(d.entries)[1]
-        if list(prim.int_coeffs) == ys:
-            assert all(x is y for x, y in zip(prim.int_coeffs, ys)), d
-            shared += 1
+    # a memoised entry wraps the tuple its kernel memo holds, not a copy:
+    # every canonical diagram on the direct route, and no other, and every
+    # canonical character; a diagram through its smaller conjugate copies
+    diagrams = _canonical_diagrams(8, 5)
+    direct = [d for d in diagrams if not takes_conjugate_route(d.entries)]
+    assert 0 < len(direct) < len(diagrams)
+    shared = [d for d in diagrams
+              if hermite_wronskian(d).prim.int_coeffs is _hermite_kernel(d.entries)[1]]
+    assert shared == direct
     for a, b in product(_canonical_diagrams(4, 3), repeat=2):
-        seeds = tuple((0, n) for n in a.entries) + tuple((1, l) for l in b.entries)
+        seeds = a.entries + tuple(~l for l in b.entries)
         prim = laguerre_pseudo_wronskian(UniversalCharacter(a, b), AlphaParam(F(1, 3))).prim
-        ys = _laguerre_kernel(1, 3, seeds)[1]
-        if list(prim.int_coeffs) == ys:
-            assert all(x is y for x, y in zip(prim.int_coeffs, ys)), (a, b)
-            shared += 1
-    assert shared == 256
+        assert prim.int_coeffs is _laguerre_kernel(1, 3, seeds)[1], (a, b)
 
 
 def test_hermite_kernel_exponent_is_low():
@@ -399,7 +393,7 @@ def test_translated_laguerre_shares_canonical_determinant(fresh_memos):
     def recorded(p, q, seeds):
         nonlocal depth
         if not depth:
-            degrees.append([n for _, n in seeds])
+            degrees.append([n if n >= 0 else ~n for n in seeds])
         depth += 1
         try:
             return kernel(p, q, seeds)
@@ -417,6 +411,22 @@ def test_translated_laguerre_shares_canonical_determinant(fresh_memos):
     canonical = {(uc, a + k1 - k2) for uc, k1, k2 in TRANSLATED for a in alphas}
     assert len(degrees) == len(canonical)
     assert all(0 not in d for d in degrees)
+
+
+LEVELS = [(1,), (2,), (1, 2), (1, 3), (2, 3), (1, 2, 4)]
+
+
+@pytest.mark.parametrize("a", [F(1, 3), F(-4, 5), F(2, 7), F(-9, 7)], ids=str)
+def test_laguerre_kernel_tells_spectrum_from_shadow_seeds(a, fresh_memos):
+    # a spectrum seed n and a shadow seed ~l share one kernel key: characters
+    # whose components hold the same levels, and ones with an empty
+    # component, each from cold memos, are their matrices
+    ucs = [UniversalCharacter(MayaDiagram(c1), MayaDiagram(c2))
+           for c in LEVELS for c1, c2 in [(c, c), (c, ()), ((), c)]]
+    for uc in ucs:
+        clear_ladder_memos()
+        pw = laguerre_pseudo_wronskian(uc, AlphaParam(a))
+        assert pw.poly == _laguerre_matrix_det(uc, a), uc
 
 
 def test_criterion_3_catches_a_wrong_laguerre_top(monkeypatch, fresh_memos):
@@ -582,9 +592,10 @@ def test_kernel_memo_holds_each_needed_sub_tuple_once(fresh_memos):
 
 
 def test_kernel_values_are_primitive(monkeypatch, fresh_memos):
-    # every Sylvester step divides out its content, and the leaves are
-    # primitive, so no kernel value reached by the criterion-4 chains or the
-    # criterion-6 cells carries an integer factor
+    # every Sylvester step divides out its content and its sign, and the
+    # leaves are primitive with a positive lead, so every kernel value
+    # reached by the criterion-4 chains or the criterion-6 cells is a tuple
+    # with no integer factor and a positive leading coefficient
     values = []
 
     def recording(kernel):
@@ -604,7 +615,7 @@ def test_kernel_values_are_primitive(monkeypatch, fresh_memos):
         for a in ALPHA_TRIPLE:
             build_even_chain(cs1, cs2, AlphaParam(a), perm=perm)
     assert len(values) > 1000 and max(len(d) for _, d in values) > 10
-    assert all(gcd(*d) == 1 for _, d in values)
+    assert all(type(d) is tuple and gcd(*d) == 1 and d[-1] > 0 for _, d in values)
 
 
 def test_ladders_run_no_elimination(monkeypatch, fresh_memos):
