@@ -36,7 +36,8 @@ class EnumerationTooLarge(ValueError):
 
 
 class DiagramTooLarge(ValueError):
-    """The structure has more than DIAGRAM_BUDGET block indices (`build_diagram`)."""
+    """More than DIAGRAM_BUDGET block indices (`build_diagram`), or a
+    diagram of degree over chain.DEGREE_BUDGET (`build_*_chain`)."""
 
 
 class AmplitudeMismatch(ValueError):
@@ -77,6 +78,12 @@ class MayaDiagram:
     @property
     def is_canonical(self) -> bool:
         return not self.entries or self.entries[0] >= 1
+
+    @property
+    def weight(self) -> int:
+        """|lambda| = sum(entries) - m (m - 1) / 2, kept by translation and
+        conjugation: the degree of the diagram's Hermite determinant."""
+        return sum(self.entries) - len(self) * (len(self) - 1) // 2
 
     def is_filled(self, level: int) -> bool:
         if level < 0:
@@ -130,7 +137,7 @@ def conjugate(d: MayaDiagram) -> MayaDiagram:
     A canonical (c_1 < ... < c_m) carries the partition
     lambda_i = c_{m+1-i} - (m - i); its conjugate is the diagram of
     c_m - h over the holes h of d in [0, c_m), of size c_m - m + 1, and
-    has the same weight |lambda| = sum c - m (m - 1) / 2.
+    has the same `weight`.
     """
     if not d.is_canonical:
         raise ValueError("conjugate expects a canonical diagram")

@@ -3,15 +3,16 @@
 Both determinants are defined as the polynomial matrices below.  Each
 is an analytic Wronskian up to a constant and a power of z, so it is
 computed by the Wronskian recursion of Sylvester's identity, top down and
-memoised on seed tuples (_hermite_kernel, _laguerre_kernel).  The
-oracles (_hermite_matrix_det, _laguerre_matrix_det) build the matrices
-column by column from the recurrence-defined polynomials of orthopoly
-(_hermite_column, _laguerre_column) and eliminate them in full.
+memoised on seed tuples in one kernel (_laguerre_kernel, at alpha = 1/2
+for a Hermite one).  The oracles (_hermite_matrix_det,
+_laguerre_matrix_det) build the matrices column by column from the
+recurrence-defined polynomials of orthopoly (_hermite_column,
+_laguerre_column) and eliminate them in full.
 
 A ladder entry is stored as its primitive integer polynomial `prim`
 (coprime coefficients, positive leading one, nonzero constant term) in
 the chain variable z = x**2, its label (the diagram or character that
-indexes it) and its alpha.  The kernels keep their values in that form,
+indexes it) and its alpha.  The kernel keeps its values in that form,
 as tuples, so `prim` wraps the kernel's tuple itself, not a copy, except
 for a Hermite diagram taken through its conjugate.  The label also fixes
 what `prim` leaves out, the lowest power of the determinant's variable
@@ -59,10 +60,12 @@ class PseudoWronskian:
     (alpha None), a UniversalCharacter for a Laguerre one; m and r are
     the sizes of its components (r = 0 for a diagram).  `prim` is a
     primitive integer polynomial in z = x**2 with a positive leading
-    coefficient and a nonzero constant term.  The determinant is
-    `lead / prim.leading` times `core`: z**low `prim`(z) for a Laguerre
-    entry, in z, and x**low `prim`(x**2) for a Hermite one, in x.  `low`
-    and `lead` are closed forms of the label, and `lead` is never zero.
+    coefficient and a nonzero constant term, a value of _laguerre_kernel
+    (at 1/2 for a diagram, and then at z -> -z through its conjugate).
+    The determinant is `lead / prim.leading` times `core`: z**low
+    `prim`(z) for a Laguerre entry, in z, and x**low `prim`(x**2), of
+    degree `label.weight`, for a Hermite one, in x.  `low` and `lead` are
+    closed forms of the label, and `lead` is never zero.
     The gauge of `prim` has exp_coeff -(m + r)/2 and the z power
     z_power_num / 4q, low/2 for a Hermite entry and
     (m - r)**2/4 + alpha (m - r)/2 for a Laguerre one.
@@ -104,12 +107,10 @@ class PseudoWronskian:
 
     @property
     def lead(self) -> Fraction:
-        """2**deg V(entries) for a diagram (hermite_wronskian), with
-        deg = sum(entries) - m (m - 1) / 2; _laguerre_top for a
-        character."""
+        """2**weight V(entries) for a diagram (hermite_wronskian);
+        _laguerre_top for a character."""
         if self.alpha is None:
-            deg = sum(self.label.entries) - self.m * (self.m - 1) // 2
-            return Fraction(2 ** deg * _vandermonde(self.label.entries))
+            return Fraction(2 ** self.label.weight * _vandermonde(self.label.entries))
         return _laguerre_top(self.label, self.alpha)
 
     @property
@@ -185,55 +186,9 @@ def _hermite_matrix_det(entries: Tuple[int, ...]) -> Polynomial:
     return det_poly_matrix([_hermite_column(n, len(entries)) for n in entries])
 
 
-def _hermite_ys(n: int) -> list:
-    """H_n(z) z**-(n%2) as integers in y = z**2: the z**(n-2k) coefficient
-    of H_n is (-1)**k n! 2**(n-2k) / (k! (n-2k)!)."""
-    ys = [1 << n]
-    for k in range(n // 2):
-        ys.append(-ys[-1] * (n - 2 * k) * (n - 2 * k - 1) // (4 * (k + 1)))
-    return ys[::-1]
-
-
 def _canonical(d: list) -> tuple:
-    """The coefficients d, or -d when d leads negative, as a tuple: the
-    stored form of a kernel value."""
+    """d, or -d when it leads negative, as a tuple: a kernel value's form."""
     return tuple(d) if d[-1] > 0 else tuple(-x for x in d)
-
-
-def _sylvester(w, seeds: tuple, s: int, t: int) -> Tuple[int, tuple]:
-    """(E, D) with W(f_1, ..., f_m) = const * z**(E/s) D(z**t), D(0) != 0
-    and D a tuple of coprime integers with a positive leading one, for the
-    m >= 2 independent f_j = z**(A_j/s) P_j(z**t) of a seed tuple
-    S + (g, h), where w gives (E, D) of shorter tuples.
-
-    By Sylvester's identity W(W(S, g), W(S, h)) = W(S) W(S, g, h), this is
-    one 2 x 2 Wronskian and one exact division by W(S).  As
-    s W(z**(a/s), z**(b/s)) = (b - a) z**((a+b-s)/s), the step on (A, P),
-    (B, Q) is sum (b_j - a_i) P_i Q_j u**(i+j), u = z**t, a_i = A + s t i,
-    b_j = B + s t j, in one pass; its low zeros go into the exponent.  The
-    step is a constant times D(S) D(S, g, h), primitive by Gauss's lemma,
-    so less its content it divides by D(S) exactly; the quotient's sign,
-    a constant, is dropped.
-    """
-    head = seeds[:-2]
-    (a, f), (b, g), (prev_e, prev) = w(seeds[:-1]), w(head + seeds[-1:]), w(head)
-    st = s * t
-    r = [0] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        for j, y in enumerate(g):
-            r[i + j] += (b - a + st * (j - i)) * x * y
-    v = next(i for i, x in enumerate(r) if x)
-    return a + b - s + st * v - prev_e, _canonical(_iexact_quo(_iprim(r[v:]), prev))
-
-
-@lru_cache(maxsize=None)
-def _hermite_kernel(seeds: Tuple[int, ...]) -> Tuple[int, tuple]:
-    """_sylvester's (E, D) for the H_n(z), n in sorted seeds, each
-    z**(n%2) times integers in y = z**2 (s = 1, t = 2): D is the Wronskian
-    up to a constant."""
-    if len(seeds) > 1:
-        return _sylvester(_hermite_kernel, seeds, 1, 2)
-    return (seeds[0] % 2, _canonical(_iprim(_hermite_ys(seeds[0])))) if seeds else (0, (1,))
 
 
 @lru_cache(maxsize=None)
@@ -246,24 +201,23 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
     polynomial, w = omega x**2 / 2.  A diagram (0, ..., k-1, c + k) is the
     k-translate of the canonical c, so its determinant is a constant times
     that of c, and it reads the primitive polynomial of c from this memo.
-    A canonical c takes it from the Wronskian, in y = z**2, of the Hermite
-    polynomials of c or of its conjugate c' (the diagram of the conjugate
-    partition), whichever has fewer, min(m, c_m - m + 1): H_c(z) is
-    proportional to H_c'(i z) / i**deg (Felder, Hemery and Veselov 2012),
-    so through c' the result is taken at y -> -y.  Either is
-    z**E D(y) up to a constant, D(0) != 0, and `prim` is D: the kernel's
-    tuple itself on the direct route, a copy through c'.
-    The leading coefficient of either is 2**deg V(entries),
-    deg = sum(entries) - m (m - 1) / 2.
-
-    E is v = u (u + 1) / 2, the entry's `low`, with u = b - a for a even
-    and b odd entries.  The coefficient of z**(2i) in H_{2k} is a factor
-    of i times one of k times the falling factorial (k)_i, and
-    det((k_j)_i) = V(k) != 0, so the a even H_n span a basis with
-    valuations 0, 2, ..., 2a - 2; likewise (z**(2i+1) in H_{2k+1}) the b
-    odd ones 1, 3, ..., 2b - 1.  These are distinct, so as at
-    _laguerre_top's lowest term the Wronskian starts at z**E with
-    E = a (a - 1) + b**2 - m (m - 1) / 2 = v.
+    A canonical c takes it from the Wronskian of the H_n of c or of its
+    conjugate c' (the diagram of the conjugate partition), whichever has
+    fewer, min(m, c_m - m + 1): H_c(z) is proportional to H_c'(i z) / i**deg
+    (Felder, Hemery and Veselov 2012), so through c' it is taken at
+    y -> -y, y = z**2.  By the parity split H_2l(z) ~ L_l^(-1/2)(y),
+    H_2j+1(z) ~ z L_j^(1/2)(y) (Szego, Orthogonal Polynomials, 5.6), the
+    y**(-1/2) H_n are the seeds j and ~l of _laguerre_kernel at alpha = 1/2,
+    taken in the diagram's order.  As d/dz = 2 z d/dy, the Wronskian is
+    z**(m (m + 1) / 2) times theirs, y**(E/2) D(y) with D(0) != 0, up to a
+    constant, and `prim` is D: the kernel's tuple itself on the direct
+    route, a copy through c'.  Its leading coefficient is
+    2**weight V(entries).  For a even and b odd entries E is -a (2 b + 1),
+    by laguerre_pseudo_wronskian's lowest-term argument, so the determinant
+    starts at z**v, v = u (u + 1) / 2 with u = b - a: the entry's `low`.
+    Selftest criterion 8 compares the entry with laguerre_pseudo_wronskian
+    at 1/2, two routes through the one kernel; the independent oracle of a
+    Hermite entry is the raw _hermite_matrix_det (criterion 3).
     """
     entries = d.entries
     _check_entries(entries)
@@ -273,7 +227,9 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
         prim = hermite_wronskian(MayaDiagram(canon)).prim
     else:
         through = bool(entries) and entries[-1] - m + 1 < m
-        _, ys = _hermite_kernel(conjugate(d).entries if through else entries)
+        split = tuple(n // 2 if n % 2 else ~(n // 2)
+                      for n in (conjugate(d).entries if through else entries))
+        _, ys = _laguerre_kernel(1, 2, split)
         if through:
             ys = _canonical([-c if i % 2 else c for i, c in enumerate(ys)])
         prim = _poly(ys)
@@ -298,15 +254,35 @@ def _laguerre_ints(n: int, p: int, q: int) -> list:
 
 @lru_cache(maxsize=None)
 def _laguerre_kernel(p: int, q: int, seeds: Tuple[int, ...]) -> Tuple[int, tuple]:
-    """_sylvester's (E, D) at alpha = p/q (s = q, t = 1) for the seeds
-    n >= 0, L_n^alpha, and ~l = -1 - l < 0, z**-alpha L_l^-alpha, spectrum
-    first: D is the Wronskian up to a constant."""
-    if len(seeds) > 1:
-        return _sylvester(lambda sub: _laguerre_kernel(p, q, sub), seeds, q, 1)
-    n = seeds[0] if seeds else 0  # L_0 = 1 for no seeds
-    if n < 0:
-        return -p, _canonical(_iprim(_laguerre_ints(~n, -p, q)))
-    return 0, _canonical(_iprim(_laguerre_ints(n, p, q)))
+    """(E, D) with W(f_1, ..., f_m) = const * z**(E/q) D(z), D(0) != 0 and
+    D a tuple of coprime integers with a positive leading one, at
+    alpha = p/q for seeds n >= 0, f = L_n^alpha, and ~l = -1 - l < 0,
+    f = z**-alpha L_l^-alpha, in any order (it changes only D's sign).
+    No seeds give L_0 = 1.  hermite_wronskian takes its Wronskians here too.
+
+    For m >= 2 seeds S + (g, h), Sylvester's identity
+    W(W(S, g), W(S, h)) = W(S) W(S, g, h) makes this one 2 x 2 Wronskian
+    and one exact division by W(S).  As q W(z**(a/q), z**(b/q)) =
+    (b - a) z**((a+b-q)/q), the step on (A, P), (B, Q) is
+    sum (b_j - a_i) P_i Q_j z**(i+j), a_i = A + q i, b_j = B + q j; its low
+    zeros go into the exponent.  It is a constant times D(S) D(S, g, h),
+    primitive by Gauss's lemma, so less its content it divides by D(S)
+    exactly; the quotient's sign, a constant, is dropped.
+    """
+    if len(seeds) < 2:
+        n = seeds[0] if seeds else 0
+        if n < 0:
+            return -p, _canonical(_iprim(_laguerre_ints(~n, -p, q)))
+        return 0, _canonical(_iprim(_laguerre_ints(n, p, q)))
+    head = seeds[:-2]
+    subs = seeds[:-1], head + seeds[-1:], head
+    (a, f), (b, g), (prev_e, prev) = (_laguerre_kernel(p, q, t) for t in subs)
+    r = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            r[i + j] += (b - a + q * (j - i)) * x * y
+    v = next(i for i, x in enumerate(r) if x)
+    return a + b - q + q * v - prev_e, _canonical(_iexact_quo(_iprim(r[v:]), prev))
 
 
 @lru_cache(maxsize=None)

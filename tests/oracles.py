@@ -28,18 +28,17 @@ from dresschain.exact import (
 )
 from dresschain.painleve import _in_t, _piv_numerator, _pv_numerator
 from dresschain.wronskian import (
-    _hermite_kernel,
     _laguerre_column,
     _laguerre_kernel,
     hermite_wronskian,
     laguerre_pseudo_wronskian,
 )
 
-LADDER_MEMOS = (hermite_wronskian, laguerre_pseudo_wronskian, _hermite_kernel, _laguerre_kernel)
+LADDER_MEMOS = (hermite_wronskian, laguerre_pseudo_wronskian, _laguerre_kernel)
 
 
 def clear_ladder_memos():
-    """Empty the ladder entry memos and the Wronskian kernel memos under them."""
+    """Empty the ladder entry memos and the Wronskian kernel memo under them."""
     for memo in LADDER_MEMOS:
         memo.cache_clear()
 

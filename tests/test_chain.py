@@ -11,6 +11,7 @@ import dresschain.chain
 import dresschain.exact
 import dresschain.wronskian
 from dresschain.chain import (
+    DEGREE_BUDGET,
     OMEGA,
     OddPeriodRequired,
     _closure,
@@ -26,8 +27,10 @@ from dresschain.maya import (
     AmplitudeMismatch,
     CyclicStructure,
     DegenerateStructure,
+    DiagramTooLarge,
     MayaDiagram,
     apply_uc_flip,
+    build_diagram,
     enumerate_structures,
     flip_at,
     static_flip_chain,
@@ -137,6 +140,37 @@ def test_even_chain_accepts_degenerate_layouts():
     assert cs1.is_degenerate
     sol = build_even_chain(cs1, CyclicStructure(k=1), ALPHA)
     assert verify_chain(sol).ok
+
+
+def test_degree_budget_refuses_before_any_determinant(monkeypatch):
+    # the Hermite degree of a start diagram or component, its weight, is
+    # bounded, not its block indices: (1000,) is one index of degree 1000.
+    # The deepest jobs in use are admitted
+    admitted = [CyclicStructure(k=3, okamoto=(25, 25)),
+                CyclicStructure(k=5, okamoto=(15, 15, 15, 15)),
+                CyclicStructure(k=1, second_type=((200, 1),))]
+    assert [build_diagram(cs)[0].weight for cs in admitted] == [650, 480, 200]
+    assert 650 <= DEGREE_BUDGET < 1000
+
+    def forbidden(*args):
+        raise AssertionError("a ladder entry was built")
+
+    monkeypatch.setattr(dresschain.chain, "hermite_wronskian", forbidden)
+    monkeypatch.setattr(dresschain.chain, "laguerre_pseudo_wronskian", forbidden)
+    empty = CyclicStructure(k=1)
+    for level in (1000, DEGREE_BUDGET + 1):
+        big = CyclicStructure(k=1, second_type=((level, 1),))
+        with pytest.raises(DiagramTooLarge):
+            build_odd_chain(big)
+        for cs1, cs2 in ((big, empty), (empty, big)):
+            with pytest.raises(DiagramTooLarge):
+                build_even_chain(cs1, cs2, ALPHA)
+    # a diagram at the budget passes to its first entry
+    at = CyclicStructure(k=1, second_type=((DEGREE_BUDGET, 1),))
+    with pytest.raises(AssertionError, match="ladder entry"):
+        build_odd_chain(at)
+    with pytest.raises(AssertionError, match="ladder entry"):
+        build_even_chain(empty, at, ALPHA)
 
 
 def test_even_chain_table_3_1():

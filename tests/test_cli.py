@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -450,8 +451,10 @@ def test_selftest_single_criterion(capsys):
         ["verify", "--period", "2000000000", "--case", "1000000000,1000000000"],
         ["verify", "--period", "2000000000", "--case", "1000000000,1000000000",
          "--shift", "2"],
-        # 400 seeds: deeper than the memoised recursion can go
-        ["build", "--period", "3", "--shift", "3", "--params", "400,0"],
+        # 1600 seeds, components of degree 800 within chain.DEGREE_BUDGET:
+        # deeper than the memoised recursion can go
+        ["build", "--period", "6", "--case", "3,3", "--shift", "1",
+         "--params", "1,800,1,800", "--alpha", "1/3"],
         # structure boxes over maya.ENUM_BUDGET, refused before any work
         ["enum", "--period", "99999999999", "--shift", "1", "--bound", "1"],
         ["enum", "--period", "3", "--shift", "3", "--bound", "200"],
@@ -505,6 +508,27 @@ def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert list(json.loads(out)) == ["error"]
+
+
+@pytest.mark.parametrize(
+    "argv,kind",
+    [
+        # one block index, but a diagram of degree 1000 over
+        # chain.DEGREE_BUDGET: refused before any determinant
+        ("verify --period 3 --shift 1 --params 1000,1", "DiagramTooLarge"),
+        ("painleve --period 3 --shift 1 --params 1000,1", "DiagramTooLarge"),
+        ("verify --period 4 --case 3,1 --shift 1 --params 1000,1 --alpha 1/3",
+         "DiagramTooLarge"),
+        # within the budget, a ladder entry too deep for the recursion
+        ("build --period 6 --case 3,3 --shift 1 --params 1,800,1,800 --alpha 1/3",
+         "RecursionError"),
+    ],
+)
+def test_too_large_jobs_are_refused_at_once(capsys, argv, kind):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert code == 2 and json.loads(out)["error"].startswith(kind + ": ")
 
 
 def test_negative_alpha_as_separate_value(capsys):

@@ -32,9 +32,7 @@ from dresschain.selftest import (
 from dresschain.wronskian import (
     NegativeIndex,
     PseudoWronskian,
-    _hermite_kernel,
     _hermite_matrix_det,
-    _hermite_ys,
     _laguerre_ints,
     _laguerre_kernel,
     _laguerre_matrix_det,
@@ -187,10 +185,22 @@ SMALL_DIAGRAMS = [
 ]
 
 
+def split(entries):
+    """The kernel's seeds at alpha = 1/2 for Hermite entries, in their
+    order: an odd n = 2j + 1 is the spectrum seed j, an even n = 2l the
+    shadow seed ~l."""
+    return tuple(n // 2 if n % 2 else ~(n // 2) for n in entries)
+
+
 def test_packed_entries_match_hermite():
-    # z**(n%2) times the y-list's polynomial in z**2 is H_n
+    # z**(n%2) times the primitive L_(n//2)^(+-1/2) in z**2 is H_n up to a
+    # constant (Szego 5.6), and that primitive polynomial is the kernel's
+    # leaf of the seed n
     for n in range(26):
-        assert Polynomial(_hermite_ys(n)).of_square(n % 2) == hermite(n), n
+        p = 1 if n % 2 else -1
+        leaf = Polynomial(_laguerre_ints(n // 2, p, 2)).primitive()
+        assert leaf.of_square(n % 2) == hermite(n).primitive(), n
+        assert _laguerre_kernel(1, 2, split((n,)))[1] == leaf.int_coeffs, n
 
 
 def takes_conjugate_route(c):
@@ -311,6 +321,15 @@ def test_every_entry_keeps_a_constant_term_and_low_is_its_lowest_power(
         assert _laguerre_matrix_det(uc, a).split_lowest()[0] == low, (uc, a)
 
 
+def test_hermite_degree_is_the_diagram_weight(monkeypatch, fresh_memos):
+    # the closed form sum(entries) - m (m - 1) / 2 that `lead` and the
+    # chain's degree budget read is the degree of every criterion-4 entry
+    diagrams = {pw.label: pw for pw in _entries_built_by(4, monkeypatch) if pw.alpha is None}
+    assert len(diagrams) > 100
+    for d, pw in diagrams.items():
+        assert pw.poly.degree == d.weight, d
+
+
 def test_entries_share_their_kernel_coefficients(fresh_memos):
     # a memoised entry wraps the tuple its kernel memo holds, not a copy:
     # every canonical diagram on the direct route, and no other, and every
@@ -318,8 +337,8 @@ def test_entries_share_their_kernel_coefficients(fresh_memos):
     diagrams = _canonical_diagrams(8, 5)
     direct = [d for d in diagrams if not takes_conjugate_route(d.entries)]
     assert 0 < len(direct) < len(diagrams)
-    shared = [d for d in diagrams
-              if hermite_wronskian(d).prim.int_coeffs is _hermite_kernel(d.entries)[1]]
+    shared = [d for d in diagrams if hermite_wronskian(d).prim.int_coeffs
+              is _laguerre_kernel(1, 2, split(d.entries))[1]]
     assert shared == direct
     for a, b in product(_canonical_diagrams(4, 3), repeat=2):
         seeds = a.entries + tuple(~l for l in b.entries)
@@ -328,12 +347,16 @@ def test_entries_share_their_kernel_coefficients(fresh_memos):
 
 
 def test_hermite_kernel_exponent_is_low():
-    # the direct route's kernel gives each canonical diagram's Wronskian as
-    # z**E D(z**2) with D(0) != 0, and E is the closed form `low`
+    # the direct route's kernel at alpha = 1/2 gives the Wronskian of the
+    # z**-1 H_n in y = z**2 as z**E D(y) with D(0) != 0, so each canonical
+    # diagram's determinant starts at z**(E + m (m + 1) / 2): the closed
+    # form `low`
     diagrams = _canonical_diagrams(10, 6)
     assert len(diagrams) == 848
     for d in diagrams:
-        assert _hermite_kernel(d.entries)[0] == hermite_wronskian(d).low, d
+        m = len(d.entries)
+        e = _laguerre_kernel(1, 2, split(d.entries))[0]
+        assert e + m * (m + 1) // 2 == hermite_wronskian(d).low, d
 
 
 LAYOUT_CALLS = {"of_square", "shifted", "split_lowest"}
@@ -564,21 +587,21 @@ def test_both_hermite_routes_share_the_kernel_memo(fresh_memos):
     d = MayaDiagram((2, 5))
     assert routed(d) == [d, MayaDiagram((1, 2, 4, 5))]
     hermite_wronskian(d)
-    misses = _hermite_kernel.cache_info().misses
+    misses = _laguerre_kernel.cache_info().misses
     hermite_wronskian(conjugate(d))
-    assert _hermite_kernel.cache_info().misses == misses
+    assert _laguerre_kernel.cache_info().misses == misses
 
 
 def test_kernel_memo_holds_each_needed_sub_tuple_once(fresh_memos):
-    # a determinant of the sorted seeds T, m = len(T), needs W of T[:j] and
-    # of T[:j] + (T[i],) for 0 <= j <= i < m (prefixes plus one later seed);
-    # a memo on sorted tuples computes each of these once over all 35
-    # 4-subsets of range(7)
+    # a determinant of the seeds T, m = len(T), needs W of T[:j] and of
+    # T[:j] + (T[i],) for 0 <= j <= i < m (prefixes plus one later seed);
+    # a memo on the split sorted Hermite seeds computes each of these once
+    # over all 35 4-subsets of range(7)
     def seeds(entries):
         k = next((i for i, n in enumerate(entries) if n != i), len(entries))
         c = MayaDiagram(tuple(n - k for n in entries[k:]))
         dual = conjugate(c)
-        return dual.entries if len(dual.entries) < len(c.entries) else c.entries
+        return split(dual.entries if len(dual.entries) < len(c.entries) else c.entries)
 
     needed = set()
     for entries in combinations(range(7), 4):
@@ -587,26 +610,25 @@ def test_kernel_memo_holds_each_needed_sub_tuple_once(fresh_memos):
         needed.update(t[:j] + (t[i],) for i in range(len(t)) for j in range(i + 1))
     for entries in combinations(range(7), 4):
         hermite_wronskian(MayaDiagram(entries))
-    info = _hermite_kernel.cache_info()
+    info = _laguerre_kernel.cache_info()
     assert info.misses == info.currsize == len(needed)
 
 
 def test_kernel_values_are_primitive(monkeypatch, fresh_memos):
     # every Sylvester step divides out its content and its sign, and the
     # leaves are primitive with a positive lead, so every kernel value
-    # reached by the criterion-4 chains or the criterion-6 cells is a tuple
-    # with no integer factor and a positive leading coefficient
-    values = []
+    # reached by the criterion-4 chains (at alpha = 1/2) or the criterion-6
+    # cells is a tuple with no integer factor and a positive leading
+    # coefficient
+    values, alphas = [], set()
+    kernel = dresschain.wronskian._laguerre_kernel
 
-    def recording(kernel):
-        def wrapped(*args):
-            values.append(kernel(*args))
-            return values[-1]
-        return wrapped
+    def recording(p, q, seeds):
+        alphas.add(F(p, q))
+        values.append(kernel(p, q, seeds))
+        return values[-1]
 
-    for name in ("_hermite_kernel", "_laguerre_kernel"):
-        monkeypatch.setattr(dresschain.wronskian, name,
-                            recording(getattr(dresschain.wronskian, name)))
+    monkeypatch.setattr(dresschain.wronskian, "_laguerre_kernel", recording)
     for cs in _odd_parameter_grid(3):
         build_odd_chain(cs, allow_degenerate=True)
     for _, build, _ in _odd_table_rows():
@@ -614,6 +636,7 @@ def test_kernel_values_are_primitive(monkeypatch, fresh_memos):
     for cs1, cs2, perm, _ in even_cells():
         for a in ALPHA_TRIPLE:
             build_even_chain(cs1, cs2, AlphaParam(a), perm=perm)
+    assert F(1, 2) in alphas and len(alphas) > 1
     assert len(values) > 1000 and max(len(d) for _, d in values) > 10
     assert all(type(d) is tuple and gcd(*d) == 1 and d[-1] > 0 for _, d in values)
 
