@@ -39,7 +39,6 @@ from .maya import (
     POSITIVE,
     CyclicStructure,
     DegenerateStructure,
-    DiagramTooLarge,
     Flip,
     MayaDiagram,
     UniversalCharacter,
@@ -198,17 +197,6 @@ def _assemble(ladder: Sequence[PseudoWronskian], flips: Sequence[Flip],
     return ChainSolution(delta=delta, expected_eps=tuple(eps), ladder=tuple(ladder))
 
 
-DEGREE_BUDGET = 800
-
-
-def _check_degree(*diagrams: MayaDiagram) -> None:
-    """Refuse diagrams whose weight, the Hermite degree, is over
-    DEGREE_BUDGET: a ladder's work grows with it, not with block indices."""
-    for d in diagrams:
-        if d.weight > DEGREE_BUDGET:
-            raise DiagramTooLarge("diagram of degree %d, over %d" % (d.weight, DEGREE_BUDGET))
-
-
 def build_odd_chain(
     cs: CyclicStructure,
     perm: Optional[Sequence[int]] = None,
@@ -222,13 +210,12 @@ def build_odd_chain(
 
     Degenerate layouts are refused unless allow_degenerate is set; the
     replayed chain still closes for them, so the solution verifies, but
-    the diagram also carries a shorter chain of lower period.  A start
-    diagram of degree over DEGREE_BUDGET is refused before any entry.
+    the diagram also carries a shorter chain of lower period.  The ladder
+    stops at its first diagram over budget (`hermite_wronskian`).
     """
     if cs.p % 2 == 0:
         raise OddPeriodRequired("period %d is even" % cs.p)
     start, degenerate = build_diagram(cs)
-    _check_degree(start)
     if degenerate and not allow_degenerate:
         raise DegenerateStructure("degenerate block layout: %r" % (cs,))
     chain = static_flip_chain(cs)
@@ -248,11 +235,10 @@ def build_even_chain(
 
     Slot-1 flips act on the spectrum component of the universal character
     (seed energy 2 nu omega), slot-2 flips on the shadow component (seed
-    energy 2 (nu - alpha) omega).  The shift is 2 k omega.  A component
-    of degree over DEGREE_BUDGET is refused before any entry.
+    energy 2 (nu - alpha) omega).  The shift is 2 k omega.  The ladder
+    stops at its first character over budget (`laguerre_pseudo_wronskian`).
     """
     uc, chain = uc_flip_chain(cs1, cs2)
-    _check_degree(uc.first, uc.second)
     if perm is not None:
         chain = chain.permuted(perm)
     ladder = [laguerre_pseudo_wronskian(c, alpha) for c in chain.states(uc, apply_uc_flip)]

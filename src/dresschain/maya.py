@@ -36,8 +36,8 @@ class EnumerationTooLarge(ValueError):
 
 
 class DiagramTooLarge(ValueError):
-    """More than DIAGRAM_BUDGET block indices (`build_diagram`), or a
-    diagram of degree over chain.DEGREE_BUDGET (`build_*_chain`)."""
+    """Block indices (`build_diagram`), or a ladder label's weight or kernel
+    steps (the Wronskian entry functions), over DIAGRAM_BUDGET."""
 
 
 class AmplitudeMismatch(ValueError):
@@ -299,7 +299,7 @@ class UniversalCharacter:
             raise TypeError("a universal character holds two Maya diagrams")
 
 
-DIAGRAM_BUDGET = 1000
+DIAGRAM_BUDGET = 800
 
 
 def build_diagram(cs: CyclicStructure) -> Tuple[MayaDiagram, bool]:
@@ -309,7 +309,8 @@ def build_diagram(cs: CyclicStructure) -> Tuple[MayaDiagram, bool]:
     merge (are adjacent on the same stride-k support, including a free
     block continuing an Okamoto block, even one of length 0).  More than
     DIAGRAM_BUDGET block indices, the sum of the block lengths, are
-    refused before any is expanded.
+    refused before any is expanded; on a non-degenerate layout, that is
+    no diagram whose weight, at least its entry count, is within budget.
     """
     size = sum(cs.okamoto) + sum(m for _, m in cs.second_type)
     if size > DIAGRAM_BUDGET:

@@ -43,7 +43,7 @@ from typing import Optional, Tuple, Union
 
 from .exact import Polynomial, det_poly_matrix, frac_str
 from .exact import _iexact_quo, _iprim, _poly
-from .maya import MayaDiagram, UniversalCharacter, conjugate
+from .maya import DIAGRAM_BUDGET, DiagramTooLarge, MayaDiagram, UniversalCharacter, conjugate
 from .orthopoly import AlphaParam, falling_factorial, hermite, laguerre
 
 
@@ -186,6 +186,13 @@ def _hermite_matrix_det(entries: Tuple[int, ...]) -> Polynomial:
     return det_poly_matrix([_hermite_column(n, len(entries)) for n in entries])
 
 
+def _check_size(seeds: int, weight: int) -> None:
+    """DiagramTooLarge for a canonical label whose weight (its degree) or
+    kernel steps s (s + 1) / 2, s seeds, exceed DIAGRAM_BUDGET: s <= 39."""
+    if max(weight, seeds * (seeds + 1) // 2) > DIAGRAM_BUDGET:
+        raise DiagramTooLarge("seeds %d, weight %d, budget %d" % (seeds, weight, DIAGRAM_BUDGET))
+
+
 def _canonical(d: list) -> tuple:
     """d, or -d when it leads negative, as a tuple: a kernel value's form."""
     return tuple(d) if d[-1] > 0 else tuple(-x for x in d)
@@ -215,6 +222,7 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
     2**weight V(entries).  For a even and b odd entries E is -a (2 b + 1),
     by laguerre_pseudo_wronskian's lowest-term argument, so the determinant
     starts at z**v, v = u (u + 1) / 2 with u = b - a: the entry's `low`.
+    Before the kernel call, _check_size reads the seed count and weight.
     Selftest criterion 8 compares the entry with laguerre_pseudo_wronskian
     at 1/2, two routes through the one kernel; the independent oracle of a
     Hermite entry is the raw _hermite_matrix_det (criterion 3).
@@ -226,7 +234,9 @@ def hermite_wronskian(d: MayaDiagram) -> PseudoWronskian:
     if k:
         prim = hermite_wronskian(MayaDiagram(canon)).prim
     else:
-        through = bool(entries) and entries[-1] - m + 1 < m
+        seeds = min(m, entries[-1] - m + 1) if entries else 0
+        _check_size(seeds, d.weight)
+        through = seeds < m
         split = tuple(n // 2 if n % 2 else ~(n // 2)
                       for n in (conjugate(d).entries if through else entries))
         _, ys = _laguerre_kernel(1, 2, split)
@@ -347,7 +357,8 @@ def laguerre_pseudo_wronskian(
     -alpha + (0..r-1), and these exponents are distinct.  So the kernel's
     exponent is -r (q m + p), and the determinant is z**(r (r - 1)) times
     its polynomial, whose constant term is nonzero: the entry's `prim`, the
-    kernel's tuple itself.
+    kernel's tuple itself, after _check_size(m + r, first.weight +
+    second.weight), the degree of `prim`.
     A character whose components are the k1- and k2-translates of
     canonical ones is a constant times a power of z times the determinant
     of those at alpha + k1 - k2, so it takes their `prim` from this memo.
@@ -361,5 +372,6 @@ def laguerre_pseudo_wronskian(
         prim = laguerre_pseudo_wronskian(canon, alpha.shifted(k1 - k2)).prim
     else:
         seeds = uc.first.entries + tuple(~l for l in uc.second.entries)
+        _check_size(len(seeds), uc.first.weight + uc.second.weight)
         prim = _poly(_laguerre_kernel(a.numerator, a.denominator, seeds)[1])
     return PseudoWronskian(prim, uc, a)

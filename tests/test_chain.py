@@ -11,7 +11,6 @@ import dresschain.chain
 import dresschain.exact
 import dresschain.wronskian
 from dresschain.chain import (
-    DEGREE_BUDGET,
     OMEGA,
     OddPeriodRequired,
     _closure,
@@ -143,34 +142,68 @@ def test_even_chain_accepts_degenerate_layouts():
 
 
 def test_degree_budget_refuses_before_any_determinant(monkeypatch):
-    # the Hermite degree of a start diagram or component, its weight, is
-    # bounded, not its block indices: (1000,) is one index of degree 1000.
-    # The deepest jobs in use are admitted
-    admitted = [CyclicStructure(k=3, okamoto=(25, 25)),
-                CyclicStructure(k=5, okamoto=(15, 15, 15, 15)),
-                CyclicStructure(k=1, second_type=((200, 1),))]
-    assert [build_diagram(cs)[0].weight for cs in admitted] == [650, 480, 200]
-    assert 650 <= DEGREE_BUDGET < 1000
+    # the entry functions check each canonical label's weight and kernel
+    # steps s (s + 1) / 2 against DIAGRAM_BUDGET before their kernel call:
+    # a ladder whose first label is over it calls no kernel, and the
+    # deepest labels in use reach it with their seed count, an odd one
+    # through its smaller conjugate
+    class Reached(Exception):
+        pass
 
-    def forbidden(*args):
-        raise AssertionError("a ladder entry was built")
+    def reached(p, q, seeds):
+        raise Reached(len(seeds))
 
-    monkeypatch.setattr(dresschain.chain, "hermite_wronskian", forbidden)
-    monkeypatch.setattr(dresschain.chain, "laguerre_pseudo_wronskian", forbidden)
+    def okamoto(k, *lengths):
+        return CyclicStructure(k=k, okamoto=lengths)
+
+    def free(*blocks):
+        return CyclicStructure(k=1, second_type=blocks)
+
     empty = CyclicStructure(k=1)
-    for level in (1000, DEGREE_BUDGET + 1):
-        big = CyclicStructure(k=1, second_type=((level, 1),))
+    admitted = [
+        (build_odd_chain, (okamoto(3, 25, 25),), 25),
+        (build_odd_chain, (okamoto(5, 15, 15, 15, 15),), 15),
+        (build_odd_chain, (free((200, 1)),), 1),
+        (build_odd_chain, (free((800, 1)),), 1),
+        (build_odd_chain, (free((1, 300)),), 1),
+        (build_even_chain, (free((1, 39)), empty, ALPHA), 39),
+    ]
+    refused = [
+        (build_odd_chain, (free((1000, 1)),)),
+        (build_odd_chain, (free((801, 1)),)),
+        (build_odd_chain, (free((1, 399), (799, 1)),)),
+        (build_even_chain, (free((1, 40)), empty, ALPHA)),
+        (build_even_chain, (free((1, 250)), empty, ALPHA)),
+        (build_even_chain, (free((801, 1)), empty, ALPHA)),
+        (build_even_chain, (empty, free((801, 1)), ALPHA)),
+        (build_even_chain, (free((400, 1)), free((401, 1)), ALPHA)),
+    ]
+    assert [build_diagram(args[0])[0].weight for _, args, _ in admitted] == [
+        650, 480, 200, 800, 300, 39]
+    clear_ladder_memos()
+    monkeypatch.setattr(dresschain.wronskian, "_laguerre_kernel", reached)
+    for build, args, seeds in admitted:
+        with pytest.raises(Reached) as exc:
+            build(*args)
+        assert exc.value.args == (seeds,), args
+    for build, args in refused:
         with pytest.raises(DiagramTooLarge):
-            build_odd_chain(big)
-        for cs1, cs2 in ((big, empty), (empty, big)):
-            with pytest.raises(DiagramTooLarge):
-                build_even_chain(cs1, cs2, ALPHA)
-    # a diagram at the budget passes to its first entry
-    at = CyclicStructure(k=1, second_type=((DEGREE_BUDGET, 1),))
-    with pytest.raises(AssertionError, match="ladder entry"):
-        build_odd_chain(at)
-    with pytest.raises(AssertionError, match="ladder entry"):
-        build_even_chain(empty, at, ALPHA)
+            build(*args)
+    # a ladder is refused at its first label over the budget: (800) takes
+    # one kernel call, and (800, 801) of weight 1600 none
+    monkeypatch.undo()
+    calls = []
+    kernel = dresschain.wronskian._laguerre_kernel
+
+    def recorded(p, q, seeds):
+        calls.append(seeds)
+        return kernel(p, q, seeds)
+
+    monkeypatch.setattr(dresschain.wronskian, "_laguerre_kernel", recorded)
+    with pytest.raises(DiagramTooLarge, match="weight 1600"):
+        build_odd_chain(free((800, 1)), perm=(2, 0, 1))
+    assert calls == [(~400,)]
+    clear_ladder_memos()
 
 
 def test_even_chain_table_3_1():

@@ -451,8 +451,7 @@ def test_selftest_single_criterion(capsys):
         ["verify", "--period", "2000000000", "--case", "1000000000,1000000000"],
         ["verify", "--period", "2000000000", "--case", "1000000000,1000000000",
          "--shift", "2"],
-        # 1600 seeds, components of degree 800 within chain.DEGREE_BUDGET:
-        # deeper than the memoised recursion can go
+        # a first character of 1600 seeds and weight 1600, over the budget
         ["build", "--period", "6", "--case", "3,3", "--shift", "1",
          "--params", "1,800,1,800", "--alpha", "1/3"],
         # structure boxes over maya.ENUM_BUDGET, refused before any work
@@ -513,15 +512,25 @@ def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path, argv):
 @pytest.mark.parametrize(
     "argv,kind",
     [
-        # one block index, but a diagram of degree 1000 over
-        # chain.DEGREE_BUDGET: refused before any determinant
+        # one block index, but a first label of weight 1000 over
+        # maya.DIAGRAM_BUDGET: refused before any kernel call
         ("verify --period 3 --shift 1 --params 1000,1", "DiagramTooLarge"),
         ("painleve --period 3 --shift 1 --params 1000,1", "DiagramTooLarge"),
         ("verify --period 4 --case 3,1 --shift 1 --params 1000,1 --alpha 1/3",
          "DiagramTooLarge"),
-        # within the budget, a ladder entry too deep for the recursion
+        # a first character of 1600 seeds and weight 1600
         ("build --period 6 --case 3,3 --shift 1 --params 1,800,1,800 --alpha 1/3",
-         "RecursionError"),
+         "DiagramTooLarge"),
+        # the start (800) is admitted, the next label (800, 801) has weight 1600
+        ("verify --period 3 --shift 1 --params 800,1 --perm 2,0,1", "DiagramTooLarge"),
+        # weight 799, but 400 seeds: 80200 kernel steps
+        ("verify --period 5 --shift 1 --params 1,399,799,1", "DiagramTooLarge"),
+        # no conjugate route for a character: 250 seeds, and 40 (820 steps)
+        ("verify --period 4 --case 3,1 --shift 1 --params 1,250 --alpha 1/3",
+         "DiagramTooLarge"),
+        ("verify --period 4 --case 3,1 --params 1,40", "DiagramTooLarge"),
+        # the weight is on the shadow side
+        ("verify --period 4 --case 1,3 --params 801,1", "DiagramTooLarge"),
     ],
 )
 def test_too_large_jobs_are_refused_at_once(capsys, argv, kind):
@@ -608,18 +617,23 @@ def test_help_still_exits_0(capsys, argv):
 
 # -- the exit-code contract over an argv grammar --------------------------------
 
+# past maya.DIAGRAM_BUDGET, up to 10**30
+_huge = st.integers(801, 10 ** 30)
 _ints = st.integers(-1, 6).map(str)
-_int_lists = st.lists(st.integers(-1, 3).map(str), max_size=6).map(",".join)
-# 0, -1, an integer, 1/0, empty items and duplicates among valid samples
+_int_lists = st.lists((st.integers(-1, 3) | _huge).map(str), max_size=6).map(",".join)
+# 0, -1, an integer, 1/0, empty items and duplicates among valid samples,
+# and huge numerators
 _alpha_pool = ("0", "-1", "2", "1/0", "", "1/3", "1/3", "-4/3", "2/5")
+_alphas = st.sampled_from(_alpha_pool) | st.builds(
+    "{}{}/3".format, st.sampled_from(("", "-")), _huge)
 _option_values = {
-    "--period": st.one_of(_ints, st.just("x")),
+    "--period": st.one_of(_ints, _huge.map(str), st.just("x")),
     "--shift": _ints,
-    "--bound": st.integers(0, 3).map(str),
+    "--bound": (st.integers(0, 3) | _huge).map(str),
     "--case": st.lists(st.integers(0, 6).map(str), min_size=1, max_size=3).map(",".join),
     "--params": _int_lists,
-    "--alpha": st.lists(st.sampled_from(_alpha_pool), min_size=1, max_size=3).map(",".join),
-    "--perm": st.lists(st.integers(-1, 5).map(str), max_size=6).map(",".join),
+    "--alpha": st.lists(_alphas, min_size=1, max_size=3).map(",".join),
+    "--perm": st.lists((st.integers(-1, 5) | _huge).map(str), max_size=6).map(",".join),
     # invalid lists, or the fast criteria
     "--criteria": st.sampled_from(("", "0", "9", "-1", "x", "5,5", "1,1", "5", "7", "5,7")),
     "--format": st.sampled_from(("json", "text", "latex", "xml")),
@@ -642,7 +656,8 @@ def _job(draw):
     shifts = admitted_shifts(*periods)
     if shifts:
         argv += ["--shift", str(draw(st.sampled_from(shifts)))]
-    params = draw(st.lists(st.integers(1, 3).map(str), min_size=sum(periods) - len(periods),
+    params = draw(st.lists((st.integers(1, 3) | _huge).map(str),
+                           min_size=sum(periods) - len(periods),
                            max_size=sum(periods) - len(periods)))
     return argv + ["--params", ",".join(params)]
 
@@ -668,8 +683,8 @@ def _argvs(draw):
 @given(_argvs())
 def test_every_command_line_exits_0_1_or_2(capsys, tmp_path, argv):
     # main never raises: it returns 0, 1 or 2, and an exit 2 prints exactly
-    # one {"error": ...} object.  --out is a file under tmp_path, or a
-    # directory
+    # one {"error": ...} object, huge values included.  --out is a file
+    # under tmp_path, or a directory
     argv = [{"file": str(tmp_path / "out.txt"), "dir": str(tmp_path)}.get(tok, tok)
             if prev == "--out" else tok for prev, tok in zip([None] + argv, argv)]
     code, out = run_cli(capsys, *argv)

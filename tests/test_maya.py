@@ -171,11 +171,11 @@ def test_build_diagram_okamoto():
 def test_build_diagram_budget_counts_every_block_index():
     # Okamoto and free blocks both count; one index past the budget is
     # refused, whatever its length would cost
-    assert DIAGRAM_BUDGET == 1000
-    d, _ = build_diagram(CyclicStructure(k=3, okamoto=(400, 0), second_type=((3, 600),)))
-    assert len(d.entries) == 1000
-    for cs in (CyclicStructure(k=3, okamoto=(401, 0), second_type=((3, 600),)),
-               CyclicStructure(k=3, okamoto=(400, 0), second_type=((3, 601),)),
+    assert DIAGRAM_BUDGET == 800
+    d, _ = build_diagram(CyclicStructure(k=3, okamoto=(400, 0), second_type=((3, 400),)))
+    assert len(d.entries) == DIAGRAM_BUDGET
+    for cs in (CyclicStructure(k=3, okamoto=(401, 0), second_type=((3, 400),)),
+               CyclicStructure(k=3, okamoto=(400, 0), second_type=((3, 401),)),
                CyclicStructure(k=1, second_type=((1, 10 ** 30),))):
         with pytest.raises(DiagramTooLarge):
             build_diagram(cs)

@@ -14,6 +14,7 @@ from dresschain.chain import build_even_chain, build_odd_chain, verify_chain
 from dresschain.exact import Polynomial
 from dresschain.maya import (
     CyclicStructure,
+    DiagramTooLarge,
     MayaDiagram,
     UniversalCharacter,
     conjugate,
@@ -323,11 +324,128 @@ def test_every_entry_keeps_a_constant_term_and_low_is_its_lowest_power(
 
 def test_hermite_degree_is_the_diagram_weight(monkeypatch, fresh_memos):
     # the closed form sum(entries) - m (m - 1) / 2 that `lead` and the
-    # chain's degree budget read is the degree of every criterion-4 entry
+    # size check read is the degree of every criterion-4 entry
     diagrams = {pw.label: pw for pw in _entries_built_by(4, monkeypatch) if pw.alpha is None}
     assert len(diagrams) > 100
     for d, pw in diagrams.items():
         assert pw.poly.degree == d.weight, d
+
+
+def test_laguerre_degree_is_the_character_weight():
+    # `prim` of every criterion-6 entry, at the three selftest alphas, has
+    # degree first.weight + second.weight, the closed form the size check
+    # reads, and the determinant r (r - 1) more
+    ladders = [build_even_chain(cs1, cs2, AlphaParam(a), perm=perm).ladder
+               for cs1, cs2, perm, _ in even_cells() for a in ALPHA_TRIPLE]
+    entries = [pw for ladder in ladders for pw in ladder]
+    assert len(entries) == 2955
+    for pw in entries:
+        degree = pw.label.first.weight + pw.label.second.weight
+        assert pw.prim.degree == degree, pw.label
+        assert pw.poly.degree == degree + pw.r * (pw.r - 1), pw.label
+
+
+def test_size_check_reads_the_kernel_seed_count_and_the_degree(monkeypatch):
+    # every canonical entry of criteria 4 and 6 gives the size check the
+    # length of the tuple its kernel's outermost call receives (the
+    # conjugate's on the conjugate route) and, as its weight, its degree:
+    # that of the determinant for a diagram and of `prim` for a character
+    events = []
+    depth = 0
+    check = dresschain.wronskian._check_size
+    kernel = dresschain.wronskian._laguerre_kernel
+
+    def checked(seeds, weight):
+        events.append(("check", seeds, weight))
+        check(seeds, weight)
+
+    def recorded(p, q, seeds):
+        nonlocal depth
+        if not depth:
+            events.append(("kernel", len(seeds)))
+        depth += 1
+        try:
+            return kernel(p, q, seeds)
+        finally:
+            depth -= 1
+
+    def entry(*args):
+        events.append(("entry", PseudoWronskian(*args)))
+        return events[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dresschain.wronskian, "_check_size", checked)
+        patch.setattr(dresschain.wronskian, "_laguerre_kernel", recorded)
+        patch.setattr(dresschain.wronskian, "PseudoWronskian", entry)
+        for criterion in (4, 6):
+            clear_ladder_memos()
+            (result,) = run_all([criterion])
+            assert result.ok, result.detail
+    clear_ladder_memos()
+    checks = [i for i, e in enumerate(events) if e[0] == "check"]
+    assert len(checks) == sum(e[0] == "kernel" for e in events) > 1000
+    through = 0
+    for i in checks:
+        assert [e[0] for e in events[i:i + 3]] == ["check", "kernel", "entry"]
+        (_, seeds, weight), (_, n), (_, pw) = events[i:i + 3]
+        assert seeds == n, pw.label
+        assert weight == (pw.poly if pw.alpha is None else pw.prim).degree, pw.label
+        through += seeds < pw.m
+    assert through > 100
+
+
+def test_size_budget_bounds_each_label_before_its_kernel_call(monkeypatch, fresh_memos):
+    # a canonical label's weight and its kernel steps s (s + 1) / 2 are
+    # bounded by DIAGRAM_BUDGET = 800: the staircase of 39 rows (39 seeds
+    # either way, weight 780) and a weight of 800 reach the kernel, while
+    # 40 seeds (820 steps) or a weight of 801 are refused before it, a
+    # translate through its canonical label
+    class Reached(Exception):
+        pass
+
+    def reached(p, q, seeds):
+        raise Reached(len(seeds))
+
+    def staircase(s):
+        return MayaDiagram(tuple(range(1, 2 * s, 2)))
+
+    def dense(n):
+        return MayaDiagram(tuple(range(1, n + 1)))
+
+    def one(n):
+        return MayaDiagram((n,))
+
+    def character(d1, d2):
+        return lambda: laguerre_pseudo_wronskian(UniversalCharacter(d1, d2), AlphaParam(F(1, 3)))
+
+    monkeypatch.setattr(dresschain.wronskian, "_laguerre_kernel", reached)
+    admitted = [
+        (lambda: hermite_wronskian(staircase(39)), 39),
+        (lambda: hermite_wronskian(one(800)), 1),
+        (lambda: hermite_wronskian(dense(800)), 1),
+        (character(dense(39), EMPTY), 39),
+        (character(EMPTY, dense(39)), 39),
+        (character(one(400), one(400)), 2),
+        (character(EMPTY, one(800)), 1),
+    ]
+    for build, seeds in admitted:
+        with pytest.raises(Reached) as exc:
+            build()
+        assert exc.value.args == (seeds,)
+    refused = [
+        (lambda: hermite_wronskian(staircase(40)), "seeds 40, weight 820"),
+        (lambda: hermite_wronskian(one(801)), "seeds 1, weight 801"),
+        (lambda: hermite_wronskian(translate(one(801), 3)), "seeds 1, weight 801"),
+        (character(dense(40), EMPTY), "seeds 40, weight 40"),
+        (character(dense(20), dense(20)), "seeds 40, weight 40"),
+        (character(one(400), one(401)), "seeds 2, weight 801"),
+        (character(EMPTY, one(801)), "seeds 1, weight 801"),
+        (character(translate(one(801), 2), EMPTY), "seeds 1, weight 801"),
+    ]
+    for build, message in refused:
+        with pytest.raises(DiagramTooLarge) as exc:
+            build()
+        assert str(exc.value) == message + ", budget 800"
 
 
 def test_entries_share_their_kernel_coefficients(fresh_memos):
